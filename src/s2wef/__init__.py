@@ -48,6 +48,6 @@ from .nn import (
     init_model,
     local_train,
 )
-from .wef import WefMatrix, accumulate, build_wef, counterfeit_one_step, dynamic_threshold, wef_step
+from .wef import WefMatrix, accumulate, build_wef, counterfeit_one_step
 
 __version__ = "0.1.0"

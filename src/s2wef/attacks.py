@@ -150,16 +150,15 @@ def awca(
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    start, stop = global_now.penultimate_flat_slice()
-    shape = global_now.penultimate.shape
-
     flat = global_now.to_flat()
     step = (flat - global_prev.to_flat()) / e
-    snapshots = [flat[start:stop].reshape(shape).copy()]
+    fake = global_now
+    snapshots = [fake.penultimate]
     for _ in range(e):
         flat = flat + step + rng.normal(0.0, sigma, size=flat.shape)
-        snapshots.append(flat[start:stop].reshape(shape).copy())
-    return FakeSubmission(global_now.from_flat(flat), build_wef(snapshots))
+        fake = global_now.from_flat(flat)
+        snapshots.append(fake.penultimate)
+    return FakeSubmission(fake, build_wef(snapshots))
 
 
 def make_submission(

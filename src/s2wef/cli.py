@@ -3,10 +3,10 @@
 Subcommands: run a configured experiment, run an ablation pair on shared
 seeds, replay a detector over a recorded trace, or re-print the summary of
 an existing metrics file.  Configs are versioned JSON validated fail-closed
-(unknown keys are rejected) before any output file is created; the only
-environment knob is S2WEF_THREADS, which caps the training worker count.
-Exit codes: 0 success, 1 runtime failure or replay divergence, 2 invalid
-config or malformed trace.
+(unknown keys and mistyped values are rejected) before any output file is
+created; the only environment knob is S2WEF_THREADS, which caps the
+training worker count.  Exit codes: 0 success, 1 runtime failure or replay
+divergence, 2 invalid config or malformed trace.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
-from .attacks import AttackParams
+from .detect import DETECTORS
 from .errors import ConfigurationError, S2wefError, TraceError
-from .fedsim import DatasetParams, MetricsReport, SimConfig, run_simulation
-from .nn import TrainConfig
+from .fedsim import MetricsReport, SimConfig, run_simulation
 from .trace import (
     read_metrics_csv,
     read_trace,
@@ -31,125 +33,58 @@ from .trace import (
 CONFIG_VERSION = 1
 
 
-def _take(raw: dict, context: str, known: dict):
-    """Pop known keys with defaults; reject anything left over."""
-    data = dict(raw)
-    out = {}
-    for key, default in known.items():
-        out[key] = data.pop(key) if key in data else default
-    if data:
-        raise ConfigurationError(f"{context}: unknown keys {sorted(data)}")
-    return out
+def _check_value(tp, value, where: str):
+    """Type-check one JSON value against a field annotation; build nested configs."""
+    if is_dataclass(tp):
+        return _from_dict(tp, value, where)
+    if get_origin(tp) is UnionType:  # `X | None`
+        (inner,) = (arg for arg in get_args(tp) if arg is not type(None))
+        return None if value is None else _check_value(inner, value, where)
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: expected a list of {item.__name__}, got {value!r}")
+        return tuple(_check_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    # bool is a subclass of int, and a float field also takes an int
+    allowed = {int: int, float: (int, float), bool: bool, str: str}[tp]
+    if not isinstance(value, allowed) or (tp is not bool and isinstance(value, bool)):
+        raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def _from_dict(cls, raw, context: str):
+    """Build config dataclass cls from a JSON object, rejecting unknown keys."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{context}: expected a JSON object, got {raw!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = raw.keys() - known.keys()
+    if unknown:
+        raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
+    for name, f in known.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{context}: {name!r} is required")
+    hints = get_type_hints(cls)
+    return cls(**{k: _check_value(hints[k], v, f"{context}.{k}") for k, v in raw.items()})
+
+
+def _to_json(value):
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_from_dict(raw: dict) -> SimConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a JSON object")
-    top = _take(
-        raw,
-        "config",
-        {
-            "version": None,
-            "clients": 10,
-            "free_rider_ratio": 0.3,
-            "scenario": "S1",
-            "attack": None,
-            "partition": "IID",
-            "dirichlet_beta": 0.5,
-            "rounds": 20,
-            "train": {},
-            "detector": "S2WEF",
-            "accumulate_wef": False,
-            "seeds": [1, 2, 3],
-            "dataset": {},
-            "hidden_layers": [256],
-        },
-    )
-    if top["version"] != CONFIG_VERSION:
-        raise ConfigurationError(f"config: version must be {CONFIG_VERSION}, got {top['version']!r}")
-
-    attack = None
-    if top["attack"] is not None:
-        a = _take(
-            top["attack"],
-            "config.attack",
-            {
-                "kind": None,
-                "rwa_range": 1e-3,
-                "spa_sigma": 1e-3,
-                "adwa_sigma": 1e-3,
-                "awca_sigma": 1e-5,
-                "counterfeit_abs": True,
-            },
-        )
-        if a["kind"] is None:
-            raise ConfigurationError("config.attack: 'kind' is required")
-        attack = AttackParams(**a)
-
-    t = _take(
-        top["train"],
-        "config.train",
-        {"learning_rate": 0.1, "momentum": 0.0, "batch_size": 32, "local_iterations": 5},
-    )
-    d = _take(
-        top["dataset"],
-        "config.dataset",
-        {"samples": 2000, "features": 16, "classes": 10, "spread": 0.2},
-    )
-    return SimConfig(
-        clients=top["clients"],
-        free_rider_ratio=top["free_rider_ratio"],
-        scenario=top["scenario"],
-        attack=attack,
-        partition=top["partition"],
-        dirichlet_beta=top["dirichlet_beta"],
-        rounds=top["rounds"],
-        train=TrainConfig(**t),
-        detector=top["detector"],
-        accumulate_wef=top["accumulate_wef"],
-        seeds=tuple(top["seeds"]),
-        dataset=DatasetParams(**d),
-        hidden_layers=tuple(top["hidden_layers"]),
-    )
+    raw = dict(raw)
+    version = raw.pop("version", None)
+    if version != CONFIG_VERSION:
+        raise ConfigurationError(f"config: version must be {CONFIG_VERSION}, got {version!r}")
+    return _from_dict(SimConfig, raw, "config")
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    out = {
-        "version": CONFIG_VERSION,
-        "clients": cfg.clients,
-        "free_rider_ratio": cfg.free_rider_ratio,
-        "scenario": cfg.scenario,
-        "attack": None,
-        "partition": cfg.partition,
-        "dirichlet_beta": cfg.dirichlet_beta,
-        "rounds": cfg.rounds,
-        "train": {
-            "learning_rate": cfg.train.learning_rate,
-            "momentum": cfg.train.momentum,
-            "batch_size": cfg.train.batch_size,
-            "local_iterations": cfg.train.local_iterations,
-        },
-        "detector": cfg.detector,
-        "accumulate_wef": cfg.accumulate_wef,
-        "seeds": list(cfg.seeds),
-        "dataset": {
-            "samples": cfg.dataset.samples,
-            "features": cfg.dataset.features,
-            "classes": cfg.dataset.classes,
-            "spread": cfg.dataset.spread,
-        },
-        "hidden_layers": list(cfg.hidden_layers),
-    }
-    if cfg.attack is not None:
-        out["attack"] = {
-            "kind": cfg.attack.kind,
-            "rwa_range": cfg.attack.rwa_range,
-            "spa_sigma": cfg.attack.spa_sigma,
-            "adwa_sigma": cfg.attack.adwa_sigma,
-            "awca_sigma": cfg.attack.awca_sigma,
-            "counterfeit_abs": cfg.attack.counterfeit_abs,
-        }
-    return out
+    return {"version": CONFIG_VERSION, **_to_json(cfg)}
 
 
 def load_config(path: str | Path) -> SimConfig:
@@ -199,21 +134,15 @@ def summary_lines(report: MetricsReport) -> list[str]:
 
 
 def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
-    from dataclasses import replace
-
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
-    if getattr(args, "detector", None):
+    if args.detector:
         cfg = replace(cfg, detector=args.detector)
     return cfg
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
     try:
         report = run_simulation(cfg)
@@ -240,13 +169,7 @@ _ABLATION_PAIRS = {
 
 
 def cmd_ablate(args) -> int:
-    from dataclasses import replace
-
-    try:
-        cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = _apply_overrides(load_config(args.config), args)
     mode = args.mode or ("vote" if cfg.scenario == "CLEAN" else "l1")
     first, second = _ABLATION_PAIRS[mode]
     out = Path(args.out)
@@ -342,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the trial seed list")
-        p.add_argument("--detector", default=None, help="override the configured detector")
+        p.add_argument("--detector", choices=DETECTORS, default=None,
+                       help="override the configured detector")
         p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run a configured experiment")
@@ -356,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect-trace", help="replay a detector over a recorded trace")
     p_det.add_argument("--trace", required=True, help="trace.jsonl path")
-    p_det.add_argument("--detector", default="S2WEF")
+    p_det.add_argument("--detector", choices=DETECTORS, default=SimConfig.detector)
     p_det.add_argument("--quiet", action="store_true")
     p_det.set_defaults(func=cmd_detect_trace)
 
@@ -368,7 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:  # raised before any output is written
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,13 +12,13 @@ flags inside the suspicious cluster decides whether to label it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, HistoryError, ShapeError
-from .wef import WefMatrix, accumulate
+from .wef import WefMatrix, counterfeit_one_step
 
 EPS = 1e-12
 GAMMA_EPS = 1e-12
@@ -29,6 +29,17 @@ DEV_MAX_MARGIN = 0.05
 
 GAMMA_COS_OVER_L1 = "cos_over_l1"
 GAMMA_COS_ONLY = "cos_only"
+BASELINE = "dev_threshold"
+
+# Every detector by name: the (gamma mode, require_vote) of the clustering
+# pipeline, BASELINE for the Dev threshold alone, or None for no detection.
+DETECTORS: dict[str, tuple[str, bool] | str | None] = {
+    "S2WEF": (GAMMA_COS_OVER_L1, True),
+    "WEF_NA_BASELINE": BASELINE,
+    "CLUSTER_ONLY": (GAMMA_COS_OVER_L1, False),
+    "COS_ONLY_CLUSTER": (GAMMA_COS_ONLY, False),
+    "NONE": None,
+}
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,6 @@ class RoundDetection:
     scores: RoundScores
     cluster: ClusterOutcome
     decision: DetectionDecision
-    simulated: WefMatrix | None = None
 
 
 def _as_float_mats(wefs: Sequence[WefMatrix]) -> list[np.ndarray]:
@@ -137,20 +147,12 @@ def simulate_global_wef(
 ) -> WefMatrix:
     """WEF pattern of the last broadcast delta, scaled to the full budget e.
 
-    This equals the counterfeit a delta-replay free-rider would upload, so
+    This is the counterfeit a delta-replay free-rider would upload, so
     matching against it exposes global-model-mimicking submissions.
     """
     if global_prev is None:
         raise HistoryError("simulating the global WEF needs two prior broadcasts")
-    if e < 1:
-        raise ConfigurationError("e must be >= 1")
-    now = np.asarray(global_now, dtype=np.float64)
-    prev = np.asarray(global_prev, dtype=np.float64)
-    if now.shape != prev.shape:
-        raise ShapeError(f"global matrices differ: {now.shape} vs {prev.shape}")
-    diff = np.abs(now - prev)
-    counts = np.where(diff > diff.mean(), e, 0).astype(np.int64)
-    return WefMatrix(counts, e)
+    return counterfeit_one_step(global_now, global_prev, e)
 
 
 def gamma_scores(
@@ -366,28 +368,12 @@ def majority_vote(
     )
 
 
-def wef_defense_baseline(
-    wef_history: Sequence[Sequence[WefMatrix]],
-    epsilon: float = DEV_MAX_MARGIN,
-    accumulate_rounds: bool = False,
-) -> frozenset[int]:
-    """Deviation-threshold baseline: flag clients with Dev above max - epsilon.
-
-    wef_history is indexed [client][round].  With accumulate_rounds the
-    per-round matrices are summed before scoring; otherwise only each
-    client's latest matrix is used.
-    """
+def wef_defense_baseline(devs: Sequence[float], epsilon: float = DEV_MAX_MARGIN) -> frozenset[int]:
+    """Deviation-threshold baseline: flag clients with Dev above max - epsilon."""
     if epsilon <= 0:
         raise ConfigurationError("epsilon must be > 0")
-    if any(len(h) == 0 for h in wef_history):
-        raise ConfigurationError("every client needs at least one WEF matrix")
-    if accumulate_rounds:
-        current = [accumulate(list(h)) for h in wef_history]
-    else:
-        current = [h[-1] for h in wef_history]
-    devs = dev_scores(current)
-    xi = devs.max() - epsilon
-    return frozenset(int(i) for i in np.flatnonzero(devs > xi))
+    d = np.asarray(devs, dtype=np.float64)
+    return frozenset(int(i) for i in np.flatnonzero(d > d.max() - epsilon))
 
 
 def empty_round_detection(n_clients: int) -> RoundDetection:
@@ -411,7 +397,6 @@ def empty_round_detection(n_clients: int) -> RoundDetection:
             detected=False,
             free_rider_list=frozenset(),
         ),
-        simulated=None,
     )
 
 
@@ -449,5 +434,32 @@ def detect_round(
         scores=RoundScores(gamma=gammas, dev=devs, z=z),
         cluster=outcome,
         decision=decision,
-        simulated=simulated,
     )
+
+
+def run_detector(
+    name: str,
+    wefs: Sequence[WefMatrix],
+    global_now: np.ndarray,
+    global_prev: np.ndarray | None,
+    e: int,
+) -> tuple[RoundDetection, frozenset[int]]:
+    """Run the named detector on one round; returns its record and flagged set.
+
+    The baseline records its Dev scores and flags outside the vote, so its
+    decision stays empty and the flagged set is returned separately.
+    """
+    if name not in DETECTORS:
+        raise ConfigurationError(f"unknown detector {name!r}; choose from {tuple(DETECTORS)}")
+    spec = DETECTORS[name]
+    if spec is None or global_prev is None:
+        return empty_round_detection(len(wefs)), frozenset()
+    if spec == BASELINE:
+        devs = dev_scores(wefs)
+        empty = empty_round_detection(len(wefs))
+        return replace(empty, scores=replace(empty.scores, dev=devs)), wef_defense_baseline(devs)
+    gamma_mode, require_vote = spec
+    detection = detect_round(
+        wefs, global_now, global_prev, e, gamma_mode=gamma_mode, require_vote=require_vote
+    )
+    return detection, detection.decision.free_rider_list

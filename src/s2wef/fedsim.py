@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .wef import WefMatrix, accumulate, build_wef
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
-DETECTORS = ("S2WEF", "WEF_NA_BASELINE", "CLUSTER_ONLY", "COS_ONLY_CLUSTER", "NONE")
 
 THREADS_ENV = "S2WEF_THREADS"
 
@@ -165,16 +164,10 @@ def aggregate_fedavg(
     if not submissions:
         raise ConfigurationError("nothing to aggregate")
     template = submissions[0]
-    flats = []
-    for s in submissions:
-        if s.num_params != template.num_params:
-            raise ShapeError("submissions disagree on parameter count")
-        flats.append(s.to_flat())
-    kept = sorted(set(benign_ids))
-    if not kept:
-        kept = list(range(len(submissions)))
-    stacked = np.stack([flats[i] for i in kept])
-    return template.from_flat(stacked.mean(axis=0))
+    if any(s.num_params != template.num_params for s in submissions):
+        raise ShapeError("submissions disagree on parameter count")
+    kept = sorted(set(benign_ids)) or range(len(submissions))
+    return template.from_flat(np.stack([submissions[i].to_flat() for i in kept]).mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -216,27 +209,28 @@ class SimConfig:
     partition: str = "IID"
     dirichlet_beta: float = 0.5
     rounds: int = 20
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(learning_rate=0.1))
+    train: TrainConfig = field(default_factory=TrainConfig)
     detector: str = "S2WEF"
     accumulate_wef: bool = False
     seeds: tuple[int, ...] = (1, 2, 3)
     dataset: DatasetParams = field(default_factory=DatasetParams)
     hidden_layers: tuple[int, ...] = (256,)
-    keep_submissions: bool = False
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigurationError(f"scenario must be one of {SCENARIOS}")
         if self.partition not in PARTITIONS:
             raise ConfigurationError(f"partition must be one of {PARTITIONS}")
-        if self.detector not in DETECTORS:
-            raise ConfigurationError(f"detector must be one of {DETECTORS}")
+        if self.detector not in det.DETECTORS:
+            raise ConfigurationError(f"detector must be one of {tuple(det.DETECTORS)}")
         if self.clients < 3:
             raise ConfigurationError("need at least 3 clients")
         if self.rounds < 3:
             raise ConfigurationError("need at least 3 rounds")
         if not self.seeds:
             raise ConfigurationError("need at least one trial seed")
+        if min(self.seeds) < 0 or len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must be distinct and non-negative, got {list(self.seeds)}")
         if not 0 <= self.free_rider_ratio < 0.5:
             raise ConfigurationError("free_rider_ratio must lie in [0, 0.5)")
         _free_rider_count(self.clients, self.free_rider_ratio)
@@ -270,12 +264,10 @@ class RoundRecord:
     global_pen_before: np.ndarray
     e: int
     submission_digests: list[str]
-    submissions: list[np.ndarray] | None = None
-    aggregate_flat: np.ndarray | None = None
 
 
 def _digest(flat: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(flat).tobytes()).hexdigest()[:16]
+    return hashlib.sha256(flat).hexdigest()[:16]
 
 
 def _resolve_workers(max_workers: int | None) -> int:
@@ -329,34 +321,16 @@ def _client_submission(state: _TrialState, t: int, client: int):
 
 def _detect(state: _TrialState, wefs: list[WefMatrix]) -> tuple[det.RoundDetection, frozenset[int]]:
     cfg = state.cfg
-    n = cfg.clients
-    if cfg.detector == "NONE" or state.previous_global is None:
-        return det.empty_round_detection(n), frozenset()
-
     if cfg.accumulate_wef:
-        inputs = [accumulate(h) for h in state.wef_history]
-    else:
-        inputs = wefs
-
-    if cfg.detector == "WEF_NA_BASELINE":
-        flagged = det.wef_defense_baseline(
-            state.wef_history, accumulate_rounds=cfg.accumulate_wef
-        )
-        detection = det.empty_round_detection(n)
-        detection = replace(detection, scores=replace(detection.scores, dev=det.dev_scores(inputs)))
-        return detection, flagged
-
-    gamma_mode = det.GAMMA_COS_ONLY if cfg.detector == "COS_ONLY_CLUSTER" else det.GAMMA_COS_OVER_L1
-    require_vote = cfg.detector == "S2WEF"
-    detection = det.detect_round(
-        inputs,
+        wefs = [accumulate(h) for h in state.wef_history]
+    previous = state.previous_global
+    return det.run_detector(
+        cfg.detector,
+        wefs,
         state.global_model.penultimate,
-        state.previous_global.penultimate,
+        None if previous is None else previous.penultimate,
         cfg.train.local_iterations,
-        gamma_mode=gamma_mode,
-        require_vote=require_vote,
     )
-    return detection, detection.decision.free_rider_list
 
 
 def run_round(state: _TrialState, t: int, pool: ThreadPoolExecutor | None) -> RoundRecord:
@@ -397,8 +371,6 @@ def run_round(state: _TrialState, t: int, pool: ThreadPoolExecutor | None) -> Ro
         global_pen_before=global_pen_before,
         e=cfg.train.local_iterations,
         submission_digests=[_digest(s.to_flat()) for s in submissions],
-        submissions=[s.to_flat() for s in submissions] if cfg.keep_submissions else None,
-        aggregate_flat=new_global.to_flat() if cfg.keep_submissions else None,
     )
     state.previous_global = state.global_model
     state.global_model = new_global

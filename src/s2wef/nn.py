@@ -9,6 +9,7 @@ seed, so identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,11 +20,13 @@ from .errors import ConfigurationError, NumericError, ShapeError
 
 @dataclass
 class ModelWeights:
-    """Parameters of a fully connected classifier.
+    """Parameters of a fully connected classifier, held in one float64 buffer.
 
     weights[l] has shape (fan_in, fan_out); the forward pass is
     x @ weights[0] + biases[0] -> relu -> ... -> logits.  The penultimate
     matrix is weights[penultimate_index], the one feeding the output layer.
+    The buffer is laid out w0, b0, w1, b1, ... and weights/biases are views
+    into it, so an in-place update of a layer updates the buffer.
     """
 
     weights: list[np.ndarray]
@@ -40,11 +43,24 @@ class ModelWeights:
                 raise ShapeError(f"layer {l}: weight {w.shape} incompatible with bias {b.shape}")
             if l > 0 and w.shape[0] != self.weights[l - 1].shape[1]:
                 raise ShapeError(f"layer {l}: fan-in {w.shape[0]} does not chain")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise NumericError(f"layer {l}: non-finite parameters")
         h, w = self.penultimate.shape
         if h < 1 or w < 1:
             raise ShapeError("penultimate matrix must be at least 1x1")
+        parts = [p for w, b in zip(self.weights, self.biases) for p in (w.ravel(), b)]
+        self._adopt(np.concatenate(parts, dtype=np.float64))
+
+    def _adopt(self, flat: np.ndarray) -> "ModelWeights":
+        """Make flat the parameter buffer and point weights/biases into it."""
+        if not np.isfinite(flat).all():
+            raise NumericError("non-finite parameters")
+        weights, biases, pos = [], [], 0
+        for w, b in zip(self.weights, self.biases):
+            weights.append(flat[pos:pos + w.size].reshape(w.shape))
+            pos += w.size
+            biases.append(flat[pos:pos + b.size])
+            pos += b.size
+        self.weights, self.biases, self._flat = weights, biases, flat
+        return self
 
     @property
     def penultimate(self) -> np.ndarray:
@@ -58,53 +74,32 @@ class ModelWeights:
     def output_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def copy(self) -> "ModelWeights":
-        return ModelWeights(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.penultimate_index,
-        )
-
-    def to_flat(self) -> np.ndarray:
-        """Concatenate all parameters into one float64 vector."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-    def from_flat(self, flat: np.ndarray) -> "ModelWeights":
-        """Rebuild a model with this one's architecture from a flat vector."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.num_params,):
-            raise ShapeError(f"flat vector length {flat.shape} != {self.num_params}")
-        weights, biases, pos = [], [], 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(flat[pos:pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-            biases.append(flat[pos:pos + b.size].copy())
-            pos += b.size
-        return ModelWeights(weights, biases, self.penultimate_index)
-
     @property
     def num_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self._flat.size
 
-    def penultimate_flat_slice(self) -> tuple[int, int]:
-        """Start/stop offsets of the penultimate matrix inside to_flat()."""
-        pos = 0
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if l == self.penultimate_index:
-                return pos, pos + w.size
-            pos += w.size + b.size
-        raise ConfigurationError("penultimate index out of range")
+    def copy(self) -> "ModelWeights":
+        return self.from_flat(self._flat)
+
+    def to_flat(self) -> np.ndarray:
+        """Read-only view of the parameter buffer."""
+        view = self._flat.view()
+        view.flags.writeable = False
+        return view
+
+    def from_flat(self, flat: np.ndarray) -> "ModelWeights":
+        """A model with this one's architecture holding a copy of flat."""
+        flat = np.array(flat, dtype=np.float64)
+        if flat.shape != self._flat.shape:
+            raise ShapeError(f"flat vector length {flat.shape} != {self.num_params}")
+        return copy.copy(self)._adopt(flat)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for one round of local training."""
 
-    learning_rate: float
+    learning_rate: float = 0.1
     momentum: float = 0.0
     batch_size: int = 32
     local_iterations: int = 5

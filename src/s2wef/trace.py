@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import detect as det
-from .errors import ConfigurationError, TraceError
+from .errors import TraceError
 from .fedsim import MetricsReport, RoundRecord
 from .wef import WefMatrix
 
@@ -126,28 +126,14 @@ def replay_decision(rec: dict, prev: dict | None, detector: str) -> frozenset[in
     Replay covers the per-round (non-accumulating) detectors; prev is the
     preceding record of the same trial, or None at the first round.
     """
-    wefs = _wefs_from_record(rec)
-    if detector == "NONE" or prev is None:
-        return frozenset()
-    if detector == "WEF_NA_BASELINE":
-        return det.wef_defense_baseline([[m] for m in wefs])
-    if detector == "S2WEF":
-        gamma_mode, require_vote = det.GAMMA_COS_OVER_L1, True
-    elif detector == "CLUSTER_ONLY":
-        gamma_mode, require_vote = det.GAMMA_COS_OVER_L1, False
-    elif detector == "COS_ONLY_CLUSTER":
-        gamma_mode, require_vote = det.GAMMA_COS_ONLY, False
-    else:
-        raise ConfigurationError(f"unknown detector {detector!r}")
-    detection = det.detect_round(
-        wefs,
+    _, flagged = det.run_detector(
+        detector,
+        _wefs_from_record(rec),
         _pen_from_record(rec),
-        _pen_from_record(prev),
+        None if prev is None else _pen_from_record(prev),
         rec["e"],
-        gamma_mode=gamma_mode,
-        require_vote=require_vote,
     )
-    return detection.decision.free_rider_list
+    return flagged
 
 
 def replay_trace(records: Sequence[dict], detector: str) -> list[dict]:

@@ -54,24 +54,13 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what}: shapes {a.shape} and {b.shape} differ")
 
 
-def dynamic_threshold(w_prev: np.ndarray, w_curr: np.ndarray) -> float:
-    """Mean absolute entrywise change between two weight matrices."""
-    w_prev = np.asarray(w_prev, dtype=np.float64)
-    w_curr = np.asarray(w_curr, dtype=np.float64)
-    _check_same_shape(w_prev, w_curr, "dynamic_threshold")
-    return float(np.abs(w_curr - w_prev).mean())
+def _exceeds_mean_change(diff: np.ndarray, signed: bool = False) -> np.ndarray:
+    """Entries whose change strictly exceeds the mean absolute change.
 
-
-def wef_step(f: WefMatrix, w_prev: np.ndarray, w_curr: np.ndarray) -> WefMatrix:
-    """Increment entries whose absolute change strictly exceeds the mean change."""
-    w_prev = np.asarray(w_prev, dtype=np.float64)
-    w_curr = np.asarray(w_curr, dtype=np.float64)
-    _check_same_shape(w_prev, w_curr, "wef_step")
-    if f.counts.shape != w_prev.shape:
-        raise ShapeError(f"wef_step: WEF {f.counts.shape} vs weights {w_prev.shape}")
-    alpha = dynamic_threshold(w_prev, w_curr)
-    bumped = f.counts + (np.abs(w_curr - w_prev) > alpha)
-    return WefMatrix(bumped, f.e_max)
+    signed=True compares the signed change instead of its magnitude.
+    """
+    magnitude = np.abs(diff)
+    return (diff if signed else magnitude) > magnitude.mean()
 
 
 def build_wef(snapshots: Sequence[np.ndarray]) -> WefMatrix:
@@ -89,8 +78,7 @@ def build_wef(snapshots: Sequence[np.ndarray]) -> WefMatrix:
     e = len(mats) - 1
     counts = np.zeros(mats[0].shape, dtype=np.int64)
     for prev, curr in zip(mats[:-1], mats[1:]):
-        alpha = dynamic_threshold(prev, curr)
-        counts += np.abs(curr - prev) > alpha
+        counts += _exceeds_mean_change(curr - prev)
     return WefMatrix(counts, e)
 
 
@@ -126,8 +114,5 @@ def counterfeit_one_step(
     w_fake = np.asarray(w_fake, dtype=np.float64)
     w_global = np.asarray(w_global, dtype=np.float64)
     _check_same_shape(w_fake, w_global, "counterfeit_one_step")
-    diff = w_fake - w_global
-    alpha = float(np.abs(diff).mean())
-    compared = np.abs(diff) if use_abs else diff
-    counts = np.where(compared > alpha, e, 0).astype(np.int64)
-    return WefMatrix(counts, e)
+    exceeds = _exceeds_mean_change(w_fake - w_global, signed=not use_abs)
+    return WefMatrix(np.where(exceeds, e, 0), e)

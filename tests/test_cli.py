@@ -1,10 +1,14 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from s2wef.attacks import AttackParams
 from s2wef.cli import config_from_dict, config_to_dict, load_config, main
 from s2wef.errors import ConfigurationError
+from s2wef.fedsim import DatasetParams, SimConfig
+from s2wef.nn import TrainConfig
 
 
 def tiny_config(**overrides):
@@ -33,8 +37,11 @@ def write_config(tmp_path, **overrides):
 def test_config_round_trip(tmp_path):
     path = write_config(tmp_path)
     cfg = load_config(path)
-    again = config_from_dict(config_to_dict(cfg))
-    assert again == cfg
+    emitted = config_to_dict(cfg)
+    assert config_from_dict(emitted) == cfg
+    assert set(emitted) == {f.name for f in fields(SimConfig)} | {"version"}
+    for key, cls in (("train", TrainConfig), ("dataset", DatasetParams), ("attack", AttackParams)):
+        assert set(emitted[key]) == {f.name for f in fields(cls)}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -76,6 +83,30 @@ def test_invalid_config_writes_nothing(tmp_path):
     rc = main(["run", "--config", str(path), "--out", str(out), "--quiet"])
     assert rc == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"clients": "10"},
+        {"rounds": 3.5},
+        {"hidden_layers": [2.5]},
+        {"seeds": 5},
+        {"dataset": {"samples": 1e3}},
+        {"dataset": {"spread": "x"}},
+        {"train": {"local_iterations": 1.5}},
+        {"seeds": [-1]},
+        {"accumulate_wef": "no"},
+        {"seeds": [1, 1]},
+    ],
+)
+def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", str(path), "--out", str(out), "--quiet"])
+    assert rc == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(tmp_path):

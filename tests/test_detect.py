@@ -12,6 +12,7 @@ from s2wef.detect import (
     gamma_scores,
     majority_vote,
     robust_standardize,
+    run_detector,
     silhouette_two_clusters,
     simulate_global_wef,
     threshold_flags,
@@ -19,7 +20,7 @@ from s2wef.detect import (
     wef_defense_baseline,
 )
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
-from s2wef.wef import WefMatrix
+from s2wef.wef import WefMatrix, accumulate
 
 
 def wm(rows, e_max=5):
@@ -338,18 +339,18 @@ def test_vote_bypass_labels_on_k2():
 # --- baseline -------------------------------------------------------------------
 
 def test_baseline_flags_argmax():
-    history = [[wm([[1, 0], [0, 0]])], [wm([[1, 0], [0, 0]])], [wm([[5, 5], [5, 5]])]]
-    assert wef_defense_baseline(history) == frozenset({2})
+    devs = dev_scores([wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])])
+    assert wef_defense_baseline(devs) == frozenset({2})
 
 
 def test_baseline_hand_epsilon():
-    history = [[wm([[1, 0], [0, 0]])], [wm([[1, 0], [0, 0]])], [wm([[5, 5], [5, 5]])]]
-    assert wef_defense_baseline(history, epsilon=0.05) == frozenset({2})
+    assert wef_defense_baseline([0.75, 0.75, 1.5], epsilon=0.05) == frozenset({2})
+    assert wef_defense_baseline([0.75, 0.75, 1.5], epsilon=0.8) == frozenset({0, 1, 2})
 
 
 def test_baseline_degenerate_all_equal_flags_everyone():
-    history = [[wm([[1, 1], [1, 1]])] for _ in range(4)]
-    assert wef_defense_baseline(history) == frozenset({0, 1, 2, 3})
+    devs = dev_scores([wm([[1, 1], [1, 1]]) for _ in range(4)])
+    assert wef_defense_baseline(devs) == frozenset({0, 1, 2, 3})
 
 
 def test_baseline_accumulation_changes_input():
@@ -357,8 +358,15 @@ def test_baseline_accumulation_changes_input():
     late = wm([[1, 0], [0, 0]])
     history = [[early, late], [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]])],
                [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]])]]
-    assert wef_defense_baseline(history, accumulate_rounds=False) == frozenset({0, 1, 2})
-    assert wef_defense_baseline(history, accumulate_rounds=True) == frozenset({0})
+    now = np.zeros((2, 2))
+    latest = [h[-1] for h in history]
+    summed = [accumulate(h) for h in history]
+    _, flagged = run_detector("WEF_NA_BASELINE", latest, now, now, e=5)
+    assert flagged == frozenset({0, 1, 2})
+    detection, flagged = run_detector("WEF_NA_BASELINE", summed, now, now, e=5)
+    assert flagged == frozenset({0})
+    np.testing.assert_array_equal(detection.scores.dev, dev_scores(summed))
+    assert not detection.decision.free_rider_list  # the baseline flags outside the vote
 
 
 # --- full round pipeline ----------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from s2wef import fedsim
 from s2wef.attacks import AttackParams
+from s2wef.detect import dev_scores
 from s2wef.errors import ConfigurationError
 from s2wef.fedsim import (
     DatasetParams,
@@ -17,6 +19,7 @@ from s2wef.fedsim import (
     schedule_scenario2,
 )
 from s2wef.nn import TrainConfig, init_model
+from s2wef.wef import accumulate
 
 
 def small_cfg(**overrides):
@@ -239,15 +242,40 @@ def test_round_zero_never_detects():
     assert not records[0].roles.any()
 
 
-def test_exclusion_correctness():
-    cfg = small_cfg(keep_submissions=True, rounds=5)
+def test_exclusion_correctness(monkeypatch):
+    aggregated = []
+
+    def spy(submissions, benign_ids):
+        aggregated.append((len(submissions), set(benign_ids)))
+        return aggregate_fedavg(submissions, benign_ids)
+
+    monkeypatch.setattr(fedsim, "aggregate_fedavg", spy)
+    cfg = small_cfg(rounds=5)
     records = run_trial(cfg, 3, max_workers=1)
-    for rec in records:
-        kept = sorted(set(range(cfg.clients)) - set(rec.free_riders))
-        if not kept:
-            kept = list(range(cfg.clients))
-        oracle = np.stack([rec.submissions[i] for i in kept]).mean(axis=0)
-        np.testing.assert_allclose(rec.aggregate_flat, oracle, atol=1e-12)
+    assert len(aggregated) == len(records)
+    for (n, kept), rec in zip(aggregated, records):
+        assert n == cfg.clients
+        assert kept == set(range(cfg.clients)) - rec.free_riders
+    assert any(rec.free_riders for rec in records)
+
+
+@pytest.mark.parametrize("detector", ["S2WEF", "WEF_NA_BASELINE"])
+def test_accumulate_wef_scores_running_sums(detector):
+    cfg = small_cfg(detector=detector, accumulate_wef=True, rounds=5)
+    sums = None
+    accumulated_differs = False
+    for rec in run_trial(cfg, 1, max_workers=1):
+        sums = rec.wefs if sums is None else [accumulate([s, w]) for s, w in zip(sums, rec.wefs)]
+        if rec.round_index == 0:
+            assert not rec.detection.scores.dev.any()  # no detection before a second broadcast
+            continue
+        dev = dev_scores(sums)
+        np.testing.assert_array_equal(rec.detection.scores.dev, dev)
+        accumulated_differs |= not np.array_equal(dev, dev_scores(rec.wefs))
+        if detector == "WEF_NA_BASELINE":
+            expected = frozenset(int(i) for i in np.flatnonzero(dev > dev.max() - 0.05))
+            assert rec.free_riders == expected
+    assert accumulated_differs
 
 
 def test_simulation_deterministic_across_workers():

@@ -9,8 +9,6 @@ from s2wef.wef import (
     accumulate,
     build_wef,
     counterfeit_one_step,
-    dynamic_threshold,
-    wef_step,
 )
 
 
@@ -32,43 +30,32 @@ def naive_build(snapshots):
     return np.array(counts)
 
 
-def test_dynamic_threshold_zero_for_identity():
-    m = np.ones((3, 3))
-    assert dynamic_threshold(m, m) == 0.0
-
-
 def test_dynamic_threshold_hand_case():
+    # |changes| 0.75, 0.25, 0.5, 0.5 have mean 0.5 exactly; a change equal to
+    # the threshold does not count, and negative changes count by magnitude
     prev = np.zeros((2, 2))
-    curr = np.array([[0.4, 0.1], [0.1, 0.0]])
-    assert dynamic_threshold(prev, curr) == pytest.approx(0.15)
+    curr = np.array([[0.75, -0.25], [-0.5, 0.5]])
+    np.testing.assert_array_equal(build_wef([prev, curr]).counts, [[1, 0], [0, 0]])
 
 
 def test_dynamic_threshold_constant_deltas():
     prev = np.zeros((4, 5))
-    assert dynamic_threshold(prev, prev + 0.3) == pytest.approx(0.3)
-
-
-def test_dynamic_threshold_shape_mismatch():
-    with pytest.raises(ShapeError):
-        dynamic_threshold(np.zeros((2, 2)), np.zeros((2, 3)))
+    assert not build_wef([prev, prev + 0.25]).counts.any()
 
 
 def test_wef_step_equal_deltas_never_increment():
-    f = WefMatrix.zeros(2, 2, 5)
-    stepped = wef_step(f, np.zeros((2, 2)), np.full((2, 2), 0.7))
-    assert not stepped.counts.any()
+    assert not build_wef([np.zeros((2, 2)), np.full((2, 2), 0.7)]).counts.any()
 
 
 def test_wef_step_hand_case():
-    f = WefMatrix.zeros(2, 2, 5)
-    stepped = wef_step(f, np.zeros((2, 2)), np.array([[0.4, 0.1], [0.1, 0.0]]))
-    np.testing.assert_array_equal(stepped.counts, [[1, 0], [0, 0]])
+    f = build_wef([np.zeros((2, 2)), np.array([[0.4, 0.1], [0.1, 0.0]])])
+    np.testing.assert_array_equal(f.counts, [[1, 0], [0, 0]])
+    assert f.e_max == 1
 
 
 def test_wef_step_no_change():
-    f = WefMatrix(np.array([[1, 0], [2, 3]]), 5)
     m = np.ones((2, 2))
-    np.testing.assert_array_equal(wef_step(f, m, m).counts, f.counts)
+    assert not build_wef([m, m]).counts.any()
 
 
 def test_build_wef_single_snapshot_is_zero():
@@ -95,6 +82,8 @@ def test_build_wef_matches_naive_oracle():
 def test_build_wef_shape_mismatch():
     with pytest.raises(ShapeError):
         build_wef([np.zeros((2, 2)), np.zeros((3, 2))])
+    with pytest.raises(ShapeError):
+        build_wef([np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 def test_build_wef_empty():
@@ -163,13 +152,12 @@ def test_build_wef_bounded_and_monotone(h, w, e, seed):
     rng = np.random.default_rng(seed)
     snaps = [rng.normal(size=(h, w)) for _ in range(e + 1)]
     running = np.zeros((h, w), dtype=np.int64)
-    f = WefMatrix.zeros(h, w, e)
-    for prev, curr in zip(snaps[:-1], snaps[1:]):
-        f = wef_step(f, prev, curr)
-        assert (f.counts >= running).all()  # steps never decrease an entry
+    for k in range(2, e + 2):
+        f = build_wef(snaps[:k])
+        assert (f.counts >= running).all()  # a further step never decreases an entry
+        assert (f.counts <= running + 1).all()  # and adds at most one
+        assert f.counts.max() <= f.e_max == k - 1
         running = f.counts
-    assert f.counts.max() <= e
-    np.testing.assert_array_equal(f.counts, build_wef(snaps).counts)
 
 
 @settings(max_examples=50, deadline=None)
