@@ -14,14 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
 
 from .detect import DETECTORS
 from .errors import ConfigurationError, S2wefError, TraceError
-from .fedsim import MetricsReport, SimConfig, run_simulation
+from .fedsim import (  # the config codec lives next to SimConfig; re-exported here
+    CONFIG_VERSION,
+    MetricsReport,
+    SimConfig,
+    config_from_dict,
+    config_to_dict,
+    run_simulation,
+)
 from .trace import (
     read_metrics_csv,
     read_trace,
@@ -29,63 +35,6 @@ from .trace import (
     write_metrics_csv,
     write_trace,
 )
-
-CONFIG_VERSION = 1
-
-
-def _check_value(tp, value, where: str):
-    """Type-check one JSON value against a field annotation; build nested configs."""
-    if is_dataclass(tp):
-        return _from_dict(tp, value, where)
-    if get_origin(tp) is UnionType:  # `X | None`
-        (inner,) = (arg for arg in get_args(tp) if arg is not type(None))
-        return None if value is None else _check_value(inner, value, where)
-    if get_origin(tp) is tuple:
-        item = get_args(tp)[0]
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{where}: expected a list of {item.__name__}, got {value!r}")
-        return tuple(_check_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
-    # bool is a subclass of int, and a float field also takes an int
-    allowed = {int: int, float: (int, float), bool: bool, str: str}[tp]
-    if not isinstance(value, allowed) or (tp is not bool and isinstance(value, bool)):
-        raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
-    return value
-
-
-def _from_dict(cls, raw, context: str):
-    """Build config dataclass cls from a JSON object, rejecting unknown keys."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{context}: expected a JSON object, got {raw!r}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = raw.keys() - known.keys()
-    if unknown:
-        raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
-    for name, f in known.items():
-        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigurationError(f"{context}: {name!r} is required")
-    hints = get_type_hints(cls)
-    return cls(**{k: _check_value(hints[k], v, f"{context}.{k}") for k, v in raw.items()})
-
-
-def _to_json(value):
-    if is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-    return list(value) if isinstance(value, tuple) else value
-
-
-def config_from_dict(raw: dict) -> SimConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    raw = dict(raw)
-    version = raw.pop("version", None)
-    if version != CONFIG_VERSION:
-        raise ConfigurationError(f"config: version must be {CONFIG_VERSION}, got {version!r}")
-    return _from_dict(SimConfig, raw, "config")
-
-
-def config_to_dict(cfg: SimConfig) -> dict:
-    return {"version": CONFIG_VERSION, **_to_json(cfg)}
-
 
 def load_config(path: str | Path) -> SimConfig:
     path = Path(path)
@@ -112,23 +61,17 @@ def summary_lines(report: MetricsReport) -> list[str]:
         f"{'trial':>6}  {'f1':>5}  {'f1_attack':>9}  {'precision':>9}  "
         f"{'recall':>6}  {'fpr':>5}  {'final_acc':>9}",
     ]
-    for seed in cfg.seeds:
-        lines.append(
-            f"{seed:>6}  {_fmt(report.trial_mean(seed, 'f1')):>5}  "
-            f"{_fmt(report.trial_mean(seed, 'f1', attack_only=True)):>9}  "
-            f"{_fmt(report.trial_mean(seed, 'precision')):>9}  "
-            f"{_fmt(report.trial_mean(seed, 'recall')):>6}  "
-            f"{_fmt(report.trial_mean(seed, 'fpr')):>5}  "
-            f"{report.final_accuracy(seed):>9.4f}"
+
+    def row(label, mean, accuracy: float) -> str:
+        return (
+            f"{label:>6}  {_fmt(mean('f1')):>5}  {_fmt(mean('f1', True)):>9}  "
+            f"{_fmt(mean('precision')):>9}  {_fmt(mean('recall')):>6}  "
+            f"{_fmt(mean('fpr')):>5}  {accuracy:>9.4f}"
         )
-    lines.append(
-        f"{'mean':>6}  {_fmt(report.mean('f1')):>5}  "
-        f"{_fmt(report.mean('f1', attack_only=True)):>9}  "
-        f"{_fmt(report.mean('precision')):>9}  "
-        f"{_fmt(report.mean('recall')):>6}  "
-        f"{_fmt(report.mean('fpr')):>5}  "
-        f"{report.mean_final_accuracy():>9.4f}"
-    )
+
+    for seed in cfg.seeds:
+        lines.append(row(seed, partial(report.trial_mean, seed), report.final_accuracy(seed)))
+    lines.append(row("mean", report.mean, report.mean_final_accuracy()))
     lines.append("(f1/precision/recall/fpr over rounds >= 1; f1_attack over rounds with true free-riders)")
     return lines
 
@@ -280,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_det = sub.add_parser("detect-trace", help="replay a detector over a recorded trace")
     p_det.add_argument("--trace", required=True, help="trace.jsonl path")
-    p_det.add_argument("--detector", choices=DETECTORS, default=SimConfig.detector)
+    p_det.add_argument("--detector", choices=DETECTORS, default=None,
+                       help="override the detector named in the trace header")
     p_det.add_argument("--quiet", action="store_true")
     p_det.set_defaults(func=cmd_detect_trace)
 

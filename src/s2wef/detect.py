@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, HistoryError, ShapeError
-from .wef import WefMatrix, counterfeit_one_step
+from .wef import WefMatrix, accumulate, counterfeit_one_step
 
 EPS = 1e-12
 GAMMA_EPS = 1e-12
@@ -292,28 +292,22 @@ def decide_k(heights: np.ndarray, labels: np.ndarray, points: np.ndarray) -> Clu
     s2 = silhouette_two_clusters(pts, labels)
     h_prev = float(heights[-2]) if len(heights) >= 2 else 0.0
     delta = float(heights[-1]) / (h_prev + EPS)
-    if s2 < SILHOUETTE_MIN or delta < MERGE_GAP_MIN:
-        return ClusterOutcome(
-            k=1,
-            assignment=np.zeros(len(pts), dtype=np.int64),
-            suspicious=frozenset(),
-            s2=s2,
-            delta=delta,
-            heights=np.asarray(heights),
-        )
-    c0 = pts[labels == 0].mean(axis=0)
-    c1 = pts[labels == 1].mean(axis=0)
-    n0, n1 = float(np.linalg.norm(c0)), float(np.linalg.norm(c1))
-    if n1 > n0:
-        sus_label = 1
-    elif n0 > n1:
-        sus_label = 0
-    else:
-        sus_label = 1 if c1[0] > c0[0] else 0
-    suspicious = frozenset(int(i) for i in np.flatnonzero(labels == sus_label))
+    k, assignment, suspicious = 1, np.zeros(len(pts), dtype=np.int64), frozenset()
+    if not (s2 < SILHOUETTE_MIN or delta < MERGE_GAP_MIN):
+        c0 = pts[labels == 0].mean(axis=0)
+        c1 = pts[labels == 1].mean(axis=0)
+        n0, n1 = float(np.linalg.norm(c0)), float(np.linalg.norm(c1))
+        if n1 > n0:
+            sus_label = 1
+        elif n0 > n1:
+            sus_label = 0
+        else:
+            sus_label = 1 if c1[0] > c0[0] else 0
+        k, assignment = 2, labels.copy()
+        suspicious = frozenset(int(i) for i in np.flatnonzero(labels == sus_label))
     return ClusterOutcome(
-        k=2,
-        assignment=labels.copy(),
+        k=k,
+        assignment=assignment,
         suspicious=suspicious,
         s2=s2,
         delta=delta,
@@ -343,21 +337,15 @@ def majority_vote(
     With require_vote=False (clustering-only ablation) any two-cluster
     outcome labels the suspicious cluster directly.
     """
-    if outcome.k == 1:
-        return DetectionDecision(
-            flags_gamma=np.asarray(flags_gamma, dtype=bool),
-            flags_dev=np.asarray(flags_dev, dtype=bool),
-            p_gamma=0.0,
-            p_dev=0.0,
-            detected=False,
-            free_rider_list=frozenset(),
-        )
     sus = sorted(outcome.suspicious)
     fg = np.asarray(flags_gamma, dtype=bool)
     fd = np.asarray(flags_dev, dtype=bool)
-    p_gamma = float(fg[sus].mean())
-    p_dev = float(fd[sus].mean())
-    detected = (p_gamma >= 0.5 or p_dev >= 0.5) if require_vote else True
+    p_gamma = p_dev = 0.0
+    detected = False
+    if outcome.k != 1:
+        p_gamma = float(fg[sus].mean())
+        p_dev = float(fd[sus].mean())
+        detected = (p_gamma >= 0.5 or p_dev >= 0.5) if require_vote else True
     return DetectionDecision(
         flags_gamma=fg,
         flags_dev=fd,
@@ -463,3 +451,32 @@ def run_detector(
         wefs, global_now, global_prev, e, gamma_mode=gamma_mode, require_vote=require_vote
     )
     return detection, detection.decision.free_rider_list
+
+
+class TrialDetector:
+    """What the server's detector sees over the rounds of one trial.
+
+    Each round it scores the submitted grids against the last two
+    broadcasts, so it remembers the previous broadcast's penultimate
+    matrix; with accumulate it scores each client's running WEF sum
+    instead of the round's grid.  The simulator and trace replay both
+    drive one per trial, so a replay sees exactly what the run saw.
+    """
+
+    def __init__(self, name: str, accumulate: bool = False):
+        self.name = name
+        self.accumulate = accumulate
+        self._prev_pen: np.ndarray | None = None
+        self._sums: list[WefMatrix] | None = None
+
+    def step(
+        self, wefs: Sequence[WefMatrix], pen_now: np.ndarray, e: int
+    ) -> tuple[RoundDetection, frozenset[int]]:
+        """Detect on this round's submissions, broadcast pen_now, budget e."""
+        if self.accumulate:
+            if self._sums is not None:
+                wefs = [accumulate([s, w]) for s, w in zip(self._sums, wefs)]
+            self._sums = list(wefs)
+        result = run_detector(self.name, wefs, pen_now, self._prev_pen, e)
+        self._prev_pen = pen_now
+        return result

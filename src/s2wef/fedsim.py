@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import detect as det
 from .attacks import AttackParams, make_submission
 from .errors import ConfigurationError, S2wefError, ShapeError
 from .nn import DatasetShard, ModelWeights, TrainConfig, evaluate_accuracy, init_model, local_train
-from .wef import WefMatrix, accumulate, build_wef
+from .wef import WefMatrix, build_wef
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
@@ -153,10 +154,6 @@ def schedule_scenario2(n_clients: int, ratio: float, rounds: int, seed: int) -> 
     return table
 
 
-def schedule_clean(n_clients: int, rounds: int) -> np.ndarray:
-    return np.zeros((rounds, n_clients), dtype=bool)
-
-
 def aggregate_fedavg(
     submissions: Sequence[ModelWeights], benign_ids: Iterable[int]
 ) -> ModelWeights:
@@ -249,6 +246,64 @@ class SimConfig:
         return [self.dataset.features, *self.hidden_layers, self.dataset.classes]
 
 
+# The versioned JSON form of SimConfig, read by `--config` and by trace headers.
+CONFIG_VERSION = 1
+
+
+def _check_value(tp, value, where: str):
+    """Type-check one JSON value against a field annotation; build nested configs."""
+    if is_dataclass(tp):
+        return _from_dict(tp, value, where)
+    if get_origin(tp) is UnionType:  # `X | None`
+        (inner,) = (arg for arg in get_args(tp) if arg is not type(None))
+        return None if value is None else _check_value(inner, value, where)
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{where}: expected a list of {item.__name__}, got {value!r}")
+        return tuple(_check_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    # bool is a subclass of int, and a float field also takes an int
+    allowed = {int: int, float: (int, float), bool: bool, str: str}[tp]
+    if not isinstance(value, allowed) or (tp is not bool and isinstance(value, bool)):
+        raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
+    return value
+
+
+def _from_dict(cls, raw, context: str):
+    """Build config dataclass cls from a JSON object, rejecting unknown keys."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{context}: expected a JSON object, got {raw!r}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = raw.keys() - known.keys()
+    if unknown:
+        raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
+    for name, f in known.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{context}: {name!r} is required")
+    hints = get_type_hints(cls)
+    return cls(**{k: _check_value(hints[k], v, f"{context}.{k}") for k, v in raw.items()})
+
+
+def _to_json(value):
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
+
+
+def config_from_dict(raw: dict) -> SimConfig:
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config root must be a JSON object")
+    raw = dict(raw)
+    version = raw.pop("version", None)
+    if version != CONFIG_VERSION:
+        raise ConfigurationError(f"config: version must be {CONFIG_VERSION}, got {version!r}")
+    return _from_dict(SimConfig, raw, "config")
+
+
+def config_to_dict(cfg: SimConfig) -> dict:
+    return {"version": CONFIG_VERSION, **_to_json(cfg)}
+
+
 @dataclass
 class RoundRecord:
     """Everything observed in one round of one trial."""
@@ -284,7 +339,7 @@ def _resolve_workers(max_workers: int | None) -> int:
 
 def build_schedule(cfg: SimConfig, trial_seed: int) -> np.ndarray:
     if cfg.scenario == "CLEAN" or cfg.free_rider_ratio == 0:
-        return schedule_clean(cfg.clients, cfg.rounds)
+        return np.zeros((cfg.rounds, cfg.clients), dtype=bool)
     sched_seed = derive_seed(trial_seed, _TAG_SCHEDULE)
     if cfg.scenario == "S1":
         return schedule_scenario1(cfg.clients, cfg.free_rider_ratio, cfg.rounds, sched_seed)
@@ -299,8 +354,8 @@ class _TrialState:
     eval_set: DatasetShard
     schedule: np.ndarray
     global_model: ModelWeights
+    detector: det.TrialDetector
     previous_global: ModelWeights | None = None
-    wef_history: list[list[WefMatrix]] = field(default_factory=list)
 
 
 def _client_submission(state: _TrialState, t: int, client: int):
@@ -319,20 +374,6 @@ def _client_submission(state: _TrialState, t: int, client: int):
         raise type(exc)(f"client {client}: {exc}") from exc
 
 
-def _detect(state: _TrialState, wefs: list[WefMatrix]) -> tuple[det.RoundDetection, frozenset[int]]:
-    cfg = state.cfg
-    if cfg.accumulate_wef:
-        wefs = [accumulate(h) for h in state.wef_history]
-    previous = state.previous_global
-    return det.run_detector(
-        cfg.detector,
-        wefs,
-        state.global_model.penultimate,
-        None if previous is None else previous.penultimate,
-        cfg.train.local_iterations,
-    )
-
-
 def run_round(state: _TrialState, t: int, pool: ThreadPoolExecutor | None) -> RoundRecord:
     """One communication round: submit, detect, aggregate, evaluate."""
     cfg = state.cfg
@@ -347,9 +388,7 @@ def run_round(state: _TrialState, t: int, pool: ThreadPoolExecutor | None) -> Ro
 
         submissions = [r[0] for r in results]
         wefs = [r[1] for r in results]
-        state.wef_history = [h + [w] for h, w in zip(state.wef_history, wefs)]
-
-        detection, flagged = _detect(state, wefs)
+        detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
         new_global = aggregate_fedavg(submissions, kept)
         accuracy = evaluate_accuracy(new_global, state.eval_set)
@@ -393,7 +432,7 @@ def run_trial(cfg: SimConfig, trial_seed: int, max_workers: int | None = None) -
         eval_set=dataset,
         schedule=build_schedule(cfg, trial_seed),
         global_model=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
-        wef_history=[[] for _ in range(cfg.clients)],
+        detector=det.TrialDetector(cfg.detector, cfg.accumulate_wef),
     )
 
     workers = _resolve_workers(max_workers)

@@ -1,25 +1,29 @@
 """Trace and metrics persistence plus detector replay over recorded rounds.
 
-A trace is newline-delimited JSON, one record per round, carrying the
-submitted WEF grids, the score/cluster/vote outputs, the decision, the
-round metrics, and the penultimate matrix of the model broadcast at the
-start of the round (which is what replay needs to re-simulate the server
-side).  Writing is deterministic: the same records produce the same bytes.
+A trace is newline-delimited JSON.  Its first line is a header holding the
+trace schema and the normalized config of the run; every later line is one
+round record carrying the submitted WEF grids, the score/cluster/vote
+outputs, the decision, the round metrics, and the penultimate matrix of
+the model broadcast at the start of the round (which is what replay needs
+to re-simulate the server side).  Writing is deterministic: the same
+records produce the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import detect as det
-from .errors import TraceError
-from .fedsim import MetricsReport, RoundRecord
+from .errors import ConfigurationError, TraceError
+from .fedsim import MetricsReport, RoundRecord, SimConfig, config_from_dict, config_to_dict
 from .wef import WefMatrix
+
+TRACE_SCHEMA = 1
 
 _REQUIRED_KEYS = {
     "trial", "round", "e", "roles", "wef_shape", "wefs", "scores", "cluster",
@@ -60,12 +64,7 @@ def record_to_dict(rec: RoundRecord) -> dict:
             "detected": bool(d.decision.detected),
         },
         "free_rider_list": sorted(int(i) for i in rec.free_riders),
-        "metrics": {
-            "precision": rec.metrics.precision,
-            "recall": rec.metrics.recall,
-            "f1": rec.metrics.f1,
-            "fpr": rec.metrics.fpr,
-        },
+        "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
         "global_pen": [float(v) for v in rec.global_pen_before.ravel()],
         "submission_digests": list(rec.submission_digests),
@@ -74,76 +73,135 @@ def record_to_dict(rec: RoundRecord) -> dict:
 
 def write_trace(report: MetricsReport, path: str | Path) -> None:
     path = Path(path)
-    lines = []
+    header = {"header": {"schema": TRACE_SCHEMA, "config": config_to_dict(report.cfg)}}
+    lines = [json.dumps(header, separators=(",", ":"))]
     for seed in report.cfg.seeds:
         for rec in report.trials[seed]:
             lines.append(json.dumps(record_to_dict(rec), separators=(",", ":")))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_trace(path: str | Path) -> list[dict]:
+class Trace(list):
+    """A trace's round records in file order; config comes from its header, if any."""
+
+    def __init__(self, records: list[dict], config: SimConfig | None):
+        super().__init__(records)
+        self.config = config
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _array(value, kinds: str, ndim: int) -> np.ndarray | None:
+    """value as an array if it is a JSON list of that rank and element kind, else None."""
+    if not isinstance(value, list):
+        return None
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged
+        return None
+    return arr if arr.ndim == ndim and arr.dtype.kind in kinds else None
+
+
+def _parse_round(rec: dict, where: str) -> None:
+    """Type-check the fields replay reads; wefs and global_pen become arrays."""
+
+    def bad(key: str, expected: str):
+        raise TraceError(f"{where}: {key} must be {expected}, got {rec[key]!r:.60}")
+
+    for key in ("trial", "round", "e"):
+        if not _is_int(rec[key]):
+            bad(key, "an integer")
+    shape = rec["wef_shape"]
+    if not (isinstance(shape, list) and len(shape) == 2 and all(_is_int(v) and v > 0 for v in shape)):
+        bad("wef_shape", "two positive integers")
+    flagged = rec["free_rider_list"]
+    if not (isinstance(flagged, list) and all(map(_is_int, flagged))):
+        bad("free_rider_list", "a list of integers")
+    h, w = shape
+    wefs = _array(rec["wefs"], "i", 2)
+    if wefs is None or wefs.shape[1] != h * w:
+        bad("wefs", f"a list of integer lists of length {h * w}")
+    pen = _array(rec["global_pen"], "if", 1)
+    if pen is None or pen.size != h * w:
+        bad("global_pen", f"a list of {h * w} numbers")
+    rec["wefs"] = wefs.reshape(-1, h, w)
+    rec["global_pen"] = pen.astype(np.float64).reshape(h, w)
+
+
+def _header_config(rec: dict, where: str) -> SimConfig:
+    header = rec["header"]
+    if rec.keys() != {"header"} or not isinstance(header, dict) or header.keys() != {"schema", "config"}:
+        raise TraceError(f'{where}: a header line is {{"header": {{"schema": .., "config": ..}}}}')
+    if not (_is_int(header["schema"]) and header["schema"] == TRACE_SCHEMA):
+        raise TraceError(f"{where}: unknown trace schema {header['schema']!r}, expected {TRACE_SCHEMA}")
+    try:
+        return config_from_dict(header["config"])
+    except ConfigurationError as exc:
+        raise TraceError(f"{where}: header {exc}") from exc
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Parse and validate a trace; wefs and global_pen come back as arrays.
+
+    With a header, the round records must be exactly the config's (seed,
+    round) pairs in order, so a truncated or spliced trace is rejected.
+    """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
+    config = None
     records = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise TraceError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            raise TraceError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(rec, dict):
+            raise TraceError(f"{where}: expected a JSON object, got {rec!r:.60}")
+        if "header" in rec and config is None and not records:
+            config = _header_config(rec, where)
+            continue
         missing = _REQUIRED_KEYS - rec.keys()
         if missing:
-            raise TraceError(f"{path}:{lineno}: missing keys {sorted(missing)}")
+            raise TraceError(f"{where}: missing keys {sorted(missing)}")
+        _parse_round(rec, where)
         records.append(rec)
     if not records:
         raise TraceError(f"{path}: empty trace")
-    return records
+    if config is not None:
+        found = [(r["trial"], r["round"]) for r in records]
+        expected = [(s, t) for s in config.seeds for t in range(config.rounds)]
+        if found != expected:
+            raise TraceError(
+                f"{path}: the {len(found)} round records are not the header config's "
+                f"{len(expected)} (seed, round) pairs in order"
+            )
+    return Trace(records, config)
 
 
-def _wefs_from_record(rec: dict) -> list[WefMatrix]:
-    h, w = rec["wef_shape"]
-    out = []
-    for grid in rec["wefs"]:
-        if len(grid) != h * w:
-            raise TraceError(f"trial {rec['trial']} round {rec['round']}: bad WEF grid length")
-        out.append(WefMatrix(np.asarray(grid, dtype=np.int64).reshape(h, w), rec["e"]))
-    return out
+def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
+    """Replay every round; each result notes whether the decision diverged.
 
-
-def _pen_from_record(rec: dict) -> np.ndarray:
-    h, w = rec["wef_shape"]
-    pen = np.asarray(rec["global_pen"], dtype=np.float64)
-    if pen.size != h * w:
-        raise TraceError(f"trial {rec['trial']} round {rec['round']}: bad global matrix length")
-    return pen.reshape(h, w)
-
-
-def replay_decision(rec: dict, prev: dict | None, detector: str) -> frozenset[int]:
-    """Recompute one round's free-rider list from recorded inputs.
-
-    Replay covers the per-round (non-accumulating) detectors; prev is the
-    preceding record of the same trial, or None at the first round.
+    One TrialDetector per trial, set up as the header's config set up the
+    run; detector overrides the header's detector.  A header-less trace
+    replays with the default detector and no accumulation.
     """
-    _, flagged = det.run_detector(
-        detector,
-        _wefs_from_record(rec),
-        _pen_from_record(rec),
-        None if prev is None else _pen_from_record(prev),
-        rec["e"],
-    )
-    return flagged
-
-
-def replay_trace(records: Sequence[dict], detector: str) -> list[dict]:
-    """Replay every round; each result notes whether the decision diverged."""
+    cfg = trace.config
+    name = detector or (cfg.detector if cfg else SimConfig.detector)
+    accumulate = cfg is not None and cfg.accumulate_wef
+    detectors: dict[int, det.TrialDetector] = {}
     results = []
-    prev_by_trial: dict[int, dict] = {}
-    for rec in records:
+    for rec in trace:
         trial = rec["trial"]
-        prev = prev_by_trial.get(trial)
-        replayed = replay_decision(rec, prev, detector)
+        if trial not in detectors:
+            detectors[trial] = det.TrialDetector(name, accumulate)
+        wefs = [WefMatrix(grid, rec["e"]) for grid in rec["wefs"]]
+        _, replayed = detectors[trial].step(wefs, rec["global_pen"], rec["e"])
         recorded = frozenset(rec["free_rider_list"])
         results.append(
             {
@@ -154,14 +212,11 @@ def replay_trace(records: Sequence[dict], detector: str) -> list[dict]:
                 "diverged": replayed != recorded,
             }
         )
-        prev_by_trial[trial] = rec
     return results
 
 
-_CSV_FIELDS = [
-    "trial", "round", "true_free_riders", "flagged",
-    "precision", "recall", "f1", "fpr", "accuracy",
-]
+_METRICS = ("precision", "recall", "f1", "fpr")
+_CSV_FIELDS = ["trial", "round", "true_free_riders", "flagged", *_METRICS, "accuracy"]
 
 
 def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
@@ -176,32 +231,22 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
         writer.writeheader()
         for seed in report.cfg.seeds:
             for rec in report.trials[seed]:
-                writer.writerow(
-                    {
-                        "trial": seed,
-                        "round": rec.round_index,
-                        "true_free_riders": int(rec.roles.sum()),
-                        "flagged": len(rec.free_riders),
-                        "precision": f"{rec.metrics.precision:.6f}",
-                        "recall": f"{rec.metrics.recall:.6f}",
-                        "f1": f"{rec.metrics.f1:.6f}",
-                        "fpr": f"{rec.metrics.fpr:.6f}",
-                        "accuracy": f"{rec.accuracy:.6f}",
-                    }
-                )
-            writer.writerow(
-                {
+                writer.writerow({
                     "trial": seed,
-                    "round": "mean",
-                    "true_free_riders": "",
-                    "flagged": "",
-                    "precision": f"{report.trial_mean(seed, 'precision'):.6f}",
-                    "recall": f"{report.trial_mean(seed, 'recall'):.6f}",
-                    "f1": f"{report.trial_mean(seed, 'f1'):.6f}",
-                    "fpr": f"{report.trial_mean(seed, 'fpr'):.6f}",
-                    "accuracy": f"{report.final_accuracy(seed):.6f}",
-                }
-            )
+                    "round": rec.round_index,
+                    "true_free_riders": int(rec.roles.sum()),
+                    "flagged": len(rec.free_riders),
+                    **{m: f"{getattr(rec.metrics, m):.6f}" for m in _METRICS},
+                    "accuracy": f"{rec.accuracy:.6f}",
+                })
+            writer.writerow({
+                "trial": seed,
+                "round": "mean",
+                "true_free_riders": "",
+                "flagged": "",
+                **{m: f"{report.trial_mean(seed, m):.6f}" for m in _METRICS},
+                "accuracy": f"{report.final_accuracy(seed):.6f}",
+            })
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:

@@ -6,6 +6,7 @@ import pytest
 
 from s2wef.attacks import AttackParams
 from s2wef.cli import config_from_dict, config_to_dict, load_config, main
+from s2wef.detect import DETECTORS
 from s2wef.errors import ConfigurationError
 from s2wef.fedsim import DatasetParams, SimConfig
 from s2wef.nn import TrainConfig
@@ -136,12 +137,17 @@ def test_run_deterministic_traces(tmp_path):
     assert (out1 / "trace.jsonl").read_bytes() == (out2 / "trace.jsonl").read_bytes()
 
 
-def test_detect_trace_idempotent(tmp_path):
-    path = write_config(tmp_path)
+@pytest.mark.parametrize(
+    "detector, accumulate",
+    [(name, False) for name in DETECTORS] + [("S2WEF", True), ("WEF_NA_BASELINE", True)],
+    ids=[*DETECTORS, "S2WEF-accumulate", "WEF_NA_BASELINE-accumulate"],
+)
+def test_detect_trace_idempotent(tmp_path, detector, accumulate):
+    # replay takes the detector and accumulation mode from the trace header
+    path = write_config(tmp_path, rounds=6, accumulate_wef=accumulate)
     out = tmp_path / "out"
-    main(["run", "--config", str(path), "--out", str(out), "--quiet"])
-    rc = main(["detect-trace", "--trace", str(out / "trace.jsonl"), "--detector", "S2WEF", "--quiet"])
-    assert rc == 0
+    assert main(["run", "--config", str(path), "--out", str(out), "--detector", detector, "--quiet"]) == 0
+    assert main(["detect-trace", "--trace", str(out / "trace.jsonl"), "--quiet"]) == 0
 
 
 def test_detect_trace_divergent_detector(tmp_path, capsys):
@@ -165,6 +171,71 @@ def test_detect_trace_truncated_exits_2(tmp_path):
     trace.write_text("\n".join(lines[:2]) + '\n{"round": 2, "truncat\n')
     rc = main(["detect-trace", "--trace", str(trace), "--quiet"])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def trace_lines(tmp_path_factory):
+    """The parsed lines of a trace written by `run`: a header, then 4 rounds."""
+    tmp = tmp_path_factory.mktemp("trace")
+    out = tmp / "out"
+    assert main(["run", "--config", str(write_config(tmp)), "--out", str(out), "--quiet"]) == 0
+    return [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+
+
+def write_lines(tmp_path, lines) -> str:
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return str(trace)
+
+
+# (line index, path to the edited value, new value, expected message); line 0 is
+# the header and an empty path replaces the whole line
+MALFORMED = {
+    "e-str": (2, ("e",), "5", "e must be an integer"),
+    "trial-str": (2, ("trial",), "1", "trial must be an integer"),
+    "round-float": (2, ("round",), 2.0, "round must be an integer"),
+    "wefs-int": (2, ("wefs",), 5, "wefs must be"),
+    "wefs-ragged": (2, ("wefs", 0), [0], "wefs must be"),
+    "wefs-float": (2, ("wefs", 1, 0), 0.5, "wefs must be"),
+    "wef-shape-short": (2, ("wef_shape",), [2], "wef_shape must be"),
+    "global-pen-str": (2, ("global_pen", 0), "x", "global_pen must be"),
+    "free-riders-null": (2, ("free_rider_list",), None, "free_rider_list must be"),
+    "free-riders-str": (2, ("free_rider_list",), ["1"], "free_rider_list must be"),
+    "not-an-object": (2, (), [1, 2, 3], "expected a JSON object"),
+    "header-schema": (0, ("header", "schema"), 2, "unknown trace schema 2"),
+    "header-config": (0, ("header", "config", "clients"), "10", "header config.clients"),
+    "header-extra-key": (0, ("header", "version"), "0.1.0", "a header line is"),
+}
+
+
+@pytest.mark.parametrize("line, keys, value, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, line, keys, value, message):
+    lines = json.loads(json.dumps(trace_lines))
+    if keys:
+        target = lines[line]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    else:
+        lines[line] = value
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "trace error" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        lambda lines: lines[:-1],  # the last round is missing
+        lambda lines: lines[:2] + lines[3:],  # a round in the middle is missing
+        lambda lines: lines + lines[-1:],  # the last round appears twice
+        lambda lines: lines[:1],  # the header alone
+    ],
+    ids=["drop-last", "drop-middle", "duplicate-last", "header-only"],
+)
+def test_detect_trace_incomplete_exits_2(tmp_path, capsys, trace_lines, keep):
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, keep(trace_lines)), "--quiet"]) == 2
+    assert "trace error" in capsys.readouterr().err
 
 
 def test_detect_trace_missing_file_exits_2(tmp_path):
