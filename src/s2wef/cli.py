@@ -26,6 +26,7 @@ from .fedsim import (  # the config codec lives next to SimConfig; re-exported h
     SimConfig,
     config_from_dict,
     config_to_dict,
+    resolve_workers,
     run_simulation,
 )
 from .trace import (
@@ -84,11 +85,24 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     return cfg
 
 
-def cmd_run(args) -> int:
+def _prepare_run(args) -> tuple[SimConfig, Path, int]:
+    """Check a run's config, output path and worker count before any work.
+
+    Returns the config with its overrides applied, the output directory and
+    the training worker count; raises ConfigurationError otherwise.
+    """
     cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigurationError(f"--out {out}: {nearest} is not a directory")
+    return cfg, out, resolve_workers()
+
+
+def cmd_run(args) -> int:
+    cfg, out, workers = _prepare_run(args)
     try:
-        report = run_simulation(cfg)
+        report = run_simulation(cfg, workers)
     except S2wefError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -112,12 +126,13 @@ _ABLATION_PAIRS = {
 
 
 def cmd_ablate(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg, out, workers = _prepare_run(args)
     mode = args.mode or ("vote" if cfg.scenario == "CLEAN" else "l1")
     first, second = _ABLATION_PAIRS[mode]
-    out = Path(args.out)
     try:
-        reports = {name: run_simulation(replace(cfg, detector=name)) for name in (first, second)}
+        reports = {
+            name: run_simulation(replace(cfg, detector=name), workers) for name in (first, second)
+        }
     except S2wefError as exc:
         print(f"ablation failed: {exc}", file=sys.stderr)
         return 1

@@ -88,54 +88,87 @@ class RoundDetection:
     decision: DetectionDecision
 
 
-def _as_float_mats(wefs: Sequence[WefMatrix]) -> list[np.ndarray]:
+# Grids are small non-negative integers, so Gram entries, squared norms and
+# squared distances between grids are integers that float64 holds exactly
+# (bound checked in grid_stack), in any summation order: distances and
+# cosines built from them equal np.linalg.norm of each pair to the bit.
+_EXACT_LIMIT = 2**53
+# Grid entries per float64 column block (410 KB at 200 clients): gamma and
+# Dev take their products block by block, never holding every grid in
+# float64 at once.
+_BLOCK_COLUMNS = 256
+
+
+def grid_stack(wefs: Sequence[WefMatrix]) -> np.ndarray:
+    """The submitted grids as one int32 (n, h, w) array, shared by gamma and Dev.
+
+    int32 holds every count the exactness bound admits, in half the memory
+    of float64.
+    """
     if not wefs:
         raise ConfigurationError("need at least one WEF matrix")
     shape = wefs[0].shape
-    for m in wefs[1:]:
+    for m in wefs:
         if m.shape != shape:
             raise ShapeError(f"WEF shapes differ: {shape} vs {m.shape}")
-    return [m.counts.astype(np.float64).ravel() for m in wefs]
+    peak = max(int(m.counts.max(initial=0)) for m in wefs)
+    if 2 * wefs[0].counts.size * peak**2 >= _EXACT_LIMIT:
+        raise ConfigurationError(f"WEF counts up to {peak} are too large for exact distances")
+    grids = np.empty((len(wefs), *shape), dtype=np.int32)
+    for i, m in enumerate(wefs):
+        grids[i] = m.counts
+    return grids
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    # an all-zero matrix carries no direction: define its similarity as 0
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
+def _float_blocks(x: np.ndarray):
+    """Consecutive float64 column blocks of an integer matrix, with their column slices."""
+    for start in range(0, x.shape[1], _BLOCK_COLUMNS):
+        cols = slice(start, start + _BLOCK_COLUMNS)
+        yield cols, x[:, cols].astype(np.float64)
 
 
-def deviation_statistics(wefs: Sequence[WefMatrix]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-client mean distance, mean cosine similarity, and mean entry value."""
-    mats = _as_float_mats(wefs)
-    n = len(mats)
+def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+    # an all-zero grid carries no direction: its similarity is 0
+    denom = np.multiply.outer(norms_a, norms_b)
+    return np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0)
+
+
+def deviation_statistics(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-client mean distance, mean cosine similarity, and mean entry value.
+
+    grids is the grid_stack of the round's submissions.
+    """
+    x = grids.reshape(len(grids), -1)
+    n = len(x)
     if n < 2:
         raise ConfigurationError("deviation statistics need at least 2 clients")
-    dis = np.zeros(n)
-    cos = np.zeros(n)
-    for i in range(n):
-        d_sum = c_sum = 0.0
-        for j in range(n):
-            if j == i:
-                continue
-            d_sum += float(np.linalg.norm(mats[i] - mats[j]))
-            c_sum += _cosine(mats[i], mats[j])
-        dis[i] = d_sum / (n - 1)
-        cos[i] = c_sum / (n - 1)
-    avg = np.array([m.mean() for m in mats])
-    return dis, cos, avg
+    gram = np.zeros((n, n))
+    for _, block in _float_blocks(x):
+        gram += block @ block.T
+    sq = gram.diagonal().copy()
+    dist = np.sqrt(sq[:, None] + sq[None, :] - 2.0 * gram)
+    norms = np.sqrt(sq)
+    cos = _cosines(gram, norms, norms)
+    np.fill_diagonal(cos, 0.0)
+    # add client j's term to every row in turn: the left-to-right order of
+    # a per-client sum over j, so the means round the same way
+    dis_sum = np.zeros(n)
+    cos_sum = np.zeros(n)
+    for j in range(n):
+        dis_sum += dist[:, j]
+        cos_sum += cos[:, j]
+    return dis_sum / (n - 1), cos_sum / (n - 1), x.sum(axis=1) / x.shape[1]
 
 
-def dev_scores(wefs: Sequence[WefMatrix]) -> np.ndarray:
-    """Deviation score: normalized distance-from-mean over three statistics.
+def dev_scores(grids: np.ndarray) -> np.ndarray:
+    """Deviation score of each grid in a grid_stack: normalized distance-from-mean.
 
     For each of (mean distance, mean cosine, mean entry value) the client's
     absolute deviation from the population mean is divided by the summed
     deviations; a statistic on which all clients agree contributes 0.
     """
     terms = []
-    for stat in deviation_statistics(wefs):
+    for stat in deviation_statistics(grids):
         dev = np.abs(stat - stat.mean())
         denom = dev.sum()
         terms.append(dev / denom if denom > 0 else np.zeros_like(dev))
@@ -156,31 +189,31 @@ def simulate_global_wef(
 
 
 def gamma_scores(
-    wefs: Sequence[WefMatrix],
+    grids: np.ndarray,
     simulated: WefMatrix,
     mode: str = GAMMA_COS_OVER_L1,
 ) -> np.ndarray:
-    """Similarity of each submitted WEF to the simulated one.
+    """Similarity of each submitted grid (a grid_stack) to the simulated one.
 
     Default is cosine over L1 distance (with a tiny guard so an exact match
     is finite); cos_only drops the L1 denominator.
     """
     if mode not in (GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
         raise ConfigurationError(f"unknown gamma mode {mode!r}")
-    if wefs and wefs[0].shape != simulated.shape:
+    if grids.shape[1:] != simulated.shape:
         raise ShapeError(
-            f"simulated WEF {simulated.shape} differs from submissions {wefs[0].shape}"
+            f"simulated WEF {simulated.shape} differs from submissions {grids.shape[1:]}"
         )
-    mats = _as_float_mats(wefs)
+    x = grids.reshape(len(grids), -1)
     ref = simulated.counts.astype(np.float64).ravel()
-    out = np.zeros(len(mats))
-    for i, m in enumerate(mats):
-        c = _cosine(m, ref)
-        if mode == GAMMA_COS_ONLY:
-            out[i] = c
-        else:
-            out[i] = c / (float(np.abs(m - ref).sum()) + GAMMA_EPS)
-    return out
+    sq, dots, l1 = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x))
+    for cols, block in _float_blocks(x):
+        sq += np.einsum("ij,ij->i", block, block)
+        dots += block @ ref[cols]
+        block -= ref[cols]
+        l1 += np.abs(block, out=block).sum(axis=1)
+    cos = _cosines(dots, np.sqrt(sq), np.sqrt(ref @ ref))
+    return cos if mode == GAMMA_COS_ONLY else cos / (l1 + GAMMA_EPS)
 
 
 def robust_standardize(values: Sequence[float]) -> np.ndarray:
@@ -193,8 +226,19 @@ def robust_standardize(values: Sequence[float]) -> np.ndarray:
     return (x - med) / (mad + EPS)
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
+def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+    # vecdot is the BLAS dot np.linalg.norm takes on a 1-D difference, so
+    # every entry equals norm(pts[i] - pts[j]) to the bit; hypot, x*x + y*y
+    # and norm(axis=-1) round differently
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.vecdot(diff, diff)
+    return np.sqrt(dist, out=dist)
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    # Python's float ** (libm pow), the rounding the recurrence is defined
+    # with; x*x and np.power differ from it in the last bit now and then
+    return np.array([v**2 for v in values.tolist()])
 
 
 def ward_merge_sequence(points: np.ndarray) -> list[tuple[float, frozenset[int]]]:
@@ -210,29 +254,34 @@ def ward_merge_sequence(points: np.ndarray) -> list[tuple[float, frozenset[int]]
     if n < 2:
         raise ConfigurationError("clustering needs at least 2 points")
 
+    # dist[a, b] is the Ward distance of the clusters named a and b, +inf on
+    # the diagonal and for merged-away names; it is symmetric, so the first
+    # row-major argmin is the lexicographically smallest minimal pair
+    dist = _pairwise_distances(pts)
+    np.fill_diagonal(dist, np.inf)
+    sq = np.full((n, n), np.inf)
+    for i in range(n - 1):
+        sq[i, i + 1:] = sq[i + 1:, i] = _squares(dist[i, i + 1:])
+    size = np.ones(n)
+    active = np.ones(n, dtype=bool)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = _euclidean(pts[i], pts[j])
 
     merges: list[tuple[float, frozenset[int]]] = []
-    while len(members) > 1:
-        (a, b), d_ab = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
-        na, nb = len(members[a]), len(members[b])
-        for k in members:
-            if k in (a, b):
-                continue
-            nk = len(members[k])
-            d_ka = dist[(min(a, k), max(a, k))]
-            d_kb = dist[(min(b, k), max(b, k))]
-            merged_sq = (
-                (na + nk) * d_ka**2 + (nb + nk) * d_kb**2 - nk * d_ab**2
-            ) / (na + nb + nk)
-            dist[(min(a, k), max(a, k))] = float(np.sqrt(max(merged_sq, 0.0)))
-        members[a] = members[a] + members[b]
-        del members[b]
-        dist = {pair: d for pair, d in dist.items() if b not in pair}
+    for _ in range(n - 1):
+        a, b = divmod(int(np.argmin(dist)), n)
+        d_ab, sq_ab = float(dist[a, b]), sq[a, b]
+        na, nb = size[a], size[b]
+        active[b] = False
+        ks = np.flatnonzero(active)
+        ks = ks[ks != a]
+        nk = size[ks]
+        merged_sq = ((na + nk) * sq[a, ks] + (nb + nk) * sq[b, ks] - nk * sq_ab) / (na + nb + nk)
+        d_new = np.sqrt(np.maximum(merged_sq, 0.0))
+        dist[a, ks] = dist[ks, a] = d_new
+        sq[a, ks] = sq[ks, a] = _squares(d_new)
+        dist[b, :] = dist[:, b] = np.inf
+        size[a] = na + nb
+        members[a] += members.pop(b)
         merges.append((d_ab, frozenset(members[a])))
     return merges
 
@@ -266,17 +315,22 @@ def ward_hac(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def silhouette_two_clusters(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette of a two-cluster partition; singletons contribute 0."""
     pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    scores = np.zeros(n)
-    for i in range(n):
-        own = np.flatnonzero((labels == labels[i]))
-        other = np.flatnonzero(labels != labels[i])
-        if len(own) <= 1 or len(other) == 0:
+    labels = np.asarray(labels)
+    dist = _pairwise_distances(pts)
+    scores = np.zeros(len(pts))
+    for label in np.unique(labels):
+        own = np.flatnonzero(labels == label)
+        other = np.flatnonzero(labels != label)
+        m = len(own)
+        if m <= 1 or len(other) == 0:
             continue
-        a_i = float(np.mean([_euclidean(pts[i], pts[j]) for j in own if j != i]))
-        b_i = float(np.mean([_euclidean(pts[i], pts[j]) for j in other]))
-        top = max(a_i, b_i)
-        scores[i] = (b_i - a_i) / top if top > 0 else 0.0
+        # each row sums its own contiguous run of distances, so every mean
+        # rounds as np.mean over that client's list of distances would
+        within = dist[np.ix_(own, own)][~np.eye(m, dtype=bool)].reshape(m, m - 1)
+        a = within.sum(axis=1) / (m - 1)
+        b = dist[np.ix_(own, other)].sum(axis=1) / len(other)
+        top = np.maximum(a, b)
+        scores[own] = np.divide(b - a, top, out=np.zeros(m), where=top > 0)
     return float(scores.mean())
 
 
@@ -410,8 +464,9 @@ def detect_round(
         return empty_round_detection(n)
 
     simulated = simulate_global_wef(global_now, global_prev, e)
-    gammas = gamma_scores(wefs, simulated, mode=gamma_mode)
-    devs = dev_scores(wefs)
+    grids = grid_stack(wefs)
+    gammas = gamma_scores(grids, simulated, mode=gamma_mode)
+    devs = dev_scores(grids)
     z = np.column_stack([robust_standardize(gammas), robust_standardize(devs)])
 
     heights, labels = ward_hac(z)
@@ -443,7 +498,7 @@ def run_detector(
     if spec is None or global_prev is None:
         return empty_round_detection(len(wefs)), frozenset()
     if spec == BASELINE:
-        devs = dev_scores(wefs)
+        devs = dev_scores(grid_stack(wefs))
         empty = empty_round_detection(len(wefs))
         return replace(empty, scores=replace(empty.scores, dev=devs)), wef_defense_baseline(devs)
     gamma_mode, require_vote = spec

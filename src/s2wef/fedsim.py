@@ -325,7 +325,8 @@ def _digest(flat: np.ndarray) -> str:
     return hashlib.sha256(flat).hexdigest()[:16]
 
 
-def _resolve_workers(max_workers: int | None) -> int:
+def resolve_workers(max_workers: int | None = None) -> int:
+    """Training worker count: max_workers, else S2WEF_THREADS, else the CPU count."""
     if max_workers is not None:
         return max(1, max_workers)
     env = os.environ.get(THREADS_ENV)
@@ -435,7 +436,7 @@ def run_trial(cfg: SimConfig, trial_seed: int, max_workers: int | None = None) -
         detector=det.TrialDetector(cfg.detector, cfg.accumulate_wef),
     )
 
-    workers = _resolve_workers(max_workers)
+    workers = resolve_workers(max_workers)
     records = []
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

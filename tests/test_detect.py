@@ -10,6 +10,7 @@ from s2wef.detect import (
     dev_scores,
     deviation_statistics,
     gamma_scores,
+    grid_stack,
     majority_vote,
     robust_standardize,
     run_detector,
@@ -31,33 +32,51 @@ def wm(rows, e_max=5):
 
 def test_dev_identical_clients_zero():
     wefs = [wm([[1, 2], [3, 0]])] * 4
-    np.testing.assert_array_equal(dev_scores(wefs), np.zeros(4))
+    np.testing.assert_array_equal(dev_scores(grid_stack(wefs)), np.zeros(4))
 
 
 def test_dev_two_clients_symmetric():
-    devs = dev_scores([wm([[1, 0], [0, 0]]), wm([[4, 4], [4, 4]])])
+    devs = dev_scores(grid_stack([wm([[1, 0], [0, 0]]), wm([[4, 4], [4, 4]])]))
     assert devs[0] == pytest.approx(devs[1])
 
 
 def test_dev_hand_case_three_matrices():
     wefs = [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])]
-    devs = dev_scores(wefs)
+    devs = dev_scores(grid_stack(wefs))
     np.testing.assert_allclose(devs, [0.75, 0.75, 1.5], atol=1e-12)
     assert devs[2] > devs[0] and devs[2] > devs[1]
 
 
 def test_dev_requires_two_clients():
     with pytest.raises(ConfigurationError):
-        dev_scores([wm([[1, 0], [0, 0]])])
+        dev_scores(grid_stack([wm([[1, 0], [0, 0]])]))
 
 
 def test_dev_translation_leaves_distances_unchanged():
     rng = np.random.default_rng(0)
     base = [WefMatrix(rng.integers(0, 4, size=(3, 3)), 5) for _ in range(5)]
     shifted = [WefMatrix(m.counts + 2, 7) for m in base]
-    dis_a, _, _ = deviation_statistics(base)
-    dis_b, _, _ = deviation_statistics(shifted)
+    dis_a, _, _ = deviation_statistics(grid_stack(base))
+    dis_b, _, _ = deviation_statistics(grid_stack(shifted))
     np.testing.assert_allclose(dis_a, dis_b, atol=1e-12)
+
+
+def test_grid_stack_layout_and_checks():
+    grids = grid_stack([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])])
+    assert grids.dtype == np.int32 and grids.shape == (2, 2, 2)
+    np.testing.assert_array_equal(grids[1], [[0, 0], [5, 4]])
+    with pytest.raises(ShapeError):
+        grid_stack([wm([[1, 0]]), wm([[1], [0]])])
+    with pytest.raises(ConfigurationError):
+        grid_stack([])
+
+
+def test_grid_stack_rejects_counts_beyond_exact_float64():
+    big = 2**26  # 2 * h*w * big**2 reaches 2**53 for a 1x1 grid
+    with pytest.raises(ConfigurationError, match="too large"):
+        grid_stack([WefMatrix(np.array([[big]]), big)] * 3)
+    grids = grid_stack([WefMatrix(np.array([[big - 1]]), big)] * 3)
+    assert int(grids[0, 0, 0]) == big - 1
 
 
 # --- simulated global WEF -------------------------------------------------
@@ -97,19 +116,19 @@ def test_simulate_equals_dwa_counterfeit():
 def test_gamma_disjoint_support_zero():
     f_i = wm([[2, 0], [0, 0]])
     f_g = wm([[0, 0], [0, 3]])
-    assert gamma_scores([f_i], f_g)[0] == 0.0
+    assert gamma_scores(grid_stack([f_i]), f_g)[0] == 0.0
 
 
 def test_gamma_hand_case():
     f_i = wm([[2, 0], [0, 0]])
     f_g = wm([[2, 0], [0, 2]])
-    gamma = gamma_scores([f_i], f_g)[0]
+    gamma = gamma_scores(grid_stack([f_i]), f_g)[0]
     assert gamma == pytest.approx(0.35355, abs=1e-4)
 
 
 def test_gamma_exact_match_hits_guard():
     f = wm([[2, 1], [0, 3]])
-    assert gamma_scores([f], f)[0] == pytest.approx(1e12, rel=1e-6)
+    assert gamma_scores(grid_stack([f]), f)[0] == pytest.approx(1e12, rel=1e-6)
 
 
 def test_gamma_ordering_exact_match_dominates():
@@ -119,19 +138,20 @@ def test_gamma_ordering_exact_match_dominates():
         if not ref.counts.any():
             continue
         other = WefMatrix((ref.counts + rng.integers(1, 3, size=(3, 3))) % 5, 5)
-        gammas = gamma_scores([ref, other], ref)
+        gammas = gamma_scores(grid_stack([ref, other]), ref)
         assert gammas[0] > gammas[1]
 
 
 def test_gamma_cos_only_mode():
     f_i = wm([[2, 0], [0, 0]])
     f_g = wm([[2, 0], [0, 2]])
-    assert gamma_scores([f_i], f_g, mode=GAMMA_COS_ONLY)[0] == pytest.approx(1 / np.sqrt(2))
+    gamma = gamma_scores(grid_stack([f_i]), f_g, mode=GAMMA_COS_ONLY)[0]
+    assert gamma == pytest.approx(1 / np.sqrt(2))
 
 
 def test_gamma_shape_mismatch():
     with pytest.raises(ShapeError):
-        gamma_scores([wm([[1, 0]], 5)], wm([[1], [0]], 5))
+        gamma_scores(grid_stack([wm([[1, 0]], 5)]), wm([[1], [0]], 5))
 
 
 # --- robust standardization -------------------------------------------------
@@ -339,7 +359,8 @@ def test_vote_bypass_labels_on_k2():
 # --- baseline -------------------------------------------------------------------
 
 def test_baseline_flags_argmax():
-    devs = dev_scores([wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])])
+    wefs = [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])]
+    devs = dev_scores(grid_stack(wefs))
     assert wef_defense_baseline(devs) == frozenset({2})
 
 
@@ -349,7 +370,7 @@ def test_baseline_hand_epsilon():
 
 
 def test_baseline_degenerate_all_equal_flags_everyone():
-    devs = dev_scores([wm([[1, 1], [1, 1]]) for _ in range(4)])
+    devs = dev_scores(grid_stack([wm([[1, 1], [1, 1]]) for _ in range(4)]))
     assert wef_defense_baseline(devs) == frozenset({0, 1, 2, 3})
 
 
@@ -365,7 +386,7 @@ def test_baseline_accumulation_changes_input():
     assert flagged == frozenset({0, 1, 2})
     detection, flagged = run_detector("WEF_NA_BASELINE", summed, now, now, e=5)
     assert flagged == frozenset({0})
-    np.testing.assert_array_equal(detection.scores.dev, dev_scores(summed))
+    np.testing.assert_array_equal(detection.scores.dev, dev_scores(grid_stack(summed)))
     assert not detection.decision.free_rider_list  # the baseline flags outside the vote
 
 

@@ -1,0 +1,256 @@
+"""Bit-exact oracle for the vectorized detector.
+
+The scalar pair loops below are the detector's original definitions of the
+deviation statistics, gamma, the Ward merge sequence and the silhouette.
+The matrix code in s2wef.detect must reproduce every float they produce to
+the last bit, because those floats are written to traces and replayed.
+The inputs lean on ties: blocks of identical grids (DWA colluders),
+all-equal and all-zero grids, and duplicated points in the z plane.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from s2wef.detect import (
+    GAMMA_COS_ONLY,
+    GAMMA_COS_OVER_L1,
+    GAMMA_EPS,
+    dev_scores,
+    deviation_statistics,
+    gamma_scores,
+    grid_stack,
+    robust_standardize,
+    silhouette_two_clusters,
+    ward_hac,
+    ward_merge_sequence,
+)
+from s2wef.wef import WefMatrix
+
+# --- the scalar oracle -------------------------------------------------------
+
+
+def _as_float_mats(wefs):
+    return [m.counts.astype(np.float64).ravel() for m in wefs]
+
+
+def _cosine(a, b):
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
+def _euclidean(a, b):
+    return float(np.linalg.norm(a - b))
+
+
+def oracle_deviation_statistics(wefs):
+    mats = _as_float_mats(wefs)
+    n = len(mats)
+    dis = np.zeros(n)
+    cos = np.zeros(n)
+    for i in range(n):
+        d_sum = c_sum = 0.0
+        for j in range(n):
+            if j == i:
+                continue
+            d_sum += float(np.linalg.norm(mats[i] - mats[j]))
+            c_sum += _cosine(mats[i], mats[j])
+        dis[i] = d_sum / (n - 1)
+        cos[i] = c_sum / (n - 1)
+    avg = np.array([m.mean() for m in mats])
+    return dis, cos, avg
+
+
+def oracle_dev_scores(wefs):
+    terms = []
+    for stat in oracle_deviation_statistics(wefs):
+        dev = np.abs(stat - stat.mean())
+        denom = dev.sum()
+        terms.append(dev / denom if denom > 0 else np.zeros_like(dev))
+    return terms[0] + terms[1] + terms[2]
+
+
+def oracle_gamma_scores(wefs, simulated, mode):
+    mats = _as_float_mats(wefs)
+    ref = simulated.counts.astype(np.float64).ravel()
+    out = np.zeros(len(mats))
+    for i, m in enumerate(mats):
+        c = _cosine(m, ref)
+        if mode == GAMMA_COS_ONLY:
+            out[i] = c
+        else:
+            out[i] = c / (float(np.abs(m - ref).sum()) + GAMMA_EPS)
+    return out
+
+
+def oracle_ward_merge_sequence(pts):
+    n = len(pts)
+    members = {i: [i] for i in range(n)}
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = _euclidean(pts[i], pts[j])
+    merges = []
+    while len(members) > 1:
+        (a, b), d_ab = min(dist.items(), key=lambda kv: (kv[1], kv[0]))
+        na, nb = len(members[a]), len(members[b])
+        for k in members:
+            if k in (a, b):
+                continue
+            nk = len(members[k])
+            d_ka = dist[(min(a, k), max(a, k))]
+            d_kb = dist[(min(b, k), max(b, k))]
+            merged_sq = (
+                (na + nk) * d_ka**2 + (nb + nk) * d_kb**2 - nk * d_ab**2
+            ) / (na + nb + nk)
+            dist[(min(a, k), max(a, k))] = float(np.sqrt(max(merged_sq, 0.0)))
+        members[a] = members[a] + members[b]
+        del members[b]
+        dist = {pair: d for pair, d in dist.items() if b not in pair}
+        merges.append((d_ab, frozenset(members[a])))
+    return merges
+
+
+def oracle_silhouette(pts, labels):
+    n = len(pts)
+    scores = np.zeros(n)
+    for i in range(n):
+        own = np.flatnonzero(labels == labels[i])
+        other = np.flatnonzero(labels != labels[i])
+        if len(own) <= 1 or len(other) == 0:
+            continue
+        a_i = float(np.mean([_euclidean(pts[i], pts[j]) for j in own if j != i]))
+        b_i = float(np.mean([_euclidean(pts[i], pts[j]) for j in other]))
+        top = max(a_i, b_i)
+        scores[i] = (b_i - a_i) / top if top > 0 else 0.0
+    return float(scores.mean())
+
+
+# --- byte-level comparison ---------------------------------------------------
+
+
+def assert_same_bits(mine, oracle):
+    mine, oracle = np.asarray(mine), np.asarray(oracle)
+    assert mine.dtype == oracle.dtype and mine.shape == oracle.shape
+    assert mine.tobytes() == oracle.tobytes(), f"\n{mine!r}\n!=\n{oracle!r}"
+
+
+def assert_same_merges(mine, oracle):
+    assert [(h.hex(), m) for h, m in mine] == [(h.hex(), m) for h, m in oracle]
+
+
+# --- tie-heavy inputs --------------------------------------------------------
+
+
+@st.composite
+def grid_rounds(draw, max_clients=60):
+    """A round of WEF grids drawn from a few prototypes, so rows repeat.
+
+    With one prototype every grid is equal; all-zero prototypes are common
+    because each prototype's entries come from a small, zero-heavy range.
+    """
+    n = draw(st.integers(3, max_clients))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    e = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    protos = []
+    for _ in range(k):
+        top = draw(st.sampled_from([0, 1, e]))
+        flat = draw(st.lists(st.integers(0, top), min_size=h * w, max_size=h * w))
+        protos.append(WefMatrix(np.array(flat).reshape(h, w), e))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    simulated = draw(st.sampled_from(protos) | st.builds(
+        lambda mask: WefMatrix(np.where(np.array(mask).reshape(h, w), e, 0), e),
+        st.lists(st.booleans(), min_size=h * w, max_size=h * w),
+    ))
+    return [protos[p] for p in picks], simulated
+
+
+def _zeros_round(n):
+    return [WefMatrix.zeros(2, 3, 5)] * n, WefMatrix.zeros(2, 3, 5)
+
+
+def _equal_round(n):
+    grid = WefMatrix(np.array([[1, 0, 5], [2, 2, 0]]), 5)
+    return [grid] * n, grid
+
+
+_COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-12, 1e12, -0.6744897501960817])
+
+
+@st.composite
+def z_points(draw, max_points=60):
+    """Points in the z plane with duplicates and many equal distances."""
+    n = draw(st.integers(3, max_points))
+    k = draw(st.integers(1, n))
+    coord = _COORDS | st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    protos = draw(st.lists(st.tuples(coord, coord), min_size=k, max_size=k))
+    picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return np.array([protos[p] for p in picks], dtype=np.float64)
+
+
+# --- properties --------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_rounds())
+@example(_zeros_round(3))
+@example(_zeros_round(60))
+@example(_equal_round(4))
+@example(_equal_round(41))
+def test_deviation_statistics_match_oracle(round_):
+    wefs, _ = round_
+    grids = grid_stack(wefs)
+    for mine, oracle in zip(deviation_statistics(grids), oracle_deviation_statistics(wefs)):
+        assert_same_bits(mine, oracle)
+    assert_same_bits(dev_scores(grids), oracle_dev_scores(wefs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid_rounds(), st.sampled_from([GAMMA_COS_OVER_L1, GAMMA_COS_ONLY]))
+@example(_zeros_round(5), GAMMA_COS_OVER_L1)
+@example(_equal_round(5), GAMMA_COS_OVER_L1)
+@example(_equal_round(5), GAMMA_COS_ONLY)
+def test_gamma_scores_match_oracle(round_, mode):
+    wefs, simulated = round_
+    assert_same_bits(
+        gamma_scores(grid_stack(wefs), simulated, mode),
+        oracle_gamma_scores(wefs, simulated, mode),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(z_points())
+@example(np.zeros((3, 2)))
+@example(np.ones((60, 2)))
+@example(np.array([[0.0, 0.0]] * 20 + [[3.0, 4.0]] * 20 + [[1e12, -1.0]] * 5))
+def test_ward_and_silhouette_match_oracle(pts):
+    merges = ward_merge_sequence(pts)
+    assert_same_merges(merges, oracle_ward_merge_sequence(pts))
+    _, labels = ward_hac(pts)
+    assert silhouette_two_clusters(pts, labels).hex() == oracle_silhouette(pts, labels).hex()
+
+
+@settings(max_examples=60, deadline=None)
+@given(z_points(), st.data())
+def test_silhouette_matches_oracle_on_any_labels(pts, data):
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(pts), max_size=len(pts))))
+    assert silhouette_two_clusters(pts, labels).hex() == oracle_silhouette(pts, labels).hex()
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid_rounds(), st.sampled_from([GAMMA_COS_OVER_L1, GAMMA_COS_ONLY]))
+@example(_zeros_round(7), GAMMA_COS_OVER_L1)
+@example(_equal_round(7), GAMMA_COS_OVER_L1)
+def test_detector_z_plane_matches_oracle(round_, mode):
+    """Scores from tie-heavy grids, standardized as detect_round does, then clustered."""
+    wefs, simulated = round_
+    z = np.column_stack([
+        robust_standardize(oracle_gamma_scores(wefs, simulated, mode)),
+        robust_standardize(oracle_dev_scores(wefs)),
+    ])
+    assert_same_merges(ward_merge_sequence(z), oracle_ward_merge_sequence(z))
+    _, labels = ward_hac(z)
+    assert silhouette_two_clusters(z, labels).hex() == oracle_silhouette(z, labels).hex()

@@ -3,7 +3,7 @@ import pytest
 
 from s2wef import fedsim
 from s2wef.attacks import AttackParams
-from s2wef.detect import dev_scores
+from s2wef.detect import dev_scores, grid_stack
 from s2wef.errors import ConfigurationError
 from s2wef.fedsim import (
     DatasetParams,
@@ -269,9 +269,9 @@ def test_accumulate_wef_scores_running_sums(detector):
         if rec.round_index == 0:
             assert not rec.detection.scores.dev.any()  # no detection before a second broadcast
             continue
-        dev = dev_scores(sums)
+        dev = dev_scores(grid_stack(sums))
         np.testing.assert_array_equal(rec.detection.scores.dev, dev)
-        accumulated_differs |= not np.array_equal(dev, dev_scores(rec.wefs))
+        accumulated_differs |= not np.array_equal(dev, dev_scores(grid_stack(rec.wefs)))
         if detector == "WEF_NA_BASELINE":
             expected = frozenset(int(i) for i in np.flatnonzero(dev > dev.max() - 0.05))
             assert rec.free_riders == expected
