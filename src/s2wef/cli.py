@@ -4,9 +4,11 @@ Subcommands: run a configured experiment, run an ablation pair on shared
 seeds, replay a detector over a recorded trace, or re-print the summary of
 an existing metrics file.  Configs are versioned JSON validated fail-closed
 (unknown keys and mistyped values are rejected) before any output file is
-created; the only environment knob is S2WEF_THREADS, which caps the
-training worker count.  Exit codes: 0 success, 1 runtime failure or replay
-divergence, 2 invalid config or malformed trace.
+created.  A run trains its clients one after another on one thread: each
+client's local training is about 1 ms of small numpy calls that hold the
+interpreter lock, so a thread pool made runs slower, not faster.  Exit
+codes: 0 success, 1 runtime failure or replay divergence, 2 invalid config
+or malformed trace.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .fedsim import (  # the config codec lives next to SimConfig; re-exported h
     SimConfig,
     config_from_dict,
     config_to_dict,
-    resolve_workers,
     run_simulation,
 )
 from .trace import (
@@ -85,24 +86,24 @@ def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
     return cfg
 
 
-def _prepare_run(args) -> tuple[SimConfig, Path, int]:
-    """Check a run's config, output path and worker count before any work.
+def _prepare_run(args) -> tuple[SimConfig, Path]:
+    """Check a run's config and output path before any work.
 
-    Returns the config with its overrides applied, the output directory and
-    the training worker count; raises ConfigurationError otherwise.
+    Returns the config with its overrides applied and the output directory;
+    raises ConfigurationError otherwise.
     """
     cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigurationError(f"--out {out}: {nearest} is not a directory")
-    return cfg, out, resolve_workers()
+    return cfg, out
 
 
 def cmd_run(args) -> int:
-    cfg, out, workers = _prepare_run(args)
+    cfg, out = _prepare_run(args)
     try:
-        report = run_simulation(cfg, workers)
+        report = run_simulation(cfg)
     except S2wefError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -126,13 +127,11 @@ _ABLATION_PAIRS = {
 
 
 def cmd_ablate(args) -> int:
-    cfg, out, workers = _prepare_run(args)
+    cfg, out = _prepare_run(args)
     mode = args.mode or ("vote" if cfg.scenario == "CLEAN" else "l1")
     first, second = _ABLATION_PAIRS[mode]
     try:
-        reports = {
-            name: run_simulation(replace(cfg, detector=name), workers) for name in (first, second)
-        }
+        reports = {name: run_simulation(replace(cfg, detector=name)) for name in (first, second)}
     except S2wefError as exc:
         print(f"ablation failed: {exc}", file=sys.stderr)
         return 1

@@ -226,10 +226,12 @@ def robust_standardize(values: Sequence[float]) -> np.ndarray:
     return (x - med) / (mad + EPS)
 
 
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of points."""
     # vecdot is the BLAS dot np.linalg.norm takes on a 1-D difference, so
     # every entry equals norm(pts[i] - pts[j]) to the bit; hypot, x*x + y*y
     # and norm(axis=-1) round differently
+    pts = np.asarray(points, dtype=np.float64)
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.vecdot(diff, diff)
     return np.sqrt(dist, out=dist)
@@ -241,23 +243,23 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in values.tolist()])
 
 
-def ward_merge_sequence(points: np.ndarray) -> list[tuple[float, frozenset[int]]]:
+def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[int]]]:
     """Full Ward agglomeration via the Lance-Williams recurrence.
 
+    Starts from the pairwise_distances of the points (left unmodified).
     Each step merges the pair of clusters with minimal Ward distance; ties
     merge the lexicographically smallest pair, where a cluster is named by
     its smallest member.  Returns, per merge, the height and the member set
     of the newly formed cluster.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
+    dist = np.array(distances, dtype=np.float64)
+    n = len(dist)
     if n < 2:
         raise ConfigurationError("clustering needs at least 2 points")
 
     # dist[a, b] is the Ward distance of the clusters named a and b, +inf on
     # the diagonal and for merged-away names; it is symmetric, so the first
     # row-major argmin is the lexicographically smallest minimal pair
-    dist = _pairwise_distances(pts)
     np.fill_diagonal(dist, np.inf)
     sq = np.full((n, n), np.inf)
     for i in range(n - 1):
@@ -286,38 +288,32 @@ def ward_merge_sequence(points: np.ndarray) -> list[tuple[float, frozenset[int]]
     return merges
 
 
-def ward_hac(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def ward_hac(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ward clustering heights plus the two-cluster cut of the points.
 
-    Returns all n-1 merge heights and the labels of the two-cluster cut
-    (label 0 is the cluster containing client 0).
+    Takes the points' pairwise_distances.  Returns all n-1 merge heights and
+    the labels of the two-cluster cut (label 0 is the cluster containing
+    client 0).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    merges = ward_merge_sequence(pts)
-    n = len(pts)
+    merges = ward_merge_sequence(dist)
+    n = len(dist)
     heights = np.asarray([h for h, _ in merges])
     labels = np.zeros(n, dtype=np.int64)
     if n == 2:
         labels[1] = 1
         return heights, labels
-    last_members = merges[-1][1]
+    # the final merge joins the cluster the second-last merge formed with the rest
     second_last = merges[-2][1]
-    # the final merge joins second_last with its complement
-    other = sorted(last_members - second_last)
-    inside = sorted(second_last)
+    labels[sorted(second_last)] = 1
     if 0 in second_last:
-        labels[other] = 1
-    else:
-        labels[inside] = 1
+        labels = 1 - labels
     return heights, labels
 
 
-def silhouette_two_clusters(points: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette of a two-cluster partition; singletons contribute 0."""
-    pts = np.asarray(points, dtype=np.float64)
+def silhouette_two_clusters(dist: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette of a two-cluster partition, from pairwise_distances; singletons score 0."""
     labels = np.asarray(labels)
-    dist = _pairwise_distances(pts)
-    scores = np.zeros(len(pts))
+    scores = np.zeros(len(dist))
     for label in np.unique(labels):
         own = np.flatnonzero(labels == label)
         other = np.flatnonzero(labels != label)
@@ -334,7 +330,9 @@ def silhouette_two_clusters(points: np.ndarray, labels: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def decide_k(heights: np.ndarray, labels: np.ndarray, points: np.ndarray) -> ClusterOutcome:
+def decide_k(
+    heights: np.ndarray, labels: np.ndarray, points: np.ndarray, dist: np.ndarray
+) -> ClusterOutcome:
     """Keep the two-cluster split only if it passes both validity gates.
 
     The split collapses to one cluster when the silhouette is below 0.30 or
@@ -343,7 +341,7 @@ def decide_k(heights: np.ndarray, labels: np.ndarray, points: np.ndarray) -> Clu
     goes to the cluster with larger mean standardized gamma.
     """
     pts = np.asarray(points, dtype=np.float64)
-    s2 = silhouette_two_clusters(pts, labels)
+    s2 = silhouette_two_clusters(dist, labels)
     h_prev = float(heights[-2]) if len(heights) >= 2 else 0.0
     delta = float(heights[-1]) / (h_prev + EPS)
     k, assignment, suspicious = 1, np.zeros(len(pts), dtype=np.int64), frozenset()
@@ -469,8 +467,9 @@ def detect_round(
     devs = dev_scores(grids)
     z = np.column_stack([robust_standardize(gammas), robust_standardize(devs)])
 
-    heights, labels = ward_hac(z)
-    outcome = decide_k(heights, labels, z)
+    dist = pairwise_distances(z)
+    heights, labels = ward_hac(dist)
+    outcome = decide_k(heights, labels, z, dist)
     flags_gamma, flags_dev = threshold_flags(gammas, devs)
     decision = majority_vote(outcome, flags_gamma, flags_dev, require_vote=require_vote)
     return RoundDetection(

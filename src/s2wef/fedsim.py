@@ -4,15 +4,12 @@ Runs the full round loop at desk scale: partition a synthetic dataset,
 train benign clients, let scheduled free-riders fabricate submissions,
 detect, aggregate with the flagged clients excluded, and record everything
 needed to replay or audit the run.  All randomness derives from the trial
-seed, so a config reproduces its trace byte for byte regardless of the
-worker count.
+seed, so a config reproduces its trace byte for byte.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -27,8 +24,6 @@ from .wef import WefMatrix, build_wef
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
-
-THREADS_ENV = "S2WEF_THREADS"
 
 # seed-derivation tags: one namespace per random purpose
 _TAG_DATA, _TAG_PARTITION, _TAG_SCHEDULE, _TAG_INIT, _TAG_TRAIN, _TAG_ATTACK = range(6)
@@ -311,7 +306,7 @@ class RoundRecord:
     trial_seed: int
     round_index: int
     roles: np.ndarray  # True where the client free-rode
-    wefs: list[WefMatrix]
+    wefs: Sequence[WefMatrix]
     detection: det.RoundDetection
     free_riders: frozenset[int]
     metrics: Metrics
@@ -323,19 +318,6 @@ class RoundRecord:
 
 def _digest(flat: np.ndarray) -> str:
     return hashlib.sha256(flat).hexdigest()[:16]
-
-
-def resolve_workers(max_workers: int | None = None) -> int:
-    """Training worker count: max_workers, else S2WEF_THREADS, else the CPU count."""
-    if max_workers is not None:
-        return max(1, max_workers)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(f"{THREADS_ENV} must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def build_schedule(cfg: SimConfig, trial_seed: int) -> np.ndarray:
@@ -375,20 +357,14 @@ def _client_submission(state: _TrialState, t: int, client: int):
         raise type(exc)(f"client {client}: {exc}") from exc
 
 
-def run_round(state: _TrialState, t: int, pool: ThreadPoolExecutor | None) -> RoundRecord:
+def run_round(state: _TrialState, t: int) -> RoundRecord:
     """One communication round: submit, detect, aggregate, evaluate."""
     cfg = state.cfg
     n = cfg.clients
     global_pen_before = state.global_model.penultimate.copy()
 
     try:
-        if pool is None:
-            results = [_client_submission(state, t, i) for i in range(n)]
-        else:
-            results = list(pool.map(lambda i: _client_submission(state, t, i), range(n)))
-
-        submissions = [r[0] for r in results]
-        wefs = [r[1] for r in results]
+        submissions, wefs = zip(*[_client_submission(state, t, i) for i in range(n)])
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
         new_global = aggregate_fedavg(submissions, kept)
@@ -417,7 +393,7 @@ def run_round(state: _TrialState, t: int, pool: ThreadPoolExecutor | None) -> Ro
     return record
 
 
-def run_trial(cfg: SimConfig, trial_seed: int, max_workers: int | None = None) -> list[RoundRecord]:
+def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
     """All rounds for one trial seed."""
     dataset = make_dataset(cfg.dataset, derive_seed(trial_seed, _TAG_DATA))
     part_seed = derive_seed(trial_seed, _TAG_PARTITION)
@@ -435,17 +411,7 @@ def run_trial(cfg: SimConfig, trial_seed: int, max_workers: int | None = None) -
         global_model=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
         detector=det.TrialDetector(cfg.detector, cfg.accumulate_wef),
     )
-
-    workers = resolve_workers(max_workers)
-    records = []
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for t in range(cfg.rounds):
-            records.append(run_round(state, t, pool))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return records
+    return [run_round(state, t) for t in range(cfg.rounds)]
 
 
 @dataclass
@@ -479,12 +445,12 @@ class MetricsReport:
         return float(np.mean([self.final_accuracy(s) for s in self.trials]))
 
 
-def run_simulation(cfg: SimConfig, max_workers: int | None = None) -> MetricsReport:
+def run_simulation(cfg: SimConfig) -> MetricsReport:
     """Run every trial seed and collect the full report."""
     trials = {}
     for seed in cfg.seeds:
         try:
-            trials[seed] = run_trial(cfg, seed, max_workers=max_workers)
+            trials[seed] = run_trial(cfg, seed)
         except S2wefError as exc:
             raise type(exc)(f"trial seed {seed}: {exc}") from exc
     return MetricsReport(cfg=cfg, trials=trials)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,31 +33,57 @@ _REQUIRED_KEYS = {
 }
 
 
-def record_to_dict(rec: RoundRecord) -> dict:
+def int_matrix_json(grid: np.ndarray) -> str:
+    """json.dumps(grid.tolist(), separators=(",", ":")) of a non-empty 2-D
+    matrix of non-negative integers, built from arrays, not int by int."""
+    g = np.asarray(grid)
+    if g.ndim != 2 or not g.size or g.dtype.kind not in "iu" or g.min() < 0:
+        raise ValueError("expected a non-empty 2-D matrix of non-negative integers")
+    top = int(g.max())
+    width = len(str(top))
+    g = g.astype(np.min_scalar_type(top))  # the smallest unsigned type divides fastest
+    # per entry: `width` digit slots, then "," or, ending a row, ";"; slots
+    # left of the leading digit keep the byte 0, which JSON text never holds
+    cells = np.zeros((*g.shape, width + 1), dtype=np.uint8)
+    for k in range(width):  # the k-th digit from the right
+        cells[..., width - 1 - k] = np.where((g >= 10**k) | (k == 0), g // 10**k % 10 + ord("0"), 0)
+    cells[..., width] = ord(",")
+    cells[:, -1, width] = ord(";")
+    flat = cells.ravel()
+    text = flat[flat != 0].tobytes().decode("ascii")
+    return "[[" + text[:-1].replace(";", "],[") + "]]"
+
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def encode_record(rec: RoundRecord) -> str:
+    """One round record as a compact JSON line (without the newline)."""
     d = rec.detection
     h, w = rec.wefs[0].shape
-    return {
+    head = {
         "trial": rec.trial_seed,
         "round": rec.round_index,
         "e": rec.e,
-        "roles": ["free_rider" if r else "benign" for r in rec.roles],
+        "roles": ["free_rider" if r else "benign" for r in rec.roles.tolist()],
         "wef_shape": [h, w],
-        "wefs": [m.row_major() for m in rec.wefs],
+    }
+    tail = {
         "scores": {
-            "gamma": [float(v) for v in d.scores.gamma],
-            "dev": [float(v) for v in d.scores.dev],
-            "z": [[float(a), float(b)] for a, b in d.scores.z],
+            "gamma": d.scores.gamma.tolist(),
+            "dev": d.scores.dev.tolist(),
+            "z": d.scores.z.tolist(),
         },
         "cluster": {
             "k": d.cluster.k,
-            "assignment": [int(v) for v in d.cluster.assignment],
+            "assignment": d.cluster.assignment.tolist(),
             "s2": float(d.cluster.s2),
             "delta": float(d.cluster.delta),
-            "heights": [float(v) for v in d.cluster.heights],
+            "heights": d.cluster.heights.tolist(),
         },
         "flags": {
-            "gamma": [bool(v) for v in d.decision.flags_gamma],
-            "dev": [bool(v) for v in d.decision.flags_dev],
+            "gamma": d.decision.flags_gamma.tolist(),
+            "dev": d.decision.flags_dev.tolist(),
         },
         "vote": {
             "p_gamma": float(d.decision.p_gamma),
@@ -66,19 +93,28 @@ def record_to_dict(rec: RoundRecord) -> dict:
         "free_rider_list": sorted(int(i) for i in rec.free_riders),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
-        "global_pen": [float(v) for v in rec.global_pen_before.ravel()],
+        "global_pen": rec.global_pen_before.ravel().tolist(),
         "submission_digests": list(rec.submission_digests),
     }
+    wefs = int_matrix_json(np.stack([m.counts.ravel() for m in rec.wefs]))
+    # "wefs" sits between the two halves, as the key order of the format has it
+    return f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(tail)[1:]}'
 
 
 def write_trace(report: MetricsReport, path: str | Path) -> None:
-    path = Path(path)
+    """Write path.tmp, then rename it to path: a failed write leaves no partial trace."""
+    tmp = Path(f"{path}.tmp")
     header = {"header": {"schema": TRACE_SCHEMA, "config": config_to_dict(report.cfg)}}
-    lines = [json.dumps(header, separators=(",", ":"))]
-    for seed in report.cfg.seeds:
-        for rec in report.trials[seed]:
-            lines.append(json.dumps(record_to_dict(rec), separators=(",", ":")))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(_dumps(header) + "\n")
+            for seed in report.cfg.seeds:
+                for rec in report.trials[seed]:
+                    fh.write(encode_record(rec) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Trace(list):

@@ -45,9 +45,6 @@ class WefMatrix:
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
 
-    def row_major(self) -> list[int]:
-        return [int(v) for v in self.counts.ravel()]
-
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape:

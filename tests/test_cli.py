@@ -155,20 +155,6 @@ def test_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch,
     assert existing.read_text() == "keep me\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "1.5", "two"])
-@pytest.mark.parametrize("command", ["run", "ablate"])
-def test_invalid_threads_env_exits_2_before_running(tmp_path, capsys, monkeypatch, command, value):
-    monkeypatch.setattr("s2wef.fedsim.run_trial", _no_simulation)
-    monkeypatch.setenv("S2WEF_THREADS", value)
-    path = write_config(tmp_path)
-    out = tmp_path / "out"
-    rc = main([command, "--config", str(path), "--out", str(out), "--quiet"])
-    assert rc == 2
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert "S2WEF_THREADS" in err and "trial seed" not in err
-
-
 @pytest.mark.parametrize(
     "detector, accumulate",
     [(name, False) for name in DETECTORS] + [("S2WEF", True), ("WEF_NA_BASELINE", True)],

@@ -12,6 +12,7 @@ from s2wef.detect import (
     gamma_scores,
     grid_stack,
     majority_vote,
+    pairwise_distances,
     robust_standardize,
     run_detector,
     silhouette_two_clusters,
@@ -217,7 +218,7 @@ def test_ward_matches_naive_oracle_small():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         pts = rng.normal(size=(n, 2))
-        heights, labels = ward_hac(pts)
+        heights, labels = ward_hac(pairwise_distances(pts))
         oracle_heights, oracle_cut = naive_ward(pts)
         np.testing.assert_allclose(heights, oracle_heights, atol=1e-9)
         assert as_partition(labels) == frozenset(frozenset(c) for c in oracle_cut)
@@ -226,13 +227,13 @@ def test_ward_matches_naive_oracle_small():
 def test_ward_separated_groups():
     rng = np.random.default_rng(4)
     pts = np.vstack([rng.normal(0, 0.1, size=(3, 2)), rng.normal(10, 0.1, size=(3, 2))])
-    _, labels = ward_hac(pts)
+    _, labels = ward_hac(pairwise_distances(pts))
     assert len(set(labels[:3])) == 1 and len(set(labels[3:])) == 1
     assert labels[0] != labels[3]
 
 
 def test_ward_identical_points_zero_heights():
-    heights, _ = ward_hac(np.ones((5, 2)))
+    heights, _ = ward_hac(pairwise_distances(np.ones((5, 2))))
     np.testing.assert_allclose(heights, 0.0, atol=1e-12)
 
 
@@ -240,13 +241,13 @@ def test_ward_heights_nondecreasing():
     rng = np.random.default_rng(9)
     for _ in range(20):
         pts = rng.normal(size=(int(rng.integers(3, 10)), 2))
-        heights, _ = ward_hac(pts)
+        heights, _ = ward_hac(pairwise_distances(pts))
         assert (np.diff(heights) >= -1e-12).all()
 
 
 def test_ward_rejects_single_point():
     with pytest.raises(ConfigurationError):
-        ward_hac(np.zeros((1, 2)))
+        ward_hac(pairwise_distances(np.zeros((1, 2))))
 
 
 # --- silhouette and cluster decision ------------------------------------------
@@ -254,10 +255,11 @@ def test_ward_rejects_single_point():
 def test_silhouette_clear_split_and_k2():
     rng = np.random.default_rng(4)
     pts = np.vstack([rng.normal(0, 0.05, size=(3, 2)), rng.normal(10, 0.05, size=(3, 2))])
-    heights, labels = ward_hac(pts)
-    s2 = silhouette_two_clusters(pts, labels)
+    dist = pairwise_distances(pts)
+    heights, labels = ward_hac(dist)
+    s2 = silhouette_two_clusters(dist, labels)
     assert s2 > 0.9
-    outcome = decide_k(heights, labels, pts)
+    outcome = decide_k(heights, labels, pts, dist)
     assert outcome.k == 2
 
 
@@ -266,7 +268,7 @@ def test_silhouette_matches_hand_formula():
     labels = np.array([0, 0, 1, 1])
     # hand: a(0)=1, b(0)=(10+11)/2=10.5, s=9.5/10.5; symmetric for the rest
     expected = np.mean([(10.5 - 1) / 10.5, (9.5 - 1) / 9.5, (9.5 - 1) / 9.5, (10.5 - 1) / 10.5])
-    assert silhouette_two_clusters(pts, labels) == pytest.approx(expected)
+    assert silhouette_two_clusters(pairwise_distances(pts), labels) == pytest.approx(expected)
 
 
 def test_silhouette_range_property():
@@ -274,14 +276,16 @@ def test_silhouette_range_property():
     for _ in range(30):
         n = int(rng.integers(3, 10))
         pts = rng.normal(size=(n, 2))
-        _, labels = ward_hac(pts)
-        assert -1.0 <= silhouette_two_clusters(pts, labels) <= 1.0
+        dist = pairwise_distances(pts)
+        _, labels = ward_hac(dist)
+        assert -1.0 <= silhouette_two_clusters(dist, labels) <= 1.0
 
 
 def test_decide_k_identical_points_collapse():
     pts = np.ones((5, 2))
-    heights, labels = ward_hac(pts)
-    outcome = decide_k(heights, labels, pts)
+    dist = pairwise_distances(pts)
+    heights, labels = ward_hac(dist)
+    outcome = decide_k(heights, labels, pts, dist)
     assert outcome.k == 1
     assert outcome.suspicious == frozenset()
 
@@ -289,8 +293,9 @@ def test_decide_k_identical_points_collapse():
 def test_decide_k_suspicious_is_farther_centroid():
     pts = np.vstack([np.zeros((6, 2)) + [[0.01, 0], [0, 0.01], [-0.01, 0], [0, -0.01], [0.01, 0.01], [0, 0]],
                      np.full((3, 2), 8.0) + np.random.default_rng(0).normal(0, 0.01, (3, 2))])
-    heights, labels = ward_hac(pts)
-    outcome = decide_k(heights, labels, pts)
+    dist = pairwise_distances(pts)
+    heights, labels = ward_hac(dist)
+    outcome = decide_k(heights, labels, pts, dist)
     assert outcome.k == 2
     assert outcome.suspicious == frozenset({6, 7, 8})
 

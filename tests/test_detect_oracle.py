@@ -20,6 +20,7 @@ from s2wef.detect import (
     deviation_statistics,
     gamma_scores,
     grid_stack,
+    pairwise_distances,
     robust_standardize,
     silhouette_two_clusters,
     ward_hac,
@@ -227,17 +228,19 @@ def test_gamma_scores_match_oracle(round_, mode):
 @example(np.ones((60, 2)))
 @example(np.array([[0.0, 0.0]] * 20 + [[3.0, 4.0]] * 20 + [[1e12, -1.0]] * 5))
 def test_ward_and_silhouette_match_oracle(pts):
-    merges = ward_merge_sequence(pts)
+    dist = pairwise_distances(pts)
+    merges = ward_merge_sequence(dist)
     assert_same_merges(merges, oracle_ward_merge_sequence(pts))
-    _, labels = ward_hac(pts)
-    assert silhouette_two_clusters(pts, labels).hex() == oracle_silhouette(pts, labels).hex()
+    _, labels = ward_hac(dist)
+    assert silhouette_two_clusters(dist, labels).hex() == oracle_silhouette(pts, labels).hex()
 
 
 @settings(max_examples=60, deadline=None)
 @given(z_points(), st.data())
 def test_silhouette_matches_oracle_on_any_labels(pts, data):
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(pts), max_size=len(pts))))
-    assert silhouette_two_clusters(pts, labels).hex() == oracle_silhouette(pts, labels).hex()
+    dist = pairwise_distances(pts)
+    assert silhouette_two_clusters(dist, labels).hex() == oracle_silhouette(pts, labels).hex()
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,6 +254,7 @@ def test_detector_z_plane_matches_oracle(round_, mode):
         robust_standardize(oracle_gamma_scores(wefs, simulated, mode)),
         robust_standardize(oracle_dev_scores(wefs)),
     ])
-    assert_same_merges(ward_merge_sequence(z), oracle_ward_merge_sequence(z))
-    _, labels = ward_hac(z)
-    assert silhouette_two_clusters(z, labels).hex() == oracle_silhouette(z, labels).hex()
+    dist = pairwise_distances(z)
+    assert_same_merges(ward_merge_sequence(dist), oracle_ward_merge_sequence(z))
+    _, labels = ward_hac(dist)
+    assert silhouette_two_clusters(dist, labels).hex() == oracle_silhouette(z, labels).hex()

@@ -227,7 +227,7 @@ def test_config_detector_enum():
 
 def test_run_trial_conservation_and_shapes():
     cfg = small_cfg()
-    records = run_trial(cfg, 1, max_workers=1)
+    records = run_trial(cfg, 1)
     assert len(records) == cfg.rounds
     for rec in records:
         assert rec.roles.shape == (cfg.clients,)
@@ -237,7 +237,7 @@ def test_run_trial_conservation_and_shapes():
 
 
 def test_round_zero_never_detects():
-    records = run_trial(small_cfg(), 1, max_workers=1)
+    records = run_trial(small_cfg(), 1)
     assert records[0].free_riders == frozenset()
     assert not records[0].roles.any()
 
@@ -251,7 +251,7 @@ def test_exclusion_correctness(monkeypatch):
 
     monkeypatch.setattr(fedsim, "aggregate_fedavg", spy)
     cfg = small_cfg(rounds=5)
-    records = run_trial(cfg, 3, max_workers=1)
+    records = run_trial(cfg, 3)
     assert len(aggregated) == len(records)
     for (n, kept), rec in zip(aggregated, records):
         assert n == cfg.clients
@@ -264,7 +264,7 @@ def test_accumulate_wef_scores_running_sums(detector):
     cfg = small_cfg(detector=detector, accumulate_wef=True, rounds=5)
     sums = None
     accumulated_differs = False
-    for rec in run_trial(cfg, 1, max_workers=1):
+    for rec in run_trial(cfg, 1):
         sums = rec.wefs if sums is None else [accumulate([s, w]) for s, w in zip(sums, rec.wefs)]
         if rec.round_index == 0:
             assert not rec.detection.scores.dev.any()  # no detection before a second broadcast
@@ -278,22 +278,11 @@ def test_accumulate_wef_scores_running_sums(detector):
     assert accumulated_differs
 
 
-def test_simulation_deterministic_across_workers():
-    from s2wef.trace import record_to_dict
-
-    cfg = small_cfg()
-    rep1 = run_simulation(cfg, max_workers=1)
-    rep2 = run_simulation(cfg, max_workers=4)
-    for seed in cfg.seeds:
-        for a, b in zip(rep1.trials[seed], rep2.trials[seed]):
-            assert record_to_dict(a) == record_to_dict(b)
-
-
 def test_clean_with_detector_matches_fedavg_when_no_flags():
     cfg = small_cfg(scenario="CLEAN", free_rider_ratio=0.0, attack=None, rounds=4)
-    with_det = run_simulation(cfg, max_workers=1)
+    with_det = run_simulation(cfg)
     plain = run_simulation(small_cfg(scenario="CLEAN", free_rider_ratio=0.0, attack=None,
-                                     rounds=4, detector="NONE"), max_workers=1)
+                                     rounds=4, detector="NONE"))
     flags = sum(len(r.free_riders) for recs in with_det.trials.values() for r in recs)
     if flags == 0:
         for seed in cfg.seeds:
@@ -303,7 +292,7 @@ def test_clean_with_detector_matches_fedavg_when_no_flags():
 
 def test_cluster_only_detector_flags_suspicious_on_k2():
     cfg = small_cfg(detector="CLUSTER_ONLY", rounds=5)
-    records = run_trial(cfg, 1, max_workers=1)
+    records = run_trial(cfg, 1)
     for rec in records[1:]:
         if rec.detection.cluster.k == 2:
             assert rec.free_riders == rec.detection.cluster.suspicious
@@ -313,7 +302,7 @@ def test_cluster_only_detector_flags_suspicious_on_k2():
 
 def test_metrics_report_means():
     cfg = small_cfg(rounds=5)
-    rep = run_simulation(cfg, max_workers=1)
+    rep = run_simulation(cfg)
     f1 = rep.mean("f1", attack_only=True)
     assert 0.0 <= f1 <= 1.0
     assert 0.0 <= rep.mean("fpr") <= 1.0
@@ -323,6 +312,6 @@ def test_metrics_report_means():
 def test_runtime_error_carries_context():
     cfg = small_cfg(train=TrainConfig(learning_rate=1e30, batch_size=8, local_iterations=3))
     with np.errstate(all="ignore"), pytest.raises(Exception) as excinfo:
-        run_simulation(cfg, max_workers=1)
+        run_simulation(cfg)
     msg = str(excinfo.value)
     assert "trial" in msg and "round" in msg
