@@ -256,6 +256,9 @@ def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[in
     n = len(dist)
     if n < 2:
         raise ConfigurationError("clustering needs at least 2 points")
+    if not np.isfinite(dist).all():
+        # an all-inf row would make argmin merge a cluster with itself
+        raise ConfigurationError("clustering needs finite distances")
 
     # dist[a, b] is the Ward distance of the clusters named a and b, +inf on
     # the diagonal and for merged-away names; it is symmetric, so the first

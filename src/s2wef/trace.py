@@ -15,6 +15,7 @@ import csv
 import json
 import os
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,39 @@ def int_matrix_json(grid: np.ndarray) -> str:
     flat = cells.ravel()
     text = flat[flat != 0].tobytes().decode("ascii")
     return "[[" + text[:-1].replace(";", "],[") + "]]"
+
+
+def decode_int_matrix(block: str) -> np.ndarray | None:
+    """The inverse of int_matrix_json: the int64 matrix whose encoding is
+    exactly block, or None when int_matrix_json writes block for no matrix
+    (spacing, leading zeros, signs, fractions, booleans, ragged rows...)."""
+    if not (block.isascii() and block.startswith("[[") and block.endswith("]]")):
+        return None
+    rows = block.count("],[") + 1
+    text = np.frombuffer(block.encode("ascii"), np.uint8)
+    digit = text - ord("0") < 10  # uint8: bytes below "0" wrap to large values
+    sep = ~digit
+    # "[[", each "],[" and "]]" hold 2 * (rows + 1) brackets and 2 * rows
+    # touching pairs of non-digits.  If there are no other non-digits but
+    # commas and no other touching pairs, block is "[[", rows of digit runs
+    # joined by ",", the rows joined by "],[", then "]]".
+    if (np.count_nonzero(sep) != block.count(",") + 2 * (rows + 1)
+            or np.count_nonzero(sep[:-1] & sep[1:]) != 2 * rows):
+        return None
+    if np.any((text[1:-1] == ord("0")) & sep[:-2] & digit[2:]):  # a leading zero
+        return None
+    if len({row.count(",") for row in block[2:-2].split("],[")}) != 1:  # ragged
+        return None
+    last = np.flatnonzero(digit[:-1] & sep[1:])  # the last digit of each number
+    counts = (text[last] - ord("0")).astype(np.int64)
+    more = np.ones(len(last), dtype=bool)
+    for k in range(1, 19):  # the k-th digit from the right, while the run goes on
+        last -= 1
+        more &= digit[last]
+        if not more.any():
+            return counts.reshape(rows, -1)
+        counts[more] += (text[last[more]] - ord("0")).astype(np.int64) * 10**k
+    return None  # 19 digits may not fit an int64: left to json.loads
 
 
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
@@ -137,14 +171,19 @@ def _array(value, kinds: str, ndim: int) -> np.ndarray | None:
         arr = np.array(value)
     except ValueError:  # ragged
         return None
-    return arr if arr.ndim == ndim and arr.dtype.kind in kinds else None
+    if arr.ndim != ndim or arr.dtype.kind not in kinds:
+        return None
+    # np.array reads true as 1 next to numbers
+    return None if bool in map(type, value if ndim == 1 else chain.from_iterable(value)) else arr
 
 
 def _parse_round(rec: dict, where: str) -> None:
-    """Type-check the fields replay reads; wefs and global_pen become arrays."""
+    """Type-check the fields replay reads; wefs (unless _split_record decoded
+    it already) and global_pen become arrays."""
 
     def bad(key: str, expected: str):
-        raise TraceError(f"{where}: {key} must be {expected}, got {rec[key]!r:.60}")
+        value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
+        raise TraceError(f"{where}: {key} must be {expected}, got {value!r:.60}")
 
     for key in ("trial", "round", "e"):
         if not _is_int(rec[key]):
@@ -156,9 +195,12 @@ def _parse_round(rec: dict, where: str) -> None:
     if not (isinstance(flagged, list) and all(map(_is_int, flagged))):
         bad("free_rider_list", "a list of integers")
     h, w = shape
-    wefs = _array(rec["wefs"], "i", 2)
+    wefs = rec["wefs"] if isinstance(rec["wefs"], np.ndarray) else _array(rec["wefs"], "i", 2)
     if wefs is None or wefs.shape[1] != h * w:
         bad("wefs", f"a list of integer lists of length {h * w}")
+    low, high = int(wefs.min()), int(wefs.max())
+    if low < 0 or high > rec["e"]:
+        raise TraceError(f"{where}: WEF entries must lie in [0, {rec['e']}], got [{low}, {high}]")
     pen = _array(rec["global_pen"], "if", 1)
     if pen is None or pen.size != h * w:
         bad("global_pen", f"a list of {h * w} numbers")
@@ -178,6 +220,36 @@ def _header_config(rec: dict, where: str) -> SimConfig:
         raise TraceError(f"{where}: header {exc}") from exc
 
 
+_WEFS = ',"wefs":'
+
+
+def _split_record(line: str) -> dict | None:
+    """A round line as encode_record writes it, read at its seams: json.loads
+    for the head and the tail, decode_int_matrix for the WEF block between
+    them.  None for any other line.
+
+    When the head and the tail parse as non-empty objects and the block is
+    int_matrix_json's, the line is one object, and json.loads reads it to
+    {**head, "wefs": block, **tail}, repeated keys included: both keep a
+    key at its first place with its last value.
+    """
+    start = line.find(_WEFS + "[[")
+    end = line.find("]],", start) + 2
+    if start < 0 or end < 2:
+        return None
+    wefs = decode_int_matrix(line[start + len(_WEFS):end])
+    if wefs is None:
+        return None
+    try:
+        head = json.loads(line[:start] + "}")
+        tail = json.loads("{" + line[end + 1:])
+    except json.JSONDecodeError:
+        return None
+    if not (isinstance(head, dict) and isinstance(tail, dict) and head and tail):
+        return None
+    return {**head, "wefs": wefs, **tail}
+
+
 def read_trace(path: str | Path) -> Trace:
     """Parse and validate a trace; wefs and global_pen come back as arrays.
 
@@ -193,10 +265,12 @@ def read_trace(path: str | Path) -> Trace:
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{where}: invalid JSON ({exc.msg})") from exc
+        rec = _split_record(line)
+        if rec is None:
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceError(f"{where}: invalid JSON ({exc.msg})") from exc
         if not isinstance(rec, dict):
             raise TraceError(f"{where}: expected a JSON object, got {rec!r:.60}")
         if "header" in rec and config is None and not records:

@@ -215,8 +215,12 @@ MALFORMED = {
     "wefs-int": (2, ("wefs",), 5, "wefs must be"),
     "wefs-ragged": (2, ("wefs", 0), [0], "wefs must be"),
     "wefs-float": (2, ("wefs", 1, 0), 0.5, "wefs must be"),
+    "wefs-bool": (2, ("wefs", 1, 0), True, "wefs must be"),
+    "wefs-above-e": (2, ("wefs", 0, 0), 99, "trace.jsonl:3: WEF entries must lie in [0, 3], got [0, 99]"),
+    "wefs-negative": (2, ("wefs", 0, 0), -1, "trace.jsonl:3: WEF entries must lie in [0, 3], got [-1, "),
     "wef-shape-short": (2, ("wef_shape",), [2], "wef_shape must be"),
     "global-pen-str": (2, ("global_pen", 0), "x", "global_pen must be"),
+    "global-pen-bool": (2, ("global_pen", 0), False, "global_pen must be"),
     "free-riders-null": (2, ("free_rider_list",), None, "free_rider_list must be"),
     "free-riders-str": (2, ("free_rider_list",), ["1"], "free_rider_list must be"),
     "not-an-object": (2, (), [1, 2, 3], "expected a JSON object"),

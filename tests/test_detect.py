@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s2wef.detect import (
+    BASELINE,
+    DETECTORS,
     GAMMA_COS_ONLY,
     decide_k,
     detect_round,
@@ -19,6 +21,7 @@ from s2wef.detect import (
     simulate_global_wef,
     threshold_flags,
     ward_hac,
+    ward_merge_sequence,
     wef_defense_baseline,
 )
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
@@ -250,6 +253,22 @@ def test_ward_rejects_single_point():
         ward_hac(pairwise_distances(np.zeros((1, 2))))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("where", ["everywhere", "one-pair", "diagonal"])
+def test_ward_rejects_non_finite_distances(bad, where):
+    dist = pairwise_distances(np.arange(8.0).reshape(4, 2))
+    if where == "everywhere":
+        dist[:] = bad
+    elif where == "one-pair":
+        dist[1, 2] = dist[2, 1] = bad
+    else:
+        dist[3, 3] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        ward_merge_sequence(dist)
+    with pytest.raises(ConfigurationError, match="finite"):
+        ward_hac(dist)
+
+
 # --- silhouette and cluster decision ------------------------------------------
 
 def test_silhouette_clear_split_and_k2():
@@ -476,3 +495,58 @@ def test_detect_round_flags_subset_of_suspicious():
         assert result.decision.free_rider_list <= result.cluster.suspicious
         if result.cluster.k == 1:
             assert result.decision.free_rider_list == frozenset()
+
+
+# --- degenerate rounds ----------------------------------------------------------
+
+CLUSTERING_DETECTORS = [name for name, spec in DETECTORS.items() if spec not in (None, BASELINE)]
+
+
+def assert_finite_and_repeatable(wefs, now, prev, e):
+    """Every recorded number is finite, and a second call gives the same output."""
+    results = []
+    for name in CLUSTERING_DETECTORS:
+        runs = [run_detector(name, wefs, now, prev, e) for _ in range(2)]
+        numbers = [(d.scores.gamma, d.scores.dev, d.scores.z, d.cluster.heights, d.cluster.assignment,
+                    [d.cluster.k, d.cluster.s2, d.cluster.delta, d.decision.p_gamma, d.decision.p_dev])
+                   for d, _ in runs]
+        for x, y in zip(*numbers):
+            assert np.isfinite(x).all()
+            np.testing.assert_array_equal(x, y)
+        assert runs[0][1] == runs[1][1]
+        results.append(runs[0])
+    return results
+
+
+@st.composite
+def broadcasts(draw, h, w):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    now = rng.normal(size=(h, w))
+    still = draw(st.booleans())  # an unchanged broadcast gives an all-zero simulated grid
+    prev = now.copy() if still else now + rng.normal(0, draw(st.sampled_from([1e-6, 0.1, 10.0])), size=(h, w))
+    return now, prev
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 12), h=st.integers(1, 5), w=st.integers(1, 5),
+       e=st.integers(1, 12), zero=st.booleans())
+def test_identical_submissions_flag_nobody(data, n, h, w, e, zero):
+    """All-equal and all-zero rounds: finite, repeatable, one cluster, no flags."""
+    cells = [0] * (h * w) if zero else data.draw(st.lists(st.integers(0, e), min_size=h * w, max_size=h * w))
+    grid = np.array(cells, dtype=np.int64).reshape(h, w)
+    now, prev = data.draw(broadcasts(h, w))
+    wefs = [WefMatrix(grid.copy(), e) for _ in range(n)]
+    for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
+        assert detection.cluster.k == 1
+        assert not flagged and not detection.decision.detected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), h=st.integers(1, 5), w=st.integers(1, 5), e=st.integers(1, 12))
+def test_three_clients_finite_and_repeatable(data, h, w, e):
+    grids = data.draw(st.lists(st.lists(st.integers(0, e), min_size=h * w, max_size=h * w),
+                               min_size=3, max_size=3))
+    wefs = [WefMatrix(np.array(g, dtype=np.int64).reshape(h, w), e) for g in grids]
+    now, prev = data.draw(broadcasts(h, w))
+    for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
+        assert flagged <= detection.cluster.suspicious

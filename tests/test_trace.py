@@ -1,6 +1,8 @@
 import json
+import re
 import signal
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from s2wef import trace
 from s2wef.attacks import AttackParams
+from s2wef.errors import TraceError
 from s2wef.fedsim import DatasetParams, SimConfig, config_to_dict, run_simulation
 from s2wef.nn import TrainConfig
-from s2wef.trace import int_matrix_json, write_trace
+from s2wef.trace import decode_int_matrix, int_matrix_json, write_trace
 
 
 def small_cfg(**overrides):
@@ -125,6 +128,28 @@ def test_int_matrix_json_equals_json_dumps(grid):
     assert int_matrix_json(grid) == json.dumps(grid.tolist(), separators=(",", ":"))
 
 
+@settings(max_examples=200, deadline=None)
+@given(int_matrices())
+@example(np.zeros((1, 1), dtype=np.int64))
+@example(np.zeros((40, 300), dtype=np.int32))
+@example(np.array([[0, 9, 10, 99, 100, 999_999, 10**6]]))
+@example(np.array([[10**18 - 1, 0], [7, 10**17]]))
+def test_decode_int_matrix_inverts_int_matrix_json(grid):
+    decoded = decode_int_matrix(int_matrix_json(grid))
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, grid)
+
+
+@pytest.mark.parametrize(
+    "block",
+    ["[[01]]", "[[+1]]", "[[-0]]", "[[1.0]]", "[[1e3]]", "[[true]]", "[[1, 2]]", "[ [1]]",
+     "[[1],[2,3]]", "[[1,]]", "[[,1]]", "[[1,,2]]", "[[]]", "[[1],[]]", "[[1]],[[2]]", "[[[1]]]",
+     "[[1],,[2]]", "[[1]]]", "1[[2]]", "[[2]]3", "[1]],[[2]", "[[\u0661]]", "[[\uff11]]",
+     "[[10000000000000000000]]", "[[9223372036854775808]]"],
+)
+def test_decode_int_matrix_declines_other_text(block):
+    assert decode_int_matrix(block) is None
+
+
 @pytest.mark.parametrize(
     "grid",
     [np.array([[1, -1]]), np.zeros((2, 0), dtype=np.int64), np.zeros(3, dtype=np.int64),
@@ -166,3 +191,129 @@ def test_failed_write_leaves_no_trace_and_no_temp_file(tmp_path, monkeypatch, fa
             resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
             signal.signal(signal.SIGXFSZ, previous)
     assert list(tmp_path.iterdir()) == []
+
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+@pytest.fixture(scope="module")
+def record_lines():
+    """Round lines as the writer encodes them, with counts of one and of two digits."""
+    one_digit = run_simulation(small_cfg(rounds=3, seeds=(1,)))
+    two_digits = run_simulation(small_cfg(
+        rounds=3, seeds=(3,), accumulate_wef=True,
+        train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=12),
+    ))
+    return [trace.encode_record(rec) for report in (one_digit, two_digits)
+            for recs in report.trials.values() for rec in recs]
+
+
+def read_both_ways(path):
+    """read_trace as it is, and with every line read by json.loads: the records or the error."""
+    results = []
+    for split in (trace._split_record, lambda line: None):
+        with mock.patch.object(trace, "_split_record", split):
+            try:
+                results.append(trace.read_trace(path))
+            except TraceError as exc:
+                results.append(str(exc))
+    return results
+
+
+def assert_same_reading(fast, slow):
+    assert type(fast) is type(slow)
+    if isinstance(slow, str):
+        assert fast == slow
+        return
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        assert list(a) == list(b)
+        for key in a:
+            if key in ("wefs", "global_pen"):
+                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
+                assert a[key].tobytes() == b[key].tobytes()
+            else:
+                assert a[key] == b[key]
+
+
+def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, record_lines):
+    decoded = [trace._split_record(line) for line in record_lines]
+    assert all(rec is not None for rec in decoded)
+    assert max(int(rec["wefs"].max()) for rec in decoded) >= 10  # two-digit counts are there
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in record_lines))
+    fast, slow = read_both_ways(path)
+    assert_same_reading(fast, slow)
+
+
+def _wefs_block(line):
+    start = line.index(',"wefs":[[') + len(',"wefs":')
+    return start, line.index("]]", start) + 2
+
+
+def _edit_number(edit):
+    def perturb(line, draw):
+        start, end = _wefs_block(line)
+        spans = [m.span() for m in re.finditer(r"\d+", line[start:end])]
+        a, b = (start + i for i in draw(st.sampled_from(spans)))
+        return line[:a] + edit(line[a:b]) + line[b:]
+    return perturb
+
+
+def _ragged(line, draw):
+    start, end = _wefs_block(line)
+    spans = [m.span() for m in re.finditer(r",\d+", line[start:end])]
+    a, b = (start + i for i in draw(st.sampled_from(spans)))
+    return line[:a] + line[b:]
+
+
+def _with_key(key, value):
+    """Insert key: value at a drawn place; the key may already be there."""
+    def perturb(line, draw):
+        items = list(json.loads(line).items())
+        items.insert(draw(st.integers(0, len(items))), (key, value))
+        return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in items) + "}"
+    return perturb
+
+
+def _swap_keys(line, draw):
+    items = list(json.loads(line).items())
+    i = draw(st.integers(0, len(items) - 2))
+    items[i], items[i + 1] = items[i + 1], items[i]
+    return _dumps(dict(items))
+
+
+PERTURBATIONS = {
+    "default-spacing": lambda line, draw: json.dumps(json.loads(line)),
+    "leading-zero": _edit_number(lambda n: "0" + n),
+    "plus": _edit_number(lambda n: "+" + n),
+    "minus": _edit_number(lambda n: "-" + n),
+    "fraction": _edit_number(lambda n: n + ".0"),
+    "true": _edit_number(lambda n: "true"),
+    "false": _edit_number(lambda n: "false"),
+    "space": _edit_number(lambda n: " " + n),
+    "above-e": _edit_number(lambda n: "99"),
+    "ragged": _ragged,
+    "swapped-keys": _swap_keys,
+    "nested-wefs": _with_key("extra", {"wefs": [[1, 2]]}),
+    "duplicate-wefs": _with_key("wefs", [[0, 1], [1, 0]]),
+    "duplicate-e": _with_key("e", 99),
+    "duplicate-trial": _with_key("trial", 7),
+    "seam-in-string": _with_key("note", ',"wefs":[[1]],'),
+    "no-head": lambda line, draw: "{" + line[line.index(',"wefs":'):],
+    "no-tail": lambda line, draw: line[:_wefs_block(line)[1]] + ",}",
+    "nested-line": lambda line, draw: '{"round":' + line + "}",
+    "truncated": lambda line, draw: line[:draw(st.integers(0, len(line) - 1))],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(PERTURBATIONS)))
+def test_reader_agrees_with_json_loads_on_perturbed_lines(tmp_path_factory, record_lines, data, name):
+    """Each edited line reads to json.loads's values or fails with its message."""
+    line = data.draw(st.sampled_from(record_lines))
+    edited = PERTURBATIONS[name](line, data.draw)
+    path = tmp_path_factory.mktemp("perturbed") / "trace.jsonl"
+    path.write_text(edited + "\n")
+    fast, slow = read_both_ways(path)
+    assert_same_reading(fast, slow)
