@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, HistoryError
 from .nn import ModelWeights
-from .wef import WefMatrix, build_wef, counterfeit_one_step
+from .wef import build_wef, counterfeit_one_step
 
 ATTACK_KINDS = ("RWA", "SPA", "DWA", "ADWA", "AWCA")
 
@@ -43,10 +43,10 @@ class AttackParams:
 
 @dataclass(frozen=True)
 class FakeSubmission:
-    """What a free-rider uploads: fabricated weights and their WEF matrix."""
+    """What a free-rider uploads: fabricated weights and their WEF grid."""
 
     weights: ModelWeights
-    wef: WefMatrix
+    wef: np.ndarray
 
     def __post_init__(self):
         if self.wef.shape != self.weights.penultimate.shape:

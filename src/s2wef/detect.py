@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, HistoryError, ShapeError
-from .wef import WefMatrix, accumulate, counterfeit_one_step
+from .wef import counterfeit_one_step
 
 EPS = 1e-12
 GAMMA_EPS = 1e-12
@@ -99,25 +99,24 @@ _EXACT_LIMIT = 2**53
 _BLOCK_COLUMNS = 256
 
 
-def grid_stack(wefs: Sequence[WefMatrix]) -> np.ndarray:
-    """The submitted grids as one int32 (n, h, w) array, shared by gamma and Dev.
+def grid_stack(wefs: np.ndarray) -> np.ndarray:
+    """What the detector accepts: a round's WEF grids as one (n, h, w) array
+    of non-negative integer counts.  Returns it as int32, shared by gamma and Dev.
 
     int32 holds every count the exactness bound admits, in half the memory
     of float64.
     """
-    if not wefs:
-        raise ConfigurationError("need at least one WEF matrix")
-    shape = wefs[0].shape
-    for m in wefs:
-        if m.shape != shape:
-            raise ShapeError(f"WEF shapes differ: {shape} vs {m.shape}")
-    peak = max(int(m.counts.max(initial=0)) for m in wefs)
-    if 2 * wefs[0].counts.size * peak**2 >= _EXACT_LIMIT:
+    grids = np.asarray(wefs)
+    if grids.ndim != 3 or grids.dtype.kind not in "iu":
+        raise ShapeError(f"WEF grids: need integer (n, h, w), got {grids.dtype} {grids.shape}")
+    if not len(grids):
+        raise ConfigurationError("need at least one WEF grid")
+    low, peak = int(grids.min(initial=0)), int(grids.max(initial=0))
+    if low < 0:
+        raise ConfigurationError(f"WEF counts must be >= 0, got {low}")
+    if 2 * grids[0].size * peak**2 >= _EXACT_LIMIT:
         raise ConfigurationError(f"WEF counts up to {peak} are too large for exact distances")
-    grids = np.empty((len(wefs), *shape), dtype=np.int32)
-    for i, m in enumerate(wefs):
-        grids[i] = m.counts
-    return grids
+    return grids.astype(np.int32)
 
 
 def _float_blocks(x: np.ndarray):
@@ -177,7 +176,7 @@ def dev_scores(grids: np.ndarray) -> np.ndarray:
 
 def simulate_global_wef(
     global_now: np.ndarray, global_prev: np.ndarray | None, e: int
-) -> WefMatrix:
+) -> np.ndarray:
     """WEF pattern of the last broadcast delta, scaled to the full budget e.
 
     This is the counterfeit a delta-replay free-rider would upload, so
@@ -190,7 +189,7 @@ def simulate_global_wef(
 
 def gamma_scores(
     grids: np.ndarray,
-    simulated: WefMatrix,
+    simulated: np.ndarray,
     mode: str = GAMMA_COS_OVER_L1,
 ) -> np.ndarray:
     """Similarity of each submitted grid (a grid_stack) to the simulated one.
@@ -205,7 +204,7 @@ def gamma_scores(
             f"simulated WEF {simulated.shape} differs from submissions {grids.shape[1:]}"
         )
     x = grids.reshape(len(grids), -1)
-    ref = simulated.counts.astype(np.float64).ravel()
+    ref = simulated.astype(np.float64).ravel()
     sq, dots, l1 = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x))
     for cols, block in _float_blocks(x):
         sq += np.einsum("ij,ij->i", block, block)
@@ -444,14 +443,14 @@ def empty_round_detection(n_clients: int) -> RoundDetection:
 
 
 def detect_round(
-    wefs: Sequence[WefMatrix],
+    wefs: np.ndarray,
     global_now: np.ndarray,
     global_prev: np.ndarray | None,
     e: int,
     gamma_mode: str = GAMMA_COS_OVER_L1,
     require_vote: bool = True,
 ) -> RoundDetection:
-    """Run the full per-round pipeline over submitted WEF matrices.
+    """Run the full per-round pipeline over the round's (n, h, w) WEF grids.
 
     global_now / global_prev are the penultimate matrices of the two most
     recent broadcasts.  At the very first round (no previous broadcast) the
@@ -484,7 +483,7 @@ def detect_round(
 
 def run_detector(
     name: str,
-    wefs: Sequence[WefMatrix],
+    wefs: np.ndarray,
     global_now: np.ndarray,
     global_prev: np.ndarray | None,
     e: int,
@@ -524,16 +523,18 @@ class TrialDetector:
         self.name = name
         self.accumulate = accumulate
         self._prev_pen: np.ndarray | None = None
-        self._sums: list[WefMatrix] | None = None
+        self._sums: np.ndarray | None = None
 
     def step(
-        self, wefs: Sequence[WefMatrix], pen_now: np.ndarray, e: int
+        self, wefs: np.ndarray, pen_now: np.ndarray, e: int
     ) -> tuple[RoundDetection, frozenset[int]]:
-        """Detect on this round's submissions, broadcast pen_now, budget e."""
+        """Detect on this round's (n, h, w) WEF grids, broadcast pen_now, budget e."""
         if self.accumulate:
             if self._sums is not None:
-                wefs = [accumulate([s, w]) for s, w in zip(self._sums, wefs)]
-            self._sums = list(wefs)
+                if self._sums.shape != wefs.shape:
+                    raise ShapeError(f"WEF grids {wefs.shape} vs running sums {self._sums.shape}")
+                wefs = self._sums + wefs
+            self._sums = wefs
         result = run_detector(self.name, wefs, pen_now, self._prev_pen, e)
         self._prev_pen = pen_now
         return result

@@ -20,7 +20,7 @@ from . import detect as det
 from .attacks import AttackParams, make_submission
 from .errors import ConfigurationError, S2wefError, ShapeError
 from .nn import DatasetShard, ModelWeights, TrainConfig, evaluate_accuracy, init_model, local_train
-from .wef import WefMatrix, build_wef
+from .wef import build_wef
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
@@ -306,7 +306,7 @@ class RoundRecord:
     trial_seed: int
     round_index: int
     roles: np.ndarray  # True where the client free-rode
-    wefs: Sequence[WefMatrix]
+    wefs: np.ndarray  # (n, h, w) integer counts, one WEF grid per client
     detection: det.RoundDetection
     free_riders: frozenset[int]
     metrics: Metrics
@@ -364,7 +364,8 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
     global_pen_before = state.global_model.penultimate.copy()
 
     try:
-        submissions, wefs = zip(*[_client_submission(state, t, i) for i in range(n)])
+        submissions, grids = zip(*[_client_submission(state, t, i) for i in range(n)])
+        wefs = np.stack(grids)
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
         new_global = aggregate_fedavg(submissions, kept)

@@ -105,8 +105,8 @@ class TrainConfig:
     local_iterations: int = 5
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        if not self.learning_rate > 0:  # a zero rate trains nothing
+            raise ConfigurationError("learning_rate must be > 0")
         if self.momentum < 0:
             raise ConfigurationError("momentum must be >= 0")
         if self.batch_size < 1:

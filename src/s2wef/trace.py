@@ -23,7 +23,6 @@ import numpy as np
 from . import detect as det
 from .errors import ConfigurationError, TraceError
 from .fedsim import MetricsReport, RoundRecord, SimConfig, config_from_dict, config_to_dict
-from .wef import WefMatrix
 
 TRACE_SCHEMA = 1
 
@@ -94,7 +93,7 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 def encode_record(rec: RoundRecord) -> str:
     """One round record as a compact JSON line (without the newline)."""
     d = rec.detection
-    h, w = rec.wefs[0].shape
+    n, h, w = rec.wefs.shape
     head = {
         "trial": rec.trial_seed,
         "round": rec.round_index,
@@ -130,7 +129,7 @@ def encode_record(rec: RoundRecord) -> str:
         "global_pen": rec.global_pen_before.ravel().tolist(),
         "submission_digests": list(rec.submission_digests),
     }
-    wefs = int_matrix_json(np.stack([m.counts.ravel() for m in rec.wefs]))
+    wefs = int_matrix_json(rec.wefs.reshape(n, -1))
     # "wefs" sits between the two halves, as the key order of the format has it
     return f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(tail)[1:]}'
 
@@ -243,7 +242,7 @@ def _split_record(line: str) -> dict | None:
     try:
         head = json.loads(line[:start] + "}")
         tail = json.loads("{" + line[end + 1:])
-    except json.JSONDecodeError:
+    except ValueError:  # JSONDecodeError, or an integer too long for int()
         return None
     if not (isinstance(head, dict) and isinstance(tail, dict) and head and tail):
         return None
@@ -261,26 +260,31 @@ def read_trace(path: str | Path) -> Trace:
         raise TraceError(f"trace file not found: {path}")
     config = None
     records = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        rec = _split_record(line)
-        if rec is None:
+    with path.open("rb") as fh:  # one line in memory at a time
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError(f"{where}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(rec, dict):
-            raise TraceError(f"{where}: expected a JSON object, got {rec!r:.60}")
-        if "header" in rec and config is None and not records:
-            config = _header_config(rec, where)
-            continue
-        missing = _REQUIRED_KEYS - rec.keys()
-        if missing:
-            raise TraceError(f"{where}: missing keys {sorted(missing)}")
-        _parse_round(rec, where)
-        records.append(rec)
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise TraceError(f"{where}: not UTF-8 ({exc})") from exc
+            if not line.strip():
+                continue
+            rec = _split_record(line)
+            if rec is None:
+                try:
+                    rec = json.loads(line)
+                except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+                    raise TraceError(f"{where}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+            if not isinstance(rec, dict):
+                raise TraceError(f"{where}: expected a JSON object, got {rec!r:.60}")
+            if "header" in rec and config is None and not records:
+                config = _header_config(rec, where)
+                continue
+            missing = _REQUIRED_KEYS - rec.keys()
+            if missing:
+                raise TraceError(f"{where}: missing keys {sorted(missing)}")
+            _parse_round(rec, where)
+            records.append(rec)
     if not records:
         raise TraceError(f"{path}: empty trace")
     if config is not None:
@@ -310,8 +314,7 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
         trial = rec["trial"]
         if trial not in detectors:
             detectors[trial] = det.TrialDetector(name, accumulate)
-        wefs = [WefMatrix(grid, rec["e"]) for grid in rec["wefs"]]
-        _, replayed = detectors[trial].step(wefs, rec["global_pen"], rec["e"])
+        _, replayed = detectors[trial].step(rec["wefs"], rec["global_pen"], rec["e"])
         recorded = frozenset(rec["free_rider_list"])
         results.append(
             {

@@ -19,7 +19,7 @@ from s2wef.detect import (
 from s2wef.fedsim import DatasetParams, SimConfig, run_simulation
 from s2wef.nn import TrainConfig, init_model
 from s2wef.trace import write_trace
-from s2wef.wef import WefMatrix, build_wef
+from s2wef.wef import build_wef
 
 from conftest import ACCEPTANCE_LINES
 
@@ -138,7 +138,7 @@ def test_criterion_2_wef_oracle():
                 for k in range(w):
                     if delta[j, k] > alpha:
                         counts[j, k] += 1
-        np.testing.assert_array_equal(build_wef(snaps).counts, counts, err_msg=f"case {case}")
+        np.testing.assert_array_equal(build_wef(snaps), counts, err_msg=f"case {case}")
     announce(2, "WEF construction oracle", True, "100 random sequences exact")
 
 
@@ -153,7 +153,7 @@ def test_criterion_3_dwa_equality():
         e = int(rng.integers(1, 9))
         sub = dwa(model, prev, e, use_abs=True)
         simulated = simulate_global_wef(model.penultimate, prev.penultimate, e)
-        np.testing.assert_array_equal(sub.wef.counts, simulated.counts, err_msg=f"case {case}")
+        np.testing.assert_array_equal(sub.wef, simulated, err_msg=f"case {case}")
     announce(3, "delta-replay equality", True, "50 random global pairs exact")
 
 
@@ -278,7 +278,7 @@ def test_criterion_12_invariant_suite():
         e = int(rng.integers(1, 6))
         snaps = [rng.normal(size=(3, 4)) for _ in range(e + 1)]
         f = build_wef(snaps)
-        assert 0 <= f.counts.min() and f.counts.max() <= e
+        assert 0 <= f.min() and f.max() <= e
         checks += 1
 
     # detection pipeline invariants on random synthetic rounds
@@ -287,7 +287,7 @@ def test_criterion_12_invariant_suite():
         e = 5
         now = rng.normal(size=(4, 4))
         prev = now + rng.normal(0, 0.1, size=(4, 4))
-        wefs = [WefMatrix(rng.integers(0, e + 1, size=(4, 4)), e) for _ in range(n)]
+        wefs = [rng.integers(0, e + 1, size=(4, 4)) for _ in range(n)]
         result = detect_round(wefs, now, prev, e)
         assert result.decision.free_rider_list <= result.cluster.suspicious
         if result.cluster.k == 1:
@@ -297,7 +297,7 @@ def test_criterion_12_invariant_suite():
         checks += 1
 
     # permutation equivariance of the decision
-    wefs = [WefMatrix(rng.integers(0, 6, size=(4, 4)), 5) for _ in range(7)]
+    wefs = [rng.integers(0, 6, size=(4, 4)) for _ in range(7)]
     now = rng.normal(size=(4, 4))
     prev = now + rng.normal(0, 0.1, size=(4, 4))
     base = detect_round(wefs, now, prev, 5)

@@ -99,6 +99,7 @@ def test_invalid_config_writes_nothing(tmp_path):
         {"seeds": [-1]},
         {"accumulate_wef": "no"},
         {"seeds": [1, 1]},
+        {"train": {"learning_rate": 0}},
     ],
 )
 def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
@@ -192,12 +193,18 @@ def test_detect_trace_truncated_exits_2(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def trace_lines(tmp_path_factory):
-    """The parsed lines of a trace written by `run`: a header, then 4 rounds."""
+def trace_bytes(tmp_path_factory):
+    """A trace as `run` writes it: a header, then 4 rounds."""
     tmp = tmp_path_factory.mktemp("trace")
     out = tmp / "out"
     assert main(["run", "--config", str(write_config(tmp)), "--out", str(out), "--quiet"]) == 0
-    return [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    return (out / "trace.jsonl").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trace_lines(trace_bytes):
+    """The parsed lines of that trace."""
+    return [json.loads(line) for line in trace_bytes.splitlines()]
 
 
 def write_lines(tmp_path, lines) -> str:
@@ -258,6 +265,31 @@ def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, line, key
 def test_detect_trace_incomplete_exits_2(tmp_path, capsys, trace_lines, keep):
     assert main(["detect-trace", "--trace", write_lines(tmp_path, keep(trace_lines)), "--quiet"]) == 2
     assert "trace error" in capsys.readouterr().err
+
+
+# edits of the bytes of line 3 (round 1) that no JSON reader of UTF-8 text takes,
+# and the message that follows "trace error: <path>:3: "
+UNREADABLE = {
+    "latin-1-byte": (
+        lambda line: line.replace(b'"benign"', '"bénign"'.encode("latin-1"), 1),
+        "not UTF-8 ('utf-8' codec can't decode byte 0xe9",
+    ),
+    # Python's int() refuses more than 4300 digits; the key lands in the line's tail
+    "5000-digit-int": (
+        lambda line: line[:-1] + b',"extra":' + b"1" * 5000 + b"}",
+        "invalid JSON (Exceeds the limit (4300 digits)",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_detect_trace_unreadable_line_exits_2(tmp_path, capsys, trace_bytes, edit, message):
+    lines = trace_bytes.splitlines()
+    lines[2] = edit(lines[2])
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b"".join(line + b"\n" for line in lines))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
+    assert f"trace error: {trace}:3: {message}" in capsys.readouterr().err
 
 
 def test_detect_trace_missing_file_exits_2(tmp_path):

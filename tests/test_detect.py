@@ -25,27 +25,26 @@ from s2wef.detect import (
     wef_defense_baseline,
 )
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
-from s2wef.wef import WefMatrix, accumulate
 
 
-def wm(rows, e_max=5):
-    return WefMatrix(np.array(rows), e_max)
+def wm(rows):
+    return np.array(rows)
 
 
 # --- deviation scores ----------------------------------------------------
 
 def test_dev_identical_clients_zero():
-    wefs = [wm([[1, 2], [3, 0]])] * 4
+    wefs = np.array([wm([[1, 2], [3, 0]])] * 4)
     np.testing.assert_array_equal(dev_scores(grid_stack(wefs)), np.zeros(4))
 
 
 def test_dev_two_clients_symmetric():
-    devs = dev_scores(grid_stack([wm([[1, 0], [0, 0]]), wm([[4, 4], [4, 4]])]))
+    devs = dev_scores(grid_stack(np.array([wm([[1, 0], [0, 0]]), wm([[4, 4], [4, 4]])])))
     assert devs[0] == pytest.approx(devs[1])
 
 
 def test_dev_hand_case_three_matrices():
-    wefs = [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])]
+    wefs = np.array([wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])])
     devs = dev_scores(grid_stack(wefs))
     np.testing.assert_allclose(devs, [0.75, 0.75, 1.5], atol=1e-12)
     assert devs[2] > devs[0] and devs[2] > devs[1]
@@ -53,33 +52,55 @@ def test_dev_hand_case_three_matrices():
 
 def test_dev_requires_two_clients():
     with pytest.raises(ConfigurationError):
-        dev_scores(grid_stack([wm([[1, 0], [0, 0]])]))
+        dev_scores(grid_stack(np.array([wm([[1, 0], [0, 0]])])))
 
 
 def test_dev_translation_leaves_distances_unchanged():
     rng = np.random.default_rng(0)
-    base = [WefMatrix(rng.integers(0, 4, size=(3, 3)), 5) for _ in range(5)]
-    shifted = [WefMatrix(m.counts + 2, 7) for m in base]
+    base = np.array([rng.integers(0, 4, size=(3, 3)) for _ in range(5)])
+    shifted = base + 2
     dis_a, _, _ = deviation_statistics(grid_stack(base))
     dis_b, _, _ = deviation_statistics(grid_stack(shifted))
     np.testing.assert_allclose(dis_a, dis_b, atol=1e-12)
 
 
 def test_grid_stack_layout_and_checks():
-    grids = grid_stack([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])])
+    grids = grid_stack(np.array([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])]))
     assert grids.dtype == np.int32 and grids.shape == (2, 2, 2)
     np.testing.assert_array_equal(grids[1], [[0, 0], [5, 4]])
-    with pytest.raises(ShapeError):
-        grid_stack([wm([[1, 0]]), wm([[1], [0]])])
     with pytest.raises(ConfigurationError):
-        grid_stack([])
+        grid_stack(np.zeros((0, 2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "wefs",
+    [
+        np.array([[1, 0], [0, 2]]),  # one grid, not a stack
+        np.zeros((3, 2, 2, 1), dtype=np.int64),
+        np.array([[[1.0, 0.0]]] * 3),  # float counts
+        np.array([[[True, False]]] * 3),
+    ],
+    ids=["2-d", "4-d", "float", "bool"],
+)
+def test_grid_stack_rejects_what_is_not_an_integer_stack(wefs):
+    with pytest.raises(ShapeError, match=r"need integer \(n, h, w\)"):
+        grid_stack(wefs)
+
+
+def test_grid_stack_rejects_negative_counts():
+    wefs = np.array([wm([[1, 0], [0, 2]])] * 3)
+    wefs[1, 1, 0] = -1
+    with pytest.raises(ConfigurationError, match="must be >= 0, got -1"):
+        grid_stack(wefs)
+    with pytest.raises(ConfigurationError, match="must be >= 0"):
+        run_detector("S2WEF", wefs, np.zeros((2, 2)), np.ones((2, 2)), e=5)
 
 
 def test_grid_stack_rejects_counts_beyond_exact_float64():
     big = 2**26  # 2 * h*w * big**2 reaches 2**53 for a 1x1 grid
     with pytest.raises(ConfigurationError, match="too large"):
-        grid_stack([WefMatrix(np.array([[big]]), big)] * 3)
-    grids = grid_stack([WefMatrix(np.array([[big - 1]]), big)] * 3)
+        grid_stack(np.full((3, 1, 1), big))
+    grids = grid_stack(np.full((3, 1, 1), big - 1))
     assert int(grids[0, 0, 0]) == big - 1
 
 
@@ -87,13 +108,13 @@ def test_grid_stack_rejects_counts_beyond_exact_float64():
 
 def test_simulate_identical_globals_zero():
     w = np.random.default_rng(1).normal(size=(3, 3))
-    assert not simulate_global_wef(w, w, 5).counts.any()
+    assert not simulate_global_wef(w, w, 5).any()
 
 
 def test_simulate_hand_case():
     prev = np.zeros((2, 2))
     now = np.array([[0.4, 0.1], [0.1, 0.0]])
-    np.testing.assert_array_equal(simulate_global_wef(now, prev, 5).counts, [[5, 0], [0, 0]])
+    np.testing.assert_array_equal(simulate_global_wef(now, prev, 5), [[5, 0], [0, 0]])
 
 
 def test_simulate_missing_history():
@@ -112,7 +133,7 @@ def test_simulate_equals_dwa_counterfeit():
         simulated = simulate_global_wef(now, prev, e)
         fake = now + (now - prev)
         counterfeit = counterfeit_one_step(fake, now, e, use_abs=True)
-        np.testing.assert_array_equal(simulated.counts, counterfeit.counts)
+        np.testing.assert_array_equal(simulated, counterfeit)
 
 
 # --- gamma ----------------------------------------------------------------
@@ -120,42 +141,42 @@ def test_simulate_equals_dwa_counterfeit():
 def test_gamma_disjoint_support_zero():
     f_i = wm([[2, 0], [0, 0]])
     f_g = wm([[0, 0], [0, 3]])
-    assert gamma_scores(grid_stack([f_i]), f_g)[0] == 0.0
+    assert gamma_scores(grid_stack(f_i[None]), f_g)[0] == 0.0
 
 
 def test_gamma_hand_case():
     f_i = wm([[2, 0], [0, 0]])
     f_g = wm([[2, 0], [0, 2]])
-    gamma = gamma_scores(grid_stack([f_i]), f_g)[0]
+    gamma = gamma_scores(grid_stack(f_i[None]), f_g)[0]
     assert gamma == pytest.approx(0.35355, abs=1e-4)
 
 
 def test_gamma_exact_match_hits_guard():
     f = wm([[2, 1], [0, 3]])
-    assert gamma_scores(grid_stack([f]), f)[0] == pytest.approx(1e12, rel=1e-6)
+    assert gamma_scores(grid_stack(f[None]), f)[0] == pytest.approx(1e12, rel=1e-6)
 
 
 def test_gamma_ordering_exact_match_dominates():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        ref = WefMatrix(rng.integers(0, 5, size=(3, 3)), 5)
-        if not ref.counts.any():
+        ref = rng.integers(0, 5, size=(3, 3))
+        if not ref.any():
             continue
-        other = WefMatrix((ref.counts + rng.integers(1, 3, size=(3, 3))) % 5, 5)
-        gammas = gamma_scores(grid_stack([ref, other]), ref)
+        other = (ref + rng.integers(1, 3, size=(3, 3))) % 5
+        gammas = gamma_scores(grid_stack(np.array([ref, other])), ref)
         assert gammas[0] > gammas[1]
 
 
 def test_gamma_cos_only_mode():
     f_i = wm([[2, 0], [0, 0]])
     f_g = wm([[2, 0], [0, 2]])
-    gamma = gamma_scores(grid_stack([f_i]), f_g, mode=GAMMA_COS_ONLY)[0]
+    gamma = gamma_scores(grid_stack(f_i[None]), f_g, mode=GAMMA_COS_ONLY)[0]
     assert gamma == pytest.approx(1 / np.sqrt(2))
 
 
 def test_gamma_shape_mismatch():
     with pytest.raises(ShapeError):
-        gamma_scores(grid_stack([wm([[1, 0]], 5)]), wm([[1], [0]], 5))
+        gamma_scores(grid_stack(wm([[[1, 0]]])), wm([[1], [0]]))
 
 
 # --- robust standardization -------------------------------------------------
@@ -383,7 +404,7 @@ def test_vote_bypass_labels_on_k2():
 # --- baseline -------------------------------------------------------------------
 
 def test_baseline_flags_argmax():
-    wefs = [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])]
+    wefs = np.array([wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]]), wm([[5, 5], [5, 5]])])
     devs = dev_scores(grid_stack(wefs))
     assert wef_defense_baseline(devs) == frozenset({2})
 
@@ -394,18 +415,18 @@ def test_baseline_hand_epsilon():
 
 
 def test_baseline_degenerate_all_equal_flags_everyone():
-    devs = dev_scores(grid_stack([wm([[1, 1], [1, 1]]) for _ in range(4)]))
+    devs = dev_scores(grid_stack(np.ones((4, 2, 2), dtype=np.int64)))
     assert wef_defense_baseline(devs) == frozenset({0, 1, 2, 3})
 
 
 def test_baseline_accumulation_changes_input():
     early = wm([[5, 5], [5, 5]])
     late = wm([[1, 0], [0, 0]])
-    history = [[early, late], [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]])],
-               [wm([[1, 0], [0, 0]]), wm([[1, 0], [0, 0]])]]
+    # rounds by clients: client 0 submitted early then late, the others late twice
+    history = np.array([[early, late, late], [late, late, late]])
     now = np.zeros((2, 2))
-    latest = [h[-1] for h in history]
-    summed = [accumulate(h) for h in history]
+    latest = history[-1]
+    summed = history.sum(axis=0)
     _, flagged = run_detector("WEF_NA_BASELINE", latest, now, now, e=5)
     assert flagged == frozenset({0, 1, 2})
     detection, flagged = run_detector("WEF_NA_BASELINE", summed, now, now, e=5)
@@ -427,18 +448,18 @@ def synthetic_round(seed=0, n=6, h=4, w=3, e=5, attackers=(0,)):
     ref = simulate_global_wef(now, prev, e)
     for i in range(n):
         if i in attackers:
-            wefs.append(WefMatrix(ref.counts.copy(), e))
+            wefs.append(ref.copy())
         else:
             noisy = np.clip(base + rng.integers(-1, 2, size=(h, w)), 0, e)
-            wefs.append(WefMatrix(noisy, e))
-    return wefs, now, prev
+            wefs.append(noisy)
+    return np.array(wefs), now, prev
 
 
 def test_detect_round_benign_only_near_identical():
     rng = np.random.default_rng(2)
     now = rng.normal(size=(3, 3))
     prev = now + rng.normal(0, 0.1, size=(3, 3))
-    wefs = [wm([[1, 2, 0], [0, 1, 0], [3, 0, 1]])] * 5
+    wefs = np.array([wm([[1, 2, 0], [0, 1, 0], [3, 0, 1]])] * 5)
     result = detect_round(wefs, now, prev, e=5)
     assert result.cluster.k == 1
     assert result.decision.free_rider_list == frozenset()
@@ -468,7 +489,7 @@ def test_detect_round_permutation_equivariance():
     wefs, now, prev = synthetic_round(seed=9, n=7, attackers=(1, 4))
     base = detect_round(wefs, now, prev, e=5)
     perm = [3, 0, 6, 1, 5, 2, 4]
-    permuted = detect_round([wefs[p] for p in perm], now, prev, e=5)
+    permuted = detect_round(wefs[perm], now, prev, e=5)
     np.testing.assert_allclose(permuted.scores.gamma, base.scores.gamma[perm], rtol=1e-12)
     np.testing.assert_allclose(permuted.scores.dev, base.scores.dev[perm], rtol=1e-12)
     mapped = frozenset(perm.index(i) for i in base.decision.free_rider_list)
@@ -535,7 +556,7 @@ def test_identical_submissions_flag_nobody(data, n, h, w, e, zero):
     cells = [0] * (h * w) if zero else data.draw(st.lists(st.integers(0, e), min_size=h * w, max_size=h * w))
     grid = np.array(cells, dtype=np.int64).reshape(h, w)
     now, prev = data.draw(broadcasts(h, w))
-    wefs = [WefMatrix(grid.copy(), e) for _ in range(n)]
+    wefs = np.array([grid] * n)
     for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
         assert detection.cluster.k == 1
         assert not flagged and not detection.decision.detected
@@ -546,7 +567,7 @@ def test_identical_submissions_flag_nobody(data, n, h, w, e, zero):
 def test_three_clients_finite_and_repeatable(data, h, w, e):
     grids = data.draw(st.lists(st.lists(st.integers(0, e), min_size=h * w, max_size=h * w),
                                min_size=3, max_size=3))
-    wefs = [WefMatrix(np.array(g, dtype=np.int64).reshape(h, w), e) for g in grids]
+    wefs = np.array(grids, dtype=np.int64).reshape(3, h, w)
     now, prev = data.draw(broadcasts(h, w))
     for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
         assert flagged <= detection.cluster.suspicious

@@ -26,13 +26,12 @@ from s2wef.detect import (
     ward_hac,
     ward_merge_sequence,
 )
-from s2wef.wef import WefMatrix
 
 # --- the scalar oracle -------------------------------------------------------
 
 
 def _as_float_mats(wefs):
-    return [m.counts.astype(np.float64).ravel() for m in wefs]
+    return [m.astype(np.float64).ravel() for m in wefs]
 
 
 def _cosine(a, b):
@@ -75,7 +74,7 @@ def oracle_dev_scores(wefs):
 
 def oracle_gamma_scores(wefs, simulated, mode):
     mats = _as_float_mats(wefs)
-    ref = simulated.counts.astype(np.float64).ravel()
+    ref = simulated.astype(np.float64).ravel()
     out = np.zeros(len(mats))
     for i, m in enumerate(mats):
         c = _cosine(m, ref)
@@ -160,22 +159,22 @@ def grid_rounds(draw, max_clients=60):
     for _ in range(k):
         top = draw(st.sampled_from([0, 1, e]))
         flat = draw(st.lists(st.integers(0, top), min_size=h * w, max_size=h * w))
-        protos.append(WefMatrix(np.array(flat).reshape(h, w), e))
+        protos.append(np.array(flat).reshape(h, w))
     picks = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     simulated = draw(st.sampled_from(protos) | st.builds(
-        lambda mask: WefMatrix(np.where(np.array(mask).reshape(h, w), e, 0), e),
+        lambda mask: np.where(np.array(mask).reshape(h, w), e, 0),
         st.lists(st.booleans(), min_size=h * w, max_size=h * w),
     ))
-    return [protos[p] for p in picks], simulated
+    return np.array([protos[p] for p in picks]), simulated
 
 
 def _zeros_round(n):
-    return [WefMatrix.zeros(2, 3, 5)] * n, WefMatrix.zeros(2, 3, 5)
+    return np.zeros((n, 2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)
 
 
 def _equal_round(n):
-    grid = WefMatrix(np.array([[1, 0, 5], [2, 2, 0]]), 5)
-    return [grid] * n, grid
+    grid = np.array([[1, 0, 5], [2, 2, 0]])
+    return np.array([grid] * n), grid
 
 
 _COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-12, 1e12, -0.6744897501960817])

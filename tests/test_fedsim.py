@@ -19,7 +19,6 @@ from s2wef.fedsim import (
     schedule_scenario2,
 )
 from s2wef.nn import TrainConfig, init_model
-from s2wef.wef import accumulate
 
 
 def small_cfg(**overrides):
@@ -262,14 +261,15 @@ def test_exclusion_correctness(monkeypatch):
 @pytest.mark.parametrize("detector", ["S2WEF", "WEF_NA_BASELINE"])
 def test_accumulate_wef_scores_running_sums(detector):
     cfg = small_cfg(detector=detector, accumulate_wef=True, rounds=5)
-    sums = None
+    records = run_trial(cfg, 1)
+    # running sums over the rounds: sums[t] is each client's total WEF up to round t
+    sums = np.cumsum([rec.wefs for rec in records], axis=0)
     accumulated_differs = False
-    for rec in run_trial(cfg, 1):
-        sums = rec.wefs if sums is None else [accumulate([s, w]) for s, w in zip(sums, rec.wefs)]
+    for rec in records:
         if rec.round_index == 0:
             assert not rec.detection.scores.dev.any()  # no detection before a second broadcast
             continue
-        dev = dev_scores(grid_stack(sums))
+        dev = dev_scores(grid_stack(sums[rec.round_index]))
         np.testing.assert_array_equal(rec.detection.scores.dev, dev)
         accumulated_differs |= not np.array_equal(dev, dev_scores(grid_stack(rec.wefs)))
         if detector == "WEF_NA_BASELINE":

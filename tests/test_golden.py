@@ -13,7 +13,6 @@ import pytest
 
 from s2wef.detect import detect_round
 from s2wef.trace import read_trace, replay_trace
-from s2wef.wef import WefMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,7 +25,7 @@ def golden_round():
 def test_golden_round_decision(golden_round):
     g = golden_round
     h, w = g["wef_shape"]
-    wefs = [WefMatrix(np.asarray(grid).reshape(h, w), g["e"]) for grid in g["wefs"]]
+    wefs = [np.asarray(grid).reshape(h, w) for grid in g["wefs"]]
     now = np.asarray(g["global_pen_now"]).reshape(h, w)
     prev = np.asarray(g["global_pen_prev"]).reshape(h, w)
     result = detect_round(wefs, now, prev, g["e"])

@@ -58,11 +58,10 @@ def test_flat_round_trip():
     assert not m.to_flat().flags.writeable
 
 
-def test_local_train_zero_lr_freezes_snapshots():
-    m = init_model([4, 8, 2], seed=2)
-    _, snaps = local_train(m, tiny_shard(), TrainConfig(learning_rate=0.0, local_iterations=4), seed=3)
-    for s in snaps[1:]:
-        np.testing.assert_array_equal(s, snaps[0])
+@pytest.mark.parametrize("rate", [0.0, -0.1])
+def test_train_config_rejects_a_rate_that_trains_nothing(rate):
+    with pytest.raises(ConfigurationError, match="learning_rate must be > 0"):
+        TrainConfig(learning_rate=rate)
 
 
 def test_local_train_snapshot_count_and_start():

@@ -36,14 +36,14 @@ def small_cfg(**overrides):
 def oracle_record_to_dict(rec):
     """The per-element record encoder the array encoder replaced."""
     d = rec.detection
-    h, w = rec.wefs[0].shape
+    _, h, w = rec.wefs.shape
     return {
         "trial": rec.trial_seed,
         "round": rec.round_index,
         "e": rec.e,
         "roles": ["free_rider" if r else "benign" for r in rec.roles],
         "wef_shape": [h, w],
-        "wefs": [[int(v) for v in m.counts.ravel()] for m in rec.wefs],
+        "wefs": [[int(v) for v in m.ravel()] for m in rec.wefs],
         "scores": {
             "gamma": [float(v) for v in d.scores.gamma],
             "dev": [float(v) for v in d.scores.dev],
@@ -100,7 +100,7 @@ def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     path = tmp_path / "trace.jsonl"
     write_trace(report, path)
     assert path.read_bytes() == oracle_trace_bytes(report)
-    counts = max(int(m.counts.max()) for recs in report.trials.values() for r in recs for m in r.wefs)
+    counts = max(int(r.wefs.max()) for recs in report.trials.values() for r in recs)
     assert counts >= (10 if overrides else 1)
     assert any(r.free_riders for recs in report.trials.values() for r in recs)
 
