@@ -106,11 +106,14 @@ def grid_stack(wefs: np.ndarray) -> np.ndarray:
     int32 holds every count the exactness bound admits, in half the memory
     of float64.
     """
-    grids = np.asarray(wefs)
+    try:
+        grids = np.asarray(wefs)
+    except ValueError as exc:  # a list of grids of different shapes
+        raise ShapeError(f"WEF grids: {exc}") from exc
+    if grids.shape[:1] == (0,):
+        raise ConfigurationError("need at least one WEF grid")
     if grids.ndim != 3 or grids.dtype.kind not in "iu":
         raise ShapeError(f"WEF grids: need integer (n, h, w), got {grids.dtype} {grids.shape}")
-    if not len(grids):
-        raise ConfigurationError("need at least one WEF grid")
     low, peak = int(grids.min(initial=0)), int(grids.max(initial=0))
     if low < 0:
         raise ConfigurationError(f"WEF counts must be >= 0, got {low}")

@@ -292,6 +292,16 @@ def test_detect_trace_unreadable_line_exits_2(tmp_path, capsys, trace_bytes, edi
     assert f"trace error: {trace}:3: {message}" in capsys.readouterr().err
 
 
+def test_detect_trace_lines_end_with_a_newline(tmp_path, capsys, trace_bytes):
+    """A line ends with \\n or \\r\\n; a lone \\r does not end one."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(trace_bytes.replace(b"\n", b"\r\n"))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 0
+    trace.write_bytes(trace_bytes.replace(b"\n", b"\r"))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
+    assert f"trace error: {trace}:1: invalid JSON (Extra data" in capsys.readouterr().err
+
+
 def test_detect_trace_missing_file_exits_2(tmp_path):
     assert main(["detect-trace", "--trace", str(tmp_path / "none.jsonl")]) == 2
 

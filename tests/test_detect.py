@@ -7,6 +7,7 @@ from s2wef.detect import (
     BASELINE,
     DETECTORS,
     GAMMA_COS_ONLY,
+    TrialDetector,
     decide_k,
     detect_round,
     dev_scores,
@@ -68,6 +69,10 @@ def test_grid_stack_layout_and_checks():
     grids = grid_stack(np.array([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])]))
     assert grids.dtype == np.int32 and grids.shape == (2, 2, 2)
     np.testing.assert_array_equal(grids[1], [[0, 0], [5, 4]])
+    with pytest.raises(ShapeError):
+        grid_stack([wm([[1, 0]]), wm([[1], [0]])])
+    with pytest.raises(ConfigurationError):
+        grid_stack([])
     with pytest.raises(ConfigurationError):
         grid_stack(np.zeros((0, 2, 2), dtype=np.int64))
 
@@ -433,6 +438,14 @@ def test_baseline_accumulation_changes_input():
     assert flagged == frozenset({0})
     np.testing.assert_array_equal(detection.scores.dev, dev_scores(grid_stack(summed)))
     assert not detection.decision.free_rider_list  # the baseline flags outside the vote
+
+
+def test_trial_detector_rejects_a_stack_unlike_its_running_sums():
+    now = np.zeros((2, 2))
+    detector = TrialDetector("S2WEF", accumulate=True)
+    detector.step(np.ones((3, 2, 2), dtype=np.int64), now, e=5)
+    with pytest.raises(ShapeError, match=r"\(3, 2, 1\) vs running sums \(3, 2, 2\)"):
+        detector.step(np.ones((3, 2, 1), dtype=np.int64), now, e=5)
 
 
 # --- full round pipeline ----------------------------------------------------------
