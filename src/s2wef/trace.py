@@ -252,14 +252,16 @@ def _split_record(line: str) -> dict | None:
 def read_trace(path: str | Path) -> Trace:
     """Parse and validate a trace; wefs and global_pen come back as arrays.
 
-    With a header, the round records must be exactly the config's (seed,
-    round) pairs in order, so a truncated or spliced trace is rejected.
+    Every round of a trial must have the (n, h, w) WEF stack of its first
+    round.  With a header, the round records must be exactly the config's
+    (seed, round) pairs in order, so a truncated or spliced trace is rejected.
     """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
     config = None
     records = []
+    stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
     with path.open("rb") as fh:  # one line in memory at a time
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
@@ -284,6 +286,12 @@ def read_trace(path: str | Path) -> Trace:
             if missing:
                 raise TraceError(f"{where}: missing keys {sorted(missing)}")
             _parse_round(rec, where)
+            stack = stacks.setdefault(rec["trial"], rec["wefs"].shape)
+            if rec["wefs"].shape != stack:
+                raise TraceError(
+                    f"{where}: WEF stack {rec['wefs'].shape} is not {stack}, "
+                    f"the stack of trial {rec['trial']}'s first round"
+                )
             records.append(rec)
     if not records:
         raise TraceError(f"{path}: empty trace")

@@ -267,6 +267,29 @@ def test_detect_trace_incomplete_exits_2(tmp_path, capsys, trace_lines, keep):
     assert "trace error" in capsys.readouterr().err
 
 
+def _drop_a_client_under_accumulation(lines):
+    lines[0]["header"]["config"]["accumulate_wef"] = True
+    lines[3]["wefs"].pop()
+
+
+# edits of round 2 (line 4) that keep each field consistent with the others
+# but change the trial's WEF stack, (5 clients, 32, 4) in its first round
+RESHAPED = {
+    "transposed": (lambda lines: lines[3].update(wef_shape=[4, 32]), "(5, 4, 32)"),
+    "client-dropped-accumulating": (_drop_a_client_under_accumulation, "(4, 32, 4)"),
+}
+
+
+@pytest.mark.parametrize("edit, stack", RESHAPED.values(), ids=RESHAPED.keys())
+def test_detect_trace_stack_unlike_the_trials_first_exits_2(tmp_path, capsys, trace_lines, edit, stack):
+    lines = json.loads(json.dumps(trace_lines))
+    edit(lines)
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    message = f"trace error: {trace}:4: WEF stack {stack} is not (5, 32, 4), the stack of trial 1's first round"
+    assert message in capsys.readouterr().err
+
+
 # edits of the bytes of line 3 (round 1) that no JSON reader of UTF-8 text takes,
 # and the message that follows "trace error: <path>:3: "
 UNREADABLE = {

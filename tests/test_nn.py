@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from s2wef.errors import ConfigurationError, ShapeError
 from s2wef.nn import (
     DatasetShard,
     ModelWeights,
     TrainConfig,
+    _forward,
     cross_entropy_loss,
     evaluate_accuracy,
     init_model,
@@ -92,17 +95,27 @@ def test_local_train_loss_decreases():
     assert after < before
 
 
-def test_local_train_dimension_mismatch():
-    m = init_model([4, 8, 2], seed=2)
-    with pytest.raises(ShapeError):
-        local_train(m, tiny_shard(dim=5), TrainConfig(learning_rate=0.1), seed=0)
+# a shard that does not fit the model [4, 8, 2], the error and its message
+UNFIT_SHARDS = {
+    "empty": (DatasetShard(np.zeros((0, 4)), np.zeros(0, dtype=int), 2), ConfigurationError, "shard is empty"),
+    "dimension": (tiny_shard(dim=5), ShapeError, "shard dimension 5 != model input 4"),
+    "classes": (tiny_shard(classes=3), ShapeError, "shard has 3 classes but the model only 2 outputs"),
+}
 
 
-def test_local_train_empty_shard():
-    m = init_model([4, 8, 2], seed=2)
-    empty = DatasetShard(np.zeros((0, 4)), np.zeros(0, dtype=int), 2)
-    with pytest.raises(ConfigurationError):
-        local_train(m, empty, TrainConfig(learning_rate=0.1), seed=0)
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda m, shard: local_train(m, shard, TrainConfig(learning_rate=0.1), seed=0),
+        evaluate_accuracy,
+    ],
+    ids=["local_train", "evaluate_accuracy"],
+)
+@pytest.mark.parametrize("shard, error, message", UNFIT_SHARDS.values(), ids=UNFIT_SHARDS.keys())
+def test_training_and_evaluation_reject_the_same_unfit_shards(use, shard, error, message):
+    # evaluation would otherwise score the labels the model cannot output as wrong
+    with pytest.raises(error, match=message):
+        use(init_model([4, 8, 2], seed=2), shard)
 
 
 def test_gradient_matches_finite_differences_logistic():
@@ -174,12 +187,6 @@ def test_evaluate_accuracy_tie_goes_to_lowest_class():
     assert evaluate_accuracy(m, shard1) == 0.0
 
 
-def test_evaluate_accuracy_empty_shard():
-    m = init_model([2, 3, 2], seed=0)
-    with pytest.raises(ConfigurationError):
-        evaluate_accuracy(m, DatasetShard(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
-
-
 def test_snapshots_finite_and_shaped():
     m = init_model([4, 8, 2], seed=2)
     _, snaps = local_train(m, tiny_shard(), TrainConfig(learning_rate=0.2, local_iterations=6), seed=5)
@@ -187,3 +194,46 @@ def test_snapshots_finite_and_shaped():
     for s in snaps:
         assert s.shape == (8, 2)
         assert np.isfinite(s).all()
+
+
+def chained_forward(model, x):
+    """The forward pass as one expression per layer: the reference for _forward."""
+    acts = [x]
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = acts[-1] @ w + b
+        acts.append(z if l == len(model.weights) - 1 else np.maximum(z, 0.0))
+    return acts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+    dim=st.integers(1, 12),
+    classes=st.integers(1, 6),
+    batch=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the shipped configs evaluate 2,000 rows of 16 features through 256 hidden units
+@example(hidden=[256], dim=16, classes=10, batch=2000, seed=3)
+def test_forward_is_bit_equal_to_the_chained_reference(hidden, dim, classes, batch, seed):
+    rng = np.random.default_rng(seed)
+    m = init_model([dim, *hidden, classes], seed=seed)
+    for b in m.biases:  # init_model's biases are zero
+        b[:] = rng.normal(size=b.shape)
+    x = rng.normal(size=(batch, dim))
+    got, want = _forward(m, x), chained_forward(m, x)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_training_and_evaluation_leave_their_inputs_unchanged():
+    m = init_model([4, 8, 3], seed=6)
+    m.biases[0][:] = np.linspace(-1.0, 1.0, 8)
+    shard = tiny_shard(n=40, classes=3, seed=2)
+    model_bytes, feature_bytes = m.to_flat().tobytes(), shard.features.tobytes()
+    local_train(m, shard, TrainConfig(learning_rate=0.3, batch_size=8, local_iterations=4), seed=1)
+    evaluate_accuracy(m, shard)
+    cross_entropy_loss(m, shard.features, shard.labels)
+    assert m.to_flat().tobytes() == model_bytes
+    assert shard.features.tobytes() == feature_bytes
