@@ -31,6 +31,7 @@ from .fedsim import (  # the config codec lives next to SimConfig; re-exported h
     run_simulation,
 )
 from .trace import (
+    atomic_write,
     read_metrics_csv,
     read_trace,
     replay_trace,
@@ -110,11 +111,11 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trace(report, out / "trace.jsonl")
     write_metrics_csv(report, out / "metrics.csv")
-    (out / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_write(out / "config.json") as fh:
+        fh.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     lines = summary_lines(report)
-    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "summary.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     if not args.quiet:
         print("\n".join(lines))
     return 0
@@ -165,8 +166,10 @@ def cmd_ablate(args) -> int:
         "detectors": [first, second],
         "results": rows,
     }
-    (out / "ablation.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    (out / "ablation.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "ablation.json") as fh:
+        fh.write(json.dumps(meta, indent=2) + "\n")
+    with atomic_write(out / "ablation.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     if not args.quiet:
         print("\n".join(lines))
     return 0

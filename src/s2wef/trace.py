@@ -12,11 +12,15 @@ records produce the same bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -60,8 +64,35 @@ def decode_int_matrix(block: str) -> np.ndarray | None:
     (spacing, leading zeros, signs, fractions, booleans, ragged rows...)."""
     if not (block.isascii() and block.startswith("[[") and block.endswith("]]")):
         return None
-    rows = block.count("],[") + 1
     text = np.frombuffer(block.encode("ascii"), np.uint8)
+    grid = _decode_single_digits(text, stride=block.find("]") + 1)
+    return grid if grid is not None else _decode_digit_runs(block, text)
+
+
+def _decode_single_digits(text: np.ndarray, stride: int) -> np.ndarray | None:
+    """The matrix of single-digit counts whose encoding is text, read by its
+    fixed layout, or None when text has another layout.
+
+    With m single digits per row, the block is "[[", then rows of 2m - 1
+    bytes ("d,d,...,d") joined by "],[", then "]]".  After its first byte
+    it is a piece of stride = 2m + 2 bytes per row: "[", the row, "]",
+    then "," or, ending the block, "]".  The first "]" is at byte 2m + 1.
+    """
+    rows, extra = divmod(len(text) - 1, stride)
+    if stride % 2 or extra:
+        return None
+    grid = text[1:].reshape(rows, stride)
+    frame = np.full(stride // 2, ord(","), dtype=np.uint8)  # the even bytes of a piece
+    frame[[0, -1]] = ord("["), ord("]")
+    counts = grid[:, 1:-1:2] - np.uint8(ord("0"))  # uint8: bytes below "0" wrap to large values
+    if counts.max() > 9 or not (grid[:, :-1:2] == frame).all() or np.any(grid[:-1, -1] != ord(",")):
+        return None
+    return counts.astype(np.int64)
+
+
+def _decode_digit_runs(block: str, text: np.ndarray) -> np.ndarray | None:
+    """decode_int_matrix for counts of any width, one digit place at a time."""
+    rows = block.count("],[") + 1
     digit = text - ord("0") < 10  # uint8: bytes below "0" wrap to large values
     sep = ~digit
     # "[[", each "],[" and "]]" hold 2 * (rows + 1) brackets and 2 * rows
@@ -134,20 +165,28 @@ def encode_record(rec: RoundRecord) -> str:
     return f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(tail)[1:]}'
 
 
-def write_trace(report: MetricsReport, path: str | Path) -> None:
-    """Write path.tmp, then rename it to path: a failed write leaves no partial trace."""
+@contextmanager
+def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A UTF-8 text file for writing path: it is path.tmp until the block
+    ends, then renamed to path, so a failed write leaves no partial file."""
     tmp = Path(f"{path}.tmp")
-    header = {"header": {"schema": TRACE_SCHEMA, "config": config_to_dict(report.cfg)}}
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(_dumps(header) + "\n")
-            for seed in report.cfg.seeds:
-                for rec in report.trials[seed]:
-                    fh.write(encode_record(rec) + "\n")
+        with tmp.open("w", encoding="utf-8", newline=newline) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_trace(report: MetricsReport, path: str | Path) -> None:
+    """The header line, then one line per round record, trial by trial."""
+    header = {"header": {"schema": TRACE_SCHEMA, "config": config_to_dict(report.cfg)}}
+    with atomic_write(path) as fh:
+        fh.write(_dumps(header) + "\n")
+        for seed in report.cfg.seeds:
+            for rec in report.trials[seed]:
+                fh.write(encode_record(rec) + "\n")
 
 
 class Trace(list):
@@ -201,8 +240,9 @@ def _parse_round(rec: dict, where: str) -> None:
     if low < 0 or high > rec["e"]:
         raise TraceError(f"{where}: WEF entries must lie in [0, {rec['e']}], got [{low}, {high}]")
     pen = _array(rec["global_pen"], "if", 1)
-    if pen is None or pen.size != h * w:
-        bad("global_pen", f"a list of {h * w} numbers")
+    # json.loads reads NaN, Infinity, -Infinity and 1e999, which the writer never writes
+    if pen is None or pen.size != h * w or not np.isfinite(pen).all():
+        bad("global_pen", f"a list of {h * w} finite numbers")
     rec["wefs"] = wefs.reshape(-1, h, w)
     rec["global_pen"] = pen.astype(np.float64).reshape(h, w)
 
@@ -338,6 +378,7 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
 
 _METRICS = ("precision", "recall", "f1", "fpr")
 _CSV_FIELDS = ["trial", "round", "true_free_riders", "flagged", *_METRICS, "accuracy"]
+_NUMBERS = {"trial", *_METRICS, "accuracy"}  # a number in every row, the mean rows included
 
 
 def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
@@ -346,8 +387,7 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
     Summary means cover detection-active rounds (round >= 1); accuracy in
     the summary row is the trial's final accuracy.
     """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         writer.writeheader()
         for seed in report.cfg.seeds:
@@ -371,11 +411,33 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
 
 
 def read_metrics_csv(path: str | Path) -> list[dict]:
+    """The rows of a metrics CSV; each has every field, and a number for
+    the trial and each metric.  A row that does not names its line."""
     path = Path(path)
     if not path.exists():
         raise TraceError(f"metrics file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows or any(set(_CSV_FIELDS) - set(r.keys()) for r in rows):
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(f"{path}: not UTF-8 ({exc})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if set(_CSV_FIELDS) - set(reader.fieldnames or ()):
+        raise TraceError(f"{path}: not a metrics CSV")
+    rows = []
+    for row in reader:
+        where = f"{path}:{reader.line_num}"
+        if None in row:  # DictReader's key for the values past the header's
+            raise TraceError(f"{where}: more fields than the header's {len(reader.fieldnames)}")
+        for key in _CSV_FIELDS:
+            value = row[key]
+            if value is None:
+                raise TraceError(f"{where}: {key} is missing")
+            if key in _NUMBERS:
+                try:
+                    float(value)
+                except ValueError:
+                    raise TraceError(f"{where}: {key} must be a number, got {value!r}") from None
+        rows.append(row)
+    if not rows:
         raise TraceError(f"{path}: not a metrics CSV")
     return rows

@@ -315,6 +315,19 @@ def test_detect_trace_unreadable_line_exits_2(tmp_path, capsys, trace_bytes, edi
     assert f"trace error: {trace}:3: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_detect_trace_non_finite_global_pen_exits_2(tmp_path, capsys, trace_bytes, value):
+    """json.loads reads these as nan or ±inf; the writer never writes them."""
+    lines = trace_bytes.splitlines()
+    head, pen = lines[2].split(b'"global_pen":[')
+    lines[2] = head + b'"global_pen":[' + value.encode() + pen[pen.index(b","):]
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b"".join(line + b"\n" for line in lines))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
+    message = f"trace error: {trace}:3: global_pen must be a list of 128 finite numbers"
+    assert message in capsys.readouterr().err
+
+
 def test_detect_trace_lines_end_with_a_newline(tmp_path, capsys, trace_bytes):
     """A line ends with \\n or \\r\\n; a lone \\r does not end one."""
     trace = tmp_path / "trace.jsonl"
@@ -362,6 +375,28 @@ def test_report_prints_summary(tmp_path, capsys):
 
 def test_report_missing_metrics_exits_2(tmp_path):
     assert main(["report", "--out", str(tmp_path)]) == 2
+
+
+# edits of the bytes of a metrics file with 4 round rows and a mean row (lines
+# 2-6), and the message that follows "report error: <path>:"
+BAD_METRICS = {
+    "cut-in-the-last-row": (lambda text: text[:text.rindex(b",")], "6: accuracy is missing"),
+    "cut-after-a-comma": (lambda text: text[:text.rindex(b",") + 1], "6: accuracy must be a number, got ''"),
+    "fpr-not-a-number": (lambda text: text.replace(b"0.000000", b"n/a", 1), "2: fpr must be a number, got 'n/a'"),
+    "extra-field": (lambda text: text.replace(b"0.163333\r\n", b"0.163333,1\r\n"), "2: more fields than the header's 9"),
+    "latin-1-byte": (lambda text: text.replace(b"mean", "m\xe9an".encode("latin-1")),
+                     " not UTF-8 ('utf-8' codec can't decode byte 0xe9"),
+}
+
+
+@pytest.mark.parametrize("edit, message", BAD_METRICS.values(), ids=BAD_METRICS.keys())
+def test_report_on_a_malformed_metrics_file_exits_2(tmp_path, capsys, edit, message):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out), "--quiet"]) == 0
+    metrics = out / "metrics.csv"
+    metrics.write_bytes(edit(metrics.read_bytes()))
+    assert main(["report", "--out", str(out)]) == 2
+    assert f"report error: {metrics}:{message}" in capsys.readouterr().err
 
 
 def test_seed_override(tmp_path):

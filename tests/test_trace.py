@@ -150,6 +150,61 @@ def test_decode_int_matrix_declines_other_text(block):
     assert decode_int_matrix(block) is None
 
 
+@st.composite
+def single_digit_grids(draw):
+    rows = draw(st.integers(1, 40))
+    cols = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0, draw(st.integers(1, 10)), size=(rows, cols))
+
+
+def _no_digit_runs(block, text):
+    raise AssertionError("a single-digit block reached the digit-run decoder")
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_digit_grids())
+@example(np.array([[7]]))
+@example(np.arange(10).reshape(1, 10))  # one row
+@example(np.array([[1], [2], [3]]))  # one column
+def test_single_digit_blocks_are_read_by_their_layout(grid):
+    with mock.patch.object(trace, "_decode_digit_runs", _no_digit_runs):
+        decoded = decode_int_matrix(int_matrix_json(grid))
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, grid)
+
+
+# canonical blocks whose rows all have one byte length, odd ("12") or even
+# ("123", which a first "]" at byte 5 makes look like one row of 2 digits)
+@pytest.mark.parametrize(
+    "grid",
+    [[[12], [34]], [[10, 2], [3, 45]], [[123], [456]], [[100], [200], [300]], [[12, 34, 5], [67, 89, 1]],
+     [[1, 2, 3, 10]]],
+)
+def test_multi_digit_blocks_reach_the_digit_run_decoder(grid):
+    with mock.patch.object(trace, "_decode_digit_runs", wraps=trace._decode_digit_runs) as runs:
+        decoded = decode_int_matrix(json.dumps(grid, separators=(",", ":")))
+    assert runs.call_count == 1
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, grid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=single_digit_grids(), data=st.data())
+def test_layout_read_agrees_with_the_digit_run_decoder_on_edited_blocks(grid, data):
+    """One byte of a single-digit block changed, added or dropped: the same array, or None."""
+    block = int_matrix_json(grid[:3, :6])
+    at = data.draw(st.integers(0, len(block) - 1))
+    byte = data.draw(st.sampled_from("0123456789,[]-. "))
+    edit = data.draw(st.sampled_from(["replace", "insert", "drop"]))
+    edited = block[:at] + {"replace": byte, "insert": byte + block[at], "drop": ""}[edit] + block[at + 1:]
+    decoded = decode_int_matrix(edited)
+    with mock.patch.object(trace, "_decode_single_digits", lambda text, stride: None):
+        expected = decode_int_matrix(edited)
+    if expected is None:
+        assert decoded is None
+    else:
+        assert decoded.dtype == np.int64 and np.array_equal(decoded, expected)
+
+
 @pytest.mark.parametrize(
     "grid",
     [np.array([[1, -1]]), np.zeros((2, 0), dtype=np.int64), np.zeros(3, dtype=np.int64),
@@ -190,6 +245,22 @@ def test_failed_write_leaves_no_trace_and_no_temp_file(tmp_path, monkeypatch, fa
         finally:
             resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
             signal.signal(signal.SIGXFSZ, previous)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_metrics_write_leaves_no_file_and_no_temp_file(tmp_path, monkeypatch):
+    report = run_simulation(small_cfg(rounds=3))
+    real = type(report).final_accuracy
+
+    def fails_on_the_second_trial(self, seed):
+        if seed == report.cfg.seeds[1]:
+            raise RuntimeError("metrics failed")
+        return real(self, seed)
+
+    # the first trial's rows and its mean row are written before the failure
+    monkeypatch.setattr(type(report), "final_accuracy", fails_on_the_second_trial)
+    with pytest.raises(RuntimeError):
+        trace.write_metrics_csv(report, tmp_path / "metrics.csv")
     assert list(tmp_path.iterdir()) == []
 
 
