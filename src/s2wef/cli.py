@@ -41,10 +41,12 @@ from .trace import (
 
 def load_config(path: str | Path) -> SimConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return config_from_dict(raw)

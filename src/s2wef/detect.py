@@ -240,9 +240,10 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
-    # Python's float ** (libm pow), the rounding the recurrence is defined
-    # with; x*x and np.power differ from it in the last bit now and then
-    return np.array([v**2 for v in values.tolist()])
+    # libm pow per element, the rounding of Python's float ** 2 that the
+    # recurrence is defined with; x*x and np.power differ from it in the
+    # last bit now and then
+    return np.float_power(values, 2.0)
 
 
 def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[int]]]:
@@ -252,7 +253,8 @@ def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[in
     Each step merges the pair of clusters with minimal Ward distance; ties
     merge the lexicographically smallest pair, where a cluster is named by
     its smallest member.  Returns, per merge, the height and the member set
-    of the newly formed cluster.
+    of the newly formed cluster.  Distances whose squares or Ward updates
+    leave the float64 range raise ConfigurationError.
     """
     dist = np.array(distances, dtype=np.float64)
     n = len(dist)
@@ -264,32 +266,31 @@ def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[in
 
     # dist[a, b] is the Ward distance of the clusters named a and b, +inf on
     # the diagonal and for merged-away names; it is symmetric, so the first
-    # row-major argmin is the lexicographically smallest minimal pair
+    # row-major argmin is the lexicographically smallest minimal pair.  sq
+    # holds the squares, inf where dist is; the recurrence keeps inf entries
+    # inf, so each merge updates whole rows.
     np.fill_diagonal(dist, np.inf)
-    sq = np.full((n, n), np.inf)
-    for i in range(n - 1):
-        sq[i, i + 1:] = sq[i + 1:, i] = _squares(dist[i, i + 1:])
     size = np.ones(n)
-    active = np.ones(n, dtype=bool)
     members: dict[int, list[int]] = {i: [i] for i in range(n)}
-
     merges: list[tuple[float, frozenset[int]]] = []
-    for _ in range(n - 1):
-        a, b = divmod(int(np.argmin(dist)), n)
-        d_ab, sq_ab = float(dist[a, b]), sq[a, b]
-        na, nb = size[a], size[b]
-        active[b] = False
-        ks = np.flatnonzero(active)
-        ks = ks[ks != a]
-        nk = size[ks]
-        merged_sq = ((na + nk) * sq[a, ks] + (nb + nk) * sq[b, ks] - nk * sq_ab) / (na + nb + nk)
-        d_new = np.sqrt(np.maximum(merged_sq, 0.0))
-        dist[a, ks] = dist[ks, a] = d_new
-        sq[a, ks] = sq[ks, a] = _squares(d_new)
-        dist[b, :] = dist[:, b] = np.inf
-        size[a] = na + nb
-        members[a] += members.pop(b)
-        merges.append((d_ab, frozenset(members[a])))
+    try:
+        # an overflow would turn a live pair into inf or NaN, which argmin
+        # reads as merged away or as the minimum
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            sq = _squares(dist)
+            for _ in range(n - 1):
+                a, b = divmod(int(np.argmin(dist)), n)
+                d_ab, sq_ab = float(dist[a, b]), sq[a, b]
+                na, nb = size[a], size[b]
+                merged_sq = ((na + size) * sq[a] + (nb + size) * sq[b] - size * sq_ab) / (na + nb + size)
+                dist[a] = dist[:, a] = np.sqrt(np.maximum(merged_sq, 0.0))
+                sq[a] = sq[:, a] = _squares(dist[a])
+                dist[b] = dist[:, b] = sq[b] = sq[:, b] = np.inf
+                size[a] = na + nb
+                members[a] += members.pop(b)
+                merges.append((d_ab, frozenset(members[a])))
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
     return merges
 
 

@@ -297,12 +297,14 @@ def read_trace(path: str | Path) -> Trace:
     (seed, round) pairs in order, so a truncated or spliced trace is rejected.
     """
     path = Path(path)
-    if not path.exists():
-        raise TraceError(f"trace file not found: {path}")
+    try:
+        fh = path.open("rb")
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise TraceError(f"{path}: {exc.strerror or exc}") from exc
     config = None
     records = []
     stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
-    with path.open("rb") as fh:  # one line in memory at a time
+    with fh:  # one line in memory at a time
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
             try:
@@ -414,10 +416,10 @@ def read_metrics_csv(path: str | Path) -> list[dict]:
     """The rows of a metrics CSV; each has every field, and a number for
     the trial and each metric.  A row that does not names its line."""
     path = Path(path)
-    if not path.exists():
-        raise TraceError(f"metrics file not found: {path}")
     try:
         text = path.read_bytes().decode("utf-8")
+    except OSError as exc:  # missing, a directory, or unreadable
+        raise TraceError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise TraceError(f"{path}: not UTF-8 ({exc})") from exc
     reader = csv.DictReader(io.StringIO(text, newline=""))

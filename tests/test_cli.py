@@ -78,6 +78,33 @@ def test_missing_config_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_config_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b'"S1"', '"S\xe9"'.encode("latin-1")))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: {path}: not UTF-8" in capsys.readouterr().err
+
+
+# each command's argv when its input path is the directory d, and its error prefix
+DIRECTORY_INPUTS = {
+    "run-config": (lambda d: ["run", "--config", str(d), "--out", str(d.parent / "out"), "--quiet"],
+                   "config error"),
+    "detect-trace": (lambda d: ["detect-trace", "--trace", str(d), "--quiet"], "trace error"),
+    "report-metrics": (lambda d: ["report", "--out", str(d.parent)], "report error"),
+}
+
+
+@pytest.mark.parametrize("argv, prefix", DIRECTORY_INPUTS.values(), ids=DIRECTORY_INPUTS.keys())
+def test_input_path_naming_a_directory_exits_2(tmp_path, capsys, argv, prefix):
+    directory = tmp_path / "metrics.csv"  # the name report reads under --out
+    directory.mkdir()
+    assert main(argv(directory)) == 2
+    assert f"{prefix}: {directory}: Is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_writes_nothing(tmp_path):
     path = write_config(tmp_path, free_rider_ratio=0.9)
     out = tmp_path / "out"

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from s2wef.detect import (
+    _squares,
     BASELINE,
     DETECTORS,
     GAMMA_COS_ONLY,
@@ -293,6 +296,68 @@ def test_ward_rejects_non_finite_distances(bad, where):
         ward_merge_sequence(dist)
     with pytest.raises(ConfigurationError, match="finite"):
         ward_hac(dist)
+
+
+@pytest.mark.parametrize("far", [2e154, 1e154], ids=["squares-overflow", "recurrence-overflows"])
+def test_ward_refuses_distances_too_large_to_square(far):
+    """2e154 squares past the float64 range; 1e154 squares to 1e308, and the
+    first merge's update of the far point doubles that."""
+    dist = np.array([[0.0, far, 1.0], [far, 0.0, far], [1.0, far, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="too large"):
+            ward_merge_sequence(dist)
+
+
+def assert_merges_form_a_hierarchy(merges, n):
+    """Each merge joins two distinct current clusters at a finite height."""
+    clusters = {frozenset({i}) for i in range(n)}
+    for height, merged in merges:
+        assert np.isfinite(height)
+        parts = {c for c in clusters if c <= merged}
+        assert len(parts) == 2 and frozenset().union(*parts) == merged
+        clusters = (clusters - parts) | {merged}
+    assert clusters == {frozenset(range(n))}
+
+
+_MAGNITUDES = st.sampled_from([0.0, 1.0, 1e100, 1e150, 1e153, 5e153, 1e154, 2e154, 1e300])
+
+
+@st.composite
+def symmetric_distances(draw):
+    """Finite symmetric (n, n) matrices with a zero diagonal, many entries near sqrt(max float)."""
+    n = draw(st.integers(2, 8))
+    pairs = n * (n - 1) // 2
+    dist = np.zeros((n, n))
+    dist[np.triu_indices(n, 1)] = draw(st.lists(
+        _MAGNITUDES | st.floats(0.0, 1.7e308), min_size=pairs, max_size=pairs))
+    return dist + dist.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_distances())
+def test_ward_merges_finite_distances_or_refuses_them(dist):
+    """A proper hierarchy at finite heights, or ConfigurationError, and never a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            merges = ward_merge_sequence(dist)
+        except ConfigurationError:
+            return
+    assert_merges_form_a_hierarchy(merges, len(dist))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1e154, exclude_max=True), min_size=1, max_size=40))
+@example([9.62758541716221])  # v*v rounds one bit below v**2
+@example([5.384848373059271])  # and here one bit above
+@example([0.0])
+@example([5e-324])
+@example([1e-160])  # squares to a subnormal
+def test_squares_round_as_python_float_pow(values):
+    """Ward squares with libm pow, as Python's float ** 2 does, to the bit."""
+    x = np.array(values, dtype=np.float64)
+    assert _squares(x).tobytes() == np.array([v**2 for v in values]).tobytes()
 
 
 # --- silhouette and cluster decision ------------------------------------------

@@ -177,6 +177,14 @@ def _equal_round(n):
     return np.array([grid] * n), grid
 
 
+def _colluder_plane():
+    """A many_clients-shaped z plane: 100 spread benign points, with every
+    fifth client at one point, as 20 identical DWA submissions standardize."""
+    pts = np.random.default_rng(10).normal(size=(100, 2))
+    pts[::5] = [6.5, 9.0]
+    return pts
+
+
 _COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-12, 1e12, -0.6744897501960817])
 
 
@@ -226,6 +234,7 @@ def test_gamma_scores_match_oracle(round_, mode):
 @example(np.zeros((3, 2)))
 @example(np.ones((60, 2)))
 @example(np.array([[0.0, 0.0]] * 20 + [[3.0, 4.0]] * 20 + [[1e12, -1.0]] * 5))
+@example(_colluder_plane())
 def test_ward_and_silhouette_match_oracle(pts):
     dist = pairwise_distances(pts)
     merges = ward_merge_sequence(dist)
