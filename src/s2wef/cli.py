@@ -4,9 +4,12 @@ Subcommands: run a configured experiment, run an ablation pair on shared
 seeds, replay a detector over a recorded trace, or re-print the summary of
 an existing metrics file.  Configs are versioned JSON validated fail-closed
 (unknown keys and mistyped values are rejected) before any output file is
-created.  A run trains its clients one after another on one thread: each
-client's local training is about 1 ms of small numpy calls that hold the
-interpreter lock, so a thread pool made runs slower, not faster.  Exit
+created.  A run is single-threaded: it trains a round's benign clients in
+lockstep groups of up to 8 with equal-length shards, one stacked numpy call
+per operation, bit for bit what training them one by one gives.  At 200
+clients that is about 0.66 ms per client against 1.2 ms one at a time
+(2-core machine); the small numpy calls hold the interpreter lock, so a
+thread pool made runs slower, not faster.  Exit
 codes: 0 success, 1 runtime failure or replay divergence, 2 invalid config
 or malformed trace.
 """

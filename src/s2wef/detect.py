@@ -253,8 +253,9 @@ def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[in
     Each step merges the pair of clusters with minimal Ward distance; ties
     merge the lexicographically smallest pair, where a cluster is named by
     its smallest member.  Returns, per merge, the height and the member set
-    of the newly formed cluster.  Distances whose squares or Ward updates
-    leave the float64 range raise ConfigurationError.
+    of the newly formed cluster.  A matrix that is not symmetric to the bit,
+    and distances whose squares or Ward updates leave the float64 range,
+    raise ConfigurationError.
     """
     dist = np.array(distances, dtype=np.float64)
     n = len(dist)
@@ -263,6 +264,9 @@ def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[in
     if not np.isfinite(dist).all():
         # an all-inf row would make argmin merge a cluster with itself
         raise ConfigurationError("clustering needs finite distances")
+    if dist.shape != (n, n) or (dist != dist.T).any():
+        # the recurrence and the argmin tie-break read one triangle for both
+        raise ConfigurationError("clustering needs a symmetric distance matrix")
 
     # dist[a, b] is the Ward distance of the clusters named a and b, +inf on
     # the diagonal and for merged-away names; it is symmetric, so the first

@@ -20,7 +20,6 @@ from . import detect as det
 from .attacks import AttackParams, make_submission
 from .errors import ConfigurationError, S2wefError, ShapeError
 from .nn import DatasetShard, ModelWeights, TrainConfig, evaluate_accuracy, init_model, local_train
-from .wef import build_wef
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
@@ -341,20 +340,52 @@ class _TrialState:
     previous_global: ModelWeights | None = None
 
 
-def _client_submission(state: _TrialState, t: int, client: int):
-    """Produce (weights, wef) for one client, benign or free-riding."""
+# Benign clients train in lockstep groups of at most this many clients with
+# equal-length shards.  Inside 200-client simulations (16 -> 256 -> 10, 20-row
+# shards; 2-core VM with 2 MB of L2 per core, numpy 2.4.6) training plus WEF
+# took, per client, 1,135 us in groups of 1, 696 in groups of 4, 658 of 8 and
+# 633 of 16, but 886 as one 200-client stack, whose 11 MB of parameters alone
+# outgrow the cache.
+# At the dwa_s1 shape (200-row shards, batch 32) a whole run took 0.87, 0.78
+# and 0.76 of its one-client-at-a-time time with groups of 2, 4 and 8.
+_GROUP_CLIENTS = 8
+
+
+def _lockstep_groups(shards: Sequence[DatasetShard], clients: Iterable[int]) -> list[list[int]]:
+    """clients grouped by shard length in client order, at most _GROUP_CLIENTS a group."""
+    by_length: dict[int, list[int]] = {}
+    for i in clients:
+        by_length.setdefault(len(shards[i]), []).append(i)
+    return [
+        same[start:start + _GROUP_CLIENTS]
+        for same in by_length.values()
+        for start in range(0, len(same), _GROUP_CLIENTS)
+    ]
+
+
+def _submissions(state: _TrialState, t: int) -> tuple[list[ModelWeights], np.ndarray]:
+    """Every client's submitted weights and WEF grid for round t, in client order."""
     cfg = state.cfg
     e = cfg.train.local_iterations
-    try:
-        if state.schedule[t, client]:
-            seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, client)
+    weights: list = [None] * cfg.clients
+    grids: list = [None] * cfg.clients
+    for i in np.flatnonzero(state.schedule[t]).tolist():
+        seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
+        try:
             sub = make_submission(cfg.attack, state.global_model, state.previous_global, e, seed)
-            return sub.weights, sub.wef
-        seed = derive_seed(state.trial_seed, _TAG_TRAIN, t, client)
-        trained, snapshots = local_train(state.global_model, state.shards[client], cfg.train, seed)
-        return trained, build_wef(snapshots)
-    except S2wefError as exc:
-        raise type(exc)(f"client {client}: {exc}") from exc
+        except S2wefError as exc:
+            raise type(exc)(f"client {i}: {exc}") from exc
+        weights[i], grids[i] = sub.weights, sub.wef
+    benign = np.flatnonzero(~state.schedule[t]).tolist()
+    for group in _lockstep_groups(state.shards, benign):
+        seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
+        try:
+            rows, wefs = local_train(state.global_model, [state.shards[i] for i in group], cfg.train, seeds)
+        except S2wefError as exc:
+            raise type(exc)(f"client {group[exc.shard]}: {exc}") from exc
+        for i, row, wef in zip(group, rows, wefs):
+            weights[i], grids[i] = state.global_model.from_flat(row), wef
+    return weights, np.stack(grids)
 
 
 def run_round(state: _TrialState, t: int) -> RoundRecord:
@@ -364,8 +395,7 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
     global_pen_before = state.global_model.penultimate.copy()
 
     try:
-        submissions, grids = zip(*[_client_submission(state, t, i) for i in range(n)])
-        wefs = np.stack(grids)
+        submissions, wefs = _submissions(state, t)
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
         new_global = aggregate_fedavg(submissions, kept)

@@ -1,8 +1,10 @@
 """Minimal feed-forward classifier with mini-batch SGD.
 
-The trainer exposes, for every local iteration, a snapshot of the
-penultimate weight matrix (the matrix feeding the output layer).  Those
-snapshots are the raw material for weight-evolving-frequency construction.
+The trainer compares, at every local iteration, the penultimate weight
+matrix (the matrix feeding the output layer) with its value one step
+earlier, and counts the changes into the client's weight-evolving-frequency
+grid.  It steps a group of clients in lockstep, one stacked numpy call per
+operation, with each client's numbers exactly those of training it alone.
 All arithmetic is float64 and every random choice flows from an explicit
 seed, so identical inputs produce bit-identical outputs.
 """
@@ -15,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, ShapeError
+from .errors import ConfigurationError, NumericError, S2wefError, ShapeError
+from .wef import _exceeds_mean_change
 
 
 @dataclass
@@ -53,13 +56,8 @@ class ModelWeights:
         """Make flat the parameter buffer and point weights/biases into it."""
         if not np.isfinite(flat).all():
             raise NumericError("non-finite parameters")
-        weights, biases, pos = [], [], 0
-        for w, b in zip(self.weights, self.biases):
-            weights.append(flat[pos:pos + w.size].reshape(w.shape))
-            pos += w.size
-            biases.append(flat[pos:pos + b.size])
-            pos += b.size
-        self.weights, self.biases, self._flat = weights, biases, flat
+        self.weights, self.biases = _layer_views(self, flat)
+        self._flat = flat
         return self
 
     @property
@@ -93,6 +91,23 @@ class ModelWeights:
         if flat.shape != self._flat.shape:
             raise ShapeError(f"flat vector length {flat.shape} != {self.num_params}")
         return copy.copy(self)._adopt(flat)
+
+
+def _layer_views(model: ModelWeights, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight and bias views into parameter buffers laid out like model's.
+
+    flat is one (P,) buffer or a (k, P) stack of them; the views keep the
+    leading axis, so weights[l] is (k, fan_in, fan_out) and biases[l] is
+    (k, fan_out) for a stack.
+    """
+    lead = flat.shape[:-1]
+    weights, biases, pos = [], [], 0
+    for w, b in zip(model.weights, model.biases):
+        weights.append(flat[..., pos:pos + w.size].reshape(*lead, *w.shape))
+        pos += w.size
+        biases.append(flat[..., pos:pos + b.size])
+        pos += b.size
+    return weights, biases
 
 
 @dataclass(frozen=True)
@@ -157,17 +172,21 @@ def init_model(architecture: Sequence[int], seed: int) -> ModelWeights:
     return ModelWeights(weights, biases)
 
 
-def _forward(model: ModelWeights, x: np.ndarray) -> list[np.ndarray]:
-    """Return activations per layer; the last entry holds raw logits."""
+def _forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+    """Return activations per layer; the last entry holds raw logits.
+
+    A stack of k models (views from _layer_views) takes (k, batch, d) inputs:
+    each matmul then runs one BLAS gemm per model, the kernel of the 2-D product.
+    """
     acts = [x]
     h = x
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
         # in place, so each layer allocates only the activation it keeps: on
         # a 2,000-row evaluation, fresh temporaries cost more than the matmul.
         # The rounding is that of h @ w + b.
         h = h @ w
-        h += b
+        h += b[..., None, :]
         if l < last:
             np.maximum(h, 0.0, out=h)
         acts.append(h)
@@ -175,36 +194,37 @@ def _forward(model: ModelWeights, x: np.ndarray) -> list[np.ndarray]:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def cross_entropy_loss(model: ModelWeights, x: np.ndarray, y: np.ndarray) -> float:
     """Mean softmax cross-entropy of the model on a batch."""
-    logp = _log_softmax(_forward(model, x)[-1])
+    logp = _log_softmax(_forward(model.weights, model.biases, x)[-1])
     return float(-logp[np.arange(len(y)), y].mean())
 
 
-def _gradients(model: ModelWeights, x: np.ndarray, y: np.ndarray):
-    """Backpropagated mean-loss gradients, plus the batch loss."""
-    acts = _forward(model, x)
-    logits = acts[-1]
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(len(y)), y].mean())
+def _backprop(weights, biases, grad_w, grad_b, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Write a stack's mean-loss gradients into grad_w/grad_b; return its (k,) batch losses.
 
-    batch = len(y)
+    x is (k, batch, d) and y (k, batch); the stack is views from _layer_views.
+    """
+    acts = _forward(weights, biases, x)
+    logp = _log_softmax(acts[-1])
+    k, batch = y.shape
+    picked = (np.arange(k)[:, None], np.arange(batch), y)
+    loss = -logp[picked].mean(axis=1)
+
     delta = np.exp(logp)
-    delta[np.arange(batch), y] -= 1.0
+    delta[picked] -= 1.0
     delta /= batch
-
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
-    for l in range(len(model.weights) - 1, -1, -1):
-        grads_w[l] = acts[l].T @ delta
-        grads_b[l] = delta.sum(axis=0)
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[l].swapaxes(1, 2), delta, out=grad_w[l])
+        delta.sum(axis=1, out=grad_b[l])
         if l > 0:
-            delta = (delta @ model.weights[l].T) * (acts[l] > 0)
-    return grads_w, grads_b, loss
+            delta = delta @ weights[l].swapaxes(1, 2)
+            delta *= acts[l] > 0
+    return loss
 
 
 def _check_shard(model: ModelWeights, shard: DatasetShard) -> None:
@@ -219,50 +239,80 @@ def _check_shard(model: ModelWeights, shard: DatasetShard) -> None:
         )
 
 
+def _about_shard(exc: S2wefError, j: int) -> S2wefError:
+    """Tag exc with the position of the shard it concerns, so a caller can name its client."""
+    exc.shard = j
+    return exc
+
+
 def local_train(
     w_start: ModelWeights,
-    shard: DatasetShard,
+    shards: Sequence[DatasetShard],
     cfg: TrainConfig,
-    seed: int,
-) -> tuple[ModelWeights, list[np.ndarray]]:
-    """Run cfg.local_iterations mini-batch SGD steps from w_start.
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train one client per shard from w_start with cfg.local_iterations SGD steps.
 
-    Returns the trained model and local_iterations + 1 snapshots of the
-    penultimate weight matrix (snapshot 0 is taken before any update).
-    Batch order comes from a per-call seeded stream, so the result depends
-    only on (w_start, shard, cfg, seed).
+    The clients step in lockstep, so their shards must have one length.
+    Returns their (k, P) parameter rows, laid out as w_start.to_flat(), and
+    their (k, h, w) WEF grids over the penultimate matrix (wef.build_wef of
+    each client's per-step snapshots).  Client j draws its batch order from
+    default_rng(seeds[j]), so its row and grid depend only on (w_start,
+    shards[j], cfg, seeds[j]) and are bit-identical to training it alone.
+    An error about one shard carries its position as the attribute `shard`.
     """
-    _check_shard(w_start, shard)
-    rng = np.random.default_rng(seed)
-    model = w_start.copy()
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    snapshots = [model.penultimate.copy()]
+    k = len(shards)
+    if k == 0 or len(seeds) != k:
+        raise ConfigurationError(f"need one seed per shard, got {len(seeds)} for {k}")
+    for j, shard in enumerate(shards):
+        try:
+            _check_shard(w_start, shard)
+        except S2wefError as exc:
+            raise _about_shard(exc, j)
+    n = len(shards[0])
+    if any(len(shard) != n for shard in shards):
+        raise ConfigurationError("shards trained in lockstep must have one length")
 
-    n = len(shard)
+    params = np.tile(w_start.to_flat(), (k, 1))
+    grads = np.empty_like(params)
+    velocity = np.zeros_like(params) if cfg.momentum else None
+    weights, biases = _layer_views(w_start, params)
+    grad_w, grad_b = _layer_views(w_start, grads)
+    penultimate = weights[w_start.penultimate_index]
+    before = penultimate.copy()
+    counts = np.zeros(before.shape, dtype=np.int64)
+
+    features = np.stack([shard.features for shard in shards])
+    labels = np.stack([shard.labels for shard in shards])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    clients = np.arange(k)[:, None]
     batch = min(cfg.batch_size, n)
-    order = rng.permutation(n)
-    pos = 0
+    pos = n  # every client draws its first order at step 1
     for t in range(1, cfg.local_iterations + 1):
         if pos + batch > n:
-            order = rng.permutation(n)
+            order = np.stack([rng.permutation(n) for rng in rngs])
             pos = 0
-        idx = order[pos:pos + batch]
+        idx = order[:, pos:pos + batch]
         pos += batch
-        grads_w, grads_b, loss = _gradients(model, shard.features[idx], shard.labels[idx])
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at local iteration {t}")
-        for l in range(len(model.weights)):
-            vel_w[l] = cfg.momentum * vel_w[l] + grads_w[l]
-            vel_b[l] = cfg.momentum * vel_b[l] + grads_b[l]
-            model.weights[l] -= cfg.learning_rate * vel_w[l]
-            model.biases[l] -= cfg.learning_rate * vel_b[l]
-        snapshots.append(model.penultimate.copy())
-    return model, snapshots
+        loss = _backprop(weights, biases, grad_w, grad_b, features[clients, idx], labels[clients, idx])
+        diverged = np.flatnonzero(~np.isfinite(loss))
+        if diverged.size:
+            raise _about_shard(NumericError(f"non-finite loss at local iteration {t}"), int(diverged[0]))
+        # w -= lr * v with v = momentum * v + g, in place; at momentum 0, v is g
+        if velocity is not None:
+            velocity *= cfg.momentum
+            velocity += grads
+            np.multiply(velocity, cfg.learning_rate, out=grads)
+        else:
+            grads *= cfg.learning_rate
+        params -= grads
+        counts += _exceeds_mean_change(penultimate - before)
+        before[...] = penultimate
+    return params, counts
 
 
 def evaluate_accuracy(model: ModelWeights, shard: DatasetShard) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     _check_shard(model, shard)
-    logits = _forward(model, shard.features)[-1]
+    logits = _forward(model.weights, model.biases, shard.features)[-1]
     return float((logits.argmax(axis=1) == shard.labels).mean())

@@ -22,12 +22,16 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 
 def _exceeds_mean_change(diff: np.ndarray, signed: bool = False) -> np.ndarray:
-    """Entries whose change strictly exceeds the mean absolute change.
+    """Entries whose change strictly exceeds their grid's mean absolute change.
 
-    signed=True compares the signed change instead of its magnitude.
+    diff is one (h, w) grid or a (k, h, w) stack, each grid against its own
+    mean.  signed=True compares the signed change instead of its magnitude.
     """
     magnitude = np.abs(diff)
-    return (diff if signed else magnitude) > magnitude.mean()
+    # each grid's mean reduces its h*w entries as one contiguous run, as
+    # magnitude.mean() does for a single grid
+    mean = magnitude.reshape(*diff.shape[:-2], -1).mean(axis=-1)
+    return (diff if signed else magnitude) > mean[..., None, None]
 
 
 def build_wef(snapshots: Sequence[np.ndarray]) -> np.ndarray:

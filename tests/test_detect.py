@@ -298,6 +298,23 @@ def test_ward_rejects_non_finite_distances(bad, where):
         ward_hac(dist)
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        # row-major argmin would read dist[1, 0] = 1 and merge 0 and 1 at height 1.0
+        [[0.0, 5.0, 4.0], [1.0, 0.0, 6.0], [4.0, 6.0, 0.0]],
+        [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, np.nextafter(3.0, 4.0), 0.0]],
+        [[0.0, 1.0, 2.0]] * 2,
+    ],
+    ids=["lower-triangle-smaller", "one-ulp", "not-square"],
+)
+def test_ward_rejects_asymmetric_distances(dist):
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        ward_merge_sequence(np.array(dist))
+    with pytest.raises(ConfigurationError, match="symmetric"):
+        ward_hac(np.array(dist))
+
+
 @pytest.mark.parametrize("far", [2e154, 1e154], ids=["squares-overflow", "recurrence-overflows"])
 def test_ward_refuses_distances_too_large_to_square(far):
     """2e154 squares past the float64 range; 1e154 squares to 1e308, and the

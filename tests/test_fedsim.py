@@ -4,7 +4,7 @@ import pytest
 from s2wef import fedsim
 from s2wef.attacks import AttackParams
 from s2wef.detect import dev_scores, grid_stack
-from s2wef.errors import ConfigurationError
+from s2wef.errors import ConfigurationError, NumericError
 from s2wef.fedsim import (
     DatasetParams,
     SimConfig,
@@ -18,7 +18,7 @@ from s2wef.fedsim import (
     schedule_scenario1,
     schedule_scenario2,
 )
-from s2wef.nn import TrainConfig, init_model
+from s2wef.nn import DatasetShard, TrainConfig, init_model
 
 
 def small_cfg(**overrides):
@@ -307,6 +307,46 @@ def test_metrics_report_means():
     assert 0.0 <= f1 <= 1.0
     assert 0.0 <= rep.mean("fpr") <= 1.0
     assert 0.0 <= rep.mean_final_accuracy() <= 1.0
+
+
+@pytest.mark.parametrize(
+    "scales, client, iteration",
+    [
+        ({3: 1e200}, 3, 2),
+        # client 1 overflows at step 3 and clients 3 and 4 at step 2, all in
+        # one lockstep group: the lowest of the earliest to diverge is named
+        ({1: 1e100, 3: 1e200, 4: 1e200}, 3, 2),
+    ],
+    ids=["one-client", "earliest-then-lowest"],
+)
+def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scales, client, iteration):
+    partition = fedsim.partition_iid
+
+    def scaled(*args):  # huge finite features make these clients' losses overflow
+        shards = partition(*args)
+        for i, factor in scales.items():
+            shards[i].features *= factor
+        return shards
+
+    monkeypatch.setattr(fedsim, "partition_iid", scaled)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
+        run_simulation(small_cfg())
+    assert str(excinfo.value) == (
+        f"trial seed 1: round 0: client {client}: non-finite loss at local iteration {iteration}"
+    )
+
+
+def test_lockstep_groups_split_by_shard_length_in_client_order():
+    lengths = [5, 3, 5, 5, 3] + [7] * 19
+    shards = [DatasetShard(np.zeros((n, 2)), np.zeros(n, dtype=int), 2) for n in lengths]
+    clients = [i for i in range(len(lengths)) if i != 2]
+    assert fedsim._lockstep_groups(shards, clients) == [
+        [0, 3],
+        [1, 4],
+        list(range(5, 13)),
+        list(range(13, 21)),
+        list(range(21, 24)),
+    ]
 
 
 def test_runtime_error_carries_context():

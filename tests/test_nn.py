@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from s2wef.errors import ConfigurationError, ShapeError
+from s2wef.errors import ConfigurationError, NumericError, ShapeError
 from s2wef.nn import (
     DatasetShard,
     ModelWeights,
@@ -14,6 +14,7 @@ from s2wef.nn import (
     init_model,
     local_train,
 )
+from s2wef.wef import build_wef
 
 
 def tiny_shard(n=8, dim=4, classes=2, seed=0):
@@ -68,20 +69,22 @@ def test_train_config_rejects_a_rate_that_trains_nothing(rate):
 
 
 def test_local_train_snapshot_count_and_start():
+    # one step: the WEF grid compares the start snapshot with the trained one
     m = init_model([4, 8, 2], seed=2)
-    w_end, snaps = local_train(m, tiny_shard(), TrainConfig(learning_rate=0.1, local_iterations=1), seed=3)
-    assert len(snaps) == 2
-    np.testing.assert_array_equal(snaps[0], m.penultimate)
-    np.testing.assert_array_equal(snaps[-1], w_end.penultimate)
+    rows, wefs = local_train(m, [tiny_shard()], TrainConfig(learning_rate=0.1, local_iterations=1), seeds=[3])
+    assert rows.shape == (1, m.num_params) and wefs.shape == (1, 8, 2)
+    w_end = m.from_flat(rows[0])
+    np.testing.assert_array_equal(wefs[0], build_wef([m.penultimate, w_end.penultimate]))
+    assert wefs.dtype == np.int64 and 0 < wefs.sum() < 16
 
 
 def test_local_train_deterministic():
     m = init_model([4, 8, 2], seed=2)
     cfg = TrainConfig(learning_rate=0.1, batch_size=4, local_iterations=5)
-    w1, s1 = local_train(m, tiny_shard(), cfg, seed=9)
-    w2, s2 = local_train(m, tiny_shard(), cfg, seed=9)
-    assert w1.to_flat().tobytes() == w2.to_flat().tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(s1, s2))
+    w1, f1 = local_train(m, [tiny_shard()], cfg, seeds=[9])
+    w2, f2 = local_train(m, [tiny_shard()], cfg, seeds=[9])
+    assert w1.tobytes() == w2.tobytes()
+    assert f1.tobytes() == f2.tobytes()
 
 
 def test_local_train_loss_decreases():
@@ -90,8 +93,8 @@ def test_local_train_loss_decreases():
     shard = tiny_shard(n=8, dim=4, classes=2, seed=1)
     m = init_model([4, 8, 2], seed=4)
     before = cross_entropy_loss(m, shard.features, shard.labels)
-    w_end, _ = local_train(m, shard, TrainConfig(learning_rate=0.5, batch_size=8, local_iterations=3), seed=11)
-    after = cross_entropy_loss(w_end, shard.features, shard.labels)
+    rows, _ = local_train(m, [shard], TrainConfig(learning_rate=0.5, batch_size=8, local_iterations=3), seeds=[11])
+    after = cross_entropy_loss(m.from_flat(rows[0]), shard.features, shard.labels)
     assert after < before
 
 
@@ -106,7 +109,7 @@ UNFIT_SHARDS = {
 @pytest.mark.parametrize(
     "use",
     [
-        lambda m, shard: local_train(m, shard, TrainConfig(learning_rate=0.1), seed=0),
+        lambda m, shard: local_train(m, [shard], TrainConfig(learning_rate=0.1), seeds=[0]),
         evaluate_accuracy,
     ],
     ids=["local_train", "evaluate_accuracy"],
@@ -124,8 +127,8 @@ def test_gradient_matches_finite_differences_logistic():
     m = ModelWeights([np.array([[0.3, -0.2]])], [np.zeros(2)])
     shard = DatasetShard(np.array([[1.0], [-2.0], [0.5], [3.0]]), np.array([0, 1, 1, 0]), 2)
     lr = 1e-4
-    w_end, _ = local_train(m, shard, TrainConfig(learning_rate=lr, batch_size=4, local_iterations=1), seed=0)
-    grad = (m.to_flat() - w_end.to_flat()) / lr
+    rows, _ = local_train(m, [shard], TrainConfig(learning_rate=lr, batch_size=4, local_iterations=1), seeds=[0])
+    grad = (m.to_flat() - rows[0]) / lr
 
     eps = 1e-6
     flat = m.to_flat()
@@ -143,8 +146,8 @@ def test_gradient_matches_finite_differences():
     shard = tiny_shard(n=6, dim=2, classes=2, seed=3)
     m = init_model([2, 3, 2], seed=8)
     lr = 1e-4
-    w_end, _ = local_train(m, shard, TrainConfig(learning_rate=lr, batch_size=6, local_iterations=1), seed=0)
-    grad = (m.to_flat() - w_end.to_flat()) / lr
+    rows, _ = local_train(m, [shard], TrainConfig(learning_rate=lr, batch_size=6, local_iterations=1), seeds=[0])
+    grad = (m.to_flat() - rows[0]) / lr
 
     eps = 1e-6
     flat = m.to_flat()
@@ -188,12 +191,12 @@ def test_evaluate_accuracy_tie_goes_to_lowest_class():
 
 
 def test_snapshots_finite_and_shaped():
+    # six steps: each entry of the grid counts at most six threshold crossings
     m = init_model([4, 8, 2], seed=2)
-    _, snaps = local_train(m, tiny_shard(), TrainConfig(learning_rate=0.2, local_iterations=6), seed=5)
-    assert len(snaps) == 7
-    for s in snaps:
-        assert s.shape == (8, 2)
-        assert np.isfinite(s).all()
+    shards = [tiny_shard(seed=s) for s in range(3)]
+    rows, wefs = local_train(m, shards, TrainConfig(learning_rate=0.2, local_iterations=6), seeds=[5, 6, 7])
+    assert rows.shape == (3, m.num_params) and np.isfinite(rows).all()
+    assert wefs.shape == (3, 8, 2) and wefs.min() >= 0 and wefs.max() <= 6
 
 
 def chained_forward(model, x):
@@ -221,7 +224,7 @@ def test_forward_is_bit_equal_to_the_chained_reference(hidden, dim, classes, bat
     for b in m.biases:  # init_model's biases are zero
         b[:] = rng.normal(size=b.shape)
     x = rng.normal(size=(batch, dim))
-    got, want = _forward(m, x), chained_forward(m, x)
+    got, want = _forward(m.weights, m.biases, x), chained_forward(m, x)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -232,8 +235,122 @@ def test_training_and_evaluation_leave_their_inputs_unchanged():
     m.biases[0][:] = np.linspace(-1.0, 1.0, 8)
     shard = tiny_shard(n=40, classes=3, seed=2)
     model_bytes, feature_bytes = m.to_flat().tobytes(), shard.features.tobytes()
-    local_train(m, shard, TrainConfig(learning_rate=0.3, batch_size=8, local_iterations=4), seed=1)
+    local_train(m, [shard], TrainConfig(learning_rate=0.3, batch_size=8, local_iterations=4), seeds=[1])
     evaluate_accuracy(m, shard)
     cross_entropy_loss(m, shard.features, shard.labels)
     assert m.to_flat().tobytes() == model_bytes
     assert shard.features.tobytes() == feature_bytes
+
+
+def reference_local_train(w_start, shard, cfg, seed):
+    """One client's SGD steps and WEF count as one client trained before the
+    lockstep trainer: the reference for local_train.  Returns the parameter
+    buffer and the WEF grid."""
+    rng = np.random.default_rng(seed)
+    model = w_start.copy()
+    layers = len(model.weights)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    snapshots = [model.penultimate.copy()]
+    n = len(shard)
+    batch = min(cfg.batch_size, n)
+    order = rng.permutation(n)
+    pos = 0
+    for _ in range(cfg.local_iterations):
+        if pos + batch > n:
+            order = rng.permutation(n)
+            pos = 0
+        idx = order[pos:pos + batch]
+        pos += batch
+        y = shard.labels[idx]
+        acts = chained_forward(model, shard.features[idx])
+        shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        delta = np.exp(logp)
+        delta[np.arange(batch), y] -= 1.0
+        delta /= batch
+        grads_w, grads_b = [None] * layers, [None] * layers
+        for l in range(layers - 1, -1, -1):
+            grads_w[l] = acts[l].T @ delta
+            grads_b[l] = delta.sum(axis=0)
+            if l > 0:
+                delta = (delta @ model.weights[l].T) * (acts[l] > 0)
+        for l in range(layers):
+            vel_w[l] = cfg.momentum * vel_w[l] + grads_w[l]
+            vel_b[l] = cfg.momentum * vel_b[l] + grads_b[l]
+            model.weights[l] -= cfg.learning_rate * vel_w[l]
+            model.biases[l] -= cfg.learning_rate * vel_b[l]
+        snapshots.append(model.penultimate.copy())
+    counts = np.zeros(snapshots[0].shape, dtype=np.int64)
+    for prev, curr in zip(snapshots[:-1], snapshots[1:]):
+        change = np.abs(curr - prev)
+        counts += change > change.mean()
+    return model.to_flat(), counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 40), min_size=1, max_size=2),
+    dim=st.integers(1, 12),
+    classes=st.integers(1, 6),
+    rows=st.integers(1, 30),
+    clients=st.integers(1, 10),
+    batch=st.integers(1, 40),
+    iterations=st.integers(1, 12),
+    momentum=st.sampled_from([0.0, 0.5, 0.9]),
+    rate=st.sampled_from([0.01, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a many_clients group: 16 -> 256 -> 10, 20-row shards under the default batch of 32
+@example(hidden=[256], dim=16, classes=10, rows=20, clients=8, batch=32, iterations=5,
+         momentum=0.0, rate=0.1, seed=1)
+def test_lockstep_training_is_bit_equal_to_the_per_client_reference(
+    hidden, dim, classes, rows, clients, batch, iterations, momentum, rate, seed
+):
+    rng = np.random.default_rng(seed)
+    m = init_model([dim, *hidden, classes], seed=seed)
+    for b in m.biases:  # init_model's biases are zero
+        b[:] = 0.1 * rng.normal(size=b.shape)
+    shards = [
+        DatasetShard(rng.normal(size=(rows, dim)), rng.integers(0, classes, size=rows), classes)
+        for _ in range(clients)
+    ]
+    seeds = rng.integers(0, 2**63, size=clients).tolist()
+    cfg = TrainConfig(learning_rate=rate, momentum=momentum, batch_size=batch, local_iterations=iterations)
+    got_rows, got_wefs = local_train(m, shards, cfg, seeds)
+    assert got_rows.shape == (clients, m.num_params)
+    assert got_wefs.shape == (clients, *m.penultimate.shape) and got_wefs.dtype == np.int64
+    for j, (shard, client_seed) in enumerate(zip(shards, seeds)):
+        want_row, want_wef = reference_local_train(m, shard, cfg, client_seed)
+        assert got_rows[j].tobytes() == want_row.tobytes(), f"client {j} parameters"
+        assert got_wefs[j].tobytes() == want_wef.tobytes(), f"client {j} WEF grid"
+
+
+def test_local_train_names_the_first_shard_to_diverge():
+    # huge finite features: shard 1 overflows at step 3, shards 2 and 3 at
+    # step 2, so the error names shard 2, the lowest of the earliest to diverge
+    m = init_model([4, 8, 2], seed=2)
+    shards = [tiny_shard(seed=s) for s in range(4)]
+    for j, scale in ((1, 1e100), (2, 1e200), (3, 1e200)):
+        shards[j].features *= scale
+    cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=4)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite loss at local iteration 2") as info:
+        local_train(m, shards, cfg, seeds=[0, 1, 2, 3])
+    assert info.value.shard == 2
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite loss at local iteration 3") as info:
+        local_train(m, shards[:2], cfg, seeds=[0, 1])
+    assert info.value.shard == 1
+
+
+def test_local_train_rejects_a_group_it_cannot_step_in_lockstep():
+    m = init_model([4, 8, 2], seed=2)
+    cfg = TrainConfig(learning_rate=0.1)
+    with pytest.raises(ConfigurationError, match="one length"):
+        local_train(m, [tiny_shard(n=8), tiny_shard(n=9)], cfg, seeds=[0, 1])
+    with pytest.raises(ConfigurationError, match="one seed per shard"):
+        local_train(m, [tiny_shard(), tiny_shard()], cfg, seeds=[0])
+    with pytest.raises(ConfigurationError, match="one seed per shard"):
+        local_train(m, [], cfg, seeds=[])
+    with pytest.raises(ShapeError, match="shard dimension 5") as info:
+        local_train(m, [tiny_shard(), tiny_shard(dim=5)], cfg, seeds=[0, 1])
+    assert info.value.shard == 1
