@@ -1,17 +1,17 @@
 """Command-line front end.
 
 Subcommands: run a configured experiment, run an ablation pair on shared
-seeds, replay a detector over a recorded trace, or re-print the summary of
-an existing metrics file.  Configs are versioned JSON validated fail-closed
-(unknown keys and mistyped values are rejected) before any output file is
-created.  A run is single-threaded: it trains a round's benign clients in
-lockstep groups of up to 8 with equal-length shards, one stacked numpy call
-per operation, bit for bit what training them one by one gives.  At 200
-clients that is about 0.66 ms per client against 1.2 ms one at a time
-(2-core machine); the small numpy calls hold the interpreter lock, so a
-thread pool made runs slower, not faster.  Exit
-codes: 0 success, 1 runtime failure or replay divergence, 2 invalid config
-or malformed trace.
+seeds, or replay a detector over a recorded trace, checking every field it
+recomputes and printing each round's flagged set, f1, fpr and accuracy.
+Configs are versioned JSON validated fail-closed (unknown keys and
+mistyped values are rejected) before any output file is created.  A run is
+single-threaded: it trains a round's benign clients in lockstep groups of
+up to 8 with equal-length shards, one stacked numpy call per operation,
+bit for bit what training them one by one gives.  At 200 clients that is
+about 0.66 ms per client against 1.2 ms one at a time (2-core machine);
+the small numpy calls hold the interpreter lock, so a thread pool made
+runs slower, not faster.  Exit codes: 0 success, 1 runtime failure or
+replay divergence, 2 invalid config or malformed trace.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .fedsim import (  # the config codec lives next to SimConfig; re-exported h
 )
 from .trace import (
     atomic_write,
-    read_metrics_csv,
     read_trace,
     replay_trace,
     write_metrics_csv,
@@ -190,32 +189,17 @@ def cmd_detect_trace(args) -> int:
     diverged = [r for r in results if r["diverged"]]
     if not args.quiet:
         for r in results:
-            status = "DIVERGED" if r["diverged"] else "ok"
+            m = r["metrics"]
+            status = f"DIVERGED at {r['field']}" if r["diverged"] else "ok"
             print(
-                f"trial {r['trial']} round {r['round']}: recorded={r['recorded']} "
-                f"replayed={r['replayed']} {status}"
+                f"trial {r['trial']} round {r['round']}: flagged={r['flagged']} "
+                f"f1={m.f1:.2f} fpr={m.fpr:.2f} accuracy={r['accuracy']:.4f} {status}"
             )
     if diverged:
-        rounds = [(r["trial"], r["round"]) for r in diverged]
-        print(f"{len(diverged)} diverging rounds: {rounds}", file=sys.stderr)
+        where = "; ".join(f"trial {r['trial']} round {r['round']} at {r['field']}" for r in diverged)
+        print(f"{len(diverged)} diverging rounds: {where}", file=sys.stderr)
         return 1
     print(f"replay consistent over {len(results)} rounds")
-    return 0
-
-
-def cmd_report(args) -> int:
-    out = Path(args.out)
-    try:
-        rows = read_metrics_csv(out / "metrics.csv")
-    except TraceError as exc:
-        print(f"report error: {exc}", file=sys.stderr)
-        return 2
-    print(f"{'trial':>6} {'round':>6} {'f1':>6} {'fpr':>6} {'accuracy':>9}")
-    for row in rows:
-        print(
-            f"{row['trial']:>6} {row['round']:>6} {float(row['f1']):>6.2f} "
-            f"{float(row['fpr']):>6.2f} {float(row['accuracy']):>9.4f}"
-        )
     return 0
 
 
@@ -249,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the detector named in the trace header")
     p_det.add_argument("--quiet", action="store_true")
     p_det.set_defaults(func=cmd_detect_trace)
-
-    p_rep = sub.add_parser("report", help="print the summary of a finished run")
-    p_rep.add_argument("--out", required=True, help="directory holding metrics.csv")
-    p_rep.set_defaults(func=cmd_report)
     return parser
 
 

@@ -377,6 +377,11 @@ def decide_k(
     )
 
 
+def _dev_near_max(d: np.ndarray) -> np.ndarray:
+    """The Dev rule of the vote and the baseline: within 0.05 of the max."""
+    return d > d.max() - DEV_MAX_MARGIN
+
+
 def threshold_flags(
     gammas: Sequence[float], devs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +390,7 @@ def threshold_flags(
     d = np.asarray(devs, dtype=np.float64)
     if g.size < 1 or g.shape != d.shape:
         raise ConfigurationError("need matching nonempty score vectors")
-    return g > GAMMA_MEDIAN_FACTOR * np.median(g), d > d.max() - DEV_MAX_MARGIN
+    return g > GAMMA_MEDIAN_FACTOR * np.median(g), _dev_near_max(d)
 
 
 def majority_vote(
@@ -418,12 +423,9 @@ def majority_vote(
     )
 
 
-def wef_defense_baseline(devs: Sequence[float], epsilon: float = DEV_MAX_MARGIN) -> frozenset[int]:
-    """Deviation-threshold baseline: flag clients with Dev above max - epsilon."""
-    if epsilon <= 0:
-        raise ConfigurationError("epsilon must be > 0")
-    d = np.asarray(devs, dtype=np.float64)
-    return frozenset(int(i) for i in np.flatnonzero(d > d.max() - epsilon))
+def wef_defense_baseline(devs: Sequence[float]) -> frozenset[int]:
+    """Deviation-threshold baseline: flag clients with Dev within 0.05 of the max."""
+    return frozenset(int(i) for i in np.flatnonzero(_dev_near_max(np.asarray(devs, dtype=np.float64))))
 
 
 def empty_round_detection(n_clients: int) -> RoundDetection:

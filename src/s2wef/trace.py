@@ -12,8 +12,8 @@ records produce the same bytes.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -26,7 +26,9 @@ import numpy as np
 
 from . import detect as det
 from .errors import ConfigurationError, TraceError
-from .fedsim import MetricsReport, RoundRecord, SimConfig, config_from_dict, config_to_dict
+from .fedsim import (
+    MetricsReport, RoundRecord, SimConfig, compute_metrics, config_from_dict, config_to_dict,
+)
 
 TRACE_SCHEMA = 1
 
@@ -121,18 +123,10 @@ def _decode_digit_runs(block: str, text: np.ndarray) -> np.ndarray | None:
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def encode_record(rec: RoundRecord) -> str:
-    """One round record as a compact JSON line (without the newline)."""
-    d = rec.detection
-    n, h, w = rec.wefs.shape
-    head = {
-        "trial": rec.trial_seed,
-        "round": rec.round_index,
-        "e": rec.e,
-        "roles": ["free_rider" if r else "benign" for r in rec.roles.tolist()],
-        "wef_shape": [h, w],
-    }
-    tail = {
+def detection_fields(d: det.RoundDetection, flagged: frozenset[int]) -> dict:
+    """The record fields of a round's detection and flagged set, in record
+    order: what the trace writer writes and what replay recomputes."""
+    return {
         "scores": {
             "gamma": d.scores.gamma.tolist(),
             "dev": d.scores.dev.tolist(),
@@ -154,7 +148,22 @@ def encode_record(rec: RoundRecord) -> str:
             "p_dev": float(d.decision.p_dev),
             "detected": bool(d.decision.detected),
         },
-        "free_rider_list": sorted(int(i) for i in rec.free_riders),
+        "free_rider_list": sorted(int(i) for i in flagged),
+    }
+
+
+def encode_record(rec: RoundRecord) -> str:
+    """One round record as a compact JSON line (without the newline)."""
+    n, h, w = rec.wefs.shape
+    head = {
+        "trial": rec.trial_seed,
+        "round": rec.round_index,
+        "e": rec.e,
+        "roles": ["free_rider" if r else "benign" for r in rec.roles.tolist()],
+        "wef_shape": [h, w],
+    }
+    tail = {
+        **detection_fields(rec.detection, rec.free_riders),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
         "global_pen": rec.global_pen_before.ravel().tolist(),
@@ -215,9 +224,12 @@ def _array(value, kinds: str, ndim: int) -> np.ndarray | None:
     return None if bool in map(type, value if ndim == 1 else chain.from_iterable(value)) else arr
 
 
+_ROLES = ("benign", "free_rider")
+
+
 def _parse_round(rec: dict, where: str) -> None:
-    """Type-check the fields replay reads; wefs (unless _split_record decoded
-    it already) and global_pen become arrays."""
+    """Type-check the fields replay reads or prints; wefs (unless
+    _split_record decoded it already) and global_pen become arrays."""
 
     def bad(key: str, expected: str):
         value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
@@ -239,6 +251,13 @@ def _parse_round(rec: dict, where: str) -> None:
     low, high = int(wefs.min()), int(wefs.max())
     if low < 0 or high > rec["e"]:
         raise TraceError(f"{where}: WEF entries must lie in [0, {rec['e']}], got [{low}, {high}]")
+    roles = rec["roles"]
+    if not (isinstance(roles, list) and len(roles) == len(wefs) and all(r in _ROLES for r in roles)):
+        bad("roles", f'a list of {len(wefs)} strings "benign" or "free_rider"')
+    accuracy = rec["accuracy"]
+    # an int is finite; math.isfinite would overflow on a long one
+    if not (_is_int(accuracy) or isinstance(accuracy, float) and math.isfinite(accuracy)):
+        bad("accuracy", "a finite number")
     pen = _array(rec["global_pen"], "if", 1)
     # json.loads reads NaN, Infinity, -Infinity and 1e999, which the writer never writes
     if pen is None or pen.size != h * w or not np.isfinite(pen).all():
@@ -348,12 +367,32 @@ def read_trace(path: str | Path) -> Trace:
     return Trace(records, config)
 
 
+def _first_difference(recorded, replayed, path: str) -> str:
+    """The path of the first value of replayed that recorded does not equal,
+    given that the two differ: path itself when they differ in shape."""
+    if isinstance(replayed, dict) and isinstance(recorded, dict):
+        for key, value in replayed.items():
+            if key not in recorded or recorded[key] != value:
+                return _first_difference(recorded.get(key), value, f"{path}.{key}")
+    elif isinstance(replayed, list) and isinstance(recorded, list) and len(recorded) == len(replayed):
+        for i, (old, new) in enumerate(zip(recorded, replayed)):
+            if old != new:
+                return _first_difference(old, new, f"{path}[{i}]")
+    return path
+
+
 def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
-    """Replay every round; each result notes whether the decision diverged.
+    """Replay every round and check each recorded field replay recomputes.
 
     One TrialDetector per trial, set up as the header's config set up the
     run; detector overrides the header's detector.  A header-less trace
-    replays with the default detector and no accumulation.
+    replays with the default detector and no accumulation.  The scores,
+    cluster, flags, vote and free_rider_list of a round must equal the
+    replayed ones, and its metrics those of the replayed flagged set
+    against its roles; accuracy and submission_digests need the model and
+    go unchecked.  Each result holds the replayed flagged set and metrics,
+    the recorded accuracy, and the path of the first field that differs
+    (such as "cluster.heights[3]"), or None.
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)
@@ -364,15 +403,24 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
         trial = rec["trial"]
         if trial not in detectors:
             detectors[trial] = det.TrialDetector(name, accumulate)
-        _, replayed = detectors[trial].step(rec["wefs"], rec["global_pen"], rec["e"])
-        recorded = frozenset(rec["free_rider_list"])
+        detection, flagged = detectors[trial].step(rec["wefs"], rec["global_pen"], rec["e"])
+        roles = rec["roles"]
+        truth = [i for i, role in enumerate(roles) if role == "free_rider"]
+        metrics = compute_metrics(truth, flagged, len(roles))
+        replayed = {**detection_fields(detection, flagged), "metrics": asdict(metrics)}
+        field = next(
+            (_first_difference(rec[key], value, key) for key, value in replayed.items() if rec[key] != value),
+            None,
+        )
         results.append(
             {
                 "trial": trial,
                 "round": rec["round"],
-                "recorded": sorted(recorded),
-                "replayed": sorted(replayed),
-                "diverged": replayed != recorded,
+                "flagged": replayed["free_rider_list"],
+                "metrics": metrics,
+                "accuracy": rec["accuracy"],
+                "field": field,
+                "diverged": field is not None,
             }
         )
     return results
@@ -380,7 +428,6 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
 
 _METRICS = ("precision", "recall", "f1", "fpr")
 _CSV_FIELDS = ["trial", "round", "true_free_riders", "flagged", *_METRICS, "accuracy"]
-_NUMBERS = {"trial", *_METRICS, "accuracy"}  # a number in every row, the mean rows included
 
 
 def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
@@ -410,36 +457,3 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
                 **{m: f"{report.trial_mean(seed, m):.6f}" for m in _METRICS},
                 "accuracy": f"{report.final_accuracy(seed):.6f}",
             })
-
-
-def read_metrics_csv(path: str | Path) -> list[dict]:
-    """The rows of a metrics CSV; each has every field, and a number for
-    the trial and each metric.  A row that does not names its line."""
-    path = Path(path)
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except OSError as exc:  # missing, a directory, or unreadable
-        raise TraceError(f"{path}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise TraceError(f"{path}: not UTF-8 ({exc})") from exc
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if set(_CSV_FIELDS) - set(reader.fieldnames or ()):
-        raise TraceError(f"{path}: not a metrics CSV")
-    rows = []
-    for row in reader:
-        where = f"{path}:{reader.line_num}"
-        if None in row:  # DictReader's key for the values past the header's
-            raise TraceError(f"{where}: more fields than the header's {len(reader.fieldnames)}")
-        for key in _CSV_FIELDS:
-            value = row[key]
-            if value is None:
-                raise TraceError(f"{where}: {key} is missing")
-            if key in _NUMBERS:
-                try:
-                    float(value)
-                except ValueError:
-                    raise TraceError(f"{where}: {key} must be a number, got {value!r}") from None
-        rows.append(row)
-    if not rows:
-        raise TraceError(f"{path}: not a metrics CSV")
-    return rows

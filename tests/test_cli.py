@@ -92,13 +92,12 @@ DIRECTORY_INPUTS = {
     "run-config": (lambda d: ["run", "--config", str(d), "--out", str(d.parent / "out"), "--quiet"],
                    "config error"),
     "detect-trace": (lambda d: ["detect-trace", "--trace", str(d), "--quiet"], "trace error"),
-    "report-metrics": (lambda d: ["report", "--out", str(d.parent)], "report error"),
 }
 
 
 @pytest.mark.parametrize("argv, prefix", DIRECTORY_INPUTS.values(), ids=DIRECTORY_INPUTS.keys())
 def test_input_path_naming_a_directory_exits_2(tmp_path, capsys, argv, prefix):
-    directory = tmp_path / "metrics.csv"  # the name report reads under --out
+    directory = tmp_path / "input"
     directory.mkdir()
     assert main(argv(directory)) == 2
     assert f"{prefix}: {directory}: Is a directory" in capsys.readouterr().err
@@ -257,6 +256,12 @@ MALFORMED = {
     "global-pen-bool": (2, ("global_pen", 0), False, "global_pen must be"),
     "free-riders-null": (2, ("free_rider_list",), None, "free_rider_list must be"),
     "free-riders-str": (2, ("free_rider_list",), ["1"], "free_rider_list must be"),
+    "roles-null": (2, ("roles",), None, 'roles must be a list of 5 strings "benign" or "free_rider"'),
+    "roles-short": (2, ("roles",), ["benign"] * 4, "roles must be a list of 5"),
+    "roles-unknown": (2, ("roles", 1), "attacker", "roles must be a list of 5"),
+    "roles-bool": (2, ("roles", 0), False, "roles must be a list of 5"),
+    "accuracy-str": (2, ("accuracy",), "0.5", "accuracy must be a finite number"),
+    "accuracy-bool": (2, ("accuracy",), True, "accuracy must be a finite number"),
     "not-an-object": (2, (), [1, 2, 3], "expected a JSON object"),
     "header-schema": (0, ("header", "schema"), 2, "unknown trace schema 2"),
     "header-config": (0, ("header", "config", "clients"), "10", "header config.clients"),
@@ -297,6 +302,7 @@ def test_detect_trace_incomplete_exits_2(tmp_path, capsys, trace_lines, keep):
 def _drop_a_client_under_accumulation(lines):
     lines[0]["header"]["config"]["accumulate_wef"] = True
     lines[3]["wefs"].pop()
+    lines[3]["roles"].pop()
 
 
 # edits of round 2 (line 4) that keep each field consistent with the others
@@ -365,6 +371,42 @@ def test_detect_trace_lines_end_with_a_newline(tmp_path, capsys, trace_bytes):
     assert f"trace error: {trace}:1: invalid JSON (Extra data" in capsys.readouterr().err
 
 
+# one recorded value of round 2 (line index 3) in each field group replay recomputes,
+# and the path detect-trace names for it
+HAND_EDITS = {
+    "scores.z": (("scores", "z", 2, 1), lambda v: v + 0.5, "scores.z[2][1]"),
+    "cluster.heights": (("cluster", "heights", 1), lambda v: v + 0.5, "cluster.heights[1]"),
+    "flags.dev": (("flags", "dev", 0), lambda v: not v, "flags.dev[0]"),
+    "vote.p_gamma": (("vote", "p_gamma"), lambda v: v + 0.5, "vote.p_gamma"),
+    "metrics.fpr": (("metrics", "fpr"), lambda v: v + 0.5, "metrics.fpr"),
+}
+
+
+@pytest.mark.parametrize("keys, edit, field", HAND_EDITS.values(), ids=HAND_EDITS.keys())
+def test_detect_trace_names_a_hand_edited_field(tmp_path, capsys, trace_lines, keys, edit, field):
+    lines = json.loads(json.dumps(trace_lines))
+    target = lines[3]
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = edit(target[keys[-1]])
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 1
+    assert f"trial 1 round 2 at {field}" in capsys.readouterr().err
+
+
+def test_detect_trace_prints_each_rounds_metrics(tmp_path, capsys, trace_bytes, trace_lines):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(trace_bytes)
+    assert main(["detect-trace", "--trace", str(trace)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "replay consistent over 4 rounds"
+    for line, rec in zip(out, trace_lines[1:]):
+        metrics = rec["metrics"]
+        assert line == (
+            f"trial 1 round {rec['round']}: flagged={rec['free_rider_list']} "
+            f"f1={metrics['f1']:.2f} fpr={metrics['fpr']:.2f} accuracy={rec['accuracy']:.4f} ok"
+        )
+
+
 def test_detect_trace_missing_file_exits_2(tmp_path):
     assert main(["detect-trace", "--trace", str(tmp_path / "none.jsonl")]) == 2
 
@@ -389,41 +431,6 @@ def test_ablate_l1_mode(tmp_path):
     meta = json.loads((out / "ablation.json").read_text())
     assert meta["mode"] == "l1"
     assert set(meta["detectors"]) == {"COS_ONLY_CLUSTER", "CLUSTER_ONLY"}
-
-
-def test_report_prints_summary(tmp_path, capsys):
-    path = write_config(tmp_path)
-    out = tmp_path / "out"
-    main(["run", "--config", str(path), "--out", str(out), "--quiet"])
-    rc = main(["report", "--out", str(out)])
-    assert rc == 0
-    assert "f1" in capsys.readouterr().out
-
-
-def test_report_missing_metrics_exits_2(tmp_path):
-    assert main(["report", "--out", str(tmp_path)]) == 2
-
-
-# edits of the bytes of a metrics file with 4 round rows and a mean row (lines
-# 2-6), and the message that follows "report error: <path>:"
-BAD_METRICS = {
-    "cut-in-the-last-row": (lambda text: text[:text.rindex(b",")], "6: accuracy is missing"),
-    "cut-after-a-comma": (lambda text: text[:text.rindex(b",") + 1], "6: accuracy must be a number, got ''"),
-    "fpr-not-a-number": (lambda text: text.replace(b"0.000000", b"n/a", 1), "2: fpr must be a number, got 'n/a'"),
-    "extra-field": (lambda text: text.replace(b"0.163333\r\n", b"0.163333,1\r\n"), "2: more fields than the header's 9"),
-    "latin-1-byte": (lambda text: text.replace(b"mean", "m\xe9an".encode("latin-1")),
-                     " not UTF-8 ('utf-8' codec can't decode byte 0xe9"),
-}
-
-
-@pytest.mark.parametrize("edit, message", BAD_METRICS.values(), ids=BAD_METRICS.keys())
-def test_report_on_a_malformed_metrics_file_exits_2(tmp_path, capsys, edit, message):
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out), "--quiet"]) == 0
-    metrics = out / "metrics.csv"
-    metrics.write_bytes(edit(metrics.read_bytes()))
-    assert main(["report", "--out", str(out)]) == 2
-    assert f"report error: {metrics}:{message}" in capsys.readouterr().err
 
 
 def test_seed_override(tmp_path):

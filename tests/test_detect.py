@@ -497,8 +497,11 @@ def test_baseline_flags_argmax():
 
 
 def test_baseline_hand_epsilon():
-    assert wef_defense_baseline([0.75, 0.75, 1.5], epsilon=0.05) == frozenset({2})
-    assert wef_defense_baseline([0.75, 0.75, 1.5], epsilon=0.8) == frozenset({0, 1, 2})
+    # the margin is DEV_MAX_MARGIN = 0.05, the Dev rule of threshold_flags
+    for devs, flagged in (([0.75, 0.75, 1.5], {2}), ([1.0, 0.96, 0.94], {0, 1})):
+        assert wef_defense_baseline(devs) == frozenset(flagged)
+        _, flags_dev = threshold_flags([1.0] * len(devs), devs)
+        assert set(np.flatnonzero(flags_dev)) == flagged
 
 
 def test_baseline_degenerate_all_equal_flags_everyone():

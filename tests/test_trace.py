@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from s2wef import trace
-from s2wef.attacks import AttackParams
+from s2wef.attacks import ATTACK_KINDS, AttackParams
+from s2wef.detect import DETECTORS
 from s2wef.errors import TraceError
-from s2wef.fedsim import DatasetParams, SimConfig, config_to_dict, run_simulation
+from s2wef.fedsim import PARTITIONS, SCENARIOS, DatasetParams, SimConfig, config_to_dict, run_simulation
 from s2wef.nn import TrainConfig
-from s2wef.trace import decode_int_matrix, int_matrix_json, write_trace
+from s2wef.trace import decode_int_matrix, int_matrix_json, read_trace, replay_trace, write_trace
 
 
 def small_cfg(**overrides):
@@ -103,6 +104,36 @@ def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     counts = max(int(r.wefs.max()) for recs in report.trials.values() for r in recs)
     assert counts >= (10 if overrides else 1)
     assert any(r.free_riders for recs in report.trials.values() for r in recs)
+
+
+@st.composite
+def replayable_configs(draw):
+    """One small trial of any attack, detector, scenario and partition."""
+    scenario = draw(st.sampled_from(SCENARIOS))
+    clean = scenario == "CLEAN"
+    return small_cfg(
+        free_rider_ratio=0.0 if clean else 2 / 6,
+        scenario=scenario,
+        attack=None if clean else AttackParams(kind=draw(st.sampled_from(ATTACK_KINDS))),
+        partition=draw(st.sampled_from(PARTITIONS)),
+        detector=draw(st.sampled_from(sorted(DETECTORS))),
+        accumulate_wef=draw(st.booleans()),
+        rounds=4,
+        # counts reach 10 and more from 10 local iterations on: the digit-run decoder
+        train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=draw(st.integers(1, 12))),
+        seeds=(draw(st.integers(0, 999)),),
+        hidden_layers=(16,),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=replayable_configs())
+def test_replay_of_a_written_trace_matches_every_recomputed_field(tmp_path_factory, cfg):
+    path = tmp_path_factory.mktemp("replay") / "trace.jsonl"
+    write_trace(run_simulation(cfg), path)
+    results = replay_trace(read_trace(path))
+    assert len(results) == cfg.rounds
+    assert [r["field"] for r in results if r["diverged"]] == []
 
 
 @st.composite
