@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -52,6 +53,19 @@ def load_config(path: str | Path) -> SimConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return config_from_dict(raw)
+
+
+def _print_lines(lines: list[str]) -> None:
+    """Print lines to stdout.  A reader that closes early, as `| head` does,
+    drops the rest, and the command keeps its own exit status."""
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull when the interpreter exits
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _fmt(value: float) -> str:
@@ -121,7 +135,7 @@ def cmd_run(args) -> int:
     with atomic_write(out / "summary.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     if not args.quiet:
-        print("\n".join(lines))
+        _print_lines(lines)
     return 0
 
 
@@ -175,7 +189,7 @@ def cmd_ablate(args) -> int:
     with atomic_write(out / "ablation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     if not args.quiet:
-        print("\n".join(lines))
+        _print_lines(lines)
     return 0
 
 
@@ -187,19 +201,23 @@ def cmd_detect_trace(args) -> int:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     diverged = [r for r in results if r["diverged"]]
+    lines = []
     if not args.quiet:
         for r in results:
             m = r["metrics"]
             status = f"DIVERGED at {r['field']}" if r["diverged"] else "ok"
-            print(
+            lines.append(
                 f"trial {r['trial']} round {r['round']}: flagged={r['flagged']} "
                 f"f1={m.f1:.2f} fpr={m.fpr:.2f} accuracy={r['accuracy']:.4f} {status}"
             )
+    if not diverged:
+        lines.append(f"replay consistent over {len(results)} rounds")
+    if lines:
+        _print_lines(lines)
     if diverged:
         where = "; ".join(f"trial {r['trial']} round {r['round']} at {r['field']}" for r in diverged)
         print(f"{len(diverged)} diverging rounds: {where}", file=sys.stderr)
         return 1
-    print(f"replay consistent over {len(results)} rounds")
     return 0
 
 

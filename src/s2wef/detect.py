@@ -524,9 +524,9 @@ class TrialDetector:
 
     Each round it scores the submitted grids against the last two
     broadcasts, so it remembers the previous broadcast's penultimate
-    matrix; with accumulate it scores each client's running WEF sum
-    instead of the round's grid.  The simulator and trace replay both
-    drive one per trial, so a replay sees exactly what the run saw.
+    matrix; with accumulate it scores each client's running WEF sum, kept
+    in int64, instead of the round's grid.  The simulator and trace replay
+    both drive one per trial, so a replay sees exactly what the run saw.
     """
 
     def __init__(self, name: str, accumulate: bool = False):
@@ -540,9 +540,11 @@ class TrialDetector:
     ) -> tuple[RoundDetection, frozenset[int]]:
         """Detect on this round's (n, h, w) WEF grids, broadcast pen_now, budget e."""
         if self.accumulate:
-            if self._sums is not None:
-                if self._sums.shape != wefs.shape:
-                    raise ShapeError(f"WEF grids {wefs.shape} vs running sums {self._sums.shape}")
+            if self._sums is None:
+                wefs = wefs.astype(np.int64)  # sums of uint8 grids pass 255
+            elif self._sums.shape != wefs.shape:
+                raise ShapeError(f"WEF grids {wefs.shape} vs running sums {self._sums.shape}")
+            else:
                 wefs = self._sums + wefs
             self._sums = wefs
         result = run_detector(self.name, wefs, pen_now, self._prev_pen, e)

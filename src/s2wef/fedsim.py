@@ -18,8 +18,9 @@ import numpy as np
 
 from . import detect as det
 from .attacks import AttackParams, make_submission
-from .errors import ConfigurationError, S2wefError, ShapeError
+from .errors import ConfigurationError, NumericError, S2wefError
 from .nn import DatasetShard, ModelWeights, TrainConfig, evaluate_accuracy, init_model, local_train
+from .wef import wef_dtype
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
@@ -148,17 +149,29 @@ def schedule_scenario2(n_clients: int, ratio: float, rounds: int, seed: int) -> 
     return table
 
 
+def _digest(flat: np.ndarray) -> str:
+    return hashlib.sha256(flat).hexdigest()[:16]
+
+
 def aggregate_fedavg(
-    submissions: Sequence[ModelWeights], benign_ids: Iterable[int]
-) -> ModelWeights:
-    """Unweighted mean over the kept clients; over everyone if none remain."""
-    if not submissions:
+    submissions: np.ndarray, benign_ids: Iterable[int]
+) -> tuple[np.ndarray, list[str]]:
+    """Unweighted mean over the kept clients' rows; over everyone if none remain.
+
+    submissions is the round's (n, P) array of submitted parameter rows.
+    Returns the mean row and each row's digest as submitted.  The kept rows
+    move to the front in client order, in place, so their mean is taken over
+    the same contiguous (m, P) block np.stack of those rows would build, to
+    the bit, without the copy.
+    """
+    if submissions.ndim != 2 or not len(submissions):
         raise ConfigurationError("nothing to aggregate")
-    template = submissions[0]
-    if any(s.num_params != template.num_params for s in submissions):
-        raise ShapeError("submissions disagree on parameter count")
+    digests = [_digest(row) for row in submissions]
     kept = sorted(set(benign_ids)) or range(len(submissions))
-    return template.from_flat(np.stack([submissions[i].to_flat() for i in kept]).mean(axis=0))
+    for j, i in enumerate(kept):  # i >= j: row i is never overwritten before it moves
+        if i != j:
+            submissions[j] = submissions[i]
+    return submissions[:len(kept)].mean(axis=0), digests
 
 
 @dataclass(frozen=True)
@@ -305,7 +318,7 @@ class RoundRecord:
     trial_seed: int
     round_index: int
     roles: np.ndarray  # True where the client free-rode
-    wefs: np.ndarray  # (n, h, w) integer counts, one WEF grid per client
+    wefs: np.ndarray  # (n, h, w) counts, one WEF grid per client, of wef_dtype(e)
     detection: det.RoundDetection
     free_riders: frozenset[int]
     metrics: Metrics
@@ -313,10 +326,6 @@ class RoundRecord:
     global_pen_before: np.ndarray
     e: int
     submission_digests: list[str]
-
-
-def _digest(flat: np.ndarray) -> str:
-    return hashlib.sha256(flat).hexdigest()[:16]
 
 
 def build_schedule(cfg: SimConfig, trial_seed: int) -> np.ndarray:
@@ -363,29 +372,33 @@ def _lockstep_groups(shards: Sequence[DatasetShard], clients: Iterable[int]) -> 
     ]
 
 
-def _submissions(state: _TrialState, t: int) -> tuple[list[ModelWeights], np.ndarray]:
-    """Every client's submitted weights and WEF grid for round t, in client order."""
+def _submissions(state: _TrialState, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's submitted parameter row and WEF grid for round t, in
+    client order: one (n, P) float64 array and one (n, h, w) array of
+    wef_dtype(e)."""
     cfg = state.cfg
     e = cfg.train.local_iterations
-    weights: list = [None] * cfg.clients
-    grids: list = [None] * cfg.clients
+    model = state.global_model
+    rows = np.empty((cfg.clients, model.num_params))
+    grids = np.empty((cfg.clients, *model.penultimate.shape), dtype=wef_dtype(e))
     for i in np.flatnonzero(state.schedule[t]).tolist():
         seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
         try:
-            sub = make_submission(cfg.attack, state.global_model, state.previous_global, e, seed)
+            sub = make_submission(cfg.attack, model, state.previous_global, e, seed)
         except S2wefError as exc:
             raise type(exc)(f"client {i}: {exc}") from exc
-        weights[i], grids[i] = sub.weights, sub.wef
+        rows[i], grids[i] = sub.weights.to_flat(), sub.wef
     benign = np.flatnonzero(~state.schedule[t]).tolist()
     for group in _lockstep_groups(state.shards, benign):
         seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
         try:
-            rows, wefs = local_train(state.global_model, [state.shards[i] for i in group], cfg.train, seeds)
+            rows[group], grids[group] = local_train(model, [state.shards[i] for i in group], cfg.train, seeds)
         except S2wefError as exc:
             raise type(exc)(f"client {group[exc.shard]}: {exc}") from exc
-        for i, row, wef in zip(group, rows, wefs):
-            weights[i], grids[i] = state.global_model.from_flat(row), wef
-    return weights, np.stack(grids)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"client {int(np.argmin(finite))}: non-finite parameters")
+    return rows, grids
 
 
 def run_round(state: _TrialState, t: int) -> RoundRecord:
@@ -398,7 +411,9 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         submissions, wefs = _submissions(state, t)
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
-        new_global = aggregate_fedavg(submissions, kept)
+        mean, digests = aggregate_fedavg(submissions, kept)
+        del submissions  # before the evaluation's activations are allocated
+        new_global = state.global_model.from_flat(mean)
         accuracy = evaluate_accuracy(new_global, state.eval_set)
     except S2wefError as exc:
         raise type(exc)(f"round {t}: {exc}") from exc
@@ -417,7 +432,7 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         accuracy=accuracy,
         global_pen_before=global_pen_before,
         e=cfg.train.local_iterations,
-        submission_digests=[_digest(s.to_flat()) for s in submissions],
+        submission_digests=digests,
     )
     state.previous_global = state.global_model
     state.global_model = new_global

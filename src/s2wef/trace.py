@@ -29,6 +29,7 @@ from .errors import ConfigurationError, TraceError
 from .fedsim import (
     MetricsReport, RoundRecord, SimConfig, compute_metrics, config_from_dict, config_to_dict,
 )
+from .wef import wef_dtype
 
 TRACE_SCHEMA = 1
 
@@ -61,9 +62,10 @@ def int_matrix_json(grid: np.ndarray) -> str:
 
 
 def decode_int_matrix(block: str) -> np.ndarray | None:
-    """The inverse of int_matrix_json: the int64 matrix whose encoding is
-    exactly block, or None when int_matrix_json writes block for no matrix
-    (spacing, leading zeros, signs, fractions, booleans, ragged rows...)."""
+    """The inverse of int_matrix_json: the matrix whose encoding is exactly
+    block, in the smallest unsigned type that holds its largest entry, or
+    None when int_matrix_json writes block for no matrix (spacing, leading
+    zeros, signs, fractions, booleans, ragged rows...)."""
     if not (block.isascii() and block.startswith("[[") and block.endswith("]]")):
         return None
     text = np.frombuffer(block.encode("ascii"), np.uint8)
@@ -89,7 +91,7 @@ def _decode_single_digits(text: np.ndarray, stride: int) -> np.ndarray | None:
     counts = grid[:, 1:-1:2] - np.uint8(ord("0"))  # uint8: bytes below "0" wrap to large values
     if counts.max() > 9 or not (grid[:, :-1:2] == frame).all() or np.any(grid[:-1, -1] != ord(",")):
         return None
-    return counts.astype(np.int64)
+    return counts
 
 
 def _decode_digit_runs(block: str, text: np.ndarray) -> np.ndarray | None:
@@ -115,7 +117,7 @@ def _decode_digit_runs(block: str, text: np.ndarray) -> np.ndarray | None:
         last -= 1
         more &= digit[last]
         if not more.any():
-            return counts.reshape(rows, -1)
+            return counts.astype(np.min_scalar_type(int(counts.max()))).reshape(rows, -1)
         counts[more] += (text[last[more]] - ord("0")).astype(np.int64) * 10**k
     return None  # 19 digits may not fit an int64: left to json.loads
 
@@ -229,7 +231,8 @@ _ROLES = ("benign", "free_rider")
 
 def _parse_round(rec: dict, where: str) -> None:
     """Type-check the fields replay reads or prints; wefs (unless
-    _split_record decoded it already) and global_pen become arrays."""
+    _split_record decoded it already) and global_pen become arrays, wefs
+    of wef_dtype(e) as the run held them."""
 
     def bad(key: str, expected: str):
         value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
@@ -262,7 +265,7 @@ def _parse_round(rec: dict, where: str) -> None:
     # json.loads reads NaN, Infinity, -Infinity and 1e999, which the writer never writes
     if pen is None or pen.size != h * w or not np.isfinite(pen).all():
         bad("global_pen", f"a list of {h * w} finite numbers")
-    rec["wefs"] = wefs.reshape(-1, h, w)
+    rec["wefs"] = wefs.astype(wef_dtype(rec["e"]), copy=False).reshape(-1, h, w)
     rec["global_pen"] = pen.astype(np.float64).reshape(h, w)
 
 
@@ -367,16 +370,34 @@ def read_trace(path: str | Path) -> Trace:
     return Trace(records, config)
 
 
+def _same_types(recorded, replayed) -> bool:
+    """Whether recorded, given that it == replayed, also has replayed's JSON
+    types: == reads 1 as true and 2 as 2.0, but a list equals only a list
+    and a dict only a dict, so only the scalars need a look."""
+    if isinstance(replayed, dict):
+        return all(_same_types(recorded[key], value) for key, value in replayed.items())
+    if isinstance(replayed, list):
+        if replayed and isinstance(replayed[0], list):  # the rows of a matrix
+            recorded, replayed = chain.from_iterable(recorded), chain.from_iterable(replayed)
+        return list(map(type, recorded)) == list(map(type, replayed))
+    return type(recorded) is type(replayed)
+
+
+def _matches(recorded, replayed) -> bool:
+    return recorded == replayed and _same_types(recorded, replayed)
+
+
 def _first_difference(recorded, replayed, path: str) -> str:
-    """The path of the first value of replayed that recorded does not equal,
-    given that the two differ: path itself when they differ in shape."""
+    """The path of the first value of replayed that recorded does not match
+    in value and JSON type, given that the two do not match: path itself
+    when they differ in shape."""
     if isinstance(replayed, dict) and isinstance(recorded, dict):
         for key, value in replayed.items():
-            if key not in recorded or recorded[key] != value:
+            if key not in recorded or not _matches(recorded[key], value):
                 return _first_difference(recorded.get(key), value, f"{path}.{key}")
     elif isinstance(replayed, list) and isinstance(recorded, list) and len(recorded) == len(replayed):
         for i, (old, new) in enumerate(zip(recorded, replayed)):
-            if old != new:
+            if not _matches(old, new):
                 return _first_difference(old, new, f"{path}[{i}]")
     return path
 
@@ -389,8 +410,9 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     replays with the default detector and no accumulation.  The scores,
     cluster, flags, vote and free_rider_list of a round must equal the
     replayed ones, and its metrics those of the replayed flagged set
-    against its roles; accuracy and submission_digests need the model and
-    go unchecked.  Each result holds the replayed flagged set and metrics,
+    against its roles, in value and in JSON type (1 is not true, 2.0 is
+    not 2); accuracy and submission_digests need the model and go
+    unchecked.  Each result holds the replayed flagged set and metrics,
     the recorded accuracy, and the path of the first field that differs
     (such as "cluster.heights[3]"), or None.
     """
@@ -409,7 +431,8 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
         metrics = compute_metrics(truth, flagged, len(roles))
         replayed = {**detection_fields(detection, flagged), "metrics": asdict(metrics)}
         field = next(
-            (_first_difference(rec[key], value, key) for key, value in replayed.items() if rec[key] != value),
+            (_first_difference(rec[key], value, key) for key, value in replayed.items()
+             if not _matches(rec[key], value)),
             None,
         )
         results.append(

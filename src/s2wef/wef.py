@@ -21,6 +21,15 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what}: shapes {a.shape} and {b.shape} differ")
 
 
+def wef_dtype(e: int) -> np.dtype:
+    """The type a stack of WEF grids with budget e is held in: the narrowest
+    that holds every count in [0, e], uint8 when e <= 255 and int64 above.
+
+    Sums of grids (accumulated WEFs) can pass e, so they are taken in int64.
+    """
+    return np.dtype(np.uint8 if e <= np.iinfo(np.uint8).max else np.int64)
+
+
 def _exceeds_mean_change(diff: np.ndarray, signed: bool = False) -> np.ndarray:
     """Entries whose change strictly exceeds their grid's mean absolute change.
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +13,8 @@ from s2wef.detect import DETECTORS
 from s2wef.errors import ConfigurationError
 from s2wef.fedsim import DatasetParams, SimConfig
 from s2wef.nn import TrainConfig
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def tiny_config(**overrides):
@@ -391,6 +396,64 @@ def test_detect_trace_names_a_hand_edited_field(tmp_path, capsys, trace_lines, k
     target[keys[-1]] = edit(target[keys[-1]])
     assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 1
     assert f"trial 1 round 2 at {field}" in capsys.readouterr().err
+
+
+# one recorded value retyped to an equal value of another JSON type, with
+# its line index and the path detect-trace names for it: == alone reads
+# 1 as True and 2.0 as 2, so replay compares the types too
+RETYPED = {
+    "vote.detected": (3, ("vote", "detected"), int, "vote.detected"),
+    "cluster.k": (3, ("cluster", "k"), float, "cluster.k"),
+    "flags.dev": (3, ("flags", "dev", 1), int, "flags.dev[1]"),
+    "cluster.s2": (1, ("cluster", "s2"), int, "cluster.s2"),  # 0.0 before a second broadcast
+    "scores.z": (1, ("scores", "z", 2, 1), int, "scores.z[2][1]"),
+    "metrics.recall": (3, ("metrics", "recall"), int, "metrics.recall"),
+}
+
+
+@pytest.mark.parametrize("line, keys, retype, field", RETYPED.values(), ids=RETYPED.keys())
+def test_detect_trace_names_a_retyped_field(tmp_path, capsys, trace_lines, line, keys, retype, field):
+    lines = json.loads(json.dumps(trace_lines))
+    target = lines[line]
+    for key in keys[:-1]:
+        target = target[key]
+    value = target[keys[-1]]
+    target[keys[-1]] = retype(value)
+    assert target[keys[-1]] == value and type(target[keys[-1]]) is not type(value)
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 1
+    assert f"trial 1 round {line - 1} at {field}" in capsys.readouterr().err
+
+
+def _into_a_closed_pipe(argv) -> subprocess.CompletedProcess:
+    """Run the CLI with stdout a pipe whose reader is gone before the first line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "s2wef.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("diverged", [False, True], ids=["consistent", "diverged"])
+def test_detect_trace_into_a_closed_pipe_exits_with_the_replay_status(tmp_path, trace_lines, diverged):
+    lines = json.loads(json.dumps(trace_lines))
+    if diverged:
+        lines[3]["vote"]["p_dev"] += 0.5
+    proc = _into_a_closed_pipe(["detect-trace", "--trace", write_lines(tmp_path, lines)])
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == (1 if diverged else 0)
+    assert ("diverging rounds" in proc.stderr) == diverged
+
+
+def test_run_into_a_closed_pipe_writes_its_outputs_and_exits_0(tmp_path):
+    out = tmp_path / "out"
+    proc = _into_a_closed_pipe(["run", "--config", str(write_config(tmp_path)), "--out", str(out)])
+    assert "Traceback" not in proc.stderr and proc.returncode == 0
+    assert (out / "summary.txt").read_text().startswith("detector=S2WEF")
 
 
 def test_detect_trace_prints_each_rounds_metrics(tmp_path, capsys, trace_bytes, trace_lines):

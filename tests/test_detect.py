@@ -29,6 +29,8 @@ from s2wef.detect import (
     wef_defense_baseline,
 )
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
+from s2wef.trace import detection_fields
+from s2wef.wef import wef_dtype
 
 
 def wm(rows):
@@ -531,6 +533,28 @@ def test_trial_detector_rejects_a_stack_unlike_its_running_sums():
     detector.step(np.ones((3, 2, 2), dtype=np.int64), now, e=5)
     with pytest.raises(ShapeError, match=r"\(3, 2, 1\) vs running sums \(3, 2, 2\)"):
         detector.step(np.ones((3, 2, 1), dtype=np.int64), now, e=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([(12, 25), (200, 3)]),  # (e, rounds): running sums up to 300 and 600
+    n=st.integers(3, 8),
+    h=st.integers(1, 4),
+    w=st.integers(1, 4),
+    name=st.sampled_from(sorted(name for name, spec in DETECTORS.items() if spec is not None)),
+)
+def test_accumulated_uint8_grids_score_as_int64_grids_past_255(seed, budget, n, h, w, name):
+    e, rounds = budget
+    assert wef_dtype(e) == np.uint8
+    rng = np.random.default_rng(seed)
+    grids = rng.integers(0, e + 1, size=(rounds, n, h, w))
+    grids[:, rng.integers(n)] = e  # one client at the full budget: its running sums pass 255
+    pens = rng.normal(size=(rounds, h, w))
+    narrow, wide = TrialDetector(name, accumulate=True), TrialDetector(name, accumulate=True)
+    for t in range(rounds):
+        held = narrow.step(grids[t].astype(np.uint8), pens[t], e)
+        assert detection_fields(*held) == detection_fields(*wide.step(grids[t], pens[t], e))
 
 
 # --- full round pipeline ----------------------------------------------------------

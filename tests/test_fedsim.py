@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from s2wef import fedsim
 from s2wef.attacks import AttackParams
@@ -136,32 +140,61 @@ def test_schedule_rejects_majority():
 
 # --- aggregation ----------------------------------------------------------------
 
+def _rows(n):
+    return np.stack([init_model([3, 4, 2], seed=s).to_flat() for s in range(n)])
+
+
 def test_aggregate_single_benign_verbatim():
-    models = [init_model([3, 4, 2], seed=s) for s in range(3)]
-    result = aggregate_fedavg(models, [1])
-    np.testing.assert_array_equal(result.to_flat(), models[1].to_flat())
+    rows = _rows(3)
+    expected = rows[1].copy()
+    mean, _ = aggregate_fedavg(rows, [1])
+    np.testing.assert_array_equal(mean, expected)
 
 
 def test_aggregate_opposite_weights_cancel():
-    m = init_model([3, 4, 2], seed=0)
-    neg = m.from_flat(-m.to_flat())
-    result = aggregate_fedavg([m, neg], [0, 1])
-    np.testing.assert_allclose(result.to_flat(), 0.0, atol=1e-15)
+    row = _rows(1)[0]
+    mean, _ = aggregate_fedavg(np.stack([row, -row]), [0, 1])
+    np.testing.assert_allclose(mean, 0.0, atol=1e-15)
 
 
-def test_aggregate_matches_mean_oracle():
-    models = [init_model([3, 4, 2], seed=s) for s in range(5)]
-    kept = [0, 2, 3]
-    result = aggregate_fedavg(models, kept)
-    oracle = sum(models[i].to_flat() for i in kept) / len(kept)
-    np.testing.assert_allclose(result.to_flat(), oracle, atol=1e-12)
+@st.composite
+def submission_rows(draw):
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, draw(st.integers(1, 40)))) * 10.0 ** draw(st.integers(-3, 3))
+    # whole rows and single entries of negative zero: the mean must keep their sign bits
+    rows[rng.random(n) < draw(st.floats(0, 1))] = -0.0
+    rows[rng.random(rows.shape) < draw(st.floats(0, 0.5))] = -0.0
+    kept = draw(st.lists(st.integers(0, n - 1), max_size=n))  # empty: every client
+    return rows, kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(submission_rows())
+@example((np.full((3, 4), -0.0), []))
+@example((np.full((3, 4), -0.0), [2]))
+def test_aggregate_matches_mean_oracle(case):
+    """The mean of np.stack of the kept rows, to the bit, and the digests of
+    the rows as submitted, though the kept rows move in place."""
+    rows, kept = case
+    submitted = rows.copy()
+    order = sorted(set(kept)) or range(len(rows))
+    expected = np.stack([submitted[i] for i in order]).mean(axis=0)
+    mean, digests = aggregate_fedavg(rows, kept)
+    assert mean.tobytes() == expected.tobytes()
+    assert digests == [hashlib.sha256(row).hexdigest()[:16] for row in submitted]
 
 
 def test_aggregate_empty_benign_falls_back_to_all():
-    models = [init_model([3, 4, 2], seed=s) for s in range(3)]
-    result = aggregate_fedavg(models, [])
-    oracle = sum(m.to_flat() for m in models) / 3
-    np.testing.assert_allclose(result.to_flat(), oracle, atol=1e-12)
+    rows = _rows(3)
+    oracle = rows.sum(axis=0) / 3
+    mean, _ = aggregate_fedavg(rows, [])
+    np.testing.assert_allclose(mean, oracle, atol=1e-12)
+
+
+def test_aggregate_rejects_nothing():
+    with pytest.raises(ConfigurationError):
+        aggregate_fedavg(np.empty((0, 5)), [])
 
 
 # --- metrics ---------------------------------------------------------------------
@@ -245,15 +278,16 @@ def test_exclusion_correctness(monkeypatch):
     aggregated = []
 
     def spy(submissions, benign_ids):
-        aggregated.append((len(submissions), set(benign_ids)))
+        aggregated.append((submissions.shape, set(benign_ids)))
         return aggregate_fedavg(submissions, benign_ids)
 
     monkeypatch.setattr(fedsim, "aggregate_fedavg", spy)
     cfg = small_cfg(rounds=5)
     records = run_trial(cfg, 3)
+    params = init_model(cfg.architecture, seed=0).num_params
     assert len(aggregated) == len(records)
-    for (n, kept), rec in zip(aggregated, records):
-        assert n == cfg.clients
+    for (shape, kept), rec in zip(aggregated, records):
+        assert shape == (cfg.clients, params)  # every client's row, one array
         assert kept == set(range(cfg.clients)) - rec.free_riders
     assert any(rec.free_riders for rec in records)
 
@@ -334,6 +368,21 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
     assert str(excinfo.value) == (
         f"trial seed 1: round 0: client {client}: non-finite loss at local iteration {iteration}"
     )
+
+
+def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monkeypatch):
+    train = fedsim.local_train
+
+    def overflowed(w_start, shards, cfg, seeds):  # finite losses, then a last step that overflows
+        rows, wefs = train(w_start, shards, cfg, seeds)
+        rows[-1, 0] = np.inf
+        return rows, wefs
+
+    monkeypatch.setattr(fedsim, "local_train", overflowed)
+    with pytest.raises(NumericError) as excinfo:
+        run_simulation(small_cfg())
+    # round 0 trains all 5 clients in one lockstep group
+    assert str(excinfo.value) == "trial seed 1: round 0: client 4: non-finite parameters"
 
 
 def test_lockstep_groups_split_by_shard_length_in_client_order():

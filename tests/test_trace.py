@@ -136,6 +136,31 @@ def test_replay_of_a_written_trace_matches_every_recomputed_field(tmp_path_facto
     assert [r["field"] for r in results if r["diverged"]] == []
 
 
+@pytest.mark.parametrize(
+    "e, dtype, digit_runs",
+    [(3, np.uint8, False), (12, np.uint8, True), (260, np.int64, True)],
+    ids=["layout", "digit-runs", "above-255"],
+)
+def test_wefs_are_held_in_the_narrowest_type_of_their_budget(tmp_path, e, dtype, digit_runs):
+    cfg = small_cfg(rounds=3, seeds=(1,), train=TrainConfig(batch_size=8, local_iterations=e))
+    report = run_simulation(cfg)
+    records = report.trials[1]
+    assert all(rec.wefs.dtype == dtype for rec in records)
+    path = tmp_path / "trace.jsonl"
+    write_trace(report, path)
+    with mock.patch.object(trace, "_decode_digit_runs", wraps=trace._decode_digit_runs) as runs:
+        fast = read_trace(path)
+    assert (runs.call_count > 0) == digit_runs
+    # json.dumps's default spacing: the reader falls back to json.loads of the whole line
+    spaced = [json.dumps(json.loads(line)) for line in path.read_text().splitlines()]
+    assert not any(map(trace._split_record, spaced))
+    (tmp_path / "spaced.jsonl").write_text("".join(line + "\n" for line in spaced))
+    slow = read_trace(tmp_path / "spaced.jsonl")
+    for rec, a, b in zip(records, fast, slow):
+        assert a["wefs"].dtype == b["wefs"].dtype == dtype
+        assert np.array_equal(a["wefs"], rec.wefs) and np.array_equal(b["wefs"], rec.wefs)
+
+
 @st.composite
 def int_matrices(draw):
     rows = draw(st.integers(1, 40))
@@ -167,7 +192,7 @@ def test_int_matrix_json_equals_json_dumps(grid):
 @example(np.array([[10**18 - 1, 0], [7, 10**17]]))
 def test_decode_int_matrix_inverts_int_matrix_json(grid):
     decoded = decode_int_matrix(int_matrix_json(grid))
-    assert decoded.dtype == np.int64 and np.array_equal(decoded, grid)
+    assert decoded.dtype == np.min_scalar_type(int(grid.max())) and np.array_equal(decoded, grid)
 
 
 @pytest.mark.parametrize(
@@ -201,7 +226,7 @@ def _no_digit_runs(block, text):
 def test_single_digit_blocks_are_read_by_their_layout(grid):
     with mock.patch.object(trace, "_decode_digit_runs", _no_digit_runs):
         decoded = decode_int_matrix(int_matrix_json(grid))
-    assert decoded.dtype == np.int64 and np.array_equal(decoded, grid)
+    assert decoded.dtype == np.uint8 and np.array_equal(decoded, grid)
 
 
 # canonical blocks whose rows all have one byte length, odd ("12") or even
@@ -215,7 +240,7 @@ def test_multi_digit_blocks_reach_the_digit_run_decoder(grid):
     with mock.patch.object(trace, "_decode_digit_runs", wraps=trace._decode_digit_runs) as runs:
         decoded = decode_int_matrix(json.dumps(grid, separators=(",", ":")))
     assert runs.call_count == 1
-    assert decoded.dtype == np.int64 and np.array_equal(decoded, grid)
+    assert decoded.dtype == np.min_scalar_type(np.max(grid)) and np.array_equal(decoded, grid)
 
 
 @settings(max_examples=300, deadline=None)
@@ -233,7 +258,7 @@ def test_layout_read_agrees_with_the_digit_run_decoder_on_edited_blocks(grid, da
     if expected is None:
         assert decoded is None
     else:
-        assert decoded.dtype == np.int64 and np.array_equal(decoded, expected)
+        assert decoded.dtype == expected.dtype and np.array_equal(decoded, expected)
 
 
 @pytest.mark.parametrize(
