@@ -1,17 +1,18 @@
 """Command-line front end.
 
-Subcommands: run a configured experiment, run an ablation pair on shared
-seeds, or replay a detector over a recorded trace, checking every field it
-recomputes and printing each round's flagged set, f1, fpr and accuracy.
-Configs are versioned JSON validated fail-closed (unknown keys and
-mistyped values are rejected) before any output file is created.  A run is
-single-threaded: it trains a round's benign clients in lockstep groups of
-up to 8 with equal-length shards, one stacked numpy call per operation,
-bit for bit what training them one by one gives.  At 200 clients that is
-about 0.66 ms per client against 1.2 ms one at a time (2-core machine);
-the small numpy calls hold the interpreter lock, so a thread pool made
-runs slower, not faster.  Exit codes: 0 success, 1 runtime failure or
-replay divergence, 2 invalid config or malformed trace.
+Two subcommands: run a configured experiment, or replay a detector over a
+recorded trace, checking every field it recomputes and printing each
+round's flagged set, f1, fpr and accuracy.  An ablation is the same config
+run twice with `--detector`.  Configs are versioned JSON validated
+fail-closed (unknown or repeated keys and mistyped values are rejected)
+before any output file is created.  A run is single-threaded: it trains a
+round's benign clients in lockstep groups of up to 8 with equal-length
+shards, one stacked numpy call per operation, bit for bit what training
+them one by one gives.  At 200 clients that is about 0.66 ms per client
+against 1.2 ms one at a time (2-core machine); the small numpy calls hold
+the interpreter lock, so a thread pool made runs slower, not faster.  Exit
+codes: 0 success, 1 runtime failure or replay divergence, 2 invalid config
+or malformed trace.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from pathlib import Path
 from .detect import DETECTORS
 from .errors import ConfigurationError, S2wefError, TraceError
 from .fedsim import (  # the config codec lives next to SimConfig; re-exported here
-    CONFIG_VERSION,
     MetricsReport,
     SimConfig,
     config_from_dict,
@@ -42,10 +42,21 @@ from .trace import (
     write_trace,
 )
 
+
+def _unique_keys(path: Path, pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; json.loads alone would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigurationError(f"{path}: repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str | Path) -> SimConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=partial(_unique_keys, path))
     except OSError as exc:  # missing, a directory, or unreadable
         raise ConfigurationError(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -97,21 +108,17 @@ def summary_lines(report: MetricsReport) -> list[str]:
     return lines
 
 
-def _apply_overrides(cfg: SimConfig, args) -> SimConfig:
+def _prepare_run(args) -> tuple[SimConfig, Path]:
+    """Check a run's config and output path before any work.
+
+    Returns the config with the --seed and --detector overrides applied and
+    the output directory; raises ConfigurationError otherwise.
+    """
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
     if args.detector:
         cfg = replace(cfg, detector=args.detector)
-    return cfg
-
-
-def _prepare_run(args) -> tuple[SimConfig, Path]:
-    """Check a run's config and output path before any work.
-
-    Returns the config with its overrides applied and the output directory;
-    raises ConfigurationError otherwise.
-    """
-    cfg = _apply_overrides(load_config(args.config), args)
     out = Path(args.out)
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir():
@@ -133,60 +140,6 @@ def cmd_run(args) -> int:
         fh.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")
     lines = summary_lines(report)
     with atomic_write(out / "summary.txt") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if not args.quiet:
-        _print_lines(lines)
-    return 0
-
-
-_ABLATION_PAIRS = {
-    "l1": ("COS_ONLY_CLUSTER", "CLUSTER_ONLY"),
-    "vote": ("CLUSTER_ONLY", "S2WEF"),
-}
-
-
-def cmd_ablate(args) -> int:
-    cfg, out = _prepare_run(args)
-    mode = args.mode or ("vote" if cfg.scenario == "CLEAN" else "l1")
-    first, second = _ABLATION_PAIRS[mode]
-    try:
-        reports = {name: run_simulation(replace(cfg, detector=name)) for name in (first, second)}
-    except S2wefError as exc:
-        print(f"ablation failed: {exc}", file=sys.stderr)
-        return 1
-
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [f"ablation={mode} seeds={list(cfg.seeds)}"]
-    if mode == "l1":
-        lines.append(f"{'detector':>18}  {'precision':>9}  {'recall':>6}  {'f1':>5}")
-        rows = {
-            name: {
-                "precision": rep.mean("precision", attack_only=True),
-                "recall": rep.mean("recall", attack_only=True),
-                "f1": rep.mean("f1", attack_only=True),
-            }
-            for name, rep in reports.items()
-        }
-        for name, row in rows.items():
-            lines.append(
-                f"{name:>18}  {_fmt(row['precision']):>9}  "
-                f"{_fmt(row['recall']):>6}  {_fmt(row['f1']):>5}"
-            )
-    else:
-        lines.append(f"{'detector':>18}  {'fpr':>6}")
-        rows = {name: {"fpr": rep.mean("fpr")} for name, rep in reports.items()}
-        for name, row in rows.items():
-            lines.append(f"{name:>18}  {row['fpr']:>6.3f}")
-
-    meta = {
-        "mode": mode,
-        "seeds": list(cfg.seeds),
-        "detectors": [first, second],
-        "results": rows,
-    }
-    with atomic_write(out / "ablation.json") as fh:
-        fh.write(json.dumps(meta, indent=2) + "\n")
-    with atomic_write(out / "ablation.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     if not args.quiet:
         _print_lines(lines)
@@ -228,22 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the trial seed list")
-        p.add_argument("--detector", choices=DETECTORS, default=None,
-                       help="override the configured detector")
-        p.add_argument("--quiet", action="store_true")
-
     p_run = sub.add_parser("run", help="run a configured experiment")
-    common(p_run)
+    p_run.add_argument("--config", required=True, help="experiment config JSON")
+    p_run.add_argument("--out", required=True, help="output directory")
+    p_run.add_argument("--seed", type=int, default=None, help="override the trial seed list")
+    p_run.add_argument("--detector", choices=DETECTORS, default=None,
+                       help="override the configured detector")
+    p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)
-
-    p_abl = sub.add_parser("ablate", help="run a detector-pair ablation on shared seeds")
-    common(p_abl)
-    p_abl.add_argument("--mode", choices=sorted(_ABLATION_PAIRS), default=None)
-    p_abl.set_defaults(func=cmd_ablate)
 
     p_det = sub.add_parser("detect-trace", help="replay a detector over a recorded trace")
     p_det.add_argument("--trace", required=True, help="trace.jsonl path")

@@ -245,6 +245,10 @@ class SimConfig:
             raise ConfigurationError("attack parameters required when free-riders exist")
         if self.dirichlet_beta <= 0:
             raise ConfigurationError("dirichlet_beta must be > 0")
+        if self.dataset.samples < self.clients:
+            raise ConfigurationError(
+                f"dataset.samples must be >= clients, got {self.dataset.samples} for {self.clients}"
+            )
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ConfigurationError("hidden_layers must be nonempty positive sizes")
 

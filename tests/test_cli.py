@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ from s2wef.attacks import AttackParams
 from s2wef.cli import config_from_dict, config_to_dict, load_config, main
 from s2wef.detect import DETECTORS
 from s2wef.errors import ConfigurationError
-from s2wef.fedsim import DatasetParams, SimConfig
+from s2wef.fedsim import DatasetParams, SimConfig, run_simulation
 from s2wef.nn import TrainConfig
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -142,6 +142,39 @@ def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides)
     assert "config error" in capsys.readouterr().err
 
 
+# a key given twice in one object, at the root and in each nested config object
+REPEATED = {
+    "root": ('"clients": 5', "clients"),
+    "attack": ('"kind": "DWA"', "kind"),
+    "train": ('"local_iterations": 3', "local_iterations"),
+    "dataset": ('"samples": 300', "samples"),
+}
+
+
+@pytest.mark.parametrize("pair, key", REPEATED.values(), ids=REPEATED.keys())
+def test_repeated_config_key_exits_2_and_writes_nothing(tmp_path, capsys, pair, key):
+    path = write_config(tmp_path)
+    text = path.read_text()
+    assert text.count(pair) == 1
+    path.write_text(text.replace(pair, f"{pair}, {pair}"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: {path}: repeated key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("partition", ["IID", "DIRICHLET"])
+def test_dataset_smaller_than_its_clients_exits_2_and_writes_nothing(tmp_path, capsys, partition):
+    dataset = {"samples": 10, "features": 8, "classes": 4, "spread": 0.3}
+    path = write_config(tmp_path, clients=20, partition=partition, dataset=dataset)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert "config error: dataset.samples must be >= clients, got 10 for 20" in capsys.readouterr().err
+    # one sample per client is enough
+    assert load_config(write_config(tmp_path, clients=10, dataset={**dataset, "samples": 10})).clients == 10
+
+
 def test_run_writes_outputs(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -173,7 +206,7 @@ def _no_simulation(*args, **kwargs):
     raise AssertionError("the simulation ran before the invocation was checked")
 
 
-@pytest.mark.parametrize("command", ["run", "ablate"])
+@pytest.mark.parametrize("command", ["run"])
 @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
 def test_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch, command, below):
     monkeypatch.setattr("s2wef.cli.run_simulation", _no_simulation)
@@ -271,6 +304,8 @@ MALFORMED = {
     "header-schema": (0, ("header", "schema"), 2, "unknown trace schema 2"),
     "header-config": (0, ("header", "config", "clients"), "10", "header config.clients"),
     "header-extra-key": (0, ("header", "version"), "0.1.0", "a header line is"),
+    "header-samples-below-clients": (0, ("header", "config", "dataset", "samples"), 4,
+                                     "header dataset.samples must be >= clients, got 4 for 5"),
 }
 
 
@@ -474,26 +509,38 @@ def test_detect_trace_missing_file_exits_2(tmp_path):
     assert main(["detect-trace", "--trace", str(tmp_path / "none.jsonl")]) == 2
 
 
-def test_ablate_vote_mode(tmp_path):
-    path = write_config(tmp_path, scenario="CLEAN", free_rider_ratio=0.0, attack=None, rounds=5)
-    out = tmp_path / "out"
-    rc = main(["ablate", "--config", str(path), "--out", str(out), "--quiet"])
-    assert rc == 0
-    meta = json.loads((out / "ablation.json").read_text())
-    assert meta["mode"] == "vote"
-    assert meta["seeds"] == [1]
-    assert set(meta["detectors"]) == {"CLUSTER_ONLY", "S2WEF"}
-    assert all("fpr" in row for row in meta["results"].values())
+# the detector pairs an ablation compares, and the summary.txt column and
+# MetricsReport.mean arguments that hold the number it compares them by
+ABLATIONS = {
+    "vote": ({"scenario": "CLEAN", "free_rider_ratio": 0.0, "attack": None},
+             ("CLUSTER_ONLY", "S2WEF"), "fpr", ("fpr",)),
+    "l1": ({}, ("COS_ONLY_CLUSTER", "CLUSTER_ONLY"), "f1_attack", ("f1", True)),
+}
 
 
-def test_ablate_l1_mode(tmp_path):
-    path = write_config(tmp_path, rounds=5)
+@pytest.mark.parametrize("overrides, detectors, column, mean", ABLATIONS.values(), ids=ABLATIONS.keys())
+def test_an_ablation_is_two_runs_with_detector(tmp_path, overrides, detectors, column, mean):
+    path = write_config(tmp_path, rounds=5, **overrides)
+    cfg = load_config(path)
+    for detector in detectors:
+        out = tmp_path / detector
+        assert main(["run", "--config", str(path), "--out", str(out), "--detector", detector, "--quiet"]) == 0
+        title, columns, *rows = (out / "summary.txt").read_text().splitlines()
+        assert title.startswith(f"detector={detector} ")
+        mean_row = dict(zip(columns.split(), next(r for r in rows if r.split()[0] == "mean").split()))
+        expected = run_simulation(replace(cfg, detector=detector)).mean(*mean)
+        assert expected == expected and mean_row[column] == f"{expected:.2f}"  # a number, not NaN
+
+
+def test_ablate_is_not_a_command(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(["ablate", "--config", str(path), "--out", str(out), "--quiet"])
-    assert rc == 0
-    meta = json.loads((out / "ablation.json").read_text())
-    assert meta["mode"] == "l1"
-    assert set(meta["detectors"]) == {"COS_ONLY_CLUSTER", "CLUSTER_ONLY"}
+    with pytest.raises(SystemExit) as exc:
+        main(["ablate", "--config", str(write_config(tmp_path)), "--out", str(out), "--quiet"])
+    assert exc.value.code == 2 and not out.exists()
+    assert "invalid choice: 'ablate'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "{run,detect-trace}" in capsys.readouterr().out
 
 
 def test_seed_override(tmp_path):
