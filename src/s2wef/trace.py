@@ -5,12 +5,16 @@ trace schema and the normalized config of the run; every later line is one
 round record carrying the submitted WEF grids, the score/cluster/vote
 outputs, the decision, the round metrics, and the penultimate matrix of
 the model broadcast at the start of the round (which is what replay needs
-to re-simulate the server side).  Writing is deterministic: the same
-records produce the same bytes.
+to re-simulate the server side).  Schema 2 writes that matrix as the
+base64 of its little-endian float64 bytes; schema 1, and a trace without a
+header, held it as a list of decimal numbers, which the reader still
+takes.  Writing is deterministic: the same records produce the same bytes.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import json
 import math
@@ -31,7 +35,8 @@ from .fedsim import (
 )
 from .wef import wef_dtype
 
-TRACE_SCHEMA = 1
+TRACE_SCHEMA = 2
+_SCHEMAS = (1, TRACE_SCHEMA)  # the ones the reader takes
 
 _REQUIRED_KEYS = {
     "trial", "round", "e", "roles", "wef_shape", "wefs", "scores", "cluster",
@@ -122,6 +127,31 @@ def _decode_digit_runs(block: str, text: np.ndarray) -> np.ndarray | None:
     return None  # 19 digits may not fit an int64: left to json.loads
 
 
+def float_matrix_base64(matrix: np.ndarray) -> str:
+    """The standard padded base64 of matrix's C-order little-endian float64
+    bytes: 10.7 bytes of text a value that read back exactly, where the
+    decimal text of schema 1 took about 20.7 and formatted each value."""
+    return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_float_matrix(text: object, h: int, w: int) -> np.ndarray | None:
+    """The inverse of float_matrix_base64: the finite (h, w) float64 matrix
+    whose encoding is exactly text, or None when float_matrix_base64 writes
+    text for no such matrix (another alphabet, whitespace, non-canonical
+    padding or trailing bits, another length, NaN or an infinity)."""
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error:
+        return None
+    # b64decode ignores the unused low bits of the last digit before "="
+    if len(raw) != 8 * h * w or base64.b64encode(raw).decode("ascii") != text:
+        return None
+    matrix = np.frombuffer(raw, "<f8").astype(np.float64).reshape(h, w)
+    return matrix if np.isfinite(matrix).all() else None
+
+
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -168,7 +198,7 @@ def encode_record(rec: RoundRecord) -> str:
         **detection_fields(rec.detection, rec.free_riders),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
-        "global_pen": rec.global_pen_before.ravel().tolist(),
+        "global_pen": float_matrix_base64(rec.global_pen_before),
         "submission_digests": list(rec.submission_digests),
     }
     wefs = int_matrix_json(rec.wefs.reshape(n, -1))
@@ -229,10 +259,11 @@ def _array(value, kinds: str, ndim: int) -> np.ndarray | None:
 _ROLES = ("benign", "free_rider")
 
 
-def _parse_round(rec: dict, where: str) -> None:
+def _parse_round(rec: dict, where: str, schema: int) -> None:
     """Type-check the fields replay reads or prints; wefs (unless
     _split_record decoded it already) and global_pen become arrays, wefs
-    of wef_dtype(e) as the run held them."""
+    of wef_dtype(e) as the run held them, global_pen of float64 in the
+    form of the trace's schema."""
 
     def bad(key: str, expected: str):
         value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
@@ -261,22 +292,42 @@ def _parse_round(rec: dict, where: str) -> None:
     # an int is finite; math.isfinite would overflow on a long one
     if not (_is_int(accuracy) or isinstance(accuracy, float) and math.isfinite(accuracy)):
         bad("accuracy", "a finite number")
-    pen = _array(rec["global_pen"], "if", 1)
-    # json.loads reads NaN, Infinity, -Infinity and 1e999, which the writer never writes
-    if pen is None or pen.size != h * w or not np.isfinite(pen).all():
-        bad("global_pen", f"a list of {h * w} finite numbers")
+    if schema == 1:
+        pen = _array(rec["global_pen"], "if", 1)
+        # json.loads reads NaN, Infinity, -Infinity and 1e999, which the writer never writes
+        if pen is None or pen.size != h * w or not np.isfinite(pen).all():
+            bad("global_pen", f"a list of {h * w} finite numbers")
+        pen = pen.astype(np.float64).reshape(h, w)
+    else:
+        pen = decode_float_matrix(rec["global_pen"], h, w)
+        if pen is None:
+            bad("global_pen", f"the canonical base64 of {h * w} finite little-endian float64")
     rec["wefs"] = wefs.astype(wef_dtype(rec["e"]), copy=False).reshape(-1, h, w)
-    rec["global_pen"] = pen.astype(np.float64).reshape(h, w)
+    rec["global_pen"] = pen
 
 
-def _header_config(rec: dict, where: str) -> SimConfig:
+def _check_against_header(rec: dict, cfg: SimConfig, where: str) -> None:
+    """A round that cfg's run wrote has its clients, e and grid shape."""
+    for name, value, key, expected in (
+        ("the client count", len(rec["roles"]), "clients", cfg.clients),
+        ("e", rec["e"], "train.local_iterations", cfg.train.local_iterations),
+        ("wef_shape", rec["wef_shape"], "[hidden_layers[-1], dataset.classes]",
+         [cfg.hidden_layers[-1], cfg.dataset.classes]),
+    ):
+        if value != expected:
+            raise TraceError(f"{where}: {name} is {value}, the header's {key} is {expected}")
+
+
+def _read_header(rec: dict, where: str) -> tuple[int, SimConfig]:
+    """A header line's schema and config."""
     header = rec["header"]
     if rec.keys() != {"header"} or not isinstance(header, dict) or header.keys() != {"schema", "config"}:
         raise TraceError(f'{where}: a header line is {{"header": {{"schema": .., "config": ..}}}}')
-    if not (_is_int(header["schema"]) and header["schema"] == TRACE_SCHEMA):
-        raise TraceError(f"{where}: unknown trace schema {header['schema']!r}, expected {TRACE_SCHEMA}")
+    schema = header["schema"]
+    if not (_is_int(schema) and schema in _SCHEMAS):
+        raise TraceError(f"{where}: unknown trace schema {schema!r}, expected one of {list(_SCHEMAS)}")
     try:
-        return config_from_dict(header["config"])
+        return schema, config_from_dict(header["config"])
     except ConfigurationError as exc:
         raise TraceError(f"{where}: header {exc}") from exc
 
@@ -315,15 +366,18 @@ def read_trace(path: str | Path) -> Trace:
     """Parse and validate a trace; wefs and global_pen come back as arrays.
 
     Every round of a trial must have the (n, h, w) WEF stack of its first
-    round.  With a header, the round records must be exactly the config's
-    (seed, round) pairs in order, so a truncated or spliced trace is rejected.
+    round.  With a header, every round must have the config's clients,
+    local iterations and penultimate shape, and the round records must be
+    exactly the config's (seed, round) pairs in order, so a truncated or
+    spliced trace is rejected.  The header's schema sets the form of
+    global_pen; a trace without a header is schema 1.
     """
     path = Path(path)
     try:
         fh = path.open("rb")
     except OSError as exc:  # missing, a directory, or unreadable
         raise TraceError(f"{path}: {exc.strerror or exc}") from exc
-    config = None
+    schema, config = 1, None
     records = []
     stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
     with fh:  # one line in memory at a time
@@ -344,18 +398,20 @@ def read_trace(path: str | Path) -> Trace:
             if not isinstance(rec, dict):
                 raise TraceError(f"{where}: expected a JSON object, got {rec!r:.60}")
             if "header" in rec and config is None and not records:
-                config = _header_config(rec, where)
+                schema, config = _read_header(rec, where)
                 continue
             missing = _REQUIRED_KEYS - rec.keys()
             if missing:
                 raise TraceError(f"{where}: missing keys {sorted(missing)}")
-            _parse_round(rec, where)
+            _parse_round(rec, where, schema)
             stack = stacks.setdefault(rec["trial"], rec["wefs"].shape)
             if rec["wefs"].shape != stack:
                 raise TraceError(
                     f"{where}: WEF stack {rec['wefs'].shape} is not {stack}, "
                     f"the stack of trial {rec['trial']}'s first round"
                 )
+            if config is not None:
+                _check_against_header(rec, config, where)
             records.append(rec)
     if not records:
         raise TraceError(f"{path}: empty trace")

@@ -1,10 +1,14 @@
+import base64
 import json
 import os
+import string
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from s2wef.attacks import AttackParams
@@ -271,6 +275,27 @@ def trace_lines(trace_bytes):
     return [json.loads(line) for line in trace_bytes.splitlines()]
 
 
+def decimal_pen(text: str) -> list[float]:
+    """A schema-2 global_pen as schema 1 writes it: a list of decimal numbers."""
+    return np.frombuffer(base64.b64decode(text), "<f8").tolist()
+
+
+@pytest.fixture(scope="module")
+def schema_1_lines(trace_lines):
+    """That trace in schema-1 form: every global_pen a list of decimal numbers."""
+    lines = json.loads(json.dumps(trace_lines))
+    lines[0]["header"]["schema"] = 1
+    for line in lines[1:]:
+        line["global_pen"] = decimal_pen(line["global_pen"])
+    return lines
+
+
+@pytest.fixture(scope="module")
+def schema_1_bytes(schema_1_lines):
+    """Those lines as the schema-1 writer wrote them."""
+    return "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in schema_1_lines).encode()
+
+
 def write_lines(tmp_path, lines) -> str:
     trace = tmp_path / "trace.jsonl"
     trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
@@ -301,7 +326,7 @@ MALFORMED = {
     "accuracy-str": (2, ("accuracy",), "0.5", "accuracy must be a finite number"),
     "accuracy-bool": (2, ("accuracy",), True, "accuracy must be a finite number"),
     "not-an-object": (2, (), [1, 2, 3], "expected a JSON object"),
-    "header-schema": (0, ("header", "schema"), 2, "unknown trace schema 2"),
+    "header-schema": (0, ("header", "schema"), 3, "unknown trace schema 3"),
     "header-config": (0, ("header", "config", "clients"), "10", "header config.clients"),
     "header-extra-key": (0, ("header", "version"), "0.1.0", "a header line is"),
     "header-samples-below-clients": (0, ("header", "config", "dataset", "samples"), 4,
@@ -310,8 +335,9 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("line, keys, value, message", MALFORMED.values(), ids=MALFORMED.keys())
-def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, line, keys, value, message):
-    lines = json.loads(json.dumps(trace_lines))
+def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, schema_1_lines, line, keys, value, message):
+    # global_pen has elements to edit only in schema 1
+    lines = json.loads(json.dumps(schema_1_lines if keys[:1] == ("global_pen",) else trace_lines))
     if keys:
         target = lines[line]
         for key in keys[:-1]:
@@ -337,6 +363,36 @@ def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, line, key
 def test_detect_trace_incomplete_exits_2(tmp_path, capsys, trace_lines, keep):
     assert main(["detect-trace", "--trace", write_lines(tmp_path, keep(trace_lines)), "--quiet"]) == 2
     assert "trace error" in capsys.readouterr().err
+
+
+# header config edits that leave the config valid but unlike the round records
+# (5 clients, e = 3, 32 × 4 grids), and the message that follows
+# "trace error: <path>:2: " for the first round
+HEADER_UNLIKE_ROUNDS = {
+    "clients": ({"clients": 20}, "the client count is 5, the header's clients is 20"),
+    "local-iterations": ({"train": {"local_iterations": 7}},
+                         "e is 3, the header's train.local_iterations is 7"),
+    "hidden-layers": ({"hidden_layers": [128]},
+                      "wef_shape is [32, 4], the header's [hidden_layers[-1], dataset.classes] is [128, 4]"),
+    "deeper": ({"hidden_layers": [32, 16]},
+               "wef_shape is [32, 4], the header's [hidden_layers[-1], dataset.classes] is [16, 4]"),
+    "classes": ({"dataset": {"classes": 5}},
+                "wef_shape is [32, 4], the header's [hidden_layers[-1], dataset.classes] is [32, 5]"),
+}
+
+
+@pytest.mark.parametrize("edit, message", HEADER_UNLIKE_ROUNDS.values(), ids=HEADER_UNLIKE_ROUNDS.keys())
+def test_detect_trace_header_unlike_its_rounds_exits_2(tmp_path, capsys, trace_lines, edit, message):
+    lines = json.loads(json.dumps(trace_lines))
+    config = lines[0]["header"]["config"]
+    for key, value in edit.items():
+        if isinstance(value, dict):
+            config[key].update(value)
+        else:
+            config[key] = value
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    assert f"trace error: {trace}:2: {message}" in capsys.readouterr().err
 
 
 def _drop_a_client_under_accumulation(lines):
@@ -389,9 +445,9 @@ def test_detect_trace_unreadable_line_exits_2(tmp_path, capsys, trace_bytes, edi
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
-def test_detect_trace_non_finite_global_pen_exits_2(tmp_path, capsys, trace_bytes, value):
-    """json.loads reads these as nan or ±inf; the writer never writes them."""
-    lines = trace_bytes.splitlines()
+def test_detect_trace_non_finite_global_pen_exits_2(tmp_path, capsys, schema_1_bytes, value):
+    """json.loads reads these as nan or ±inf; the schema-1 writer never wrote them."""
+    lines = schema_1_bytes.splitlines()
     head, pen = lines[2].split(b'"global_pen":[')
     lines[2] = head + b'"global_pen":[' + value.encode() + pen[pen.index(b","):]
     trace = tmp_path / "trace.jsonl"
@@ -399,6 +455,71 @@ def test_detect_trace_non_finite_global_pen_exits_2(tmp_path, capsys, trace_byte
     assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
     message = f"trace error: {trace}:3: global_pen must be a list of 128 finite numbers"
     assert message in capsys.readouterr().err
+
+
+def _base64_edit(edit):
+    """An edit of the bytes a schema-2 global_pen encodes, encoded again."""
+    return lambda pen: base64.b64encode(edit(base64.b64decode(pen))).decode("ascii")
+
+
+def _first_value(value):
+    """The first value's 8 bytes set to value's float64 bit pattern."""
+    return _base64_edit(lambda raw: struct.pack("<d", value) + raw[8:])
+
+
+def _trailing_bits(pen):
+    """An unused low bit of the last digit set: b64decode ignores it."""
+    alphabet = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+    assert pen.endswith("==")  # 128 values: 1,024 bytes, the last group holds one byte
+    return pen[:-3] + alphabet[alphabet.index(pen[-3]) | 1] + "=="
+
+
+_BASE64 = "global_pen must be the canonical base64 of 128 finite little-endian float64"
+_DECIMAL = "global_pen must be a list of 128 finite numbers"
+
+# the form of the trace, an edit of round 1's schema-2 global_pen text, and the message
+PEN_MALFORMED = {
+    "short": ("schema-2", _base64_edit(lambda raw: raw[:-8]), _BASE64),
+    "long": ("schema-2", _base64_edit(lambda raw: raw + raw[:8]), _BASE64),
+    "odd-length": ("schema-2", _base64_edit(lambda raw: raw[:-1]), _BASE64),
+    "url-safe-digit": ("schema-2", lambda pen: "-" + pen[1:], _BASE64),
+    "outside-alphabet": ("schema-2", lambda pen: pen[:5] + "*" + pen[6:], _BASE64),
+    "newline": ("schema-2", lambda pen: pen[:76] + "\n" + pen[76:], _BASE64),
+    "space": ("schema-2", lambda pen: pen[:8] + " " + pen[8:], _BASE64),
+    "unpadded": ("schema-2", lambda pen: pen.rstrip("="), _BASE64),
+    "extra-padding": ("schema-2", lambda pen: pen + "=", _BASE64),
+    "trailing-bits": ("schema-2", _trailing_bits, _BASE64),
+    "non-ascii": ("schema-2", lambda pen: "\uff21" + pen[1:], _BASE64),
+    "nan": ("schema-2", _first_value(float("nan")), _BASE64),
+    "inf": ("schema-2", _first_value(float("inf")), _BASE64),
+    "-inf": ("schema-2", _first_value(float("-inf")), _BASE64),
+    "empty": ("schema-2", lambda pen: "", _BASE64),
+    "list-in-schema-2": ("schema-2", decimal_pen, _BASE64),
+    "string-in-schema-1": ("schema-1", lambda pen: pen, _DECIMAL),
+    "string-header-less": ("header-less", lambda pen: pen, _DECIMAL),
+}
+
+
+@pytest.mark.parametrize("form, edit, message", PEN_MALFORMED.values(), ids=PEN_MALFORMED.keys())
+def test_detect_trace_global_pen_unlike_its_schema_exits_2(
+    tmp_path, capsys, trace_lines, schema_1_lines, form, edit, message
+):
+    lines = json.loads(json.dumps(trace_lines if form == "schema-2" else schema_1_lines))
+    lines[2]["global_pen"] = edit(trace_lines[2]["global_pen"])
+    if form == "header-less":
+        lines = lines[1:]
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    lineno = 2 if form == "header-less" else 3
+    assert f"trace error: {trace}:{lineno}: {message}, got" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["schema-1", "header-less"])
+def test_detect_trace_reads_the_decimal_form(tmp_path, capsys, schema_1_lines, form):
+    """Schema 1 and header-less traces, as written before schema 2, still replay."""
+    lines = schema_1_lines if form == "schema-1" else schema_1_lines[1:]
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 0
+    assert capsys.readouterr().out == "replay consistent over 4 rounds\n"
 
 
 def test_detect_trace_lines_end_with_a_newline(tmp_path, capsys, trace_bytes):

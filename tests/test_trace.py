@@ -1,13 +1,16 @@
+import base64
 import json
 import re
 import signal
-from dataclasses import asdict
+import struct
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from s2wef import trace
 from s2wef.attacks import ATTACK_KINDS, AttackParams
@@ -34,8 +37,10 @@ def small_cfg(**overrides):
     return SimConfig(**defaults)
 
 
-def oracle_record_to_dict(rec):
-    """The per-element record encoder the array encoder replaced."""
+def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
+    """The per-element record encoder the array encoder replaced: global_pen
+    as the base64 of each value's 8 little-endian bytes in schema 2, as
+    decimal numbers in schema 1."""
     d = rec.detection
     _, h, w = rec.wefs.shape
     return {
@@ -69,21 +74,35 @@ def oracle_record_to_dict(rec):
         "free_rider_list": sorted(int(i) for i in rec.free_riders),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
-        "global_pen": [float(v) for v in rec.global_pen_before.ravel()],
+        "global_pen": (
+            base64.b64encode(b"".join(struct.pack("<d", v) for v in rec.global_pen_before.ravel())).decode()
+            if schema == 2 else [float(v) for v in rec.global_pen_before.ravel()]
+        ),
         "submission_digests": list(rec.submission_digests),
     }
 
 
-def oracle_trace_bytes(report) -> bytes:
-    header = {"header": {"schema": trace.TRACE_SCHEMA, "config": config_to_dict(report.cfg)}}
+def oracle_trace_bytes(report, schema=trace.TRACE_SCHEMA) -> bytes:
+    header = {"header": {"schema": schema, "config": config_to_dict(report.cfg)}}
     lines = [json.dumps(header, separators=(",", ":"))]
     for seed in report.cfg.seeds:
         for rec in report.trials[seed]:
-            lines.append(json.dumps(oracle_record_to_dict(rec), separators=(",", ":")))
+            lines.append(json.dumps(oracle_record_to_dict(rec, schema), separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-@pytest.mark.parametrize(
+def schema_1_line(line: str) -> str:
+    """A schema-2 trace line in schema-1 form: a header's schema is 1 and a
+    round's global_pen its list of decimal numbers; no other byte changes."""
+    rec = json.loads(line)
+    if "header" in rec:
+        rec["header"]["schema"] = 1
+    else:
+        rec["global_pen"] = np.frombuffer(base64.b64decode(rec["global_pen"]), "<f8").tolist()
+    return json.dumps(rec, separators=(",", ":"))
+
+
+ENCODED_RUNS = pytest.mark.parametrize(
     "overrides",
     [
         {},
@@ -96,6 +115,9 @@ def oracle_trace_bytes(report) -> bytes:
     ],
     ids=["dwa", "accumulate-two-digit"],
 )
+
+
+@ENCODED_RUNS
 def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     report = run_simulation(small_cfg(**overrides))
     path = tmp_path / "trace.jsonl"
@@ -104,6 +126,24 @@ def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     counts = max(int(r.wefs.max()) for recs in report.trials.values() for r in recs)
     assert counts >= (10 if overrides else 1)
     assert any(r.free_riders for recs in report.trials.values() for r in recs)
+
+
+@ENCODED_RUNS
+def test_schema_1_form_of_a_trace_is_the_decimal_writers_and_replays_alike(tmp_path, overrides):
+    """Only the encoding of global_pen changed from schema 1 to 2: mapped
+    back, a trace is what the decimal writer wrote, reads to the same arrays
+    and replays to the same results."""
+    report = run_simulation(small_cfg(**overrides))
+    path = tmp_path / "trace.jsonl"
+    write_trace(report, path)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["header"]["schema"] == 2
+    old = tmp_path / "schema_1.jsonl"
+    old.write_text("".join(schema_1_line(line) + "\n" for line in lines))
+    assert old.read_bytes() == oracle_trace_bytes(report, schema=1)
+    new_records, old_records = read_trace(path), read_trace(old)
+    assert_same_reading(new_records, old_records)
+    assert replay_trace(new_records) == replay_trace(old_records)
 
 
 @st.composite
@@ -324,14 +364,21 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @pytest.fixture(scope="module")
-def record_lines():
-    """Round lines as the writer encodes them, with counts of one and of two digits."""
+def reports():
+    """Runs whose WEF counts have one digit and two."""
     one_digit = run_simulation(small_cfg(rounds=3, seeds=(1,)))
     two_digits = run_simulation(small_cfg(
         rounds=3, seeds=(3,), accumulate_wef=True,
         train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=12),
     ))
-    return [trace.encode_record(rec) for report in (one_digit, two_digits)
+    return [one_digit, two_digits]
+
+
+@pytest.fixture(scope="module")
+def record_lines(reports):
+    """The round lines of those runs as a trace without a header holds them:
+    as the writer encodes them, with global_pen in schema-1 form."""
+    return [schema_1_line(trace.encode_record(rec)) for report in reports
             for recs in report.trials.values() for rec in recs]
 
 
@@ -363,14 +410,72 @@ def assert_same_reading(fast, slow):
                 assert a[key] == b[key]
 
 
-def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, record_lines):
-    decoded = [trace._split_record(line) for line in record_lines]
+def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, reports, record_lines):
+    lines = [trace.encode_record(rec) for report in reports for recs in report.trials.values() for rec in recs]
+    decoded = [trace._split_record(line) for line in lines + record_lines]
     assert all(rec is not None for rec in decoded)
     assert max(int(rec["wefs"].max()) for rec in decoded) >= 10  # two-digit counts are there
-    path = tmp_path / "trace.jsonl"
-    path.write_text("".join(line + "\n" for line in record_lines))
-    fast, slow = read_both_ways(path)
-    assert_same_reading(fast, slow)
+    paths = [tmp_path / "header-less.jsonl"]
+    paths[0].write_text("".join(line + "\n" for line in record_lines))
+    for i, report in enumerate(reports):
+        paths.append(tmp_path / f"trace_{i}.jsonl")
+        write_trace(report, paths[-1])
+    for path in paths:
+        fast, slow = read_both_ways(path)
+        assert not isinstance(fast, str), fast
+        assert_same_reading(fast, slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    matrix=st.tuples(st.integers(1, 40), st.integers(1, 12)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+    )
+)
+@example(matrix=np.array([[-0.0]]))
+@example(matrix=np.array([[5e-324, -5e-324, 2.2250738585072009e-308, -0.0]]))
+@example(matrix=np.array([[np.finfo(np.float64).max, -np.finfo(np.float64).max, np.finfo(np.float64).tiny]]))
+def test_float_matrix_base64_round_trips_every_finite_matrix(matrix):
+    text = trace.float_matrix_base64(matrix)
+    assert text == base64.b64encode(matrix.astype("<f8").tobytes()).decode("ascii")
+    decoded = trace.decode_float_matrix(text, *matrix.shape)
+    assert decoded.dtype == np.float64 and decoded.flags.writeable
+    assert decoded.tobytes() == matrix.tobytes()
+
+
+@pytest.fixture(scope="module")
+def template_records():
+    """The three round records of a small run, whose matrices the property below replaces."""
+    return run_simulation(small_cfg(rounds=3, seeds=(1,))).trials[1]
+
+
+# a config has at least 2 classes, so a trace's matrix is at least 1 × 2
+@settings(max_examples=100, deadline=None)
+@given(
+    matrices=st.tuples(st.integers(1, 40), st.integers(2, 12)).flatmap(
+        lambda shape: st.lists(
+            arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)),
+            min_size=3, max_size=3,
+        )
+    )
+)
+@example(matrices=[np.array([[-0.0, 5e-324]]), np.array([[np.finfo(np.float64).max, -np.finfo(np.float64).max]]),
+                   np.array([[2.2250738585072009e-308, -5e-324]])])
+def test_every_finite_global_pen_reads_back_exactly(tmp_path_factory, template_records, matrices):
+    h, w = matrices[0].shape
+    cfg = small_cfg(rounds=3, seeds=(1,), hidden_layers=(h,),
+                    dataset=DatasetParams(samples=300, features=8, classes=w, spread=0.3))
+    header = {"header": {"schema": trace.TRACE_SCHEMA, "config": config_to_dict(cfg)}}
+    lines = [_dumps(header)]
+    for rec, matrix in zip(template_records, matrices):
+        wefs = np.zeros((len(rec.roles), h, w), dtype=rec.wefs.dtype)
+        lines.append(trace.encode_record(replace(rec, wefs=wefs, global_pen_before=matrix)))
+    path = tmp_path_factory.mktemp("pen") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    for records in read_both_ways(path):
+        assert not isinstance(records, str), records
+        for rec, matrix in zip(records, matrices):
+            assert rec["global_pen"].dtype == np.float64 and rec["global_pen"].tobytes() == matrix.tobytes()
 
 
 def _wefs_block(line):
