@@ -12,6 +12,7 @@ flags inside the suspicious cluster decides whether to label it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -88,23 +89,25 @@ class RoundDetection:
     decision: DetectionDecision
 
 
-# Grids are small non-negative integers, so Gram entries, squared norms and
-# squared distances between grids are integers that float64 holds exactly
-# (bound checked in grid_stack), in any summation order: distances and
-# cosines built from them equal np.linalg.norm of each pair to the bit.
+# Grids are small non-negative integers, so Gram entries, squared norms,
+# dots and L1 distances between grids are integers that float64 holds
+# exactly (bound checked in grid_stack), in any summation order: distances
+# and cosines built from them equal np.linalg.norm of each pair to the bit,
+# wherever the blocks below split the columns.
 _EXACT_LIMIT = 2**53
-# Grid entries per float64 column block (410 KB at 200 clients): gamma and
-# Dev take their products block by block, never holding every grid in
-# float64 at once.
-_BLOCK_COLUMNS = 256
+# Grid entries per float64 block (410 KB): gamma and Dev take their products
+# block by block, never holding the stack in float64 at once.  A block is
+# sized in entries, so a 10-client round of 256 x 10 grids is one block.
+_BLOCK_ENTRIES = 51_200
 
 
 def grid_stack(wefs: np.ndarray) -> np.ndarray:
-    """What the detector accepts: a round's WEF grids as one (n, h, w) array
-    of non-negative integer counts.  Returns it as int32, shared by gamma and Dev.
+    """What the detector accepts: WEF grids as one (n, h, w) array of
+    non-negative integer counts.  Returns that array itself, uncopied; the
+    scores cast it block by block.
 
-    int32 holds every count the exactness bound admits, in half the memory
-    of float64.
+    Several rounds' (R, n, h, w) grids are checked as the one stack of
+    their R * n grids.
     """
     try:
         grids = np.asarray(wefs)
@@ -119,47 +122,48 @@ def grid_stack(wefs: np.ndarray) -> np.ndarray:
         raise ConfigurationError(f"WEF counts must be >= 0, got {low}")
     if 2 * grids[0].size * peak**2 >= _EXACT_LIMIT:
         raise ConfigurationError(f"WEF counts up to {peak} are too large for exact distances")
-    return grids.astype(np.int32)
+    return grids
 
 
 def _float_blocks(x: np.ndarray):
-    """Consecutive float64 column blocks of an integer matrix, with their column slices."""
-    for start in range(0, x.shape[1], _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
-        yield cols, x[:, cols].astype(np.float64)
+    """Consecutive float64 column blocks of an integer (..., n, g) stack, with
+    their column slices; a block holds about _BLOCK_ENTRIES entries."""
+    width = max(1, _BLOCK_ENTRIES // max(1, math.prod(x.shape[:-1])))
+    for start in range(0, x.shape[-1], width):
+        cols = slice(start, start + width)
+        yield cols, x[..., cols].astype(np.float64)
 
 
-def _cosines(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray) -> np.ndarray:
+def _cosines(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
     # an all-zero grid carries no direction: its similarity is 0
-    denom = np.multiply.outer(norms_a, norms_b)
     return np.divide(dots, denom, out=np.zeros_like(denom), where=denom > 0)
 
 
 def deviation_statistics(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-client mean distance, mean cosine similarity, and mean entry value.
 
-    grids is the grid_stack of the round's submissions.
+    grids is the grid_stack of a round's submissions, or (..., n, h, w)
+    grids of several rounds, each scored against its own round.
     """
-    x = grids.reshape(len(grids), -1)
-    n = len(x)
+    x = grids.reshape(*grids.shape[:-2], -1)
+    n, size = x.shape[-2:]
     if n < 2:
         raise ConfigurationError("deviation statistics need at least 2 clients")
-    gram = np.zeros((n, n))
+    gram = np.zeros((*x.shape[:-1], n))
+    total = np.zeros(x.shape[:-1])
     for _, block in _float_blocks(x):
-        gram += block @ block.T
-    sq = gram.diagonal().copy()
-    dist = np.sqrt(sq[:, None] + sq[None, :] - 2.0 * gram)
+        gram += block @ block.mT
+        total += block.sum(axis=-1)
+    sq = np.diagonal(gram, axis1=-2, axis2=-1)
+    dist = np.sqrt(sq[..., :, None] + sq[..., None, :] - 2.0 * gram)
     norms = np.sqrt(sq)
-    cos = _cosines(gram, norms, norms)
-    np.fill_diagonal(cos, 0.0)
-    # add client j's term to every row in turn: the left-to-right order of
-    # a per-client sum over j, so the means round the same way
-    dis_sum = np.zeros(n)
-    cos_sum = np.zeros(n)
-    for j in range(n):
-        dis_sum += dist[:, j]
-        cos_sum += cos[:, j]
-    return dis_sum / (n - 1), cos_sum / (n - 1), x.sum(axis=1) / x.shape[1]
+    cos = _cosines(gram, norms[..., :, None] * norms[..., None, :])
+    diagonal = np.arange(n)
+    cos[..., diagonal, diagonal] = 0.0
+    # both matrices are symmetric to the bit, so summing down a column adds
+    # client j's term in j order, the left-to-right order of a per-client
+    # sum over j, and the means round the same way
+    return dist.sum(axis=-2) / (n - 1), cos.sum(axis=-2) / (n - 1), total / size
 
 
 def dev_scores(grids: np.ndarray) -> np.ndarray:
@@ -168,12 +172,13 @@ def dev_scores(grids: np.ndarray) -> np.ndarray:
     For each of (mean distance, mean cosine, mean entry value) the client's
     absolute deviation from the population mean is divided by the summed
     deviations; a statistic on which all clients agree contributes 0.
+    (..., n, h, w) grids give (..., n) scores, each round on its own.
     """
     terms = []
     for stat in deviation_statistics(grids):
-        dev = np.abs(stat - stat.mean())
-        denom = dev.sum()
-        terms.append(dev / denom if denom > 0 else np.zeros_like(dev))
+        dev = np.abs(stat - stat.mean(axis=-1, keepdims=True))
+        denom = dev.sum(axis=-1, keepdims=True)
+        terms.append(np.divide(dev, denom, out=np.zeros_like(dev), where=denom > 0))
     return terms[0] + terms[1] + terms[2]
 
 
@@ -184,6 +189,7 @@ def simulate_global_wef(
 
     This is the counterfeit a delta-replay free-rider would upload, so
     matching against it exposes global-model-mimicking submissions.
+    (..., h, w) broadcasts give one grid per round.
     """
     if global_prev is None:
         raise HistoryError("simulating the global WEF needs two prior broadcasts")
@@ -198,43 +204,59 @@ def gamma_scores(
     """Similarity of each submitted grid (a grid_stack) to the simulated one.
 
     Default is cosine over L1 distance (with a tiny guard so an exact match
-    is finite); cos_only drops the L1 denominator.
+    is finite); cos_only drops the L1 denominator.  (..., n, h, w) grids
+    take (..., h, w) simulated grids, one per round.
     """
     if mode not in (GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
         raise ConfigurationError(f"unknown gamma mode {mode!r}")
-    if grids.shape[1:] != simulated.shape:
+    if grids.shape[:-3] + grids.shape[-2:] != simulated.shape:
         raise ShapeError(
-            f"simulated WEF {simulated.shape} differs from submissions {grids.shape[1:]}"
+            f"simulated WEF {simulated.shape} differs from submissions "
+            f"{grids.shape[:-3] + grids.shape[-2:]}"
         )
-    x = grids.reshape(len(grids), -1)
-    ref = simulated.astype(np.float64).ravel()
-    sq, dots, l1 = np.zeros(len(x)), np.zeros(len(x)), np.zeros(len(x))
+    x = grids.reshape(*grids.shape[:-2], -1)
+    ref = simulated.reshape(*simulated.shape[:-2], 1, -1)
+    sq, dots, l1 = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1])
+    ref_sq = np.zeros(ref.shape[:-1])
     for cols, block in _float_blocks(x):
-        sq += np.einsum("ij,ij->i", block, block)
-        dots += block @ ref[cols]
-        block -= ref[cols]
-        l1 += np.abs(block, out=block).sum(axis=1)
-    cos = _cosines(dots, np.sqrt(sq), np.sqrt(ref @ ref))
+        part = ref[..., cols].astype(np.float64)
+        ref_sq += np.einsum("...ij,...ij->...i", part, part)
+        sq += np.einsum("...ij,...ij->...i", block, block)
+        dots += (block @ part.mT)[..., 0]
+        block -= part
+        l1 += np.abs(block, out=block).sum(axis=-1)
+    cos = _cosines(dots, np.sqrt(sq) * np.sqrt(ref_sq))
     return cos if mode == GAMMA_COS_ONLY else cos / (l1 + GAMMA_EPS)
 
 
+def _median(x: np.ndarray) -> np.ndarray:
+    """np.median over the last axis, kept as an axis of length 1: the middle
+    of the sorted values, or the mean of the middle two as np.median rounds
+    it; NaN if any value is NaN."""
+    s = np.sort(x, axis=-1)
+    m = s.shape[-1] // 2
+    med = s[..., m:m + 1] if s.shape[-1] % 2 else (s[..., m - 1:m] + s[..., m:m + 1]) / 2
+    return np.where(np.isnan(s[..., -1:]), np.nan, med)
+
+
 def robust_standardize(values: Sequence[float]) -> np.ndarray:
-    """Center on the median and scale by the median absolute deviation."""
+    """Center on the median and scale by the median absolute deviation, over
+    the last axis."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 1:
         raise ConfigurationError("robust_standardize needs at least one value")
-    med = np.median(x)
-    mad = np.median(np.abs(x - med))
+    med = _median(x)
+    mad = _median(np.abs(x - med))
     return (x - med) / (mad + EPS)
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """(n, n) Euclidean distances between the rows of points."""
+    """(..., n, n) Euclidean distances between the rows of (..., n, d) points."""
     # vecdot is the BLAS dot np.linalg.norm takes on a 1-D difference, so
     # every entry equals norm(pts[i] - pts[j]) to the bit; hypot, x*x + y*y
     # and norm(axis=-1) round differently
     pts = np.asarray(points, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
     dist = np.vecdot(diff, diff)
     return np.sqrt(dist, out=dist)
 
@@ -379,18 +401,19 @@ def decide_k(
 
 def _dev_near_max(d: np.ndarray) -> np.ndarray:
     """The Dev rule of the vote and the baseline: within 0.05 of the max."""
-    return d > d.max() - DEV_MAX_MARGIN
+    return d > d.max(axis=-1, keepdims=True) - DEV_MAX_MARGIN
 
 
 def threshold_flags(
     gammas: Sequence[float], devs: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-score tests: gamma above 1.5x median, Dev within 0.05 of the max."""
+    """Raw-score tests over the last axis: gamma above 1.5x median, Dev
+    within 0.05 of the max."""
     g = np.asarray(gammas, dtype=np.float64)
     d = np.asarray(devs, dtype=np.float64)
     if g.size < 1 or g.shape != d.shape:
         raise ConfigurationError("need matching nonempty score vectors")
-    return g > GAMMA_MEDIAN_FACTOR * np.median(g), _dev_near_max(d)
+    return g > GAMMA_MEDIAN_FACTOR * _median(g), _dev_near_max(d)
 
 
 def majority_vote(
@@ -452,6 +475,17 @@ def empty_round_detection(n_clients: int) -> RoundDetection:
     )
 
 
+def _scores(grids: np.ndarray, simulated: np.ndarray, gamma_mode: str) -> tuple[np.ndarray, ...]:
+    """The score stage of (..., n, h, w) checked grids against their
+    (..., h, w) simulated grids: gamma, Dev, z, the distances in the z plane,
+    and the gamma and Dev threshold flags, each with the grids' leading axes."""
+    gammas = gamma_scores(grids, simulated, mode=gamma_mode)
+    devs = dev_scores(grids)
+    z = np.stack([robust_standardize(gammas), robust_standardize(devs)], axis=-1)
+    flags_gamma, flags_dev = threshold_flags(gammas, devs)
+    return gammas, devs, z, pairwise_distances(z), flags_gamma, flags_dev
+
+
 def detect_round(
     wefs: np.ndarray,
     global_now: np.ndarray,
@@ -459,36 +493,91 @@ def detect_round(
     e: int,
     gamma_mode: str = GAMMA_COS_OVER_L1,
     require_vote: bool = True,
+    *,
+    scores: tuple[np.ndarray, ...] | None = None,
 ) -> RoundDetection:
     """Run the full per-round pipeline over the round's (n, h, w) WEF grids.
 
     global_now / global_prev are the penultimate matrices of the two most
     recent broadcasts.  At the very first round (no previous broadcast) the
     pipeline cannot simulate the delta pattern, so everyone is treated as
-    benign.
+    benign.  scores is the round's score stage (_scores) when the caller
+    took it together with other rounds'; otherwise it is taken here.
     """
     n = len(wefs)
     if n < 3:
         raise ConfigurationError("detection needs at least 3 clients")
     if global_prev is None:
         return empty_round_detection(n)
-
-    simulated = simulate_global_wef(global_now, global_prev, e)
-    grids = grid_stack(wefs)
-    gammas = gamma_scores(grids, simulated, mode=gamma_mode)
-    devs = dev_scores(grids)
-    z = np.column_stack([robust_standardize(gammas), robust_standardize(devs)])
-
-    dist = pairwise_distances(z)
+    if scores is None:
+        simulated = simulate_global_wef(global_now, global_prev, e)
+        scores = _scores(grid_stack(wefs), simulated, gamma_mode)
+    gammas, devs, z, dist, flags_gamma, flags_dev = scores
     heights, labels = ward_hac(dist)
     outcome = decide_k(heights, labels, z, dist)
-    flags_gamma, flags_dev = threshold_flags(gammas, devs)
     decision = majority_vote(outcome, flags_gamma, flags_dev, require_vote=require_vote)
     return RoundDetection(
         scores=RoundScores(gamma=gammas, dev=devs, z=z),
         cluster=outcome,
         decision=decision,
     )
+
+
+def _round_stack(wefs: Sequence[np.ndarray]) -> np.ndarray:
+    """R rounds' (n, h, w) grids as one (R, n, h, w) array, checked as the
+    grid_stack of their R * n grids; one round's grids are not copied."""
+    try:
+        grids = np.asarray(wefs[0])[None] if len(wefs) == 1 else np.asarray(wefs)
+    except ValueError as exc:  # rounds or grids of different shapes
+        raise ShapeError(f"WEF grids: {exc}") from exc
+    grid_stack(grids.reshape(-1, *grids.shape[2:]))
+    return grids
+
+
+def _baseline(devs: np.ndarray) -> tuple[RoundDetection, frozenset[int]]:
+    # the baseline records its Dev scores and flags outside the vote, so its
+    # decision stays empty and the flagged set is returned separately
+    empty = empty_round_detection(len(devs))
+    return replace(empty, scores=replace(empty.scores, dev=devs)), wef_defense_baseline(devs)
+
+
+def _detect_rounds(
+    name: str,
+    wefs: Sequence[np.ndarray],
+    pens_now: Sequence[np.ndarray],
+    pens_prev: Sequence[np.ndarray | None],
+    e: int,
+) -> list[tuple[RoundDetection, frozenset[int]]]:
+    """The named detector on each of R consecutive rounds of a trial, their
+    score stage taken in one pass, each round's record and flagged set.
+
+    wefs holds the rounds' (n, h, w) grids, pens_now their broadcasts and
+    pens_prev the broadcast before each, of which only the first can be
+    None (a trial's first round).
+    """
+    if name not in DETECTORS:
+        raise ConfigurationError(f"unknown detector {name!r}; choose from {tuple(DETECTORS)}")
+    spec = DETECTORS[name]
+    n = len(wefs[0])
+    skip = len(wefs) if spec is None else int(pens_prev[0] is None)
+    results = [(empty_round_detection(n), frozenset()) for _ in range(skip)]
+    if skip == len(wefs):
+        return results
+    if spec != BASELINE and n < 3:
+        raise ConfigurationError("detection needs at least 3 clients")
+    grids = _round_stack(wefs[skip:])
+    if spec == BASELINE:
+        return results + [_baseline(devs) for devs in dev_scores(grids)]
+    gamma_mode, require_vote = spec
+    simulated = simulate_global_wef(np.stack(pens_now[skip:]), np.stack(pens_prev[skip:]), e)
+    scores = _scores(grids, simulated, gamma_mode)
+    for k, t in enumerate(range(skip, len(wefs))):
+        detection = detect_round(
+            grids[k], pens_now[t], pens_prev[t], e, gamma_mode=gamma_mode,
+            require_vote=require_vote, scores=tuple(s[k] for s in scores),
+        )
+        results.append((detection, detection.decision.free_rider_list))
+    return results
 
 
 def run_detector(
@@ -498,25 +587,26 @@ def run_detector(
     global_prev: np.ndarray | None,
     e: int,
 ) -> tuple[RoundDetection, frozenset[int]]:
-    """Run the named detector on one round; returns its record and flagged set.
+    """Run the named detector on one round; returns its record and flagged set."""
+    return _detect_rounds(name, [wefs], [global_now], [global_prev], e)[0]
 
-    The baseline records its Dev scores and flags outside the vote, so its
-    decision stays empty and the flagged set is returned separately.
-    """
-    if name not in DETECTORS:
-        raise ConfigurationError(f"unknown detector {name!r}; choose from {tuple(DETECTORS)}")
-    spec = DETECTORS[name]
-    if spec is None or global_prev is None:
-        return empty_round_detection(len(wefs)), frozenset()
-    if spec == BASELINE:
-        devs = dev_scores(grid_stack(wefs))
-        empty = empty_round_detection(len(wefs))
-        return replace(empty, scores=replace(empty.scores, dev=devs)), wef_defense_baseline(devs)
-    gamma_mode, require_vote = spec
-    detection = detect_round(
-        wefs, global_now, global_prev, e, gamma_mode=gamma_mode, require_vote=require_vote
-    )
-    return detection, detection.decision.free_rider_list
+
+# Transient arrays a chunk of TrialDetector.steps may hold: 200-client
+# rounds of 256 x 10 grids are scored one at a time, 10-client rounds 10 at
+# a time, and replay peaks below 3.4 MB of detector arrays (tracemalloc),
+# apart from 200 clients' running sums, whose old and new int64 copies
+# alone take 8 MB.
+_CHUNK_BYTES = 4_000_000
+
+
+def _chunk_rounds(n: int, h: int, w: int) -> int:
+    """How many rounds of n clients' h x w grids steps scores in one pass."""
+    # one float64 block of _BLOCK_ENTRIES, and per round: the stacked grids
+    # and their int64 running sums (9 bytes an entry), five float64 h x w
+    # arrays that simulate the broadcast's WEF, and nine float64 n x n
+    # arrays of Gram entries, distances and cosines
+    per_round = 9 * n * h * w + 40 * h * w + 72 * n * n
+    return max(1, (_CHUNK_BYTES - 8 * _BLOCK_ENTRIES) // per_round)
 
 
 class TrialDetector:
@@ -525,8 +615,10 @@ class TrialDetector:
     Each round it scores the submitted grids against the last two
     broadcasts, so it remembers the previous broadcast's penultimate
     matrix; with accumulate it scores each client's running WEF sum, kept
-    in int64, instead of the round's grid.  The simulator and trace replay
-    both drive one per trial, so a replay sees exactly what the run saw.
+    in int64, instead of the round's grid.  The simulator steps one per
+    trial round by round; trace replay hands it a trial's rounds at once,
+    and it scores a chunk of them in one pass.  Both go through
+    _detect_rounds and detect_round, so each round gets what the run saw.
     """
 
     def __init__(self, name: str, accumulate: bool = False):
@@ -535,18 +627,41 @@ class TrialDetector:
         self._prev_pen: np.ndarray | None = None
         self._sums: np.ndarray | None = None
 
+    def _summed(self, wefs: Sequence[np.ndarray]) -> np.ndarray:
+        """Each client's running WEF sums in int64, as (R, n, h, w) sums
+        after each of the consecutive rounds whose (n, h, w) grids wefs holds."""
+        sums = np.empty((len(wefs), *np.shape(wefs[0])), dtype=np.int64)  # sums of uint8 grids pass 255
+        for k, grids in enumerate(wefs):
+            last = sums[k - 1] if k else self._sums
+            if last is None:
+                sums[k] = grids
+            elif last.shape != np.shape(grids):
+                raise ShapeError(f"WEF grids {np.shape(grids)} vs running sums {last.shape}")
+            else:
+                np.add(last, grids, out=sums[k])
+        # the last round's sums, not a view that keeps the whole chunk
+        self._sums = sums[0] if len(sums) == 1 else sums[-1].copy()
+        return sums
+
     def step(
         self, wefs: np.ndarray, pen_now: np.ndarray, e: int
     ) -> tuple[RoundDetection, frozenset[int]]:
         """Detect on this round's (n, h, w) WEF grids, broadcast pen_now, budget e."""
-        if self.accumulate:
-            if self._sums is None:
-                wefs = wefs.astype(np.int64)  # sums of uint8 grids pass 255
-            elif self._sums.shape != wefs.shape:
-                raise ShapeError(f"WEF grids {wefs.shape} vs running sums {self._sums.shape}")
-            else:
-                wefs = self._sums + wefs
-            self._sums = wefs
-        result = run_detector(self.name, wefs, pen_now, self._prev_pen, e)
-        self._prev_pen = pen_now
-        return result
+        return self.steps([wefs], [pen_now], e)[0]
+
+    def steps(
+        self, wefs: Sequence[np.ndarray], pens_now: Sequence[np.ndarray], e: int
+    ) -> list[tuple[RoundDetection, frozenset[int]]]:
+        """step over consecutive rounds with one budget e, given each round's
+        (n, h, w) WEF grids and broadcast.  Each round's result is, to the
+        bit, what stepping it alone (a chunk of one round) gives."""
+        results = []
+        size = _chunk_rounds(*np.shape(wefs[0])) if len(wefs) > 1 else 1
+        for start in range(0, len(wefs), size):
+            chunk = wefs[start:start + size]
+            if self.accumulate:
+                chunk = self._summed(chunk)
+            pens = pens_now[start:start + size]
+            results += _detect_rounds(self.name, chunk, pens, [self._prev_pen, *pens[:-1]], e)
+            self._prev_pen = pens[-1]
+        return results

@@ -416,8 +416,11 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
         mean, digests = aggregate_fedavg(submissions, kept)
-        del submissions  # before the evaluation's activations are allocated
+        # copy mean into the new model while the (n, P) submissions are
+        # held: a copy made after they are freed can split the heap hole they
+        # leave, which the next round's submissions of the same size refill
         new_global = state.global_model.from_flat(mean)
+        del submissions  # before the evaluation's activations are allocated
         accuracy = evaluate_accuracy(new_global, state.eval_set)
     except S2wefError as exc:
         raise type(exc)(f"round {t}: {exc}") from exc

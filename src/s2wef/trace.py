@@ -22,7 +22,7 @@ import os
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import TextIO
 
@@ -31,7 +31,8 @@ import numpy as np
 from . import detect as det
 from .errors import ConfigurationError, TraceError
 from .fedsim import (
-    MetricsReport, RoundRecord, SimConfig, compute_metrics, config_from_dict, config_to_dict,
+    MetricsReport, RoundRecord, SimConfig, build_schedule, compute_metrics, config_from_dict,
+    config_to_dict,
 )
 from .wef import wef_dtype
 
@@ -194,16 +195,18 @@ def encode_record(rec: RoundRecord) -> str:
         "roles": ["free_rider" if r else "benign" for r in rec.roles.tolist()],
         "wef_shape": [h, w],
     }
-    tail = {
+    middle = {
         **detection_fields(rec.detection, rec.free_riders),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
-        "global_pen": float_matrix_base64(rec.global_pen_before),
-        "submission_digests": list(rec.submission_digests),
     }
+    tail = {"submission_digests": list(rec.submission_digests)}
     wefs = int_matrix_json(rec.wefs.reshape(n, -1))
-    # "wefs" sits between the two halves, as the key order of the format has it
-    return f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(tail)[1:]}'
+    # base64 needs no JSON escapes, so the string joins in as it is
+    pen = float_matrix_base64(rec.global_pen_before)
+    # the two blocks sit where the key order of the format has them
+    return (f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(middle)[1:-1]},'
+            f'"global_pen":"{pen}",{_dumps(tail)[1:]}')
 
 
 @contextmanager
@@ -306,8 +309,12 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
     rec["global_pen"] = pen
 
 
-def _check_against_header(rec: dict, cfg: SimConfig, where: str) -> None:
-    """A round that cfg's run wrote has its clients, e and grid shape."""
+def _check_against_header(
+    rec: dict, cfg: SimConfig, schedules: dict[int, np.ndarray], where: str
+) -> None:
+    """A round that cfg's run wrote has its clients, e and grid shape, and
+    the free riders of its trial's schedule; schedules holds each trial's,
+    built once."""
     for name, value, key, expected in (
         ("the client count", len(rec["roles"]), "clients", cfg.clients),
         ("e", rec["e"], "train.local_iterations", cfg.train.local_iterations),
@@ -316,6 +323,18 @@ def _check_against_header(rec: dict, cfg: SimConfig, where: str) -> None:
     ):
         if value != expected:
             raise TraceError(f"{where}: {name} is {value}, the header's {key} is {expected}")
+    trial, t = rec["trial"], rec["round"]
+    if trial not in cfg.seeds or not 0 <= t < cfg.rounds:
+        return  # not a round of cfg's run: read_trace rejects the trace at its end
+    if trial not in schedules:
+        schedules[trial] = build_schedule(cfg, trial)
+    expected = np.flatnonzero(schedules[trial][t]).tolist()
+    found = [i for i, role in enumerate(rec["roles"]) if role == "free_rider"]
+    if found != expected:
+        raise TraceError(
+            f"{where}: trial {trial} round {t}: free riders {found}, "
+            f"the header config's schedule has {expected}"
+        )
 
 
 def _read_header(rec: dict, where: str) -> tuple[int, SimConfig]:
@@ -367,7 +386,8 @@ def read_trace(path: str | Path) -> Trace:
 
     Every round of a trial must have the (n, h, w) WEF stack of its first
     round.  With a header, every round must have the config's clients,
-    local iterations and penultimate shape, and the round records must be
+    local iterations and penultimate shape and the free riders of the
+    config's schedule (fedsim.build_schedule), and the round records must be
     exactly the config's (seed, round) pairs in order, so a truncated or
     spliced trace is rejected.  The header's schema sets the form of
     global_pen; a trace without a header is schema 1.
@@ -380,6 +400,7 @@ def read_trace(path: str | Path) -> Trace:
     schema, config = 1, None
     records = []
     stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
+    schedules = {}  # trial -> the header config's free-rider schedule
     with fh:  # one line in memory at a time
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path}:{lineno}"
@@ -411,7 +432,7 @@ def read_trace(path: str | Path) -> Trace:
                     f"the stack of trial {rec['trial']}'s first round"
                 )
             if config is not None:
-                _check_against_header(rec, config, where)
+                _check_against_header(rec, config, schedules, where)
             records.append(rec)
     if not records:
         raise TraceError(f"{path}: empty trace")
@@ -462,13 +483,14 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """Replay every round and check each recorded field replay recomputes.
 
     One TrialDetector per trial, set up as the header's config set up the
-    run; detector overrides the header's detector.  A header-less trace
-    replays with the default detector and no accumulation.  The scores,
-    cluster, flags, vote and free_rider_list of a round must equal the
-    replayed ones, and its metrics those of the replayed flagged set
-    against its roles, in value and in JSON type (1 is not true, 2.0 is
-    not 2); accuracy and submission_digests need the model and go
-    unchecked.  Each result holds the replayed flagged set and metrics,
+    run and handed the trial's consecutive rounds together, which it scores
+    a chunk at a time; detector overrides the header's detector.  A
+    header-less trace replays with the default detector and no
+    accumulation.  The scores, cluster, flags, vote and free_rider_list of
+    a round must equal the replayed ones, and its metrics those of the
+    replayed flagged set against its roles, in value and in JSON type (1 is
+    not true, 2.0 is not 2); accuracy and submission_digests need the model
+    and go unchecked.  Each result holds the replayed flagged set and metrics,
     the recorded accuracy, and the path of the first field that differs
     (such as "cluster.heights[3]"), or None.
     """
@@ -477,31 +499,33 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     accumulate = cfg is not None and cfg.accumulate_wef
     detectors: dict[int, det.TrialDetector] = {}
     results = []
-    for rec in trace:
-        trial = rec["trial"]
+    # a trial's consecutive rounds with one e go to its detector together
+    for (trial, e), group in groupby(trace, key=lambda rec: (rec["trial"], rec["e"])):
+        recs = list(group)
         if trial not in detectors:
             detectors[trial] = det.TrialDetector(name, accumulate)
-        detection, flagged = detectors[trial].step(rec["wefs"], rec["global_pen"], rec["e"])
-        roles = rec["roles"]
-        truth = [i for i, role in enumerate(roles) if role == "free_rider"]
-        metrics = compute_metrics(truth, flagged, len(roles))
-        replayed = {**detection_fields(detection, flagged), "metrics": asdict(metrics)}
-        field = next(
-            (_first_difference(rec[key], value, key) for key, value in replayed.items()
-             if not _matches(rec[key], value)),
-            None,
-        )
-        results.append(
-            {
-                "trial": trial,
-                "round": rec["round"],
-                "flagged": replayed["free_rider_list"],
-                "metrics": metrics,
-                "accuracy": rec["accuracy"],
-                "field": field,
-                "diverged": field is not None,
-            }
-        )
+        outcomes = detectors[trial].steps([r["wefs"] for r in recs], [r["global_pen"] for r in recs], e)
+        for rec, (detection, flagged) in zip(recs, outcomes):
+            roles = rec["roles"]
+            truth = [i for i, role in enumerate(roles) if role == "free_rider"]
+            metrics = compute_metrics(truth, flagged, len(roles))
+            replayed = {**detection_fields(detection, flagged), "metrics": asdict(metrics)}
+            field = next(
+                (_first_difference(rec[key], value, key) for key, value in replayed.items()
+                 if not _matches(rec[key], value)),
+                None,
+            )
+            results.append(
+                {
+                    "trial": trial,
+                    "round": rec["round"],
+                    "flagged": replayed["free_rider_list"],
+                    "metrics": metrics,
+                    "accuracy": rec["accuracy"],
+                    "field": field,
+                    "diverged": field is not None,
+                }
+            )
     return results
 
 

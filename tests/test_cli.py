@@ -15,7 +15,7 @@ from s2wef.attacks import AttackParams
 from s2wef.cli import config_from_dict, config_to_dict, load_config, main
 from s2wef.detect import DETECTORS
 from s2wef.errors import ConfigurationError
-from s2wef.fedsim import DatasetParams, SimConfig, run_simulation
+from s2wef.fedsim import DatasetParams, SimConfig, build_schedule, run_simulation
 from s2wef.nn import TrainConfig
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -393,6 +393,39 @@ def test_detect_trace_header_unlike_its_rounds_exits_2(tmp_path, capsys, trace_l
     trace = write_lines(tmp_path, lines)
     assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
     assert f"trace error: {trace}:2: {message}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def dwa_s1_lines(tmp_path_factory):
+    """The parsed lines of configs/dwa_s1.json's trace for trial seed 1."""
+    out = tmp_path_factory.mktemp("dwa_s1") / "out"
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "dwa_s1.json"
+    assert main(["run", "--config", str(cfg), "--seed", "1", "--out", str(out), "--quiet"]) == 0
+    return [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+
+
+# header edits that keep the config valid and its clients, e and grid shape,
+# but schedule other free riders than the rounds hold (3 of 10, S1)
+SCHEDULE_UNLIKE_ROLES = {"ratio": {"free_rider_ratio": 0.2}, "scenario": {"scenario": "S2"}}
+
+
+@pytest.mark.parametrize("edit", SCHEDULE_UNLIKE_ROLES.values(), ids=SCHEDULE_UNLIKE_ROLES.keys())
+def test_detect_trace_roles_unlike_the_headers_schedule_exits_2(tmp_path, capsys, dwa_s1_lines, edit):
+    lines = json.loads(json.dumps(dwa_s1_lines))
+    lines[0]["header"]["config"].update(edit)
+    schedule = build_schedule(config_from_dict(lines[0]["header"]["config"]), 1)
+    # the first round whose recorded free riders differ from the edited schedule
+    t, found, expected = next(
+        (t, found, np.flatnonzero(schedule[t]).tolist())
+        for t, found in enumerate([i for i, role in enumerate(line["roles"]) if role == "free_rider"]
+                                  for line in lines[1:])
+        if found != np.flatnonzero(schedule[t]).tolist()
+    )
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    message = (f"trace error: {trace}:{t + 2}: trial 1 round {t}: free riders {found}, "
+               f"the header config's schedule has {expected}")
+    assert message in capsys.readouterr().err
 
 
 def _drop_a_client_under_accumulation(lines):

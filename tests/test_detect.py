@@ -1,4 +1,5 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from s2wef.detect import (
     ward_merge_sequence,
     wef_defense_baseline,
 )
+from s2wef import detect as det
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
 from s2wef.trace import detection_fields
 from s2wef.wef import wef_dtype
@@ -71,8 +73,12 @@ def test_dev_translation_leaves_distances_unchanged():
 
 
 def test_grid_stack_layout_and_checks():
-    grids = grid_stack(np.array([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])]))
-    assert grids.dtype == np.int32 and grids.shape == (2, 2, 2)
+    # the stack itself, in its own narrow type: the scores cast it block by block
+    for dtype in (np.uint8, np.int64):
+        stack = np.array([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])], dtype=dtype)
+        assert grid_stack(stack) is stack
+    grids = grid_stack([wm([[1, 2], [3, 0]]), wm([[0, 0], [5, 4]])])
+    assert grids.shape == (2, 2, 2)
     np.testing.assert_array_equal(grids[1], [[0, 0], [5, 4]])
     with pytest.raises(ShapeError):
         grid_stack([wm([[1, 0]]), wm([[1], [0]])])
@@ -693,3 +699,141 @@ def test_three_clients_finite_and_repeatable(data, h, w, e):
     now, prev = data.draw(broadcasts(h, w))
     for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
         assert flagged <= detection.cluster.suspicious
+
+
+# --- rounds scored together ------------------------------------------------------
+
+def round_grids(rng, kind, n, h, w, e, simulated):
+    """One round's (n, h, w) uint8 grids of the given kind."""
+    if kind == "zero":
+        return np.zeros((n, h, w), dtype=np.uint8)
+    if kind == "equal":
+        return np.repeat(rng.integers(0, e + 1, size=(1, h, w)), n, axis=0).astype(np.uint8)
+    grids = rng.integers(0, e + 1, size=(n, h, w))
+    if kind == "colluders":  # a block of identical grids, the simulated one or another
+        block = rng.choice(n, size=rng.integers(2, n + 1), replace=False)
+        grids[block] = simulated if rng.random() < 0.5 else rng.integers(0, e + 1, size=(h, w))
+    return grids.astype(np.uint8)
+
+
+def trial(rng, rounds, n, h, w, e, kinds):
+    """Consecutive rounds of a trial: their grids, broadcasts and budget e."""
+    pens = rng.normal(size=(rounds, h, w))
+    for t in np.flatnonzero(rng.random(rounds) < 0.2)[1:]:  # an unchanged broadcast
+        pens[t] = pens[t - 1]
+    sims = [simulate_global_wef(pens[t], pens[t - 1], e) if t else np.zeros((h, w), dtype=int)
+            for t in range(rounds)]
+    wefs = [round_grids(rng, kind, n, h, w, e, sims[t]) for t, kind in enumerate(kinds)]
+    return wefs, list(pens), e
+
+
+@st.composite
+def trial_rounds(draw):
+    rounds, n = draw(st.integers(1, 8)), draw(st.integers(3, 9))
+    h, w, e = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["random", "colluders", "equal", "zero"]),
+                          min_size=rounds, max_size=rounds))
+    return trial(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), rounds, n, h, w, e, kinds)
+
+
+def long_trial():
+    """25 rounds at e = 12 with one client at the full budget: its running sums reach 300."""
+    rng = np.random.default_rng(16)
+    wefs, pens, e = trial(rng, 25, 6, 3, 4, 12, rng.choice(["random", "colluders", "equal"], size=25))
+    for grids in wefs:
+        grids[2] = e
+    return wefs, pens, e
+
+
+def detection_bits(detection, flagged):
+    """Every number a round's detection holds, as bytes."""
+    arrays = (detection.scores.gamma, detection.scores.dev, detection.scores.z, detection.cluster.heights,
+              detection.cluster.assignment, detection.decision.flags_gamma, detection.decision.flags_dev,
+              [detection.cluster.s2, detection.cluster.delta, detection.decision.p_gamma, detection.decision.p_dev])
+    return ([np.asarray(a).tobytes() for a in arrays], detection.cluster.k, detection.cluster.suspicious,
+            detection.decision.detected, detection.decision.free_rider_list, flagged)
+
+
+def median_standardize(x):
+    """robust_standardize as np.median gives it."""
+    med = np.median(x)
+    return (x - med) / (np.median(np.abs(x - med)) + det.EPS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trial_rounds(), st.integers(1, 8))
+@example(long_trial(), 7)
+def test_rounds_scored_together_score_as_each_round_alone(rounds, size):
+    wefs, pens, e = rounds
+    size = min(size, len(wefs))  # rounds a chunk
+    for accumulate in (False, True):
+        grids = np.cumsum(wefs, axis=0, dtype=np.int64) if accumulate else np.stack(wefs)
+        if len(wefs) > 1:
+            sims = simulate_global_wef(np.stack(pens[1:]), np.stack(pens[:-1]), e)
+            for mode in (det.GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
+                together = det._scores(grids[1:], sims, mode)
+                for k in range(len(wefs) - 1):
+                    alone = det._scores(grids[k + 1], sims[k], mode)
+                    for a, b in zip(together, alone):
+                        assert a[k].tobytes() == b.tobytes()
+                    gammas, devs = alone[:2]
+                    # the sort-based median rounds as np.median
+                    z = np.column_stack([median_standardize(gammas), median_standardize(devs)])
+                    assert alone[2].tobytes() == z.tobytes()
+                    assert alone[4].tobytes() == (gammas > 1.5 * np.median(gammas)).tobytes()
+        for name in DETECTORS:
+            one = TrialDetector(name, accumulate)
+            alone = [detection_bits(*one.step(g, p, e)) for g, p in zip(wefs, pens)]
+            with patch.object(det, "_chunk_rounds", lambda n, h, w: size):
+                together = TrialDetector(name, accumulate).steps(wefs, pens, e)
+            assert [detection_bits(*r) for r in together] == alone
+            if DETECTORS[name] not in (None, det.BASELINE):  # detect_round scoring its own round
+                for t in range(1, len(wefs)):
+                    direct = detect_round(grids[t], pens[t], pens[t - 1], e, *DETECTORS[name])
+                    assert detection_bits(direct, direct.decision.free_rider_list) == alone[t]
+
+
+def permutable_round(n, h, w, e, colluders, seed):
+    """Benign clients' noisy copies of one grid, and a block of identical
+    colluder grids equal to the simulated one; the broadcasts."""
+    rng = np.random.default_rng(seed)
+    now = rng.normal(size=(h, w))
+    prev = now + rng.normal(0, 0.1, size=(h, w))
+    base = rng.integers(0, e + 1, size=(h, w))
+    wefs = np.clip(base + rng.integers(-1, 2, size=(n, h, w)), 0, e)
+    # identical colluder grids: Ward meets their ties, which it breaks by index
+    wefs[rng.choice(n, size=min(colluders, n // 2), replace=False)] = simulate_global_wef(now, prev, e)
+    return wefs, now, prev
+
+
+def assert_permuted(wefs, now, prev, e, perm, flags=True):
+    """Scoring wefs[perm] permutes each detector's gamma (to the bit), Dev
+    (to its rounding: each client sums the others in client order) and,
+    with flags, its flagged set."""
+    for name in DETECTORS:
+        detection, flagged = run_detector(name, wefs, now, prev, e)
+        moved, moved_flagged = run_detector(name, wefs[perm], now, prev, e)
+        assert moved.scores.gamma.tobytes() == detection.scores.gamma[perm].tobytes()
+        np.testing.assert_allclose(moved.scores.dev, detection.scores.dev[perm], rtol=1e-12, atol=1e-12)
+        if flags:
+            assert moved_flagged == frozenset(j for j, i in enumerate(perm) if i in flagged)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(3, 12), h=st.integers(1, 6), w=st.integers(1, 6),
+       e=st.integers(1, 12), colluders=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_clients_permutes_scores_and_flags(data, n, h, w, e, colluders, seed):
+    wefs, now, prev = permutable_round(n, h, w, e, colluders, seed)
+    # at 4 clients the flagged set can follow client order, a known defect
+    # that the strict xfail below pins; its fix drops the n != 4 here
+    assert_permuted(wefs, now, prev, e, data.draw(st.permutations(range(n))), flags=n != 4)
+
+
+@pytest.mark.xfail(strict=True, reason="a near-tie of Ward distances follows Dev's rounding, which follows client order")
+def test_four_clients_with_two_colluders_flag_by_client_order():
+    # the two benign clients' z points mirror each other about the colluders'
+    # (-1, -2) and (-1, 2) against (1, 0), up to Dev's rounding: the
+    # clustering cuts off whichever mirror point lies a rounding error
+    # farther, and S2WEF flags client 3 in this order and nobody in the other
+    wefs, now, prev = permutable_round(n=4, h=3, w=4, e=2, colluders=2, seed=0)
+    assert_permuted(wefs, now, prev, 2, [1, 2, 0, 3])
