@@ -342,6 +342,81 @@ def ward_hac(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return heights, labels
 
 
+def _ward_rounds(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ward_hac over each of R rounds' (R, n, n) pairwise_distances at once:
+    the (R, n - 1) heights and (R, n) two-cluster labels, each round's to
+    the bit, and the same refusals.
+
+    Each merge updates every round's matrix with ward_merge_sequence's
+    arithmetic.  A round's cut is read from its recorded merge pairs: the
+    pair (a, b) has a < b and the cluster named a takes in b, so client 0's
+    cluster is always named 0, and after the first n - 2 merges label 0 is
+    its members.
+    """
+    rounds, n = dist.shape[:2]
+    if not np.isfinite(dist).all():
+        raise ConfigurationError("clustering needs finite distances")
+    if (dist != dist.mT).any():
+        raise ConfigurationError("clustering needs a symmetric distance matrix")
+    dist = dist.copy()
+    diagonal, r = np.arange(n), np.arange(rounds)
+    dist[:, diagonal, diagonal] = np.inf
+    size = np.ones((rounds, n))
+    heights = np.empty((rounds, n - 1))
+    pairs = []
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            sq = _squares(dist)
+            for step in range(n - 1):
+                a, b = np.divmod(dist.reshape(rounds, -1).argmin(axis=1), n)
+                heights[:, step] = dist[r, a, b]
+                na, nb, sq_ab = size[r, a, None], size[r, b, None], sq[r, a, b, None]
+                merged_sq = (
+                    ((na + size) * sq[r, a] + (nb + size) * sq[r, b] - size * sq_ab) / (na + nb + size)
+                )
+                dist[r, a] = dist[r, :, a] = merged = np.sqrt(np.maximum(merged_sq, 0.0))
+                sq[r, a] = sq[r, :, a] = _squares(merged)
+                dist[r, b] = dist[r, :, b] = sq[r, b] = sq[r, :, b] = np.inf
+                size[r, a] = (na + nb)[:, 0]
+                pairs.append((a, b))
+    except FloatingPointError as exc:
+        raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
+    owner = np.tile(diagonal, (rounds, 1))  # the name of each client's cluster
+    for a, b in pairs[:-1]:
+        np.copyto(owner, a[:, None], where=owner == b[:, None])
+    return heights, (owner != 0).astype(np.int64)
+
+
+def _silhouette_rounds(dist: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """silhouette_two_clusters of each of R rounds' (R, n, n)
+    pairwise_distances and (R, n) labels, each round's to the bit.
+
+    A stable sort lays each row out as its own cluster but itself, the
+    other cluster, then itself, each in client order, so each mean sums one
+    compact run as the per-round slices do; rows are taken in groups of one
+    own-cluster size, since numpy's pairwise summation groups terms by run
+    length and padding would move the last bit.
+    """
+    rounds, n = labels.shape
+    same = labels[:, :, None] == labels[:, None, :]
+    own = same.sum(axis=-1).ravel()  # each row's cluster size, itself included
+    key = (~same).view(np.int8)
+    diagonal = np.arange(n)
+    key[:, diagonal, diagonal] = 2
+    rows = np.take_along_axis(dist, np.argsort(key, axis=-1, kind="stable"), axis=-1).reshape(-1, n)
+    scores = np.zeros(rounds * n)
+    for m in np.unique(own).tolist():
+        if m == 1 or m == n:  # a singleton scores 0, as does a single cluster
+            continue
+        pick = np.flatnonzero(own == m)
+        block = rows[pick]
+        a = block[:, :m - 1].sum(axis=1) / (m - 1)
+        b = block[:, m - 1:-1].sum(axis=1) / (n - m)
+        top = np.maximum(a, b)
+        scores[pick] = np.divide(b - a, top, out=np.zeros(len(pick)), where=top > 0)
+    return scores.reshape(rounds, n).mean(axis=-1)
+
+
 def silhouette_two_clusters(dist: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette of a two-cluster partition, from pairwise_distances; singletons score 0."""
     labels = np.asarray(labels)
@@ -363,17 +438,24 @@ def silhouette_two_clusters(dist: np.ndarray, labels: np.ndarray) -> float:
 
 
 def decide_k(
-    heights: np.ndarray, labels: np.ndarray, points: np.ndarray, dist: np.ndarray
+    heights: np.ndarray,
+    labels: np.ndarray,
+    points: np.ndarray,
+    dist: np.ndarray,
+    s2: float | None = None,
 ) -> ClusterOutcome:
     """Keep the two-cluster split only if it passes both validity gates.
 
     The split collapses to one cluster when the silhouette is below 0.30 or
     the final merge-gap ratio is below 0.9.  With two clusters, the one
     whose centroid lies farther from the origin is suspicious; a norm tie
-    goes to the cluster with larger mean standardized gamma.
+    goes to the cluster with larger mean standardized gamma.  s2 is the
+    split's silhouette when the caller took it together with other rounds';
+    otherwise it is taken here.
     """
     pts = np.asarray(points, dtype=np.float64)
-    s2 = silhouette_two_clusters(dist, labels)
+    if s2 is None:
+        s2 = silhouette_two_clusters(dist, labels)
     h_prev = float(heights[-2]) if len(heights) >= 2 else 0.0
     delta = float(heights[-1]) / (h_prev + EPS)
     k, assignment, suspicious = 1, np.zeros(len(pts), dtype=np.int64), frozenset()
@@ -495,14 +577,16 @@ def detect_round(
     require_vote: bool = True,
     *,
     scores: tuple[np.ndarray, ...] | None = None,
+    clusters: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> RoundDetection:
     """Run the full per-round pipeline over the round's (n, h, w) WEF grids.
 
     global_now / global_prev are the penultimate matrices of the two most
     recent broadcasts.  At the very first round (no previous broadcast) the
     pipeline cannot simulate the delta pattern, so everyone is treated as
-    benign.  scores is the round's score stage (_scores) when the caller
-    took it together with other rounds'; otherwise it is taken here.
+    benign.  scores is the round's score stage (_scores), and clusters its
+    Ward heights, two-cluster labels and silhouette, when the caller took
+    them together with other rounds'; otherwise they are taken here.
     """
     n = len(wefs)
     if n < 3:
@@ -513,8 +597,8 @@ def detect_round(
         simulated = simulate_global_wef(global_now, global_prev, e)
         scores = _scores(grid_stack(wefs), simulated, gamma_mode)
     gammas, devs, z, dist, flags_gamma, flags_dev = scores
-    heights, labels = ward_hac(dist)
-    outcome = decide_k(heights, labels, z, dist)
+    heights, labels, s2 = clusters if clusters is not None else (*ward_hac(dist), None)
+    outcome = decide_k(heights, labels, z, dist, s2=s2)
     decision = majority_vote(outcome, flags_gamma, flags_dev, require_vote=require_vote)
     return RoundDetection(
         scores=RoundScores(gamma=gammas, dev=devs, z=z),
@@ -548,8 +632,11 @@ def _detect_rounds(
     pens_prev: Sequence[np.ndarray | None],
     e: int,
 ) -> list[tuple[RoundDetection, frozenset[int]]]:
-    """The named detector on each of R consecutive rounds of a trial, their
-    score stage taken in one pass, each round's record and flagged set.
+    """The named detector on each of R consecutive rounds of a trial, each
+    round's record and flagged set.  The rounds' score stage is taken in one
+    pass, and so are Ward and the silhouette when R >= 2; a single round,
+    each round of a run, keeps the per-round ward_hac and
+    silhouette_two_clusters, which are faster on one round.
 
     wefs holds the rounds' (n, h, w) grids, pens_now their broadcasts and
     pens_prev the broadcast before each, of which only the first can be
@@ -571,10 +658,14 @@ def _detect_rounds(
     gamma_mode, require_vote = spec
     simulated = simulate_global_wef(np.stack(pens_now[skip:]), np.stack(pens_prev[skip:]), e)
     scores = _scores(grids, simulated, gamma_mode)
+    clusters = [None]
+    if len(grids) > 1:
+        heights, labels = _ward_rounds(scores[3])
+        clusters = list(zip(heights, labels, _silhouette_rounds(scores[3], labels).tolist()))
     for k, t in enumerate(range(skip, len(wefs))):
         detection = detect_round(
             grids[k], pens_now[t], pens_prev[t], e, gamma_mode=gamma_mode,
-            require_vote=require_vote, scores=tuple(s[k] for s in scores),
+            require_vote=require_vote, scores=tuple(s[k] for s in scores), clusters=clusters[k],
         )
         results.append((detection, detection.decision.free_rider_list))
     return results
@@ -603,9 +694,11 @@ def _chunk_rounds(n: int, h: int, w: int) -> int:
     """How many rounds of n clients' h x w grids steps scores in one pass."""
     # one float64 block of _BLOCK_ENTRIES, and per round: the stacked grids
     # and their int64 running sums (9 bytes an entry), five float64 h x w
-    # arrays that simulate the broadcast's WEF, and nine float64 n x n
-    # arrays of Gram entries, distances and cosines
-    per_round = 9 * n * h * w + 40 * h * w + 72 * n * n
+    # arrays that simulate the broadcast's WEF, nine float64 n x n arrays of
+    # Gram entries, distances and cosines, and the cluster stage's five:
+    # Ward's distances and squares, and the silhouette's keys, sort order
+    # and sorted rows
+    per_round = 9 * n * h * w + 40 * h * w + 112 * n * n
     return max(1, (_CHUNK_BYTES - 8 * _BLOCK_ENTRIES) // per_round)
 
 
@@ -617,8 +710,9 @@ class TrialDetector:
     matrix; with accumulate it scores each client's running WEF sum, kept
     in int64, instead of the round's grid.  The simulator steps one per
     trial round by round; trace replay hands it a trial's rounds at once,
-    and it scores a chunk of them in one pass.  Both go through
-    _detect_rounds and detect_round, so each round gets what the run saw.
+    and it scores and clusters a chunk of them in one pass.  Both go
+    through _detect_rounds and detect_round, so each round gets what the
+    run saw.
     """
 
     def __init__(self, name: str, accumulate: bool = False):

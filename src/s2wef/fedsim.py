@@ -350,6 +350,13 @@ class _TrialState:
     schedule: np.ndarray
     global_model: ModelWeights
     detector: det.TrialDetector
+    # Every round's (n, P) float64 submissions, and once they are averaged,
+    # the evaluation's activations that fit.  Fresh arrays each round left
+    # an 11 MB heap hole at 200 clients that a later allocation could
+    # split, so whether the next round's array refilled it or grew the heap,
+    # and a 200-client benchmark process peaked at 58.3 or 65.7 MiB, came
+    # down to allocation order (glibc malloc).
+    rows: np.ndarray
     previous_global: ModelWeights | None = None
 
 
@@ -378,12 +385,12 @@ def _lockstep_groups(shards: Sequence[DatasetShard], clients: Iterable[int]) -> 
 
 def _submissions(state: _TrialState, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Every client's submitted parameter row and WEF grid for round t, in
-    client order: one (n, P) float64 array and one (n, h, w) array of
-    wef_dtype(e)."""
+    client order: the trial's (n, P) float64 rows, overwritten, and one
+    (n, h, w) array of wef_dtype(e)."""
     cfg = state.cfg
     e = cfg.train.local_iterations
     model = state.global_model
-    rows = np.empty((cfg.clients, model.num_params))
+    rows = state.rows
     grids = np.empty((cfg.clients, *model.penultimate.shape), dtype=wef_dtype(e))
     for i in np.flatnonzero(state.schedule[t]).tolist():
         seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
@@ -416,12 +423,9 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
         mean, digests = aggregate_fedavg(submissions, kept)
-        # copy mean into the new model while the (n, P) submissions are
-        # held: a copy made after they are freed can split the heap hole they
-        # leave, which the next round's submissions of the same size refill
         new_global = state.global_model.from_flat(mean)
-        del submissions  # before the evaluation's activations are allocated
-        accuracy = evaluate_accuracy(new_global, state.eval_set)
+        # the evaluation's activations overwrite the submissions
+        accuracy = evaluate_accuracy(new_global, state.eval_set, submissions.reshape(-1))
     except S2wefError as exc:
         raise type(exc)(f"round {t}: {exc}") from exc
 
@@ -455,14 +459,16 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
     else:
         shards = partition_dirichlet(dataset, cfg.clients, cfg.dirichlet_beta, part_seed)
 
+    model = init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT))
     state = _TrialState(
         cfg=cfg,
         trial_seed=trial_seed,
         shards=shards,
         eval_set=dataset,
         schedule=build_schedule(cfg, trial_seed),
-        global_model=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
+        global_model=model,
         detector=det.TrialDetector(cfg.detector, cfg.accumulate_wef),
+        rows=np.empty((cfg.clients, model.num_params)),
     )
     return [run_round(state, t) for t in range(cfg.rounds)]
 

@@ -12,6 +12,7 @@ seed, so identical inputs produce bit-identical outputs.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,20 +173,31 @@ def init_model(architecture: Sequence[int], seed: int) -> ModelWeights:
     return ModelWeights(weights, biases)
 
 
-def _forward(weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray) -> list[np.ndarray]:
+def _forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray, scratch: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Return activations per layer; the last entry holds raw logits.
 
     A stack of k models (views from _layer_views) takes (k, batch, d) inputs:
     each matmul then runs one BLAS gemm per model, the kernel of the 2-D product.
+    scratch, a flat float64 array, holds the activations that fit in it, one
+    after another in layer order, in place of fresh arrays.
     """
     acts = [x]
     h = x
     last = len(weights) - 1
+    used = 0
     for l, (w, b) in enumerate(zip(weights, biases)):
         # in place, so each layer allocates only the activation it keeps: on
         # a 2,000-row evaluation, fresh temporaries cost more than the matmul.
         # The rounding is that of h @ w + b.
-        h = h @ w
+        shape = (*h.shape[:-1], w.shape[-1])
+        size = math.prod(shape)
+        if scratch is not None and used + size <= scratch.size:
+            h = np.matmul(h, w, out=scratch[used:used + size].reshape(shape))
+            used += size
+        else:
+            h = h @ w
         h += b[..., None, :]
         if l < last:
             np.maximum(h, 0.0, out=h)
@@ -311,8 +323,12 @@ def local_train(
     return params, counts
 
 
-def evaluate_accuracy(model: ModelWeights, shard: DatasetShard) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class."""
+def evaluate_accuracy(model: ModelWeights, shard: DatasetShard, scratch: np.ndarray | None = None) -> float:
+    """Fraction of argmax-correct predictions; ties go to the lowest class.
+
+    scratch, a flat float64 array, holds the activations that fit in it
+    (see _forward); the result is the same to the bit.
+    """
     _check_shard(model, shard)
-    logits = _forward(model.weights, model.biases, shard.features)[-1]
+    logits = _forward(model.weights, model.biases, shard.features, scratch)[-1]
     return float((logits.argmax(axis=1) == shard.labels).mean())

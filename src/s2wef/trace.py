@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import base64
 import binascii
+import copy
 import csv
 import json
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain, groupby
@@ -29,7 +30,7 @@ from typing import TextIO
 import numpy as np
 
 from . import detect as det
-from .errors import ConfigurationError, TraceError
+from .errors import ConfigurationError, S2wefError, TraceError
 from .fedsim import (
     MetricsReport, RoundRecord, SimConfig, build_schedule, compute_metrics, config_from_dict,
     config_to_dict,
@@ -234,11 +235,13 @@ def write_trace(report: MetricsReport, path: str | Path) -> None:
 
 
 class Trace(list):
-    """A trace's round records in file order; config comes from its header, if any."""
+    """A trace's round records in file order; config comes from its header,
+    if any, and where holds each record's "path:line"."""
 
-    def __init__(self, records: list[dict], config: SimConfig | None):
+    def __init__(self, records: list[dict], config: SimConfig | None, where: list[str]):
         super().__init__(records)
         self.config = config
+        self.where = where
 
 
 def _is_int(value) -> bool:
@@ -385,9 +388,10 @@ def read_trace(path: str | Path) -> Trace:
     """Parse and validate a trace; wefs and global_pen come back as arrays.
 
     Every round of a trial must have the (n, h, w) WEF stack of its first
-    round.  With a header, every round must have the config's clients,
-    local iterations and penultimate shape and the free riders of the
-    config's schedule (fedsim.build_schedule), and the round records must be
+    round, and a trial's rounds must run 0, 1, 2, ... in file order, as
+    replay steps them.  With a header, every round must have the config's
+    clients, local iterations and penultimate shape and the free riders of
+    the config's schedule (fedsim.build_schedule), and the round records must be
     exactly the config's (seed, round) pairs in order, so a truncated or
     spliced trace is rejected.  The header's schema sets the form of
     global_pen; a trace without a header is schema 1.
@@ -398,8 +402,9 @@ def read_trace(path: str | Path) -> Trace:
     except OSError as exc:  # missing, a directory, or unreadable
         raise TraceError(f"{path}: {exc.strerror or exc}") from exc
     schema, config = 1, None
-    records = []
+    records, locations = [], []
     stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
+    due = {}  # trial -> the round its next record must hold
     schedules = {}  # trial -> the header config's free-rider schedule
     with fh:  # one line in memory at a time
         for lineno, raw in enumerate(fh, start=1):
@@ -425,15 +430,22 @@ def read_trace(path: str | Path) -> Trace:
             if missing:
                 raise TraceError(f"{where}: missing keys {sorted(missing)}")
             _parse_round(rec, where, schema)
-            stack = stacks.setdefault(rec["trial"], rec["wefs"].shape)
+            trial, t = rec["trial"], rec["round"]
+            if t != due.setdefault(trial, 0):
+                raise TraceError(
+                    f"{where}: trial {trial} round {t} is out of order, round {due[trial]} is due"
+                )
+            due[trial] += 1
+            stack = stacks.setdefault(trial, rec["wefs"].shape)
             if rec["wefs"].shape != stack:
                 raise TraceError(
                     f"{where}: WEF stack {rec['wefs'].shape} is not {stack}, "
-                    f"the stack of trial {rec['trial']}'s first round"
+                    f"the stack of trial {trial}'s first round"
                 )
             if config is not None:
                 _check_against_header(rec, config, schedules, where)
             records.append(rec)
+            locations.append(where)
     if not records:
         raise TraceError(f"{path}: empty trace")
     if config is not None:
@@ -444,7 +456,7 @@ def read_trace(path: str | Path) -> Trace:
                 f"{path}: the {len(found)} round records are not the header config's "
                 f"{len(expected)} (seed, round) pairs in order"
             )
-    return Trace(records, config)
+    return Trace(records, config, locations)
 
 
 def _same_types(recorded, replayed) -> bool:
@@ -479,6 +491,25 @@ def _first_difference(recorded, replayed, path: str) -> str:
     return path
 
 
+def _steps(
+    detector: det.TrialDetector, recs: Sequence[dict], where: Sequence[str], e: int
+) -> list[tuple[det.RoundDetection, frozenset[int]]]:
+    """detector.steps over the consecutive round records recs, found at
+    where.  When the detector raises, the rounds are stepped one at a time
+    from the state before them, and the first that raises alone is named:
+    a chunk refuses its rounds' inputs together."""
+    before = copy.copy(detector)  # steps replaces its state, never edits it
+    try:
+        return detector.steps([r["wefs"] for r in recs], [r["global_pen"] for r in recs], e)
+    except S2wefError:
+        for rec, at in zip(recs, where):
+            try:
+                before.step(rec["wefs"], rec["global_pen"], e)
+            except S2wefError as exc:
+                raise TraceError(f"{at}: trial {rec['trial']} round {rec['round']}: {exc}") from exc
+        raise
+
+
 def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """Replay every round and check each recorded field replay recomputes.
 
@@ -492,7 +523,8 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     not true, 2.0 is not 2); accuracy and submission_digests need the model
     and go unchecked.  Each result holds the replayed flagged set and metrics,
     the recorded accuracy, and the path of the first field that differs
-    (such as "cluster.heights[3]"), or None.
+    (such as "cluster.heights[3]"), or None.  A round whose inputs the
+    detector refuses raises TraceError naming its line, trial and round.
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)
@@ -500,11 +532,12 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     detectors: dict[int, det.TrialDetector] = {}
     results = []
     # a trial's consecutive rounds with one e go to its detector together
-    for (trial, e), group in groupby(trace, key=lambda rec: (rec["trial"], rec["e"])):
-        recs = list(group)
+    groups = groupby(zip(trace, trace.where), key=lambda item: (item[0]["trial"], item[0]["e"]))
+    for (trial, e), group in groups:
+        recs, where = zip(*group)
         if trial not in detectors:
             detectors[trial] = det.TrialDetector(name, accumulate)
-        outcomes = detectors[trial].steps([r["wefs"] for r in recs], [r["global_pen"] for r in recs], e)
+        outcomes = _steps(detectors[trial], recs, where, e)
         for rec, (detection, flagged) in zip(recs, outcomes):
             roles = rec["roles"]
             truth = [i for i, role in enumerate(roles) if role == "free_rider"]

@@ -452,6 +452,41 @@ def test_detect_trace_stack_unlike_the_trials_first_exits_2(tmp_path, capsys, tr
     assert message in capsys.readouterr().err
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_trace.jsonl"
+
+# edits of the header-less golden trace (trial 1, rounds 0-6 on lines 1-7) after
+# which a trial's rounds no longer run 0, 1, 2, ...: the edited lines, and the
+# offending line, the round it holds and the round due there
+OUT_OF_ORDER = {
+    "line-4-repeated": (lambda lines: lines[:4] + lines[3:], 5, 3, 4),
+    "line-4-removed": (lambda lines: lines[:3] + lines[4:], 4, 4, 3),
+    "lines-4-and-5-swapped": (lambda lines: lines[:3] + [lines[4], lines[3]] + lines[5:], 4, 4, 3),
+}
+
+
+@pytest.mark.parametrize("edit, lineno, found, due", OUT_OF_ORDER.values(), ids=OUT_OF_ORDER.keys())
+def test_detect_trace_rounds_out_of_order_exit_2(tmp_path, capsys, edit, lineno, found, due):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(b"".join(edit(GOLDEN.read_bytes().splitlines(keepends=True))))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
+    message = f"trace error: {trace}:{lineno}: trial 1 round {found} is out of order, round {due} is due"
+    assert message in capsys.readouterr().err
+
+
+def test_detect_trace_detector_error_names_its_round(tmp_path, capsys):
+    """A round whose inputs the detector refuses exits 2 and names its line,
+    trial and round, also when replay takes it in a chunk of rounds."""
+    lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    for line in lines:
+        line["e"] = 10**8
+    lines[3]["wefs"][0][0] = 10**8
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    message = (f"trace error: {trace}:4: trial 1 round 3: "
+               "WEF counts up to 100000000 are too large for exact distances")
+    assert message in capsys.readouterr().err
+
+
 # edits of the bytes of line 3 (round 1) that no JSON reader of UTF-8 text takes,
 # and the message that follows "trace error: <path>:3: "
 UNREADABLE = {

@@ -793,6 +793,97 @@ def test_rounds_scored_together_score_as_each_round_alone(rounds, size):
                     assert detection_bits(direct, direct.decision.free_rider_list) == alone[t]
 
 
+@st.composite
+def clustered_trial(draw):
+    """2-6 rounds of 3-24 clients, their grids from trial(): identical
+    colluder blocks tie at distance 0, and all-equal and all-zero rounds
+    collapse to k = 1."""
+    rounds, n = draw(st.integers(2, 6)), draw(st.integers(3, 24))
+    h, w, e = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.sampled_from(["random", "colluders", "colluders", "equal", "zero"]),
+                          min_size=rounds, max_size=rounds))
+    return trial(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), rounds, n, h, w, e, kinds)
+
+
+def mad_zero_trial():
+    """3 rounds of six equal grids and one twice theirs, under an unchanged
+    broadcast: the simulated grid and every gamma are 0, Dev's MAD is 0, and
+    the odd client's standardized Dev is 0.8333.../EPS, about 8.3e11."""
+    grid = np.array([[1, 0, 2], [0, 1, 1]], dtype=np.uint8)
+    wefs = [np.array([grid] * 6 + [2 * grid]) for _ in range(3)]
+    return wefs, [np.ones((2, 3))] * 3, 5
+
+
+def wide_trial():
+    """3 rounds of 140 clients, 8 of them identical colluders at the
+    simulated grid: the 132 others form one cluster, so each row's silhouette
+    sums run past 128 terms, where numpy's pairwise summation splits them."""
+    rng = np.random.default_rng(17)
+    pens = rng.normal(size=(3, 3, 4))
+    wefs = [np.zeros((140, 3, 4), dtype=np.uint8)]
+    for t in (1, 2):
+        grids = rng.integers(0, 6, size=(140, 3, 4))
+        grids[rng.choice(140, 8, replace=False)] = simulate_global_wef(pens[t], pens[t - 1], 5)
+        wefs.append(grids.astype(np.uint8))
+    return wefs, list(pens), 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(clustered_trial())
+@example(mad_zero_trial())
+@example(wide_trial())
+def test_rounds_clustered_together_decide_as_each_round_alone(rounds):
+    wefs, pens, e = rounds
+    grids = np.stack(wefs[1:])
+    sims = simulate_global_wef(np.stack(pens[1:]), np.stack(pens[:-1]), e)
+    for name, spec in DETECTORS.items():
+        if spec in (None, BASELINE):
+            continue
+        dist = det._scores(grids, sims, spec[0])[3]
+        heights, labels = det._ward_rounds(dist)
+        s2 = det._silhouette_rounds(dist, labels)
+        together = det._detect_rounds(name, wefs[1:], pens[1:], pens[:-1], e)
+        for k, (detection, flagged) in enumerate(together):
+            alone_heights, alone_labels = ward_hac(dist[k])
+            assert heights[k].tobytes() == alone_heights.tobytes()
+            assert labels[k].tobytes() == alone_labels.tobytes()
+            assert s2[k].hex() == silhouette_two_clusters(dist[k], alone_labels).hex()
+            alone = run_detector(name, wefs[k + 1], pens[k + 1], pens[k], e)
+            assert detection_bits(detection, flagged) == detection_bits(*alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(3, 40), st.data())
+def test_rounds_take_their_silhouettes_together_for_any_labels(rounds, n, data):
+    """Any partition, singletons and a single cluster included."""
+    coords = st.sampled_from([0.0, 1.0, -2.0, 0.5]) | st.floats(-50.0, 50.0)
+    pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=rounds * n, max_size=rounds * n)))
+    dist = pairwise_distances(pts.reshape(rounds, n, 2))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rounds * n, max_size=rounds * n)))
+    labels = labels.reshape(rounds, n)
+    together = det._silhouette_rounds(dist, labels)
+    for k in range(rounds):
+        assert together[k].hex() == silhouette_two_clusters(dist[k], labels[k]).hex()
+
+
+@pytest.mark.parametrize("far", [2e154, 1e154])
+def test_rounds_clustered_together_refuse_what_ward_alone_refuses(far):
+    """A chunk refuses distances that one of its rounds refuses alone."""
+    bad = np.array([[0.0, far, 1.0], [far, 0.0, far], [1.0, far, 0.0]])
+    dist = np.stack([pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])), bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="too large for float64 Ward"):
+            det._ward_rounds(dist)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ConfigurationError, match="finite"):
+                det._ward_rounds(np.where(dist == far, value, dist))
+        asymmetric = dist.copy()
+        asymmetric[0, 0, 1] = 2.0
+        with pytest.raises(ConfigurationError, match="symmetric"):
+            det._ward_rounds(asymmetric)
+
+
 def permutable_round(n, h, w, e, colluders, seed):
     """Benign clients' noisy copies of one grid, and a block of identical
     colluder grids equal to the simulated one; the broadcasts."""

@@ -177,6 +177,14 @@ def _equal_round(n):
     return np.array([grid] * n), grid
 
 
+def _mad_zero_round():
+    """Six equal grids and one twice theirs against a zero simulated grid:
+    every gamma is 0, Dev's MAD is 0, and the odd client's z reaches
+    0.8333.../EPS, about 8.3e11, whose squares Ward's overflow check sees."""
+    grid = np.array([[1, 0, 2], [0, 1, 1]])
+    return np.array([grid] * 6 + [2 * grid]), np.zeros((2, 3), dtype=np.int64)
+
+
 def _colluder_plane():
     """A many_clients-shaped z plane: 100 spread benign points, with every
     fifth client at one point, as 20 identical DWA submissions standardize."""
@@ -255,6 +263,7 @@ def test_silhouette_matches_oracle_on_any_labels(pts, data):
 @given(grid_rounds(), st.sampled_from([GAMMA_COS_OVER_L1, GAMMA_COS_ONLY]))
 @example(_zeros_round(7), GAMMA_COS_OVER_L1)
 @example(_equal_round(7), GAMMA_COS_OVER_L1)
+@example(_mad_zero_round(), GAMMA_COS_OVER_L1)
 def test_detector_z_plane_matches_oracle(round_, mode):
     """Scores from tie-heavy grids, standardized as detect_round does, then clustered."""
     wefs, simulated = round_

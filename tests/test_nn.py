@@ -215,19 +215,29 @@ def chained_forward(model, x):
     classes=st.integers(1, 6),
     batch=st.integers(1, 64),
     seed=st.integers(0, 2**32 - 1),
+    room=st.none() | st.floats(0.0, 1.5),
 )
 # the shipped configs evaluate 2,000 rows of 16 features through 256 hidden units
-@example(hidden=[256], dim=16, classes=10, batch=2000, seed=3)
-def test_forward_is_bit_equal_to_the_chained_reference(hidden, dim, classes, batch, seed):
+@example(hidden=[256], dim=16, classes=10, batch=2000, seed=3, room=None)
+@example(hidden=[256], dim=16, classes=10, batch=2000, seed=3, room=1.0)
+def test_forward_is_bit_equal_to_the_chained_reference(hidden, dim, classes, batch, seed, room):
+    """With or without scratch, whose room is a share of all activations' entries."""
     rng = np.random.default_rng(seed)
     m = init_model([dim, *hidden, classes], seed=seed)
     for b in m.biases:  # init_model's biases are zero
         b[:] = rng.normal(size=b.shape)
     x = rng.normal(size=(batch, dim))
-    got, want = _forward(m.weights, m.biases, x), chained_forward(m, x)
+    scratch = None if room is None else np.full(int(room * batch * (sum(hidden) + classes)), np.nan)
+    got, want = _forward(m.weights, m.biases, x, scratch), chained_forward(m, x)
     assert len(got) == len(want)
-    for a, b in zip(got, want):
+    used = 0
+    for a, b in zip(got[1:], want[1:]):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        if scratch is not None:  # each activation that fits takes the next entries
+            fits = used + a.size <= scratch.size
+            assert np.shares_memory(a, scratch) == fits
+            assert not fits or np.shares_memory(a, scratch[used:used + a.size])
+            used += a.size if fits else 0
 
 
 def test_training_and_evaluation_leave_their_inputs_unchanged():
