@@ -136,19 +136,27 @@ def float_matrix_base64(matrix: np.ndarray) -> str:
     return base64.b64encode(np.asarray(matrix, dtype="<f8").tobytes()).decode("ascii")
 
 
+# the digits whose unused low bits are zero: the last before "==" has 4, before "=" 2
+_LAST_DIGITS = {2: "AQgw", 1: "AEIMQUYcgkosw048"}
+
+
 def decode_float_matrix(text: object, h: int, w: int) -> np.ndarray | None:
     """The inverse of float_matrix_base64: the finite (h, w) float64 matrix
     whose encoding is exactly text, or None when float_matrix_base64 writes
     text for no such matrix (another alphabet, whitespace, non-canonical
     padding or trailing bits, another length, NaN or an infinity)."""
-    if not (isinstance(text, str) and text.isascii()):
+    size = 8 * h * w
+    if not (isinstance(text, str) and text.isascii() and len(text) == -(-size // 3) * 4):
         return None
     try:
         raw = base64.b64decode(text, validate=True)
     except binascii.Error:
         return None
-    # b64decode ignores the unused low bits of the last digit before "="
-    if len(raw) != 8 * h * w or base64.b64encode(raw).decode("ascii") != text:
+    # text holds only digits and a final "=" run, so at this length the byte
+    # count fixes the padding; b64decode ignores the unused low bits of the
+    # last digit before "=", which canonical text leaves zero
+    pad = -size % 3
+    if len(raw) != size or pad and text[-1 - pad] not in _LAST_DIGITS[pad]:
         return None
     matrix = np.frombuffer(raw, "<f8").astype(np.float64).reshape(h, w)
     return matrix if np.isfinite(matrix).all() else None
@@ -262,14 +270,28 @@ def _array(value, kinds: str, ndim: int) -> np.ndarray | None:
     return None if bool in map(type, value if ndim == 1 else chain.from_iterable(value)) else arr
 
 
+def _is_shape(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(_is_int(v) and v > 0 for v in value)
+
+
+def _is_finite_number(value) -> bool:
+    """Whether value is a JSON number that a float holds finitely."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 _ROLES = ("benign", "free_rider")
 
 
 def _parse_round(rec: dict, where: str, schema: int) -> None:
-    """Type-check the fields replay reads or prints; wefs (unless
-    _split_record decoded it already) and global_pen become arrays, wefs
-    of wef_dtype(e) as the run held them, global_pen of float64 in the
-    form of the trace's schema."""
+    """Type-check the fields replay reads or prints; wefs and global_pen
+    (unless _split_record decoded them already) become arrays, wefs of
+    wef_dtype(e) as the run held them, global_pen of float64 in the form
+    of the trace's schema."""
 
     def bad(key: str, expected: str):
         value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
@@ -279,7 +301,7 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
         if not _is_int(rec[key]):
             bad(key, "an integer")
     shape = rec["wef_shape"]
-    if not (isinstance(shape, list) and len(shape) == 2 and all(_is_int(v) and v > 0 for v in shape)):
+    if not _is_shape(shape):
         bad("wef_shape", "two positive integers")
     flagged = rec["free_rider_list"]
     if not (isinstance(flagged, list) and all(map(_is_int, flagged))):
@@ -294,9 +316,7 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
     roles = rec["roles"]
     if not (isinstance(roles, list) and len(roles) == len(wefs) and all(r in _ROLES for r in roles)):
         bad("roles", f'a list of {len(wefs)} strings "benign" or "free_rider"')
-    accuracy = rec["accuracy"]
-    # an int is finite; math.isfinite would overflow on a long one
-    if not (_is_int(accuracy) or isinstance(accuracy, float) and math.isfinite(accuracy)):
+    if not _is_finite_number(rec["accuracy"]):
         bad("accuracy", "a finite number")
     if schema == 1:
         pen = _array(rec["global_pen"], "if", 1)
@@ -305,7 +325,9 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
             bad("global_pen", f"a list of {h * w} finite numbers")
         pen = pen.astype(np.float64).reshape(h, w)
     else:
-        pen = decode_float_matrix(rec["global_pen"], h, w)
+        pen = rec["global_pen"]
+        if not isinstance(pen, np.ndarray):  # _split_record decoded it already
+            pen = decode_float_matrix(pen, h, w)
         if pen is None:
             bad("global_pen", f"the canonical base64 of {h * w} finite little-endian float64")
     rec["wefs"] = wefs.astype(wef_dtype(rec["e"]), copy=False).reshape(-1, h, w)
@@ -355,33 +377,76 @@ def _read_header(rec: dict, where: str) -> tuple[int, SimConfig]:
 
 
 _WEFS = ',"wefs":'
+_PEN = ',"global_pen":"'
 
 
-def _split_record(line: str) -> dict | None:
+def _split_record(line: str, schema: int) -> dict | None:
     """A round line as encode_record writes it, read at its seams: json.loads
-    for the head and the tail, decode_int_matrix for the WEF block between
-    them.  None for any other line.
+    for the head, decode_int_matrix for the WEF block after it, and for the
+    tail json.loads, except that in schema 2 a global_pen string that
+    decode_float_matrix takes is cut out and decoded.  None for any other line.
 
-    When the head and the tail parse as non-empty objects and the block is
-    int_matrix_json's, the line is one object, and json.loads reads it to
-    {**head, "wefs": block, **tail}, repeated keys included: both keep a
-    key at its first place with its last value.
+    Each seam only chooses where to cut.  When the head and the tail parse
+    as non-empty objects and the block is int_matrix_json's, the line is
+    one object, and json.loads reads it to {**head, "wefs": block, **tail},
+    repeated keys included: both keep a key at its first place with its
+    last value.  Likewise the tail is {**before, "global_pen": pen, **after}
+    when the text before and after the global_pen member parse as objects.
     """
     start = line.find(_WEFS + "[[")
-    end = line.find("]],", start) + 2
-    if start < 0 or end < 2:
-        return None
-    wefs = decode_int_matrix(line[start + len(_WEFS):end])
-    if wefs is None:
+    if start < 0:
         return None
     try:
         head = json.loads(line[:start] + "}")
-        tail = json.loads("{" + line[end + 1:])
     except ValueError:  # JSONDecodeError, or an integer too long for int()
         return None
-    if not (isinstance(head, dict) and isinstance(tail, dict) and head and tail):
+    if not (isinstance(head, dict) and head):
         return None
-    return {**head, "wefs": wefs, **tail}
+    block = start + len(_WEFS)
+    shape, roles = head.get("wef_shape"), head.get("roles")
+    shape = shape if _is_shape(shape) else None
+    # n rows of h * w counts take 2n(hw + 1) + 1 bytes at the least, "]]" included
+    least = 2
+    if shape is not None and isinstance(roles, list):
+        least = 2 * len(roles) * (shape[0] * shape[1] + 1) + 1
+    end = line.find("]],", block + least - 2) + 2
+    if end < 2:
+        return None
+    wefs = decode_int_matrix(line[block:end])
+    if wefs is None:
+        return None
+    tail = _split_tail(line[end + 1:], shape if schema == 2 else None)
+    return None if tail is None else {**head, "wefs": wefs, **tail}
+
+
+def _split_tail(text: str, shape: list[int] | None) -> dict | None:
+    """json.loads("{" + text) if that is a non-empty object, else None; with
+    a shape, a global_pen string that decode_float_matrix takes at that
+    shape is cut out at its last seam and decoded, not scanned as JSON."""
+    cut = text.rfind(_PEN) if shape is not None else -1
+    close = text.find('"', cut + len(_PEN)) if cut > 0 else -1
+    if close > 0 and (pen := decode_float_matrix(text[cut + len(_PEN):close], *shape)) is not None:
+        rest = text[close + 1:]
+        try:
+            before = json.loads("{" + text[:cut] + "}")
+            after = {} if rest == "}" else json.loads("{" + rest[1:]) if rest[:1] == "," else None
+        except ValueError:
+            before = after = None
+        # a tail's own wef_shape may give global_pen another shape
+        if before and (rest == "}" or after) and "wef_shape" not in before.keys() | after.keys():
+            return {**before, "global_pen": pen, **after}
+    try:
+        tail = json.loads("{" + text)
+    except ValueError:  # JSONDecodeError, or an integer too long for int()
+        return None
+    return tail if isinstance(tail, dict) and tail else None
+
+
+# a round line of a 10-client trace is about 80 KB, which the default
+# buffer of st_blksize (4 KiB) hands back in some 20 pieces; the buffer
+# lives through the whole read, and one of 1 MiB raised the peak RSS of a
+# 200-client run and replay by about 1 MiB
+_READ_BUFFER = 256 * 1024
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -398,7 +463,7 @@ def read_trace(path: str | Path) -> Trace:
     """
     path = Path(path)
     try:
-        fh = path.open("rb")
+        fh = path.open("rb", buffering=_READ_BUFFER)
     except OSError as exc:  # missing, a directory, or unreadable
         raise TraceError(f"{path}: {exc.strerror or exc}") from exc
     schema, config = 1, None
@@ -415,7 +480,7 @@ def read_trace(path: str | Path) -> Trace:
                 raise TraceError(f"{where}: not UTF-8 ({exc})") from exc
             if not line.strip():
                 continue
-            rec = _split_record(line)
+            rec = _split_record(line, schema)
             if rec is None:
                 try:
                     rec = json.loads(line)

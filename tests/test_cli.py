@@ -325,6 +325,7 @@ MALFORMED = {
     "roles-bool": (2, ("roles", 0), False, "roles must be a list of 5"),
     "accuracy-str": (2, ("accuracy",), "0.5", "accuracy must be a finite number"),
     "accuracy-bool": (2, ("accuracy",), True, "accuracy must be a finite number"),
+    "accuracy-long-int": (2, ("accuracy",), 10**400, "accuracy must be a finite number"),
     "not-an-object": (2, (), [1, 2, 3], "expected a JSON object"),
     "header-schema": (0, ("header", "schema"), 3, "unknown trace schema 3"),
     "header-config": (0, ("header", "config", "clients"), "10", "header config.clients"),
@@ -348,6 +349,16 @@ def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, schema_1_
     assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "trace error" in err and message in err
+
+
+@pytest.mark.parametrize("accuracy", [10**400, 2**1024], ids=["10**400", "2**1024"])
+def test_detect_trace_accuracy_beyond_float_exits_2_when_printing(tmp_path, capsys, trace_lines, accuracy):
+    """An int that float() cannot hold exits 2 before any round is printed."""
+    lines = json.loads(json.dumps(trace_lines))
+    lines[2]["accuracy"] = accuracy
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, lines)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "accuracy must be a finite number" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 import base64
+import binascii
 import json
 import re
 import signal
+import string
 import struct
 from dataclasses import asdict, replace
 from unittest import mock
@@ -193,7 +195,7 @@ def test_wefs_are_held_in_the_narrowest_type_of_their_budget(tmp_path, e, dtype,
     assert (runs.call_count > 0) == digit_runs
     # json.dumps's default spacing: the reader falls back to json.loads of the whole line
     spaced = [json.dumps(json.loads(line)) for line in path.read_text().splitlines()]
-    assert not any(map(trace._split_record, spaced))
+    assert not any(trace._split_record(line, trace.TRACE_SCHEMA) for line in spaced)
     (tmp_path / "spaced.jsonl").write_text("".join(line + "\n" for line in spaced))
     slow = read_trace(tmp_path / "spaced.jsonl")
     for rec, a, b in zip(records, fast, slow):
@@ -385,7 +387,7 @@ def record_lines(reports):
 def read_both_ways(path):
     """read_trace as it is, and with every line read by json.loads: the records or the error."""
     results = []
-    for split in (trace._split_record, lambda line: None):
+    for split in (trace._split_record, lambda *args: None):
         with mock.patch.object(trace, "_split_record", split):
             try:
                 results.append(trace.read_trace(path))
@@ -412,9 +414,15 @@ def assert_same_reading(fast, slow):
 
 def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, reports, record_lines):
     lines = [trace.encode_record(rec) for report in reports for recs in report.trials.values() for rec in recs]
-    decoded = [trace._split_record(line) for line in lines + record_lines]
+    decoded = [trace._split_record(line, 2) for line in lines]
+    decoded += [trace._split_record(line, 1) for line in record_lines]
     assert all(rec is not None for rec in decoded)
     assert max(int(rec["wefs"].max()) for rec in decoded) >= 10  # two-digit counts are there
+    # a schema-2 global_pen is cut out at its seam; a schema-1 one stays the list json.loads reads
+    assert all(isinstance(rec["global_pen"], np.ndarray) for rec in decoded[:len(lines)])
+    assert all(isinstance(rec["global_pen"], list) for rec in decoded[len(lines):])
+    # the seam keeps the key order json.loads gives
+    assert all(list(rec) == list(json.loads(line)) for rec, line in zip(decoded, lines + record_lines))
     paths = [tmp_path / "header-less.jsonl"]
     paths[0].write_text("".join(line + "\n" for line in record_lines))
     for i, report in enumerate(reports):
@@ -441,6 +449,67 @@ def test_float_matrix_base64_round_trips_every_finite_matrix(matrix):
     decoded = trace.decode_float_matrix(text, *matrix.shape)
     assert decoded.dtype == np.float64 and decoded.flags.writeable
     assert decoded.tobytes() == matrix.tobytes()
+
+
+_ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+# what an edit may write: base64 digits, padding, whitespace, other ASCII, non-ASCII
+_EDIT_CHARS = _ALPHABET + "= \n\r\t-_*.!\x00\u00e9\uff21"
+
+
+def _canonical_matrix(text, h, w):
+    """The oracle: the matrix of text when b64encode(b64decode(text)) == text,
+    text encodes 8·h·w bytes and every value is finite, else None."""
+    try:
+        raw = base64.b64decode(text)
+    except (binascii.Error, ValueError):  # ValueError: a non-ASCII str
+        return None
+    if base64.b64encode(raw).decode("ascii") != text or len(raw) != 8 * h * w:
+        return None
+    matrix = np.frombuffer(raw, "<f8").reshape(h, w)
+    return matrix if np.isfinite(matrix).all() else None
+
+
+def _set_unused_bits(text, draw):
+    """The last digit before "=" with a drawn non-zero value in its unused low bits."""
+    digits = text.rstrip("=")
+    pad = len(text) - len(digits)
+    if not pad:
+        return text
+    last = _ALPHABET.index(digits[-1]) | draw(st.integers(1, 2 ** (2 * pad) - 1))
+    return digits[:-1] + _ALPHABET[last] + "=" * pad
+
+
+def _edit_base64(text, draw):
+    i = draw(st.integers(0, len(text) - 1))
+    c = draw(st.sampled_from(_EDIT_CHARS))
+    return draw(st.sampled_from([
+        text[:i] + c + text[i + 1:],  # one character replaced
+        text[:i] + c + text[i:],  # one inserted
+        text[:i] + text[i + 1:],  # one deleted
+        text + "=",
+        text[:-1] if text.endswith("=") else text,
+        _set_unused_bits(text, draw),
+        " " + text,
+        text + "\n",
+    ]))
+
+
+# h·w ≡ 0, 1 and 2 (mod 3): 8·h·w bytes end in no "=", one "=" and two
+@settings(max_examples=400, deadline=None)
+@given(
+    matrix=st.sampled_from([(1, 3), (3, 2), (1, 1), (2, 2), (1, 2), (5, 1)]).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))
+    ),
+    data=st.data(),
+)
+def test_decode_float_matrix_takes_exactly_the_canonical_base64(matrix, data):
+    text = _edit_base64(trace.float_matrix_base64(matrix), data.draw)
+    expected = _canonical_matrix(text, *matrix.shape)
+    decoded = trace.decode_float_matrix(text, *matrix.shape)
+    if expected is None:
+        assert decoded is None
+    else:
+        assert decoded is not None and decoded.tobytes() == expected.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +577,26 @@ def _with_key(key, value):
     return perturb
 
 
+def _with_field(key, edit):
+    """key's value replaced by edit(value, draw), in place."""
+    def perturb(line, draw):
+        rec = json.loads(line)
+        rec[key] = edit(rec[key], draw)
+        return _dumps(rec)
+    return perturb
+
+
+def _wef_shape_in_tail(line, draw):
+    """wef_shape transposed in the head, and the written one again past the
+    WEF block: json.loads keeps the second."""
+    items = list(json.loads(line).items())
+    keys = [key for key, _ in items]
+    shape = items[keys.index("wef_shape")][1]
+    items[keys.index("wef_shape")] = ("wef_shape", shape[::-1])
+    items.insert(draw(st.integers(keys.index("wefs") + 1, len(items))), ("wef_shape", shape))
+    return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in items) + "}"
+
+
 def _swap_keys(line, draw):
     items = list(json.loads(line).items())
     i = draw(st.integers(0, len(items) - 2))
@@ -536,7 +625,57 @@ PERTURBATIONS = {
     "no-tail": lambda line, draw: line[:_wefs_block(line)[1]] + ",}",
     "nested-line": lambda line, draw: '{"round":' + line + "}",
     "truncated": lambda line, draw: line[:draw(st.integers(0, len(line) - 1))],
+    "roles-extra": _with_field("roles", lambda roles, draw: roles + ["benign"]),
+    "wef-shape-in-tail": _wef_shape_in_tail,
 }
+
+
+def _pen_span(line):
+    start = line.index('"global_pen":"') + len('"global_pen":"')
+    return start, line.index('"', start)
+
+
+def _escaped_pen(line, draw):
+    """One character of global_pen written as a JSON \\u escape: json.loads reads the same string."""
+    start, end = _pen_span(line)
+    i = draw(st.integers(start, end - 1))
+    return line[:i] + f"\\u{ord(line[i]):04x}" + line[i + 1:]
+
+
+def _duplicate_pen(line, draw):
+    pen = json.loads(line)["global_pen"]
+    zeros = trace.float_matrix_base64(np.zeros(len(base64.b64decode(pen)) // 8))
+    value = draw(st.sampled_from([pen, zeros, pen[:-4], [0.5, 1.5]]))
+    return _with_key("global_pen", value)(line, draw)
+
+
+def _nested_pen(line, draw):
+    """The global_pen seam's text, pen and all, inside a nested object."""
+    return _with_key("extra", {"note": 1, "global_pen": json.loads(line)["global_pen"]})(line, draw)
+
+
+def _pen_trailing_bits(line, draw):
+    start, end = _pen_span(line)
+    return line[:start] + _set_unused_bits(line[start:end], draw) + line[end:]
+
+
+def _pen_last(line, draw):
+    rec = json.loads(line)
+    rec["global_pen"] = rec.pop("global_pen")
+    return _dumps(rec)
+
+
+# edits of a schema-2 line's global_pen, or of the text around it
+PEN_PERTURBATIONS = {
+    "pen-seam-in-string": _with_key("note", ',"global_pen":"AAAAAAAAAAA=",'),
+    "nested-pen": _nested_pen,
+    "duplicate-pen": _duplicate_pen,
+    "escaped-pen": _escaped_pen,
+    "pen-last": _pen_last,
+    "pen-then-comma": lambda line, draw: line[:_pen_span(line)[1] + 1] + ",}",
+    "pen-trailing-bits": _pen_trailing_bits,
+}
+SCHEMA_2_PERTURBATIONS = {**PERTURBATIONS, **PEN_PERTURBATIONS}
 
 
 @settings(max_examples=150, deadline=None)
@@ -547,5 +686,30 @@ def test_reader_agrees_with_json_loads_on_perturbed_lines(tmp_path_factory, reco
     edited = PERTURBATIONS[name](line, data.draw)
     path = tmp_path_factory.mktemp("perturbed") / "trace.jsonl"
     path.write_text(edited + "\n")
+    fast, slow = read_both_ways(path)
+    assert_same_reading(fast, slow)
+
+
+@pytest.fixture(scope="module")
+def trace_texts(reports, tmp_path_factory):
+    """The schema-2 traces of those runs as write_trace writes them, line by line."""
+    texts = []
+    for report in reports:
+        path = tmp_path_factory.mktemp("written") / "trace.jsonl"
+        write_trace(report, path)
+        texts.append(path.read_text().splitlines())
+    return texts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SCHEMA_2_PERTURBATIONS)))
+def test_reader_agrees_with_json_loads_on_perturbed_schema_2_traces(tmp_path_factory, trace_texts, data, name):
+    """Each edited round line, written back in place in its trace, with the header
+    and the other rounds unchanged, reads to json.loads's values or fails with its message."""
+    lines = list(data.draw(st.sampled_from(trace_texts)))
+    i = data.draw(st.integers(1, len(lines) - 1))
+    lines[i] = SCHEMA_2_PERTURBATIONS[name](lines[i], data.draw)
+    path = tmp_path_factory.mktemp("perturbed") / "trace.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
     fast, slow = read_both_ways(path)
     assert_same_reading(fast, slow)
