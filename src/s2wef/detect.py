@@ -95,10 +95,15 @@ class RoundDetection:
 # and cosines built from them equal np.linalg.norm of each pair to the bit,
 # wherever the blocks below split the columns.
 _EXACT_LIMIT = 2**53
-# Grid entries per float64 block (410 KB): gamma and Dev take their products
-# block by block, never holding the stack in float64 at once.  A block is
-# sized in entries, so a 10-client round of 256 x 10 grids is one block.
+# Grid entries per float block (at most 410 KB): gamma and Dev take their
+# products block by block, never holding the stack as floats at once.  A block
+# is sized in entries, so a 10-client round of 256 x 10 grids is one block.
 _BLOCK_ENTRIES = 51_200
+# float32 holds every integer up to 2**24 exactly, so when h*w * peak**2
+# stays below it every product, partial sum and total of the grids' h*w
+# entries is an exact integer in float32 too, in whatever order BLAS adds
+# them; the blocks add up in float64.
+_FLOAT32_EXACT = 2**24
 
 
 def grid_stack(wefs: np.ndarray) -> np.ndarray:
@@ -125,13 +130,16 @@ def grid_stack(wefs: np.ndarray) -> np.ndarray:
     return grids
 
 
-def _float_blocks(x: np.ndarray):
-    """Consecutive float64 column blocks of an integer (..., n, g) stack, with
-    their column slices; a block holds about _BLOCK_ENTRIES entries."""
+def _float_blocks(x: np.ndarray, peak: int):
+    """Consecutive float column blocks of an integer (..., n, g) stack whose
+    entries, and those of whatever its blocks meet, lie in [0, peak], with
+    their column slices; a block holds about _BLOCK_ENTRIES entries, in
+    float32 when g * peak**2 < _FLOAT32_EXACT and in float64 otherwise."""
+    dtype = np.float32 if x.shape[-1] * peak**2 < _FLOAT32_EXACT else np.float64
     width = max(1, _BLOCK_ENTRIES // max(1, math.prod(x.shape[:-1])))
     for start in range(0, x.shape[-1], width):
         cols = slice(start, start + width)
-        yield cols, x[..., cols].astype(np.float64)
+        yield cols, x[..., cols].astype(dtype)
 
 
 def _cosines(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -151,7 +159,7 @@ def deviation_statistics(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
         raise ConfigurationError("deviation statistics need at least 2 clients")
     gram = np.zeros((*x.shape[:-1], n))
     total = np.zeros(x.shape[:-1])
-    for _, block in _float_blocks(x):
+    for _, block in _float_blocks(x, int(x.max(initial=0))):
         gram += block @ block.mT
         total += block.sum(axis=-1)
     sq = np.diagonal(gram, axis1=-2, axis2=-1)
@@ -201,7 +209,8 @@ def gamma_scores(
     simulated: np.ndarray,
     mode: str = GAMMA_COS_OVER_L1,
 ) -> np.ndarray:
-    """Similarity of each submitted grid (a grid_stack) to the simulated one.
+    """Similarity of each submitted grid (a grid_stack) to the simulated
+    one, an integer grid of 0 and e.
 
     Default is cosine over L1 distance (with a tiny guard so an exact match
     is finite); cos_only drops the L1 denominator.  (..., n, h, w) grids
@@ -218,8 +227,9 @@ def gamma_scores(
     ref = simulated.reshape(*simulated.shape[:-2], 1, -1)
     sq, dots, l1 = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1])
     ref_sq = np.zeros(ref.shape[:-1])
-    for cols, block in _float_blocks(x):
-        part = ref[..., cols].astype(np.float64)
+    # a simulated grid holds 0 and e
+    for cols, block in _float_blocks(x, max(int(x.max(initial=0)), int(ref.max(initial=0)))):
+        part = ref[..., cols].astype(block.dtype)
         ref_sq += np.einsum("...ij,...ij->...i", part, part)
         sq += np.einsum("...ij,...ij->...i", block, block)
         dots += (block @ part.mT)[..., 0]
@@ -268,17 +278,10 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.float_power(values, 2.0)
 
 
-def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[int]]]:
-    """Full Ward agglomeration via the Lance-Williams recurrence.
-
-    Starts from the pairwise_distances of the points (left unmodified).
-    Each step merges the pair of clusters with minimal Ward distance; ties
-    merge the lexicographically smallest pair, where a cluster is named by
-    its smallest member.  Returns, per merge, the height and the member set
-    of the newly formed cluster.  A matrix that is not symmetric to the bit,
-    and distances whose squares or Ward updates leave the float64 range,
-    raise ConfigurationError.
-    """
+def _ward_merges(distances: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Ward agglomeration via the Lance-Williams recurrence: each merge's
+    height, and the names (a, b), a < b, of the clusters it joins, of which
+    a names the merged cluster.  ward_merge_sequence documents the rest."""
     dist = np.array(distances, dtype=np.float64)
     n = len(dist)
     if n < 2:
@@ -290,33 +293,58 @@ def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[in
         # the recurrence and the argmin tie-break read one triangle for both
         raise ConfigurationError("clustering needs a symmetric distance matrix")
 
-    # dist[a, b] is the Ward distance of the clusters named a and b, +inf on
-    # the diagonal and for merged-away names; it is symmetric, so the first
-    # row-major argmin is the lexicographically smallest minimal pair.  sq
-    # holds the squares, inf where dist is; the recurrence keeps inf entries
-    # inf, so each merge updates whole rows.
+    # dist[i, j] is the Ward distance of the clusters names[i] and names[j],
+    # +inf on the diagonal and for merged-away rows, whose size is 0; names
+    # ascend and dist is symmetric, so the first row-major argmin is the
+    # lexicographically smallest minimal pair.  The recurrence keeps inf
+    # entries inf, so each merge updates whole rows; once half the rows are
+    # merged away, the live ones move to a smaller matrix.  Each merge squares
+    # the two rows it reads, so every finite entry is squared before it is
+    # replaced.
     np.fill_diagonal(dist, np.inf)
-    size = np.ones(n)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    merges: list[tuple[float, frozenset[int]]] = []
+    names, size = list(range(n)), np.ones(n)
+    heights, pairs = np.empty(n - 1), []
     try:
         # an overflow would turn a live pair into inf or NaN, which argmin
         # reads as merged away or as the minimum
         with np.errstate(over="raise", invalid="raise", under="ignore"):
-            sq = _squares(dist)
-            for _ in range(n - 1):
-                a, b = divmod(int(np.argmin(dist)), n)
-                d_ab, sq_ab = float(dist[a, b]), sq[a, b]
-                na, nb = size[a], size[b]
-                merged_sq = ((na + size) * sq[a] + (nb + size) * sq[b] - size * sq_ab) / (na + nb + size)
-                dist[a] = dist[:, a] = np.sqrt(np.maximum(merged_sq, 0.0))
-                sq[a] = sq[:, a] = _squares(dist[a])
-                dist[b] = dist[:, b] = sq[b] = sq[:, b] = np.inf
-                size[a] = na + nb
-                members[a] += members.pop(b)
-                merges.append((d_ab, frozenset(members[a])))
+            for step, live in enumerate(range(n, 1, -1)):
+                if 2 * live <= len(dist):
+                    keep = size.nonzero()[0]
+                    dist, size = dist[keep[:, None], keep], size[keep]
+                    names = [names[k] for k in keep.tolist()]
+                i, j = divmod(int(np.argmin(dist)), len(dist))
+                sq_i, sq_j = _squares(dist[i]), _squares(dist[j])
+                ni, nj = size[i], size[j]
+                heights[step] = dist[i, j]
+                merged_sq = ((ni + size) * sq_i + (nj + size) * sq_j - size * sq_i[j]) / (ni + nj + size)
+                np.sqrt(np.maximum(merged_sq, 0.0, out=merged_sq), out=dist[i])
+                dist[:, i] = dist[i]
+                dist[j] = dist[:, j] = np.inf
+                size[i], size[j] = ni + nj, 0.0
+                pairs.append((names[i], names[j]))
     except FloatingPointError as exc:
         raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
+    return heights, pairs
+
+
+def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[int]]]:
+    """Full Ward agglomeration via the Lance-Williams recurrence.
+
+    Starts from the pairwise_distances of the points (left unmodified).
+    Each step merges the pair of clusters with minimal Ward distance; ties
+    merge the lexicographically smallest pair, where a cluster is named by
+    its smallest member.  Returns, per merge, the height and the member set
+    of the newly formed cluster.  A matrix that is not symmetric to the bit,
+    and distances whose squares or Ward updates leave the float64 range,
+    raise ConfigurationError.
+    """
+    heights, pairs = _ward_merges(distances)
+    members = {i: [i] for i in range(len(heights) + 1)}
+    merges = []
+    for height, (a, b) in zip(heights.tolist(), pairs):
+        members[a] += members.pop(b)
+        merges.append((height, frozenset(members[a])))
     return merges
 
 
@@ -327,19 +355,13 @@ def ward_hac(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the labels of the two-cluster cut (label 0 is the cluster containing
     client 0).
     """
-    merges = ward_merge_sequence(dist)
-    n = len(dist)
-    heights = np.asarray([h for h, _ in merges])
-    labels = np.zeros(n, dtype=np.int64)
-    if n == 2:
-        labels[1] = 1
-        return heights, labels
-    # the final merge joins the cluster the second-last merge formed with the rest
-    second_last = merges[-2][1]
-    labels[sorted(second_last)] = 1
-    if 0 in second_last:
-        labels = 1 - labels
-    return heights, labels
+    heights, pairs = _ward_merges(dist)
+    # owner[c] is the name client c's cluster has after the first n - 2
+    # merges, found backwards: b takes the final name of a, which absorbed it
+    owner = list(range(len(dist)))
+    for a, b in reversed(pairs[:-1]):
+        owner[b] = owner[a]
+    return heights, (np.array(owner) != 0).astype(np.int64)
 
 
 def _ward_rounds(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,11 +369,9 @@ def _ward_rounds(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the (R, n - 1) heights and (R, n) two-cluster labels, each round's to
     the bit, and the same refusals.
 
-    Each merge updates every round's matrix with ward_merge_sequence's
-    arithmetic.  A round's cut is read from its recorded merge pairs: the
-    pair (a, b) has a < b and the cluster named a takes in b, so client 0's
-    cluster is always named 0, and after the first n - 2 merges label 0 is
-    its members.
+    Each merge updates every round's matrix with _ward_merges' arithmetic,
+    on the matrix's full size.  A round's cut is read from its recorded
+    merge pairs as ward_hac reads it.
     """
     rounds, n = dist.shape[:2]
     if not np.isfinite(dist).all():
@@ -366,24 +386,21 @@ def _ward_rounds(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pairs = []
     try:
         with np.errstate(over="raise", invalid="raise", under="ignore"):
-            sq = _squares(dist)
             for step in range(n - 1):
                 a, b = np.divmod(dist.reshape(rounds, -1).argmin(axis=1), n)
                 heights[:, step] = dist[r, a, b]
-                na, nb, sq_ab = size[r, a, None], size[r, b, None], sq[r, a, b, None]
-                merged_sq = (
-                    ((na + size) * sq[r, a] + (nb + size) * sq[r, b] - size * sq_ab) / (na + nb + size)
-                )
-                dist[r, a] = dist[r, :, a] = merged = np.sqrt(np.maximum(merged_sq, 0.0))
-                sq[r, a] = sq[r, :, a] = _squares(merged)
-                dist[r, b] = dist[r, :, b] = sq[r, b] = sq[r, :, b] = np.inf
+                sq_a, sq_b = _squares(dist[r, a]), _squares(dist[r, b])
+                na, nb, sq_ab = size[r, a, None], size[r, b, None], sq_a[r, b, None]
+                merged_sq = ((na + size) * sq_a + (nb + size) * sq_b - size * sq_ab) / (na + nb + size)
+                dist[r, a] = dist[r, :, a] = np.sqrt(np.maximum(merged_sq, 0.0))
+                dist[r, b] = dist[r, :, b] = np.inf
                 size[r, a] = (na + nb)[:, 0]
                 pairs.append((a, b))
     except FloatingPointError as exc:
         raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
-    owner = np.tile(diagonal, (rounds, 1))  # the name of each client's cluster
-    for a, b in pairs[:-1]:
-        np.copyto(owner, a[:, None], where=owner == b[:, None])
+    owner = np.tile(diagonal, (rounds, 1))
+    for a, b in reversed(pairs[:-1]):
+        owner[r, b] = owner[r, a]
     return heights, (owner != 0).astype(np.int64)
 
 
@@ -692,13 +709,13 @@ _CHUNK_BYTES = 4_000_000
 
 def _chunk_rounds(n: int, h: int, w: int) -> int:
     """How many rounds of n clients' h x w grids steps scores in one pass."""
-    # one float64 block of _BLOCK_ENTRIES, and per round: the stacked grids
-    # and their int64 running sums (9 bytes an entry), five float64 h x w
-    # arrays that simulate the broadcast's WEF, nine float64 n x n arrays of
-    # Gram entries, distances and cosines, and the cluster stage's five:
-    # Ward's distances and squares, and the silhouette's keys, sort order
-    # and sorted rows
-    per_round = 9 * n * h * w + 40 * h * w + 112 * n * n
+    # at most one float64 block of _BLOCK_ENTRIES, and per round: the stacked
+    # grids and their int64 running sums (9 bytes an entry), five float64
+    # h x w arrays that simulate the broadcast's WEF, nine float64 n x n
+    # arrays of Gram entries, distances and cosines, and the cluster stage's
+    # four: Ward's distances, and the silhouette's keys, sort order and
+    # sorted rows
+    per_round = 9 * n * h * w + 40 * h * w + 104 * n * n
     return max(1, (_CHUNK_BYTES - 8 * _BLOCK_ENTRIES) // per_round)
 
 

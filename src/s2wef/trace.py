@@ -300,6 +300,8 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
     for key in ("trial", "round", "e"):
         if not _is_int(rec[key]):
             bad(key, "an integer")
+    if not 1 <= rec["e"] <= np.iinfo(np.int64).max:  # wef_dtype holds a budget above 255 in int64
+        bad("e", f"an integer in [1, {np.iinfo(np.int64).max}]")
     shape = rec["wef_shape"]
     if not _is_shape(shape):
         bad("wef_shape", "two positive integers")

@@ -498,6 +498,30 @@ def test_detect_trace_detector_error_names_its_round(tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+E_RANGE = "e must be an integer in [1, 9223372036854775807]"
+
+
+@pytest.mark.parametrize("e", [0, 2**63, 2**64], ids=["0", "2**63", "2**64"])
+def test_detect_trace_e_beyond_int64_exits_2(tmp_path, capsys, e):
+    """The header-less golden trace with every e edited: wef_dtype holds a
+    budget above 255 in int64, so one past its range is a malformed trace,
+    not a crash (2**64) or a divergence (2**63)."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(GOLDEN.read_text().replace('"e":5,', f'"e":{e},'))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
+    assert f"trace error: {trace}:1: {E_RANGE}, got {e}" in capsys.readouterr().err
+
+
+def test_detect_trace_header_budget_beyond_int64_exits_2(tmp_path, capsys, trace_lines):
+    lines = json.loads(json.dumps(trace_lines))
+    lines[0]["header"]["config"]["train"]["local_iterations"] = 2**64
+    for line in lines[1:]:
+        line["e"] = 2**64
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    assert f"trace error: {trace}:2: {E_RANGE}, got {2**64}" in capsys.readouterr().err
+
+
 # edits of the bytes of line 3 (round 1) that no JSON reader of UTF-8 text takes,
 # and the message that follows "trace error: <path>:3: "
 UNREADABLE = {

@@ -1,3 +1,4 @@
+import math
 import warnings
 from unittest.mock import patch
 
@@ -332,6 +333,21 @@ def test_ward_refuses_distances_too_large_to_square(far):
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match="too large"):
             ward_merge_sequence(dist)
+
+
+def test_ward_refuses_a_distance_too_large_to_square_first_read_after_a_shrink():
+    """Points 0-3 merge first, at height 1, which leaves 3 of 6 clusters and
+    shrinks the matrix; only the next merge squares the row that holds the
+    2e154 between points 4 and 5."""
+    dist = np.full((6, 6), 10.0)
+    dist[:4, :4] = 1.0
+    dist[4, 5] = dist[5, 4] = 2e154
+    np.fill_diagonal(dist, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ward in (ward_merge_sequence, ward_hac, lambda d: det._ward_rounds(d[None])):
+            with pytest.raises(ConfigurationError, match="too large for float64 Ward"):
+                ward(dist)
 
 
 def assert_merges_form_a_hierarchy(merges, n):
@@ -852,6 +868,23 @@ def test_rounds_clustered_together_decide_as_each_round_alone(rounds):
             assert detection_bits(detection, flagged) == detection_bits(*alone)
 
 
+@settings(max_examples=30, deadline=None)
+@given(clustered_trial())
+@example(wide_trial())
+def test_ward_hac_cuts_off_the_second_last_merges_cluster(rounds):
+    """ward_hac's cut, read from the merge pairs, is the member set the
+    second-last merge formed against the rest, label 0 holding client 0."""
+    wefs, pens, e = rounds
+    sims = simulate_global_wef(np.stack(pens[1:]), np.stack(pens[:-1]), e)
+    for dist in det._scores(np.stack(wefs[1:]), sims, det.GAMMA_COS_OVER_L1)[3]:
+        merges = ward_merge_sequence(dist)
+        cut = np.zeros(len(dist), dtype=np.int64)
+        cut[sorted(merges[-2][1])] = 1
+        heights, labels = ward_hac(dist)
+        assert labels.tobytes() == (cut ^ cut[0]).tobytes()
+        assert heights.tobytes() == np.array([h for h, _ in merges]).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.integers(3, 40), st.data())
 def test_rounds_take_their_silhouettes_together_for_any_labels(rounds, n, data):
@@ -882,6 +915,87 @@ def test_rounds_clustered_together_refuse_what_ward_alone_refuses(far):
         asymmetric[0, 0, 1] = 2.0
         with pytest.raises(ConfigurationError, match="symmetric"):
             det._ward_rounds(asymmetric)
+
+
+# --- float32 products -----------------------------------------------------------
+
+def float64_only():
+    """The scores with every block in float64."""
+    return patch.object(det, "_FLOAT32_EXACT", 0)
+
+
+def largest_float32_peak(size):
+    """The largest peak at which grids of size entries take float32 blocks."""
+    return math.isqrt((det._FLOAT32_EXACT - 1) // size)
+
+
+def bound_round(n, h, w, peak, e, kind, seed):
+    """n grids of h x w counts in [0, peak], about a third of them at peak,
+    held as kind, and a simulated grid with e on about 70% of its entries."""
+    rng = np.random.default_rng(seed)
+    grids = rng.integers(0, peak + 1, size=(n, h, w))
+    grids[rng.random(grids.shape) < 1 / 3] = peak
+    return grids.astype(kind), np.where(rng.random((h, w)) < 0.7, e, 0)
+
+
+@st.composite
+def rounds_near_the_float32_bound(draw):
+    """bound_round's parameters: 1 to 2560 entries a grid, a peak on either
+    side of the largest float32 peak, and e at or above the peak, on either
+    side of it too."""
+    h, w = draw(st.integers(1, 256)), draw(st.integers(1, 10))
+    edge = largest_float32_peak(h * w)
+    peak = draw(st.integers(max(0, edge - 2), edge + 2) | st.integers(0, 2 * edge + 2))
+    kind = draw(st.sampled_from([np.uint8, np.int64]) if peak <= 255 else st.just(np.int64))
+    e = draw(st.integers(max(1, peak), 3 * edge + 3))
+    return draw(st.integers(2, 8)), h, w, peak, e, kind, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds_near_the_float32_bound())
+@example((4, 256, 10, 80, 80, np.uint8, 0))  # the largest float32 peak of 2560 entries
+@example((4, 256, 10, 81, 81, np.uint8, 0))
+@example((4, 1, 1, 4095, 4095, np.int64, 0))  # and of one entry
+@example((4, 1, 1, 4096, 4096, np.int64, 0))
+@example((4, 256, 10, 80, 201, np.uint8, 1))  # grids in float32 range, the simulated one past it
+@example((4, 64, 10, 300, 300, np.int64, 2))  # 640 * 300 < 2**24 < 640 * 300**2
+def test_float32_blocks_score_as_float64_blocks(params):
+    grids, simulated = bound_round(*params)
+
+    def scores():
+        gammas = [gamma_scores(grids, simulated, mode) for mode in (det.GAMMA_COS_OVER_L1, GAMMA_COS_ONLY)]
+        return [s.tobytes() for s in (*deviation_statistics(grids), dev_scores(grids), *gammas)]
+
+    with float64_only():
+        expected = scores()
+    assert scores() == expected
+
+
+@pytest.mark.parametrize("size", [1, 16, 2560])
+def test_float32_blocks_up_to_the_largest_exact_peak(size):
+    stack = np.zeros((3, size), dtype=np.int64)
+    edge = largest_float32_peak(size)
+    assert size * edge**2 < 2**24 <= size * (edge + 1) ** 2
+    assert {block.dtype for _, block in det._float_blocks(stack, edge)} == {np.dtype(np.float32)}
+    assert {block.dtype for _, block in det._float_blocks(stack, edge + 1)} == {np.dtype(np.float64)}
+
+
+def test_running_sums_crossing_the_float32_bound_score_as_float64():
+    """Client 2 submits e = 255 every round, so its running sums reach 1020
+    after 4 rounds and 1275 after 5, on either side of 1023, the largest
+    float32 peak of 4 x 4 grids: of replay's chunks of 4 rounds, the first
+    takes float32 blocks and the second float64."""
+    wefs, pens, e = trial(np.random.default_rng(18), 8, 6, 4, 4, 255, ["random", "colluders"] * 4)
+    for grids in wefs:
+        grids[2] = e
+    sums = np.cumsum(wefs, axis=0, dtype=np.int64)
+    assert sums[:4].max() <= largest_float32_peak(16) < sums[4].max()
+    for name in DETECTORS:
+        with patch.object(det, "_chunk_rounds", lambda n, h, w: 4):
+            mixed = TrialDetector(name, accumulate=True).steps(wefs, pens, e)
+            with float64_only():
+                expected = TrialDetector(name, accumulate=True).steps(wefs, pens, e)
+        assert [detection_bits(*r) for r in mixed] == [detection_bits(*r) for r in expected]
 
 
 def permutable_round(n, h, w, e, colluders, seed):

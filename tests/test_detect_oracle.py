@@ -185,12 +185,20 @@ def _mad_zero_round():
     return np.array([grid] * 6 + [2 * grid]), np.zeros((2, 3), dtype=np.int64)
 
 
-def _colluder_plane():
-    """A many_clients-shaped z plane: 100 spread benign points, with every
-    fifth client at one point, as 20 identical DWA submissions standardize."""
-    pts = np.random.default_rng(10).normal(size=(100, 2))
+def _colluder_plane(n=100):
+    """A many_clients-shaped z plane: n spread benign points, with every
+    fifth client at one point, as n / 5 identical DWA submissions
+    standardize.  At 200 points Ward's matrix shrinks at 100, 50, 25, 12, 6
+    and 3 live clusters."""
+    pts = np.random.default_rng(10).normal(size=(n, 2))
     pts[::5] = [6.5, 9.0]
     return pts
+
+
+def _lattice_plane():
+    """200 points on a 6 x 6 lattice: the first 164 merges or more join
+    duplicates at height 0, so Ward's matrix shrinks in the middle of ties."""
+    return np.random.default_rng(20).integers(0, 6, size=(200, 2)).astype(np.float64)
 
 
 _COORDS = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 1e-12, 1e12, -0.6744897501960817])
@@ -243,6 +251,8 @@ def test_gamma_scores_match_oracle(round_, mode):
 @example(np.ones((60, 2)))
 @example(np.array([[0.0, 0.0]] * 20 + [[3.0, 4.0]] * 20 + [[1e12, -1.0]] * 5))
 @example(_colluder_plane())
+@example(_colluder_plane(200))
+@example(_lattice_plane())
 def test_ward_and_silhouette_match_oracle(pts):
     dist = pairwise_distances(pts)
     merges = ward_merge_sequence(dist)
