@@ -127,8 +127,9 @@ class TrainConfig:
             raise ConfigurationError("momentum must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.local_iterations < 1:
-            raise ConfigurationError("local_iterations must be >= 1")
+        # e, the WEF budget, is local_iterations; int64 grids and replay hold at most its maximum
+        if not 1 <= self.local_iterations <= np.iinfo(np.int64).max:
+            raise ConfigurationError(f"local_iterations must be in [1, {np.iinfo(np.int64).max}]")
 
 
 @dataclass

@@ -5,10 +5,12 @@ trace schema and the normalized config of the run; every later line is one
 round record carrying the submitted WEF grids, the score/cluster/vote
 outputs, the decision, the round metrics, and the penultimate matrix of
 the model broadcast at the start of the round (which is what replay needs
-to re-simulate the server side).  Schema 2 writes that matrix as the
-base64 of its little-endian float64 bytes; schema 1, and a trace without a
-header, held it as a list of decimal numbers, which the reader still
-takes.  Writing is deterministic: the same records produce the same bytes.
+to re-simulate the server side).  Schema 3 writes each client's WEF grid
+as one string of fixed-width decimal counts and that matrix as the base64
+of its little-endian float64 bytes.  Schema 2 held the grids as lists of
+integers; schema 1, and a trace without a header, also held the matrix as
+a list of decimal numbers.  The reader takes all three.  Writing is
+deterministic: the same records produce the same bytes.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .fedsim import (
 )
 from .wef import wef_dtype
 
-TRACE_SCHEMA = 2
-_SCHEMAS = (1, TRACE_SCHEMA)  # the ones the reader takes
+TRACE_SCHEMA = 3
+_SCHEMAS = (1, 2, TRACE_SCHEMA)  # the ones the reader takes
+
+_E_MAX = np.iinfo(np.int64).max  # wef_dtype holds a budget above 255 in int64
 
 _REQUIRED_KEYS = {
     "trial", "round", "e", "roles", "wef_shape", "wefs", "scores", "cluster",
@@ -47,86 +51,49 @@ _REQUIRED_KEYS = {
 }
 
 
-def int_matrix_json(grid: np.ndarray) -> str:
-    """json.dumps(grid.tolist(), separators=(",", ":")) of a non-empty 2-D
-    matrix of non-negative integers, built from arrays, not int by int."""
+def digit_rows(grid: np.ndarray, e: int) -> str:
+    """The schema-3 WEF block of an (n, m) matrix of counts in [0, e]: a
+    JSON list of one string per row, each count written in width =
+    len(str(e)) decimal digits with leading zeros, n·(m·width + 3) + 1
+    bytes in all.  Built from one uint8 array, not count by count."""
     g = np.asarray(grid)
-    if g.ndim != 2 or not g.size or g.dtype.kind not in "iu" or g.min() < 0:
-        raise ValueError("expected a non-empty 2-D matrix of non-negative integers")
-    top = int(g.max())
-    width = len(str(top))
-    g = g.astype(np.min_scalar_type(top))  # the smallest unsigned type divides fastest
-    # per entry: `width` digit slots, then "," or, ending a row, ";"; slots
-    # left of the leading digit keep the byte 0, which JSON text never holds
-    cells = np.zeros((*g.shape, width + 1), dtype=np.uint8)
-    for k in range(width):  # the k-th digit from the right
-        cells[..., width - 1 - k] = np.where((g >= 10**k) | (k == 0), g // 10**k % 10 + ord("0"), 0)
-    cells[..., width] = ord(",")
-    cells[:, -1, width] = ord(";")
-    flat = cells.ravel()
-    text = flat[flat != 0].tobytes().decode("ascii")
-    return "[[" + text[:-1].replace(";", "],[") + "]]"
+    if g.ndim != 2 or not g.size or g.dtype.kind not in "iu" or g.min() < 0 or g.max() > e:
+        raise ValueError(f"expected a non-empty 2-D matrix of integers in [0, {e}]")
+    n, m = g.shape
+    width = len(str(e))
+    text = np.empty((n, m * width + 3), dtype=np.uint8)
+    text[:, [0, -2]] = ord('"')
+    text[:, -1] = ord(",")
+    text[-1, -1] = ord("]")
+    digits = text[:, 1:-2].reshape(n, m, width)
+    # the k-th digit from the right, by // and a product: numpy's % is several times slower
+    for k in range(width):
+        rest = g // 10
+        digits[..., width - 1 - k] = g - rest * 10 + ord("0")
+        g = rest
+    return "[" + text.tobytes().decode("ascii")
 
 
-def decode_int_matrix(block: str) -> np.ndarray | None:
-    """The inverse of int_matrix_json: the matrix whose encoding is exactly
-    block, in the smallest unsigned type that holds its largest entry, or
-    None when int_matrix_json writes block for no matrix (spacing, leading
-    zeros, signs, fractions, booleans, ragged rows...)."""
-    if not (block.isascii() and block.startswith("[[") and block.endswith("]]")):
+def decode_digit_rows(block: str, n: int, m: int, e: int) -> np.ndarray | None:
+    """The inverse of digit_rows: the (n, m) matrix of wef_dtype(e) whose
+    block at e is exactly block, or None when digit_rows writes block for
+    no such matrix (another length or framing, a non-digit, a count above
+    e).  Every byte is checked; a count is read from its digits as uint64,
+    which holds any 19 digits, so a count past int64 is refused, not wrapped."""
+    width = len(str(e))
+    if not (block.isascii() and len(block) == n * (m * width + 3) + 1 and n and m):
         return None
     text = np.frombuffer(block.encode("ascii"), np.uint8)
-    grid = _decode_single_digits(text, stride=block.find("]") + 1)
-    return grid if grid is not None else _decode_digit_runs(block, text)
-
-
-def _decode_single_digits(text: np.ndarray, stride: int) -> np.ndarray | None:
-    """The matrix of single-digit counts whose encoding is text, read by its
-    fixed layout, or None when text has another layout.
-
-    With m single digits per row, the block is "[[", then rows of 2m - 1
-    bytes ("d,d,...,d") joined by "],[", then "]]".  After its first byte
-    it is a piece of stride = 2m + 2 bytes per row: "[", the row, "]",
-    then "," or, ending the block, "]".  The first "]" is at byte 2m + 1.
-    """
-    rows, extra = divmod(len(text) - 1, stride)
-    if stride % 2 or extra:
+    rows = text[1:].reshape(n, m * width + 3)
+    frame = (text[0] == ord("[") and (rows[:, [0, -2]] == ord('"')).all()
+             and (rows[:-1, -1] == ord(",")).all() and rows[-1, -1] == ord("]"))
+    digits = rows[:, 1:-2].reshape(n, m, width) - np.uint8(ord("0"))  # bytes below "0" wrap
+    if not frame or digits.max() > 9:
         return None
-    grid = text[1:].reshape(rows, stride)
-    frame = np.full(stride // 2, ord(","), dtype=np.uint8)  # the even bytes of a piece
-    frame[[0, -1]] = ord("["), ord("]")
-    counts = grid[:, 1:-1:2] - np.uint8(ord("0"))  # uint8: bytes below "0" wrap to large values
-    if counts.max() > 9 or not (grid[:, :-1:2] == frame).all() or np.any(grid[:-1, -1] != ord(",")):
-        return None
-    return counts
-
-
-def _decode_digit_runs(block: str, text: np.ndarray) -> np.ndarray | None:
-    """decode_int_matrix for counts of any width, one digit place at a time."""
-    rows = block.count("],[") + 1
-    digit = text - ord("0") < 10  # uint8: bytes below "0" wrap to large values
-    sep = ~digit
-    # "[[", each "],[" and "]]" hold 2 * (rows + 1) brackets and 2 * rows
-    # touching pairs of non-digits.  If there are no other non-digits but
-    # commas and no other touching pairs, block is "[[", rows of digit runs
-    # joined by ",", the rows joined by "],[", then "]]".
-    if (np.count_nonzero(sep) != block.count(",") + 2 * (rows + 1)
-            or np.count_nonzero(sep[:-1] & sep[1:]) != 2 * rows):
-        return None
-    if np.any((text[1:-1] == ord("0")) & sep[:-2] & digit[2:]):  # a leading zero
-        return None
-    if len({row.count(",") for row in block[2:-2].split("],[")}) != 1:  # ragged
-        return None
-    last = np.flatnonzero(digit[:-1] & sep[1:])  # the last digit of each number
-    counts = (text[last] - ord("0")).astype(np.int64)
-    more = np.ones(len(last), dtype=bool)
-    for k in range(1, 19):  # the k-th digit from the right, while the run goes on
-        last -= 1
-        more &= digit[last]
-        if not more.any():
-            return counts.astype(np.min_scalar_type(int(counts.max()))).reshape(rows, -1)
-        counts[more] += (text[last[more]] - ord("0")).astype(np.int64) * 10**k
-    return None  # 19 digits may not fit an int64: left to json.loads
+    counts = digits[..., 0].astype(np.uint64) if width > 1 else digits[..., 0]
+    for k in range(1, width):  # one digit plane at a time, from the left
+        counts = counts * np.uint64(10) + digits[..., k]
+    return counts.astype(wef_dtype(e), copy=False) if counts.max() <= e else None
 
 
 def float_matrix_base64(matrix: np.ndarray) -> str:
@@ -210,10 +177,10 @@ def encode_record(rec: RoundRecord) -> str:
         "accuracy": rec.accuracy,
     }
     tail = {"submission_digests": list(rec.submission_digests)}
-    wefs = int_matrix_json(rec.wefs.reshape(n, -1))
-    # base64 needs no JSON escapes, so the string joins in as it is
+    wefs = digit_rows(rec.wefs.reshape(n, -1), rec.e)
     pen = float_matrix_base64(rec.global_pen_before)
-    # the two blocks sit where the key order of the format has them
+    # digits and base64 need no JSON escapes, so both blocks join in as they
+    # are, where the key order of the format has them
     return (f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(middle)[1:-1]},'
             f'"global_pen":"{pen}",{_dumps(tail)[1:]}')
 
@@ -290,8 +257,8 @@ _ROLES = ("benign", "free_rider")
 def _parse_round(rec: dict, where: str, schema: int) -> None:
     """Type-check the fields replay reads or prints; wefs and global_pen
     (unless _split_record decoded them already) become arrays, wefs of
-    wef_dtype(e) as the run held them, global_pen of float64 in the form
-    of the trace's schema."""
+    wef_dtype(e) as the run held them, global_pen of float64, each read in
+    the form of the trace's schema."""
 
     def bad(key: str, expected: str):
         value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
@@ -300,8 +267,8 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
     for key in ("trial", "round", "e"):
         if not _is_int(rec[key]):
             bad(key, "an integer")
-    if not 1 <= rec["e"] <= np.iinfo(np.int64).max:  # wef_dtype holds a budget above 255 in int64
-        bad("e", f"an integer in [1, {np.iinfo(np.int64).max}]")
+    if not 1 <= rec["e"] <= _E_MAX:
+        bad("e", f"an integer in [1, {_E_MAX}]")
     shape = rec["wef_shape"]
     if not _is_shape(shape):
         bad("wef_shape", "two positive integers")
@@ -309,13 +276,21 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
     if not (isinstance(flagged, list) and all(map(_is_int, flagged))):
         bad("free_rider_list", "a list of integers")
     h, w = shape
-    wefs = rec["wefs"] if isinstance(rec["wefs"], np.ndarray) else _array(rec["wefs"], "i", 2)
-    if wefs is None or wefs.shape[1] != h * w:
-        bad("wefs", f"a list of integer lists of length {h * w}")
-    low, high = int(wefs.min()), int(wefs.max())
-    if low < 0 or high > rec["e"]:
-        raise TraceError(f"{where}: WEF entries must lie in [0, {rec['e']}], got [{low}, {high}]")
-    roles = rec["roles"]
+    wefs, roles, e = rec["wefs"], rec["roles"], rec["e"]
+    if schema == 3 and not isinstance(wefs, np.ndarray):  # unless _split_record decoded it already
+        # roles count the rows, as they do where _split_record cuts the block
+        n = len(roles) if isinstance(roles, list) else len(wefs) if isinstance(wefs, list) else 0
+        strings = isinstance(wefs, list) and len(wefs) == n and all(isinstance(row, str) for row in wefs)
+        wefs = decode_digit_rows('["' + '","'.join(wefs) + '"]', n, h * w, e) if strings else None
+        if wefs is None:
+            bad("wefs", f"a list of {n} strings, each {h * w} counts in [0, {e}] as {len(str(e))}-digit decimals")
+    elif schema < 3:
+        wefs = _array(wefs, "i", 2)
+        if wefs is None or wefs.shape[1] != h * w:
+            bad("wefs", f"a list of integer lists of length {h * w}")
+        low, high = int(wefs.min()), int(wefs.max())
+        if low < 0 or high > e:
+            raise TraceError(f"{where}: WEF entries must lie in [0, {e}], got [{low}, {high}]")
     if not (isinstance(roles, list) and len(roles) == len(wefs) and all(r in _ROLES for r in roles)):
         bad("roles", f'a list of {len(wefs)} strings "benign" or "free_rider"')
     if not _is_finite_number(rec["accuracy"]):
@@ -332,7 +307,7 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
             pen = decode_float_matrix(pen, h, w)
         if pen is None:
             bad("global_pen", f"the canonical base64 of {h * w} finite little-endian float64")
-    rec["wefs"] = wefs.astype(wef_dtype(rec["e"]), copy=False).reshape(-1, h, w)
+    rec["wefs"] = wefs.astype(wef_dtype(e), copy=False).reshape(-1, h, w)
     rec["global_pen"] = pen
 
 
@@ -380,52 +355,54 @@ def _read_header(rec: dict, where: str) -> tuple[int, SimConfig]:
 
 _WEFS = ',"wefs":'
 _PEN = ',"global_pen":"'
+_SIZING = frozenset(("e", "roles", "wef_shape"))  # the head keys that size the WEF block
 
 
-def _split_record(line: str, schema: int) -> dict | None:
-    """A round line as encode_record writes it, read at its seams: json.loads
-    for the head, decode_int_matrix for the WEF block after it, and for the
-    tail json.loads, except that in schema 2 a global_pen string that
-    decode_float_matrix takes is cut out and decoded.  None for any other line.
+def _split_record(line: str) -> dict | None:
+    """A schema-3 round line as encode_record writes it, read at its seams:
+    json.loads for the head, decode_digit_rows for the WEF block after it,
+    whose length the head's e, roles and wef_shape give, and for the tail
+    json.loads, except that a global_pen string that decode_float_matrix
+    takes is cut out and decoded.  None for any other line.
 
     Each seam only chooses where to cut.  When the head and the tail parse
-    as non-empty objects and the block is int_matrix_json's, the line is
-    one object, and json.loads reads it to {**head, "wefs": block, **tail},
-    repeated keys included: both keep a key at its first place with its
-    last value.  Likewise the tail is {**before, "global_pen": pen, **after}
-    when the text before and after the global_pen member parse as objects.
+    as non-empty objects, the block is digit_rows' and the tail does not
+    give e, roles or wef_shape again, the line is one object, and
+    json.loads reads it to {**head, "wefs": block, **tail}, repeated keys
+    included: both keep a key at its first place with its last value.
+    Likewise the tail is {**before, "global_pen": pen, **after} when the
+    text before and after the global_pen member parse as objects.
     """
-    start = line.find(_WEFS + "[[")
+    start = line.find(_WEFS + '["')
     if start < 0:
         return None
     try:
         head = json.loads(line[:start] + "}")
     except ValueError:  # JSONDecodeError, or an integer too long for int()
         return None
-    if not (isinstance(head, dict) and head):
+    if not isinstance(head, dict):
+        return None
+    e, roles, shape = head.get("e"), head.get("roles"), head.get("wef_shape")
+    if not (_is_int(e) and 1 <= e <= _E_MAX and isinstance(roles, list) and _is_shape(shape)):
         return None
     block = start + len(_WEFS)
-    shape, roles = head.get("wef_shape"), head.get("roles")
-    shape = shape if _is_shape(shape) else None
-    # n rows of h * w counts take 2n(hw + 1) + 1 bytes at the least, "]]" included
-    least = 2
-    if shape is not None and isinstance(roles, list):
-        least = 2 * len(roles) * (shape[0] * shape[1] + 1) + 1
-    end = line.find("]],", block + least - 2) + 2
-    if end < 2:
+    m = shape[0] * shape[1]
+    end = block + len(roles) * (m * len(str(e)) + 3) + 1
+    if line[end:end + 1] != ",":
         return None
-    wefs = decode_int_matrix(line[block:end])
+    wefs = decode_digit_rows(line[block:end], len(roles), m, e)
     if wefs is None:
         return None
-    tail = _split_tail(line[end + 1:], shape if schema == 2 else None)
-    return None if tail is None else {**head, "wefs": wefs, **tail}
+    tail = _split_tail(line[end + 1:], shape)
+    # the tail's own e, roles or wef_shape would size the block, and global_pen, otherwise
+    return None if tail is None or not _SIZING.isdisjoint(tail) else {**head, "wefs": wefs, **tail}
 
 
-def _split_tail(text: str, shape: list[int] | None) -> dict | None:
-    """json.loads("{" + text) if that is a non-empty object, else None; with
-    a shape, a global_pen string that decode_float_matrix takes at that
-    shape is cut out at its last seam and decoded, not scanned as JSON."""
-    cut = text.rfind(_PEN) if shape is not None else -1
+def _split_tail(text: str, shape: list[int]) -> dict | None:
+    """json.loads("{" + text) if that is a non-empty object, else None; a
+    global_pen string that decode_float_matrix takes at shape is cut out at
+    its last seam and decoded, not scanned as JSON."""
+    cut = text.rfind(_PEN)
     close = text.find('"', cut + len(_PEN)) if cut > 0 else -1
     if close > 0 and (pen := decode_float_matrix(text[cut + len(_PEN):close], *shape)) is not None:
         rest = text[close + 1:]
@@ -434,8 +411,7 @@ def _split_tail(text: str, shape: list[int] | None) -> dict | None:
             after = {} if rest == "}" else json.loads("{" + rest[1:]) if rest[:1] == "," else None
         except ValueError:
             before = after = None
-        # a tail's own wef_shape may give global_pen another shape
-        if before and (rest == "}" or after) and "wef_shape" not in before.keys() | after.keys():
+        if before and (rest == "}" or after):
             return {**before, "global_pen": pen, **after}
     try:
         tail = json.loads("{" + text)
@@ -482,7 +458,8 @@ def read_trace(path: str | Path) -> Trace:
                 raise TraceError(f"{where}: not UTF-8 ({exc})") from exc
             if not line.strip():
                 continue
-            rec = _split_record(line, schema)
+            # older schemas go to json.loads whole
+            rec = _split_record(line) if schema == 3 else None
             if rec is None:
                 try:
                     rec = json.loads(line)

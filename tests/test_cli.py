@@ -179,6 +179,26 @@ def test_dataset_smaller_than_its_clients_exits_2_and_writes_nothing(tmp_path, c
     assert load_config(write_config(tmp_path, clients=10, dataset={**dataset, "samples": 10})).clients == 10
 
 
+@pytest.mark.parametrize("iterations", [2**63, 2**64], ids=["2**63", "2**64"])
+def test_local_iterations_past_int64_exit_2_and_write_nothing(tmp_path, capsys, iterations):
+    """local_iterations is the WEF budget e, which int64 grids and replay hold
+    up to 2**63 - 1; past it a run would not end, so the config is refused."""
+    train = {"learning_rate": 0.1, "batch_size": 8, "local_iterations": iterations}
+    message = "local_iterations must be in [1, 9223372036854775807]"
+    with pytest.raises(ConfigurationError) as refused:
+        config_from_dict(tiny_config(train=train))
+    assert message in str(refused.value)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, train=train)), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_local_iterations_at_int64_max_are_accepted():
+    train = {"learning_rate": 0.1, "batch_size": 8, "local_iterations": 2**63 - 1}
+    assert config_from_dict(tiny_config(train=train)).train.local_iterations == 2**63 - 1
+
+
 def test_run_writes_outputs(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -276,14 +296,30 @@ def trace_lines(trace_bytes):
 
 
 def decimal_pen(text: str) -> list[float]:
-    """A schema-2 global_pen as schema 1 writes it: a list of decimal numbers."""
+    """A base64 global_pen as schema 1 writes it: a list of decimal numbers."""
     return np.frombuffer(base64.b64decode(text), "<f8").tolist()
 
 
+def int_rows(rows: list[str], e: int) -> list[list[int]]:
+    """Schema-3 WEF rows as schemas 1 and 2 write them: int lists."""
+    width = len(str(e))
+    return [[int(row[i:i + width]) for i in range(0, len(row), width)] for row in rows]
+
+
 @pytest.fixture(scope="module")
-def schema_1_lines(trace_lines):
-    """That trace in schema-1 form: every global_pen a list of decimal numbers."""
+def schema_2_lines(trace_lines):
+    """That trace in schema-2 form: every WEF row a list of ints."""
     lines = json.loads(json.dumps(trace_lines))
+    lines[0]["header"]["schema"] = 2
+    for line in lines[1:]:
+        line["wefs"] = int_rows(line["wefs"], line["e"])
+    return lines
+
+
+@pytest.fixture(scope="module")
+def schema_1_lines(schema_2_lines):
+    """That trace in schema-1 form: also every global_pen a list of decimal numbers."""
+    lines = json.loads(json.dumps(schema_2_lines))
     lines[0]["header"]["schema"] = 1
     for line in lines[1:]:
         line["global_pen"] = decimal_pen(line["global_pen"])
@@ -297,53 +333,73 @@ def schema_1_bytes(schema_1_lines):
 
 
 def write_lines(tmp_path, lines) -> str:
+    """The lines written compactly, as run writes them."""
     trace = tmp_path / "trace.jsonl"
-    trace.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    trace.write_text("".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines))
     return str(trace)
 
 
-# (line index, path to the edited value, new value, expected message); line 0 is
-# the header and an empty path replaces the whole line
+# the message for round 1's WEF rows in the schema-3 trace (5 clients, e = 3, 32 × 4 grids)
+_ROWS = "trace.jsonl:3: wefs must be a list of 5 strings, each 128 counts in [0, 3] as 1-digit decimals, got"
+
+# (form of the trace, line index, path to the edited value, new value or a function
+# of the old one, expected message); line 0 is the header and an empty path
+# replaces the whole line.  Schema 2 holds WEF rows as int lists, whose entries
+# the int-list cases edit, and reads roles against the rows; schema 3 counts
+# the rows by roles.  Only schema 1 has global_pen elements to edit.
 MALFORMED = {
-    "e-str": (2, ("e",), "5", "e must be an integer"),
-    "trial-str": (2, ("trial",), "1", "trial must be an integer"),
-    "round-float": (2, ("round",), 2.0, "round must be an integer"),
-    "wefs-int": (2, ("wefs",), 5, "wefs must be"),
-    "wefs-ragged": (2, ("wefs", 0), [0], "wefs must be"),
-    "wefs-float": (2, ("wefs", 1, 0), 0.5, "wefs must be"),
-    "wefs-bool": (2, ("wefs", 1, 0), True, "wefs must be"),
-    "wefs-above-e": (2, ("wefs", 0, 0), 99, "trace.jsonl:3: WEF entries must lie in [0, 3], got [0, 99]"),
-    "wefs-negative": (2, ("wefs", 0, 0), -1, "trace.jsonl:3: WEF entries must lie in [0, 3], got [-1, "),
-    "wef-shape-short": (2, ("wef_shape",), [2], "wef_shape must be"),
-    "global-pen-str": (2, ("global_pen", 0), "x", "global_pen must be"),
-    "global-pen-bool": (2, ("global_pen", 0), False, "global_pen must be"),
-    "free-riders-null": (2, ("free_rider_list",), None, "free_rider_list must be"),
-    "free-riders-str": (2, ("free_rider_list",), ["1"], "free_rider_list must be"),
-    "roles-null": (2, ("roles",), None, 'roles must be a list of 5 strings "benign" or "free_rider"'),
-    "roles-short": (2, ("roles",), ["benign"] * 4, "roles must be a list of 5"),
-    "roles-unknown": (2, ("roles", 1), "attacker", "roles must be a list of 5"),
-    "roles-bool": (2, ("roles", 0), False, "roles must be a list of 5"),
-    "accuracy-str": (2, ("accuracy",), "0.5", "accuracy must be a finite number"),
-    "accuracy-bool": (2, ("accuracy",), True, "accuracy must be a finite number"),
-    "accuracy-long-int": (2, ("accuracy",), 10**400, "accuracy must be a finite number"),
-    "not-an-object": (2, (), [1, 2, 3], "expected a JSON object"),
-    "header-schema": (0, ("header", "schema"), 3, "unknown trace schema 3"),
-    "header-config": (0, ("header", "config", "clients"), "10", "header config.clients"),
-    "header-extra-key": (0, ("header", "version"), "0.1.0", "a header line is"),
-    "header-samples-below-clients": (0, ("header", "config", "dataset", "samples"), 4,
+    "e-str": ("schema-3", 2, ("e",), "5", "e must be an integer"),
+    "trial-str": ("schema-3", 2, ("trial",), "1", "trial must be an integer"),
+    "round-float": ("schema-3", 2, ("round",), 2.0, "round must be an integer"),
+    "wefs-int": ("schema-2", 2, ("wefs",), 5, "wefs must be"),
+    "wefs-ragged": ("schema-2", 2, ("wefs", 0), [0], "wefs must be"),
+    "wefs-float": ("schema-2", 2, ("wefs", 1, 0), 0.5, "wefs must be"),
+    "wefs-bool": ("schema-2", 2, ("wefs", 1, 0), True, "wefs must be"),
+    "wefs-above-e": ("schema-2", 2, ("wefs", 0, 0), 99, "trace.jsonl:3: WEF entries must lie in [0, 3], got [0, 99]"),
+    "wefs-negative": ("schema-2", 2, ("wefs", 0, 0), -1,
+                      "trace.jsonl:3: WEF entries must lie in [0, 3], got [-1, "),
+    "wefs-digit-strings-in-schema-2": ("schema-2", 2, ("wefs",), lambda rows: ["".join(map(str, r)) for r in rows],
+                                       "trace.jsonl:3: wefs must be a list of integer lists of length 128"),
+    "wefs-digit-strings-in-schema-1": ("schema-1", 2, ("wefs",), lambda rows: ["".join(map(str, r)) for r in rows],
+                                       "trace.jsonl:3: wefs must be a list of integer lists of length 128"),
+    "rows-non-digit": ("schema-3", 2, ("wefs", 1), lambda row: row[:7] + "x" + row[8:], _ROWS),
+    "rows-one-digit-short": ("schema-3", 2, ("wefs", 1), lambda row: row[:-1], _ROWS),
+    "rows-one-digit-long": ("schema-3", 2, ("wefs", 1), lambda row: row + "0", _ROWS),
+    "rows-one-fewer-than-roles": ("schema-3", 2, ("wefs",), lambda rows: rows[:-1], _ROWS),
+    "rows-above-e": ("schema-3", 2, ("wefs", 0), lambda row: "4" + row[1:], _ROWS),
+    "rows-as-int-lists": ("schema-3", 2, ("wefs",), lambda rows: int_rows(rows, 3), _ROWS),
+    "wef-shape-short": ("schema-3", 2, ("wef_shape",), [2], "wef_shape must be"),
+    "global-pen-str": ("schema-1", 2, ("global_pen", 0), "x", "global_pen must be"),
+    "global-pen-bool": ("schema-1", 2, ("global_pen", 0), False, "global_pen must be"),
+    "free-riders-null": ("schema-3", 2, ("free_rider_list",), None, "free_rider_list must be"),
+    "free-riders-str": ("schema-3", 2, ("free_rider_list",), ["1"], "free_rider_list must be"),
+    "roles-null": ("schema-3", 2, ("roles",), None, 'roles must be a list of 5 strings "benign" or "free_rider"'),
+    "roles-short": ("schema-2", 2, ("roles",), ["benign"] * 4, "roles must be a list of 5"),
+    "roles-unknown": ("schema-3", 2, ("roles", 1), "attacker", "roles must be a list of 5"),
+    "roles-bool": ("schema-3", 2, ("roles", 0), False, "roles must be a list of 5"),
+    "accuracy-str": ("schema-3", 2, ("accuracy",), "0.5", "accuracy must be a finite number"),
+    "accuracy-bool": ("schema-3", 2, ("accuracy",), True, "accuracy must be a finite number"),
+    "accuracy-long-int": ("schema-3", 2, ("accuracy",), 10**400, "accuracy must be a finite number"),
+    "not-an-object": ("schema-3", 2, (), [1, 2, 3], "expected a JSON object"),
+    "header-schema": ("schema-3", 0, ("header", "schema"), 4, "unknown trace schema 4"),
+    "header-config": ("schema-3", 0, ("header", "config", "clients"), "10", "header config.clients"),
+    "header-extra-key": ("schema-3", 0, ("header", "version"), "0.1.0", "a header line is"),
+    "header-samples-below-clients": ("schema-3", 0, ("header", "config", "dataset", "samples"), 4,
                                      "header dataset.samples must be >= clients, got 4 for 5"),
 }
 
 
-@pytest.mark.parametrize("line, keys, value, message", MALFORMED.values(), ids=MALFORMED.keys())
-def test_detect_trace_malformed_exits_2(tmp_path, capsys, trace_lines, schema_1_lines, line, keys, value, message):
-    # global_pen has elements to edit only in schema 1
-    lines = json.loads(json.dumps(schema_1_lines if keys[:1] == ("global_pen",) else trace_lines))
+@pytest.mark.parametrize("form, line, keys, value, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_detect_trace_malformed_exits_2(
+    tmp_path, capsys, trace_lines, schema_2_lines, schema_1_lines, form, line, keys, value, message
+):
+    forms = {"schema-3": trace_lines, "schema-2": schema_2_lines, "schema-1": schema_1_lines}
+    lines = json.loads(json.dumps(forms[form]))
     if keys:
         target = lines[line]
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = value
+        target[keys[-1]] = value(target[keys[-1]]) if callable(value) else value
     else:
         lines[line] = value
     assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 2
@@ -513,13 +569,15 @@ def test_detect_trace_e_beyond_int64_exits_2(tmp_path, capsys, e):
 
 
 def test_detect_trace_header_budget_beyond_int64_exits_2(tmp_path, capsys, trace_lines):
+    """A header whose local_iterations no config may have is an invalid config."""
     lines = json.loads(json.dumps(trace_lines))
     lines[0]["header"]["config"]["train"]["local_iterations"] = 2**64
     for line in lines[1:]:
         line["e"] = 2**64
     trace = write_lines(tmp_path, lines)
     assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
-    assert f"trace error: {trace}:2: {E_RANGE}, got {2**64}" in capsys.readouterr().err
+    message = f"trace error: {trace}:1: header local_iterations must be in [1, {2**63 - 1}]"
+    assert message in capsys.readouterr().err
 
 
 # edits of the bytes of line 3 (round 1) that no JSON reader of UTF-8 text takes,
@@ -623,6 +681,33 @@ def test_detect_trace_reads_the_decimal_form(tmp_path, capsys, schema_1_lines, f
     lines = schema_1_lines if form == "schema-1" else schema_1_lines[1:]
     assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 0
     assert capsys.readouterr().out == "replay consistent over 4 rounds\n"
+
+
+def test_detect_trace_reads_the_int_list_form(tmp_path, capsys, trace_bytes, schema_2_lines):
+    """A schema-2 trace, as written before schema 3, replays to the same output."""
+    trace = tmp_path / "schema_3.jsonl"
+    trace.write_bytes(trace_bytes)
+    assert main(["detect-trace", "--trace", str(trace)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["detect-trace", "--trace", write_lines(tmp_path, schema_2_lines)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_detect_trace_count_above_e_at_width_2_exits_2(tmp_path, capsys):
+    """At e = 12 a row holds 2 digits a count; "13" is two digits and above e."""
+    config = write_config(tmp_path, train={"learning_rate": 0.1, "batch_size": 8, "local_iterations": 12})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+    lines = (out / "trace.jsonl").read_text().splitlines()
+    row = json.loads(lines[2])["wefs"][0]
+    assert len(row) == 2 * 128
+    lines[2] = lines[2].replace(row, "13" + row[2:], 1)
+    trace = out / "trace.jsonl"
+    trace.write_text("".join(line + "\n" for line in lines))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 2
+    message = (f"trace error: {trace}:3: "
+               "wefs must be a list of 5 strings, each 128 counts in [0, 12] as 2-digit decimals")
+    assert message in capsys.readouterr().err
 
 
 def test_detect_trace_lines_end_with_a_newline(tmp_path, capsys, trace_bytes):

@@ -20,7 +20,8 @@ from s2wef.detect import DETECTORS
 from s2wef.errors import TraceError
 from s2wef.fedsim import PARTITIONS, SCENARIOS, DatasetParams, SimConfig, config_to_dict, run_simulation
 from s2wef.nn import TrainConfig
-from s2wef.trace import decode_int_matrix, int_matrix_json, read_trace, replay_trace, write_trace
+from s2wef.trace import decode_digit_rows, digit_rows, read_trace, replay_trace, write_trace
+from s2wef.wef import wef_dtype
 
 
 def small_cfg(**overrides):
@@ -39,9 +40,15 @@ def small_cfg(**overrides):
     return SimConfig(**defaults)
 
 
+def oracle_digit_row(counts, e) -> str:
+    """One client's schema-3 WEF row, count by count: each in len(str(e)) digits."""
+    return "".join(str(int(v)).zfill(len(str(e))) for v in counts)
+
+
 def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
-    """The per-element record encoder the array encoder replaced: global_pen
-    as the base64 of each value's 8 little-endian bytes in schema 2, as
+    """The per-element record encoder the array encoders replaced: wefs as
+    digit strings in schema 3 and int lists before; global_pen as the
+    base64 of each value's 8 little-endian bytes from schema 2 on, as
     decimal numbers in schema 1."""
     d = rec.detection
     _, h, w = rec.wefs.shape
@@ -51,7 +58,10 @@ def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
         "e": rec.e,
         "roles": ["free_rider" if r else "benign" for r in rec.roles],
         "wef_shape": [h, w],
-        "wefs": [[int(v) for v in m.ravel()] for m in rec.wefs],
+        "wefs": (
+            [oracle_digit_row(m.ravel(), rec.e) for m in rec.wefs] if schema == 3
+            else [[int(v) for v in m.ravel()] for m in rec.wefs]
+        ),
         "scores": {
             "gamma": [float(v) for v in d.scores.gamma],
             "dev": [float(v) for v in d.scores.dev],
@@ -78,7 +88,7 @@ def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
         "accuracy": rec.accuracy,
         "global_pen": (
             base64.b64encode(b"".join(struct.pack("<d", v) for v in rec.global_pen_before.ravel())).decode()
-            if schema == 2 else [float(v) for v in rec.global_pen_before.ravel()]
+            if schema >= 2 else [float(v) for v in rec.global_pen_before.ravel()]
         ),
         "submission_digests": list(rec.submission_digests),
     }
@@ -93,14 +103,23 @@ def oracle_trace_bytes(report, schema=trace.TRACE_SCHEMA) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def schema_1_line(line: str) -> str:
-    """A schema-2 trace line in schema-1 form: a header's schema is 1 and a
-    round's global_pen its list of decimal numbers; no other byte changes."""
+def int_rows(rows, e) -> list[list[int]]:
+    """Schema-3 digit strings as the int lists of schemas 1 and 2."""
+    width = len(str(e))
+    return [[int(row[i:i + width]) for i in range(0, len(row), width)] for row in rows]
+
+
+def older_line(line: str, schema: int) -> str:
+    """A schema-3 trace line in the form of an older schema: a header's
+    schema is set, a round's wefs are int lists and, in schema 1, its
+    global_pen its list of decimal numbers; no other byte changes."""
     rec = json.loads(line)
     if "header" in rec:
-        rec["header"]["schema"] = 1
+        rec["header"]["schema"] = schema
     else:
-        rec["global_pen"] = np.frombuffer(base64.b64decode(rec["global_pen"]), "<f8").tolist()
+        rec["wefs"] = int_rows(rec["wefs"], rec["e"])
+        if schema == 1:
+            rec["global_pen"] = np.frombuffer(base64.b64decode(rec["global_pen"]), "<f8").tolist()
     return json.dumps(rec, separators=(",", ":"))
 
 
@@ -130,22 +149,34 @@ def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     assert any(r.free_riders for recs in report.trials.values() for r in recs)
 
 
-@ENCODED_RUNS
-def test_schema_1_form_of_a_trace_is_the_decimal_writers_and_replays_alike(tmp_path, overrides):
-    """Only the encoding of global_pen changed from schema 1 to 2: mapped
-    back, a trace is what the decimal writer wrote, reads to the same arrays
-    and replays to the same results."""
+def assert_older_form_reads_alike(tmp_path, overrides, schema):
     report = run_simulation(small_cfg(**overrides))
     path = tmp_path / "trace.jsonl"
     write_trace(report, path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["header"]["schema"] == 2
-    old = tmp_path / "schema_1.jsonl"
-    old.write_text("".join(schema_1_line(line) + "\n" for line in lines))
-    assert old.read_bytes() == oracle_trace_bytes(report, schema=1)
+    assert json.loads(lines[0])["header"]["schema"] == 3
+    old = tmp_path / f"schema_{schema}.jsonl"
+    old.write_text("".join(older_line(line, schema) + "\n" for line in lines))
+    assert old.read_bytes() == oracle_trace_bytes(report, schema=schema)
     new_records, old_records = read_trace(path), read_trace(old)
     assert_same_reading(new_records, old_records)
     assert replay_trace(new_records) == replay_trace(old_records)
+
+
+@ENCODED_RUNS
+def test_schema_1_form_of_a_trace_is_the_decimal_writers_and_replays_alike(tmp_path, overrides):
+    """Mapped back to schema 1 (wefs as int lists, global_pen as decimals),
+    a trace is what the schema-1 writer wrote, reads to the same arrays and
+    replays to the same results."""
+    assert_older_form_reads_alike(tmp_path, overrides, 1)
+
+
+@ENCODED_RUNS
+def test_schema_2_form_of_a_trace_is_the_int_list_writers_and_replays_alike(tmp_path, overrides):
+    """Only the encoding of wefs changed from schema 2 to 3: mapped back to
+    int lists, a trace is what the schema-2 writer wrote, reads to the same
+    arrays and replays to the same results."""
+    assert_older_form_reads_alike(tmp_path, overrides, 2)
 
 
 @st.composite
@@ -161,7 +192,7 @@ def replayable_configs(draw):
         detector=draw(st.sampled_from(sorted(DETECTORS))),
         accumulate_wef=draw(st.booleans()),
         rounds=4,
-        # counts reach 10 and more from 10 local iterations on: the digit-run decoder
+        # counts reach 10 and more from 10 local iterations on: rows of 2-digit counts
         train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=draw(st.integers(1, 12))),
         seeds=(draw(st.integers(0, 999)),),
         hidden_layers=(16,),
@@ -179,28 +210,54 @@ def test_replay_of_a_written_trace_matches_every_recomputed_field(tmp_path_facto
 
 
 @pytest.mark.parametrize(
-    "e, dtype, digit_runs",
-    [(3, np.uint8, False), (12, np.uint8, True), (260, np.int64, True)],
+    "e, dtype",
+    [(3, np.uint8), (12, np.uint8), (260, np.int64)],
     ids=["layout", "digit-runs", "above-255"],
 )
-def test_wefs_are_held_in_the_narrowest_type_of_their_budget(tmp_path, e, dtype, digit_runs):
+def test_wefs_are_held_in_the_narrowest_type_of_their_budget(tmp_path, e, dtype):
     cfg = small_cfg(rounds=3, seeds=(1,), train=TrainConfig(batch_size=8, local_iterations=e))
     report = run_simulation(cfg)
     records = report.trials[1]
     assert all(rec.wefs.dtype == dtype for rec in records)
     path = tmp_path / "trace.jsonl"
     write_trace(report, path)
-    with mock.patch.object(trace, "_decode_digit_runs", wraps=trace._decode_digit_runs) as runs:
-        fast = read_trace(path)
-    assert (runs.call_count > 0) == digit_runs
+    lines = path.read_text().splitlines()
+    # every row holds h·w counts of len(str(e)) digits, and the seams read every round line
+    _, h, w = records[0].wefs.shape
+    assert {len(row) for line in lines[1:] for row in json.loads(line)["wefs"]} == {h * w * len(str(e))}
+    assert all(trace._split_record(line) for line in lines[1:])
+    fast = read_trace(path)
     # json.dumps's default spacing: the reader falls back to json.loads of the whole line
-    spaced = [json.dumps(json.loads(line)) for line in path.read_text().splitlines()]
-    assert not any(trace._split_record(line, trace.TRACE_SCHEMA) for line in spaced)
+    spaced = [json.dumps(json.loads(line)) for line in lines]
+    assert not any(trace._split_record(line) for line in spaced)
     (tmp_path / "spaced.jsonl").write_text("".join(line + "\n" for line in spaced))
     slow = read_trace(tmp_path / "spaced.jsonl")
     for rec, a, b in zip(records, fast, slow):
         assert a["wefs"].dtype == b["wefs"].dtype == dtype
         assert np.array_equal(a["wefs"], rec.wefs) and np.array_equal(b["wefs"], rec.wefs)
+
+
+def int_matrix_json(grid, e=None) -> str:
+    """grid's WEF block in schema-2 form, made as older_line makes it: the
+    rows digit_rows writes at e (by default grid's largest count, at least
+    1), each mapped back to its int list."""
+    e = max(int(grid.max()), 1) if e is None else e
+    return _dumps(int_rows(json.loads(digit_rows(grid, e)), e))
+
+
+def decode_int_matrix(block: str, e: int) -> np.ndarray | None:
+    """A schema-2 WEF block as read_trace reads it: json.loads, then the
+    int-list and [0, e] checks of _parse_round; None where they refuse it."""
+    rows = json.loads(block)
+    m = len(rows[0])
+    rec = {"trial": 1, "round": 0, "e": e, "wef_shape": [1, m], "free_rider_list": [], "wefs": rows,
+           "roles": ["benign"] * len(rows), "accuracy": 0.5,
+           "global_pen": trace.float_matrix_base64(np.zeros((1, m)))}
+    try:
+        trace._parse_round(rec, "trace.jsonl:2", 2)
+    except TraceError:
+        return None
+    return rec["wefs"].reshape(len(rows), m)
 
 
 @st.composite
@@ -223,6 +280,10 @@ def int_matrices(draw):
 @example(np.zeros((40, 300), dtype=np.int32))
 @example(np.array([[0, 9, 10, 99, 100, 999_999, 10**6]]))
 def test_int_matrix_json_equals_json_dumps(grid):
+    """digit_rows equals the count-by-count encoder, and its rows mapped back
+    to int lists are the schema-2 block json.dumps writes."""
+    e = max(int(grid.max()), 1)
+    assert digit_rows(grid, e) == _dumps([oracle_digit_row(row, e) for row in grid])
     assert int_matrix_json(grid) == json.dumps(grid.tolist(), separators=(",", ":"))
 
 
@@ -233,8 +294,17 @@ def test_int_matrix_json_equals_json_dumps(grid):
 @example(np.array([[0, 9, 10, 99, 100, 999_999, 10**6]]))
 @example(np.array([[10**18 - 1, 0], [7, 10**17]]))
 def test_decode_int_matrix_inverts_int_matrix_json(grid):
-    decoded = decode_int_matrix(int_matrix_json(grid))
-    assert decoded.dtype == np.min_scalar_type(int(grid.max())) and np.array_equal(decoded, grid)
+    """A grid written as digit rows and mapped back to schema-2 int lists
+    reads back, through json.loads, as the grid in wef_dtype(e)."""
+    e = max(int(grid.max()), 1)
+    decoded = decode_int_matrix(int_matrix_json(grid), e)
+    assert decoded.dtype == wef_dtype(e) and np.array_equal(decoded, grid)
+
+
+def with_wefs_block(line: str, block: str) -> str:
+    """A round line with the text of its wefs value replaced by block."""
+    start = line.index(',"wefs":') + len(',"wefs":')
+    return line[:start] + block + line[line.index(',"scores":'):]
 
 
 @pytest.mark.parametrize(
@@ -244,8 +314,16 @@ def test_decode_int_matrix_inverts_int_matrix_json(grid):
      "[[1],,[2]]", "[[1]]]", "1[[2]]", "[[2]]3", "[1]],[[2]", "[[\u0661]]", "[[\uff11]]",
      "[[10000000000000000000]]", "[[9223372036854775808]]"],
 )
-def test_decode_int_matrix_declines_other_text(block):
-    assert decode_int_matrix(block) is None
+def test_decode_int_matrix_declines_other_text(tmp_path, template_records, block):
+    """Int-matrix text, the WEF block of schemas 1 and 2, well formed or not,
+    is no schema-3 block: the seams decline it, and the line exits as malformed."""
+    line = with_wefs_block(trace.encode_record(template_records[0]), block)
+    assert trace._split_record(line) is None
+    header = {"header": {"schema": 3, "config": config_to_dict(small_cfg(rounds=3, seeds=(1,)))}}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_dumps(header) + "\n" + line + "\n")
+    with pytest.raises(TraceError, match=r"trace\.jsonl:2: (wefs must be|invalid JSON)"):
+        read_trace(path)
 
 
 @st.composite
@@ -256,62 +334,123 @@ def single_digit_grids(draw):
     return rng.integers(0, draw(st.integers(1, 10)), size=(rows, cols))
 
 
-def _no_digit_runs(block, text):
-    raise AssertionError("a single-digit block reached the digit-run decoder")
-
-
 @settings(max_examples=200, deadline=None)
 @given(single_digit_grids())
 @example(np.array([[7]]))
 @example(np.arange(10).reshape(1, 10))  # one row
 @example(np.array([[1], [2], [3]]))  # one column
 def test_single_digit_blocks_are_read_by_their_layout(grid):
-    with mock.patch.object(trace, "_decode_digit_runs", _no_digit_runs):
-        decoded = decode_int_matrix(int_matrix_json(grid))
+    """At e <= 9 a row is one digit a count: m + 3 bytes a row of m counts."""
+    n, m = grid.shape
+    e = max(int(grid.max()), 1)
+    block = digit_rows(grid, e)
+    assert len(block) == n * (m + 3) + 1
+    decoded = decode_digit_rows(block, n, m, e)
     assert decoded.dtype == np.uint8 and np.array_equal(decoded, grid)
 
 
-# canonical blocks whose rows all have one byte length, odd ("12") or even
-# ("123", which a first "]" at byte 5 makes look like one row of 2 digits)
+# grids with counts of 10 and more, written in 2 or 3 digits a count
 @pytest.mark.parametrize(
     "grid",
     [[[12], [34]], [[10, 2], [3, 45]], [[123], [456]], [[100], [200], [300]], [[12, 34, 5], [67, 89, 1]],
      [[1, 2, 3, 10]]],
 )
 def test_multi_digit_blocks_reach_the_digit_run_decoder(grid):
-    with mock.patch.object(trace, "_decode_digit_runs", wraps=trace._decode_digit_runs) as runs:
-        decoded = decode_int_matrix(json.dumps(grid, separators=(",", ":")))
-    assert runs.call_count == 1
-    assert decoded.dtype == np.min_scalar_type(np.max(grid)) and np.array_equal(decoded, grid)
+    grid = np.array(grid)
+    n, m = grid.shape
+    e = int(grid.max())
+    block = digit_rows(grid, e)
+    assert len(block) == n * (m * len(str(e)) + 3) + 1 and len(str(e)) > 1
+    decoded = decode_digit_rows(block, n, m, e)
+    assert decoded.dtype == wef_dtype(e) and np.array_equal(decoded, grid)
+    assert int_matrix_json(grid) == json.dumps(grid.tolist(), separators=(",", ":"))
+
+
+def oracle_digit_rows(block: str, n: int, m: int, e: int) -> np.ndarray | None:
+    """decode_digit_rows count by count: the matrix when block is the compact
+    JSON of n strings of m counts in [0, e] of len(str(e)) ASCII digits each, else None."""
+    width = len(str(e))
+    try:
+        rows = json.loads(block)
+    except ValueError:
+        return None
+    if not (isinstance(rows, list) and len(rows) == n and _dumps(rows) == block
+            and all(isinstance(r, str) and r.isascii() and r.isdigit() and len(r) == m * width for r in rows)):
+        return None
+    grid = np.array(int_rows(rows, e), dtype=object)
+    return grid.astype(wef_dtype(e)) if grid.max() <= e else None
 
 
 @settings(max_examples=300, deadline=None)
-@given(grid=single_digit_grids(), data=st.data())
-def test_layout_read_agrees_with_the_digit_run_decoder_on_edited_blocks(grid, data):
-    """One byte of a single-digit block changed, added or dropped: the same array, or None."""
-    block = int_matrix_json(grid[:3, :6])
+@given(grid=single_digit_grids(), e=st.sampled_from([9, 12, 300]), data=st.data())
+def test_layout_read_agrees_with_the_digit_run_decoder_on_edited_blocks(grid, e, data):
+    """One byte of a block of 1-, 2- or 3-digit counts changed, added or
+    dropped: decode_digit_rows gives the count-by-count oracle's array, or None."""
+    grid = grid[:3, :6]
+    n, m = grid.shape
+    block = digit_rows(grid, e)
     at = data.draw(st.integers(0, len(block) - 1))
-    byte = data.draw(st.sampled_from("0123456789,[]-. "))
+    byte = data.draw(st.sampled_from('0123456789",[]-. x'))
     edit = data.draw(st.sampled_from(["replace", "insert", "drop"]))
     edited = block[:at] + {"replace": byte, "insert": byte + block[at], "drop": ""}[edit] + block[at + 1:]
-    decoded = decode_int_matrix(edited)
-    with mock.patch.object(trace, "_decode_single_digits", lambda text, stride: None):
-        expected = decode_int_matrix(edited)
+    decoded = decode_digit_rows(edited, n, m, e)
+    expected = oracle_digit_rows(edited, n, m, e)
     if expected is None:
         assert decoded is None
     else:
         assert decoded.dtype == expected.dtype and np.array_equal(decoded, expected)
 
 
+@st.composite
+def budgets_and_grids(draw):
+    """A budget e of 1 to 19 digits, up to int64's largest, and a grid of counts in [0, e]."""
+    width = draw(st.integers(1, 19))
+    e = draw(st.integers(10 ** (width - 1), min(10**width - 1, np.iinfo(np.int64).max)))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.integers(0, e, size=(rows, cols), dtype=np.uint64, endpoint=True).astype(wef_dtype(e))
+    grid[rng.random((rows, cols)) < draw(st.floats(0, 1))] = 0
+    grid[rng.integers(rows), rng.integers(cols)] = e
+    return e, grid
+
+
+@settings(max_examples=300, deadline=None)
+@given(budgets_and_grids())
+@example((np.iinfo(np.int64).max, np.array([[np.iinfo(np.int64).max, 0, 1]], dtype=np.int64)))
+@example((10**18, np.array([[10**18], [0]], dtype=np.int64)))
+@example((1, np.array([[1, 0]], dtype=np.uint8)))
+def test_digit_rows_round_trip_at_every_width(budget_and_grid):
+    e, grid = budget_and_grid
+    n, m = grid.shape
+    width = len(str(e))
+    block = digit_rows(grid, e)
+    assert block == _dumps([oracle_digit_row(row, e) for row in grid])
+    assert len(block) == n * (m * width + 3) + 1
+    decoded = decode_digit_rows(block, n, m, e)
+    assert decoded.dtype == wef_dtype(e) and np.array_equal(decoded, grid)
+    # the first count one above e, where that still has width digits
+    if e + 1 < 10**width:
+        assert decode_digit_rows(block[:2] + str(e + 1) + block[2 + width:], n, m, e) is None
+
+
+@pytest.mark.parametrize("count", [2**63, 2**64 - 1, 10**19 - 1], ids=["2**63", "2**64-1", "10**19-1"])
+def test_a_19_digit_count_past_int64_is_refused_not_wrapped(count):
+    e = np.iinfo(np.int64).max
+    block = digit_rows(np.array([[e, 0]], dtype=np.int64), e)
+    assert decode_digit_rows(block, 1, 2, e).tolist() == [[e, 0]]
+    assert decode_digit_rows(block.replace(str(e), str(count)), 1, 2, e) is None
+
+
 @pytest.mark.parametrize(
     "grid",
     [np.array([[1, -1]]), np.zeros((2, 0), dtype=np.int64), np.zeros(3, dtype=np.int64),
-     np.array([[0.5]])],
-    ids=["negative", "no-columns", "1-d", "float"],
+     np.array([[0.5]]), np.array([[3, 10]])],
+    ids=["negative", "no-columns", "1-d", "float", "above-e"],
 )
 def test_int_matrix_json_rejects_what_it_cannot_encode(grid):
+    """digit_rows at e = 9 refuses what is not a matrix of counts in [0, 9]."""
     with pytest.raises(ValueError):
-        int_matrix_json(grid)
+        digit_rows(grid, 9)
 
 
 @pytest.mark.parametrize("fault", ["encoder", "file-size-limit"])
@@ -379,8 +518,8 @@ def reports():
 @pytest.fixture(scope="module")
 def record_lines(reports):
     """The round lines of those runs as a trace without a header holds them:
-    as the writer encodes them, with global_pen in schema-1 form."""
-    return [schema_1_line(trace.encode_record(rec)) for report in reports
+    as the writer encodes them, in schema-1 form."""
+    return [older_line(trace.encode_record(rec), 1) for report in reports
             for recs in report.trials.values() for rec in recs]
 
 
@@ -414,20 +553,23 @@ def assert_same_reading(fast, slow):
 
 def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, reports, record_lines):
     lines = [trace.encode_record(rec) for report in reports for recs in report.trials.values() for rec in recs]
-    decoded = [trace._split_record(line, 2) for line in lines]
-    decoded += [trace._split_record(line, 1) for line in record_lines]
+    decoded = [trace._split_record(line) for line in lines]
     assert all(rec is not None for rec in decoded)
     assert max(int(rec["wefs"].max()) for rec in decoded) >= 10  # two-digit counts are there
-    # a schema-2 global_pen is cut out at its seam; a schema-1 one stays the list json.loads reads
-    assert all(isinstance(rec["global_pen"], np.ndarray) for rec in decoded[:len(lines)])
-    assert all(isinstance(rec["global_pen"], list) for rec in decoded[len(lines):])
+    assert all(isinstance(rec["global_pen"], np.ndarray) for rec in decoded)
     # the seam keeps the key order json.loads gives
-    assert all(list(rec) == list(json.loads(line)) for rec, line in zip(decoded, lines + record_lines))
+    assert all(list(rec) == list(json.loads(line)) for rec, line in zip(decoded, lines))
     paths = [tmp_path / "header-less.jsonl"]
     paths[0].write_text("".join(line + "\n" for line in record_lines))
     for i, report in enumerate(reports):
         paths.append(tmp_path / f"trace_{i}.jsonl")
         write_trace(report, paths[-1])
+        paths.append(tmp_path / f"trace_{i}_schema_2.jsonl")
+        paths[-1].write_text("".join(older_line(line, 2) + "\n" for line in paths[-2].read_text().splitlines()))
+    # lines of an older schema go to json.loads whole
+    with mock.patch.object(trace, "_split_record", side_effect=AssertionError("an older line reached the seams")):
+        for path in paths[0::2]:
+            read_trace(path)
     for path in paths:
         fast, slow = read_both_ways(path)
         assert not isinstance(fast, str), fast
@@ -586,15 +728,17 @@ def _with_field(key, edit):
     return perturb
 
 
-def _wef_shape_in_tail(line, draw):
-    """wef_shape transposed in the head, and the written one again past the
+def _in_tail(key, edit):
+    """key's value edited in the head, and the written one again past the
     WEF block: json.loads keeps the second."""
-    items = list(json.loads(line).items())
-    keys = [key for key, _ in items]
-    shape = items[keys.index("wef_shape")][1]
-    items[keys.index("wef_shape")] = ("wef_shape", shape[::-1])
-    items.insert(draw(st.integers(keys.index("wefs") + 1, len(items))), ("wef_shape", shape))
-    return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in items) + "}"
+    def perturb(line, draw):
+        items = list(json.loads(line).items())
+        keys = [k for k, _ in items]
+        value = items[keys.index(key)][1]
+        items[keys.index(key)] = (key, edit(value))
+        items.insert(draw(st.integers(keys.index("wefs") + 1, len(items))), (key, value))
+        return "{" + ",".join(f"{_dumps(k)}:{_dumps(v)}" for k, v in items) + "}"
+    return perturb
 
 
 def _swap_keys(line, draw):
@@ -626,7 +770,7 @@ PERTURBATIONS = {
     "nested-line": lambda line, draw: '{"round":' + line + "}",
     "truncated": lambda line, draw: line[:draw(st.integers(0, len(line) - 1))],
     "roles-extra": _with_field("roles", lambda roles, draw: roles + ["benign"]),
-    "wef-shape-in-tail": _wef_shape_in_tail,
+    "wef-shape-in-tail": _in_tail("wef_shape", lambda shape: shape[::-1]),
 }
 
 
@@ -665,7 +809,7 @@ def _pen_last(line, draw):
     return _dumps(rec)
 
 
-# edits of a schema-2 line's global_pen, or of the text around it
+# edits of a line's base64 global_pen, or of the text around it
 PEN_PERTURBATIONS = {
     "pen-seam-in-string": _with_key("note", ',"global_pen":"AAAAAAAAAAA=",'),
     "nested-pen": _nested_pen,
@@ -690,9 +834,54 @@ def test_reader_agrees_with_json_loads_on_perturbed_lines(tmp_path_factory, reco
     assert_same_reading(fast, slow)
 
 
+def _rows_span(line):
+    """Where a schema-3 line's WEF block starts and ends."""
+    start = line.index(',"wefs":["') + len(',"wefs":')
+    return start, line.index('"]', start) + 2
+
+
+def _edit_digit(edit):
+    """One digit of one row replaced by edit(digit, draw)."""
+    def perturb(line, draw):
+        start, end = _rows_span(line)
+        i = draw(st.sampled_from([start + m.start() for m in re.finditer(r"\d", line[start:end])]))
+        return line[:i] + edit(line[i], draw) + line[i + 1:]
+    return perturb
+
+
+# edits of a schema-3 line's WEF rows, or of the text around them
+ROW_PERTURBATIONS = {
+    "digit-escaped": _edit_digit(lambda d, draw: f"\\u{ord(d):04x}"),
+    "non-digit": _edit_digit(lambda d, draw: draw(st.sampled_from(["x", " ", "-", "+", ".", "\u0661", "\uff11"]))),
+    "row-short": _edit_digit(lambda d, draw: ""),
+    "row-long": _edit_digit(lambda d, draw: d + draw(st.sampled_from("0123456789"))),
+    "digit-9": _edit_digit(lambda d, draw: "9"),
+    "rows-as-ints": lambda line, draw: _with_field("wefs", lambda rows, _: int_rows(rows, json.loads(line)["e"]))(
+        line, draw
+    ),
+    "row-dropped": _with_field("wefs", lambda rows, draw: rows[:-1]),
+    "rows-reversed-again": lambda line, draw: _with_key("wefs", json.loads(line)["wefs"][::-1])(line, draw),
+    "rows-seam-in-string": _with_key("note", ',"wefs":["0"],'),
+    "rows-then-comma": lambda line, draw: line[:_rows_span(line)[1]] + ",}",
+    "rows-then-no-comma": lambda line, draw: (
+        line[:_rows_span(line)[1]] + draw(st.sampled_from([" ", ":", "}", "x", ""])) + line[_rows_span(line)[1] + 1:]
+    ),
+    "e-in-tail": _in_tail("e", lambda e: e + 1),
+    "wider-e-in-tail": _in_tail("e", lambda e: e * 10),
+    "roles-in-tail": _in_tail("roles", lambda roles: roles + ["benign"]),
+}
+SCHEMA_3_PERTURBATIONS = {
+    **{name: PERTURBATIONS[name] for name in (
+        "default-spacing", "swapped-keys", "nested-wefs", "duplicate-wefs", "duplicate-e", "duplicate-trial",
+        "no-head", "nested-line", "truncated", "roles-extra", "wef-shape-in-tail")},
+    **ROW_PERTURBATIONS,
+    **PEN_PERTURBATIONS,
+}
+
+
 @pytest.fixture(scope="module")
 def trace_texts(reports, tmp_path_factory):
-    """The schema-2 traces of those runs as write_trace writes them, line by line."""
+    """The schema-3 traces of those runs as write_trace writes them, line by line."""
     texts = []
     for report in reports:
         path = tmp_path_factory.mktemp("written") / "trace.jsonl"
@@ -701,15 +890,34 @@ def trace_texts(reports, tmp_path_factory):
     return texts
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), name=st.sampled_from(sorted(SCHEMA_2_PERTURBATIONS)))
-def test_reader_agrees_with_json_loads_on_perturbed_schema_2_traces(tmp_path_factory, trace_texts, data, name):
-    """Each edited round line, written back in place in its trace, with the header
-    and the other rounds unchanged, reads to json.loads's values or fails with its message."""
-    lines = list(data.draw(st.sampled_from(trace_texts)))
+@pytest.fixture(scope="module")
+def schema_2_texts(trace_texts):
+    """Those traces in schema-2 form."""
+    return [[older_line(line, 2) for line in lines] for lines in trace_texts]
+
+
+def assert_perturbed_trace_reads_alike(tmp_path_factory, texts, perturbations, data, name):
+    lines = list(data.draw(st.sampled_from(texts)))
     i = data.draw(st.integers(1, len(lines) - 1))
-    lines[i] = SCHEMA_2_PERTURBATIONS[name](lines[i], data.draw)
+    lines[i] = perturbations[name](lines[i], data.draw)
     path = tmp_path_factory.mktemp("perturbed") / "trace.jsonl"
     path.write_text("".join(line + "\n" for line in lines))
     fast, slow = read_both_ways(path)
     assert_same_reading(fast, slow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SCHEMA_2_PERTURBATIONS)))
+def test_reader_agrees_with_json_loads_on_perturbed_schema_2_traces(tmp_path_factory, schema_2_texts, data, name):
+    """Each edited round line, written back in place in its trace, with the header
+    and the other rounds unchanged, reads to json.loads's values or fails with its message."""
+    assert_perturbed_trace_reads_alike(tmp_path_factory, schema_2_texts, SCHEMA_2_PERTURBATIONS, data, name)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(SCHEMA_3_PERTURBATIONS)))
+def test_reader_agrees_with_json_loads_on_perturbed_schema_3_traces(tmp_path_factory, trace_texts, data, name):
+    """The same for a schema-3 trace, whose WEF block and global_pen the reader
+    cuts out at their seams: each edit reads to json.loads's values or fails
+    with its message."""
+    assert_perturbed_trace_reads_alike(tmp_path_factory, trace_texts, SCHEMA_3_PERTURBATIONS, data, name)
