@@ -1,10 +1,10 @@
 """Free-rider attack strategies.
 
-Each attack fabricates a full model submission (weights plus a counterfeit
-WEF matrix) from nothing but the broadcast global models, i.e. without any
-local training.  RWA/SPA/DWA/ADWA counterfeit the WEF in one step; AWCA
-synthesizes per-iteration weights and runs the honest counting rule so the
-fabricated matrix looks like a benign one.
+Each attack fabricates a full model submission (a parameter row plus a
+counterfeit WEF grid) from nothing but the broadcast global rows, i.e.
+without any local training.  RWA/SPA/DWA/ADWA counterfeit the WEF in one
+step; AWCA synthesizes per-iteration weights and runs the honest counting
+rule so the fabricated matrix looks like a benign one.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, HistoryError
-from .nn import ModelWeights
+from .nn import Layout
 from .wef import build_wef, counterfeit_one_step
 
 ATTACK_KINDS = ("RWA", "SPA", "DWA", "ADWA", "AWCA")
@@ -41,102 +41,90 @@ class AttackParams:
                 raise ConfigurationError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
-class FakeSubmission:
-    """What a free-rider uploads: fabricated weights and their WEF grid."""
-
-    weights: ModelWeights
-    wef: np.ndarray
-
-    def __post_init__(self):
-        if self.wef.shape != self.weights.penultimate.shape:
-            raise ConfigurationError("WEF shape must match the penultimate layer")
-
-
-def _require_history(global_prev: ModelWeights | None, kind: str) -> ModelWeights:
+def _require_history(global_prev: np.ndarray | None, kind: str) -> np.ndarray:
     if global_prev is None:
         raise HistoryError(f"{kind} needs two prior global models; only one broadcast so far")
     return global_prev
 
 
 def _one_step_submission(
-    fake: ModelWeights, global_now: ModelWeights, e: int, use_abs: bool
-) -> FakeSubmission:
-    wef = counterfeit_one_step(fake.penultimate, global_now.penultimate, e, use_abs=use_abs)
-    return FakeSubmission(fake, wef)
+    layout: Layout, fake: np.ndarray, global_now: np.ndarray, e: int, use_abs: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    wef = counterfeit_one_step(layout.penultimate(fake), layout.penultimate(global_now), e, use_abs=use_abs)
+    return fake, wef
 
 
 def rwa(
-    global_now: ModelWeights,
+    layout: Layout,
+    global_now: np.ndarray,
     rwa_range: float,
     e: int,
     seed: int,
     use_abs: bool = True,
-) -> FakeSubmission:
+) -> tuple[np.ndarray, np.ndarray]:
     """Random weight attack: every parameter uniform in [-R, R]."""
     if rwa_range <= 0:
         raise ConfigurationError("rwa_range must be > 0")
     rng = np.random.default_rng(seed)
-    flat = rng.uniform(-rwa_range, rwa_range, size=global_now.num_params)
-    fake = global_now.from_flat(flat)
-    return _one_step_submission(fake, global_now, e, use_abs)
+    fake = rng.uniform(-rwa_range, rwa_range, size=layout.num_params)
+    return _one_step_submission(layout, fake, global_now, e, use_abs)
 
 
 def dwa(
-    global_now: ModelWeights,
-    global_prev: ModelWeights | None,
+    layout: Layout,
+    global_now: np.ndarray,
+    global_prev: np.ndarray | None,
     e: int,
     use_abs: bool = True,
-) -> FakeSubmission:
+) -> tuple[np.ndarray, np.ndarray]:
     """Delta weight attack: replay the last global-model difference."""
     global_prev = _require_history(global_prev, "DWA")
-    now = global_now.to_flat()
-    fake = global_now.from_flat(now + (now - global_prev.to_flat()))
-    return _one_step_submission(fake, global_now, e, use_abs)
+    fake = global_now + (global_now - global_prev)
+    return _one_step_submission(layout, fake, global_now, e, use_abs)
 
 
 def adwa(
-    global_now: ModelWeights,
-    global_prev: ModelWeights | None,
+    layout: Layout,
+    global_now: np.ndarray,
+    global_prev: np.ndarray | None,
     sigma: float,
     e: int,
     seed: int,
     use_abs: bool = True,
-) -> FakeSubmission:
+) -> tuple[np.ndarray, np.ndarray]:
     """DWA plus i.i.d. Gaussian noise so colluders stop being identical."""
     global_prev = _require_history(global_prev, "ADWA")
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    now = global_now.to_flat()
-    delta = now - global_prev.to_flat() + rng.normal(0.0, sigma, size=now.shape)
-    fake = global_now.from_flat(now + delta)
-    return _one_step_submission(fake, global_now, e, use_abs)
+    delta = global_now - global_prev + rng.normal(0.0, sigma, size=global_now.shape)
+    return _one_step_submission(layout, global_now + delta, global_now, e, use_abs)
 
 
 def spa(
-    global_now: ModelWeights,
+    layout: Layout,
+    global_now: np.ndarray,
     sigma: float,
     e: int,
     seed: int,
     use_abs: bool = True,
-) -> FakeSubmission:
+) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic perturbations attack: Gaussian noise on the global model."""
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    now = global_now.to_flat()
-    fake = global_now.from_flat(now + rng.normal(0.0, sigma, size=now.shape))
-    return _one_step_submission(fake, global_now, e, use_abs)
+    fake = global_now + rng.normal(0.0, sigma, size=global_now.shape)
+    return _one_step_submission(layout, fake, global_now, e, use_abs)
 
 
 def awca(
-    global_now: ModelWeights,
-    global_prev: ModelWeights | None,
+    layout: Layout,
+    global_now: np.ndarray,
+    global_prev: np.ndarray | None,
     e: int,
     sigma: float,
     seed: int,
-) -> FakeSubmission:
+) -> tuple[np.ndarray, np.ndarray]:
     """WEF-camouflage attack: spread the global delta over e synthetic steps.
 
     Starting from the received global model, each step adds delta/e plus
@@ -150,31 +138,31 @@ def awca(
     if sigma < 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
-    flat = global_now.to_flat()
-    step = (flat - global_prev.to_flat()) / e
     fake = global_now
-    snapshots = [fake.penultimate]
+    step = (fake - global_prev) / e
+    snapshots = [layout.penultimate(fake)]
     for _ in range(e):
-        flat = flat + step + rng.normal(0.0, sigma, size=flat.shape)
-        fake = global_now.from_flat(flat)
-        snapshots.append(fake.penultimate)
-    return FakeSubmission(fake, build_wef(snapshots))
+        fake = fake + step + rng.normal(0.0, sigma, size=fake.shape)
+        snapshots.append(layout.penultimate(fake))
+    return fake, build_wef(snapshots)
 
 
 def make_submission(
     params: AttackParams,
-    global_now: ModelWeights,
-    global_prev: ModelWeights | None,
+    layout: Layout,
+    global_now: np.ndarray,
+    global_prev: np.ndarray | None,
     e: int,
     seed: int,
-) -> FakeSubmission:
-    """Dispatch to the configured attack."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dispatch to the configured attack: the fabricated (P,) parameter row,
+    laid out by layout like the global rows, and its (h, w) WEF grid."""
     if params.kind == "RWA":
-        return rwa(global_now, params.rwa_range, e, seed, params.counterfeit_abs)
+        return rwa(layout, global_now, params.rwa_range, e, seed, params.counterfeit_abs)
     if params.kind == "SPA":
-        return spa(global_now, params.spa_sigma, e, seed, params.counterfeit_abs)
+        return spa(layout, global_now, params.spa_sigma, e, seed, params.counterfeit_abs)
     if params.kind == "DWA":
-        return dwa(global_now, global_prev, e, params.counterfeit_abs)
+        return dwa(layout, global_now, global_prev, e, params.counterfeit_abs)
     if params.kind == "ADWA":
-        return adwa(global_now, global_prev, params.adwa_sigma, e, seed, params.counterfeit_abs)
-    return awca(global_now, global_prev, e, params.awca_sigma, seed)
+        return adwa(layout, global_now, global_prev, params.adwa_sigma, e, seed, params.counterfeit_abs)
+    return awca(layout, global_now, global_prev, e, params.awca_sigma, seed)

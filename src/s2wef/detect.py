@@ -279,9 +279,17 @@ def _squares(values: np.ndarray) -> np.ndarray:
 
 
 def _ward_merges(distances: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Ward agglomeration via the Lance-Williams recurrence: each merge's
-    height, and the names (a, b), a < b, of the clusters it joins, of which
-    a names the merged cluster.  ward_merge_sequence documents the rest."""
+    """Full Ward agglomeration via the Lance-Williams recurrence.
+
+    Starts from the pairwise_distances of the points (left unmodified).
+    Each step merges the pair of clusters with minimal Ward distance; ties
+    merge the lexicographically smallest pair, where a cluster is named by
+    its smallest member.  Returns each merge's height, and the names
+    (a, b), a < b, of the clusters it joins, of which a names the merged
+    cluster.  A matrix that is not symmetric to the bit, and distances
+    whose squares or Ward updates leave the float64 range, raise
+    ConfigurationError.
+    """
     dist = np.array(distances, dtype=np.float64)
     n = len(dist)
     if n < 2:
@@ -326,26 +334,6 @@ def _ward_merges(distances: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int
     except FloatingPointError as exc:
         raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
     return heights, pairs
-
-
-def ward_merge_sequence(distances: np.ndarray) -> list[tuple[float, frozenset[int]]]:
-    """Full Ward agglomeration via the Lance-Williams recurrence.
-
-    Starts from the pairwise_distances of the points (left unmodified).
-    Each step merges the pair of clusters with minimal Ward distance; ties
-    merge the lexicographically smallest pair, where a cluster is named by
-    its smallest member.  Returns, per merge, the height and the member set
-    of the newly formed cluster.  A matrix that is not symmetric to the bit,
-    and distances whose squares or Ward updates leave the float64 range,
-    raise ConfigurationError.
-    """
-    heights, pairs = _ward_merges(distances)
-    members = {i: [i] for i in range(len(heights) + 1)}
-    merges = []
-    for height, (a, b) in zip(heights.tolist(), pairs):
-        members[a] += members.pop(b)
-        merges.append((height, frozenset(members[a])))
-    return merges
 
 
 def ward_hac(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -686,17 +674,6 @@ def _detect_rounds(
         )
         results.append((detection, detection.decision.free_rider_list))
     return results
-
-
-def run_detector(
-    name: str,
-    wefs: np.ndarray,
-    global_now: np.ndarray,
-    global_prev: np.ndarray | None,
-    e: int,
-) -> tuple[RoundDetection, frozenset[int]]:
-    """Run the named detector on one round; returns its record and flagged set."""
-    return _detect_rounds(name, [wefs], [global_now], [global_prev], e)[0]
 
 
 # Transient arrays a chunk of TrialDetector.steps may hold: 200-client

@@ -10,6 +10,7 @@ seed, so a config reproduces its trace byte for byte.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -19,7 +20,7 @@ import numpy as np
 from . import detect as det
 from .attacks import AttackParams, make_submission
 from .errors import ConfigurationError, NumericError, S2wefError
-from .nn import DatasetShard, ModelWeights, TrainConfig, evaluate_accuracy, init_model, local_train
+from .nn import DatasetShard, Layout, TrainConfig, evaluate_accuracy, init_model, local_train
 from .wef import wef_dtype
 
 SCENARIOS = ("S1", "S2", "CLEAN")
@@ -277,6 +278,10 @@ def _check_value(tp, value, where: str):
     allowed = {int: int, float: (int, float), bool: bool, str: str}[tp]
     if not isinstance(value, allowed) or (tp is not bool and isinstance(value, bool)):
         raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
+    # json.loads reads NaN and Infinity, and NaN passes every `> 0` check;
+    # the comparison is exact for ints past float64's range too
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{where}: expected a finite float, got {value!r}")
     return value
 
 
@@ -348,7 +353,8 @@ class _TrialState:
     shards: list[DatasetShard]
     eval_set: DatasetShard
     schedule: np.ndarray
-    global_model: ModelWeights
+    layout: Layout
+    global_row: np.ndarray  # the broadcast model's (P,) parameters
     detector: det.TrialDetector
     # Every round's (n, P) float64 submissions, and once they are averaged,
     # the evaluation's activations that fit.  Fresh arrays each round left
@@ -357,7 +363,7 @@ class _TrialState:
     # and a 200-client benchmark process peaked at 58.3 or 65.7 MiB, came
     # down to allocation order (glibc malloc).
     rows: np.ndarray
-    previous_global: ModelWeights | None = None
+    previous_global: np.ndarray | None = None
 
 
 # Benign clients train in lockstep groups of at most this many clients with
@@ -389,21 +395,21 @@ def _submissions(state: _TrialState, t: int) -> tuple[np.ndarray, np.ndarray]:
     (n, h, w) array of wef_dtype(e)."""
     cfg = state.cfg
     e = cfg.train.local_iterations
-    model = state.global_model
+    layout, model = state.layout, state.global_row
     rows = state.rows
-    grids = np.empty((cfg.clients, *model.penultimate.shape), dtype=wef_dtype(e))
+    grids = np.empty((cfg.clients, *layout.penultimate_shape), dtype=wef_dtype(e))
     for i in np.flatnonzero(state.schedule[t]).tolist():
         seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
         try:
-            sub = make_submission(cfg.attack, model, state.previous_global, e, seed)
+            rows[i], grids[i] = make_submission(cfg.attack, layout, model, state.previous_global, e, seed)
         except S2wefError as exc:
             raise type(exc)(f"client {i}: {exc}") from exc
-        rows[i], grids[i] = sub.weights.to_flat(), sub.wef
     benign = np.flatnonzero(~state.schedule[t]).tolist()
     for group in _lockstep_groups(state.shards, benign):
         seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
         try:
-            rows[group], grids[group] = local_train(model, [state.shards[i] for i in group], cfg.train, seeds)
+            shards = [state.shards[i] for i in group]
+            rows[group], grids[group] = local_train(layout, model, shards, cfg.train, seeds)
         except S2wefError as exc:
             raise type(exc)(f"client {group[exc.shard]}: {exc}") from exc
     finite = np.isfinite(rows).all(axis=1)
@@ -416,16 +422,17 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
     """One communication round: submit, detect, aggregate, evaluate."""
     cfg = state.cfg
     n = cfg.clients
-    global_pen_before = state.global_model.penultimate.copy()
+    global_pen_before = state.layout.penultimate(state.global_row).copy()
 
     try:
         submissions, wefs = _submissions(state, t)
         detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
         kept = set(range(n)) - set(flagged)
-        mean, digests = aggregate_fedavg(submissions, kept)
-        new_global = state.global_model.from_flat(mean)
+        new_global, digests = aggregate_fedavg(submissions, kept)
+        if not np.isfinite(new_global).all():  # finite rows whose mean overflows
+            raise NumericError("non-finite parameters")
         # the evaluation's activations overwrite the submissions
-        accuracy = evaluate_accuracy(new_global, state.eval_set, submissions.reshape(-1))
+        accuracy = evaluate_accuracy(state.layout, new_global, state.eval_set, submissions.reshape(-1))
     except S2wefError as exc:
         raise type(exc)(f"round {t}: {exc}") from exc
 
@@ -445,8 +452,8 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         e=cfg.train.local_iterations,
         submission_digests=digests,
     )
-    state.previous_global = state.global_model
-    state.global_model = new_global
+    state.previous_global = state.global_row
+    state.global_row = new_global
     return record
 
 
@@ -459,16 +466,17 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
     else:
         shards = partition_dirichlet(dataset, cfg.clients, cfg.dirichlet_beta, part_seed)
 
-    model = init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT))
+    layout = Layout(cfg.architecture)
     state = _TrialState(
         cfg=cfg,
         trial_seed=trial_seed,
         shards=shards,
         eval_set=dataset,
         schedule=build_schedule(cfg, trial_seed),
-        global_model=model,
+        layout=layout,
+        global_row=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
         detector=det.TrialDetector(cfg.detector, cfg.accumulate_wef),
-        rows=np.empty((cfg.clients, model.num_params)),
+        rows=np.empty((cfg.clients, layout.num_params)),
     )
     return [run_round(state, t) for t in range(cfg.rounds)]
 

@@ -11,7 +11,6 @@ seed, so identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,93 +21,54 @@ from .errors import ConfigurationError, NumericError, S2wefError, ShapeError
 from .wef import _exceeds_mean_change
 
 
-@dataclass
-class ModelWeights:
-    """Parameters of a fully connected classifier, held in one float64 buffer.
+@dataclass(frozen=True)
+class Layout:
+    """Where each layer's parameters sit in a model's flat float64 row.
 
-    weights[l] has shape (fan_in, fan_out); the forward pass is
-    x @ weights[0] + biases[0] -> relu -> ... -> logits.  The penultimate
-    matrix is weights[penultimate_index], the one feeding the output layer.
-    The buffer is laid out w0, b0, w1, b1, ... and weights/biases are views
-    into it, so an in-place update of a layer updates the buffer.
+    A model of the layer sizes [d, h1, ..., c] is one (P,) row laid out
+    w0, b0, w1, b1, ..., each weight matrix (fan_in, fan_out) in C order.
+    The forward pass is x @ w0 + b0 -> relu -> ... -> logits, and the
+    penultimate matrix is the last one, which feeds the output layer.
+    Submission digests hash these rows, so the order is part of the trace.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    penultimate_index: int = -1
+    sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.weights or len(self.weights) != len(self.biases):
-            raise ConfigurationError("weights and biases must be nonempty and aligned")
-        if self.penultimate_index == -1:
-            self.penultimate_index = len(self.weights) - 1
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ShapeError(f"layer {l}: weight {w.shape} incompatible with bias {b.shape}")
-            if l > 0 and w.shape[0] != self.weights[l - 1].shape[1]:
-                raise ShapeError(f"layer {l}: fan-in {w.shape[0]} does not chain")
-        h, w = self.penultimate.shape
-        if h < 1 or w < 1:
-            raise ShapeError("penultimate matrix must be at least 1x1")
-        parts = [p for w, b in zip(self.weights, self.biases) for p in (w.ravel(), b)]
-        self._adopt(np.concatenate(parts, dtype=np.float64))
-
-    def _adopt(self, flat: np.ndarray) -> "ModelWeights":
-        """Make flat the parameter buffer and point weights/biases into it."""
-        if not np.isfinite(flat).all():
-            raise NumericError("non-finite parameters")
-        self.weights, self.biases = _layer_views(self, flat)
-        self._flat = flat
-        return self
-
-    @property
-    def penultimate(self) -> np.ndarray:
-        return self.weights[self.penultimate_index]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
+        object.__setattr__(self, "sizes", tuple(self.sizes))
+        if len(self.sizes) < 2:
+            raise ConfigurationError(f"architecture needs input and output sizes; got {list(self.sizes)}")
+        if any(s < 1 for s in self.sizes):
+            raise ConfigurationError("all layer sizes must be >= 1")
 
     @property
     def num_params(self) -> int:
-        return self._flat.size
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]))
 
-    def copy(self) -> "ModelWeights":
-        return self.from_flat(self._flat)
+    @property
+    def penultimate_shape(self) -> tuple[int, int]:
+        return self.sizes[-2], self.sizes[-1]
 
-    def to_flat(self) -> np.ndarray:
-        """Read-only view of the parameter buffer."""
-        view = self._flat.view()
-        view.flags.writeable = False
-        return view
+    def views(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into a (P,) row or a (k, P) stack.
 
-    def from_flat(self, flat: np.ndarray) -> "ModelWeights":
-        """A model with this one's architecture holding a copy of flat."""
-        flat = np.array(flat, dtype=np.float64)
-        if flat.shape != self._flat.shape:
-            raise ShapeError(f"flat vector length {flat.shape} != {self.num_params}")
-        return copy.copy(self)._adopt(flat)
+        The views keep the leading axis, so weights[l] is (k, fan_in,
+        fan_out) and biases[l] is (k, fan_out) for a stack.
+        """
+        if flat.shape[-1:] != (self.num_params,):
+            raise ShapeError(f"parameter rows {flat.shape} do not hold {self.num_params} parameters")
+        lead = flat.shape[:-1]
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+            weights.append(flat[..., pos:pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(flat[..., pos:pos + fan_out])
+            pos += fan_out
+        return weights, biases
 
-
-def _layer_views(model: ModelWeights, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-layer weight and bias views into parameter buffers laid out like model's.
-
-    flat is one (P,) buffer or a (k, P) stack of them; the views keep the
-    leading axis, so weights[l] is (k, fan_in, fan_out) and biases[l] is
-    (k, fan_out) for a stack.
-    """
-    lead = flat.shape[:-1]
-    weights, biases, pos = [], [], 0
-    for w, b in zip(model.weights, model.biases):
-        weights.append(flat[..., pos:pos + w.size].reshape(*lead, *w.shape))
-        pos += w.size
-        biases.append(flat[..., pos:pos + b.size])
-        pos += b.size
-    return weights, biases
+    def penultimate(self, flat: np.ndarray) -> np.ndarray:
+        """The penultimate matrix of a (P,) row, or of each row of a (k, P) stack, as a view."""
+        return self.views(flat)[0][-1]
 
 
 @dataclass(frozen=True)
@@ -152,26 +112,20 @@ class DatasetShard:
         return len(self.labels)
 
 
-def init_model(architecture: Sequence[int], seed: int) -> ModelWeights:
-    """Build a seeded MLP from a layer-size list, e.g. [8, 16, 2].
+def init_model(architecture: Sequence[int], seed: int) -> np.ndarray:
+    """The (P,) parameter row of a seeded MLP with layer sizes architecture,
+    e.g. [8, 16, 2], laid out by Layout(architecture).
 
     Weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] and biases
     zero.  Same (architecture, seed) yields bit-identical weights.
     """
-    sizes = list(architecture)
-    if len(sizes) < 3:
-        raise ConfigurationError(
-            f"architecture needs input, at least one hidden, and output sizes; got {sizes}"
-        )
-    if any(s < 1 for s in sizes):
-        raise ConfigurationError("all layer sizes must be >= 1")
+    layout = Layout(architecture)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelWeights(weights, biases)
+    row = np.zeros(layout.num_params)
+    for w in layout.views(row)[0]:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return row
 
 
 def _forward(
@@ -179,7 +133,7 @@ def _forward(
 ) -> list[np.ndarray]:
     """Return activations per layer; the last entry holds raw logits.
 
-    A stack of k models (views from _layer_views) takes (k, batch, d) inputs:
+    A stack of k models (Layout.views of a (k, P) stack) takes (k, batch, d) inputs:
     each matmul then runs one BLAS gemm per model, the kernel of the 2-D product.
     scratch, a flat float64 array, holds the activations that fit in it, one
     after another in layer order, in place of fresh arrays.
@@ -211,16 +165,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy_loss(model: ModelWeights, x: np.ndarray, y: np.ndarray) -> float:
-    """Mean softmax cross-entropy of the model on a batch."""
-    logp = _log_softmax(_forward(model.weights, model.biases, x)[-1])
-    return float(-logp[np.arange(len(y)), y].mean())
-
-
 def _backprop(weights, biases, grad_w, grad_b, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Write a stack's mean-loss gradients into grad_w/grad_b; return its (k,) batch losses.
 
-    x is (k, batch, d) and y (k, batch); the stack is views from _layer_views.
+    x is (k, batch, d) and y (k, batch); the stack is Layout.views of (k, P) rows.
     """
     acts = _forward(weights, biases, x)
     logp = _log_softmax(acts[-1])
@@ -240,16 +188,15 @@ def _backprop(weights, biases, grad_w, grad_b, x: np.ndarray, y: np.ndarray) -> 
     return loss
 
 
-def _check_shard(model: ModelWeights, shard: DatasetShard) -> None:
-    """Reject a shard that the model cannot train on or be scored on."""
+def _check_shard(layout: Layout, shard: DatasetShard) -> None:
+    """Reject a shard that a model of layout cannot train on or be scored on."""
     if len(shard) == 0:
         raise ConfigurationError("shard is empty")
-    if shard.features.shape[1] != model.input_dim:
-        raise ShapeError(f"shard dimension {shard.features.shape[1]} != model input {model.input_dim}")
-    if shard.class_count > model.output_dim:
-        raise ShapeError(
-            f"shard has {shard.class_count} classes but the model only {model.output_dim} outputs"
-        )
+    inputs, outputs = layout.sizes[0], layout.sizes[-1]
+    if shard.features.shape[1] != inputs:
+        raise ShapeError(f"shard dimension {shard.features.shape[1]} != model input {inputs}")
+    if shard.class_count > outputs:
+        raise ShapeError(f"shard has {shard.class_count} classes but the model only {outputs} outputs")
 
 
 def _about_shard(exc: S2wefError, j: int) -> S2wefError:
@@ -259,15 +206,17 @@ def _about_shard(exc: S2wefError, j: int) -> S2wefError:
 
 
 def local_train(
-    w_start: ModelWeights,
+    layout: Layout,
+    w_start: np.ndarray,
     shards: Sequence[DatasetShard],
     cfg: TrainConfig,
     seeds: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train one client per shard from w_start with cfg.local_iterations SGD steps.
+    """Train one client per shard from the (P,) row w_start with
+    cfg.local_iterations SGD steps.
 
     The clients step in lockstep, so their shards must have one length.
-    Returns their (k, P) parameter rows, laid out as w_start.to_flat(), and
+    Returns their (k, P) parameter rows, laid out like w_start, and
     their (k, h, w) WEF grids over the penultimate matrix (wef.build_wef of
     each client's per-step snapshots).  Client j draws its batch order from
     default_rng(seeds[j]), so its row and grid depend only on (w_start,
@@ -279,19 +228,19 @@ def local_train(
         raise ConfigurationError(f"need one seed per shard, got {len(seeds)} for {k}")
     for j, shard in enumerate(shards):
         try:
-            _check_shard(w_start, shard)
+            _check_shard(layout, shard)
         except S2wefError as exc:
             raise _about_shard(exc, j)
     n = len(shards[0])
     if any(len(shard) != n for shard in shards):
         raise ConfigurationError("shards trained in lockstep must have one length")
 
-    params = np.tile(w_start.to_flat(), (k, 1))
+    params = np.tile(w_start, (k, 1))
     grads = np.empty_like(params)
     velocity = np.zeros_like(params) if cfg.momentum else None
-    weights, biases = _layer_views(w_start, params)
-    grad_w, grad_b = _layer_views(w_start, grads)
-    penultimate = weights[w_start.penultimate_index]
+    weights, biases = layout.views(params)
+    grad_w, grad_b = layout.views(grads)
+    penultimate = weights[-1]
     before = penultimate.copy()
     counts = np.zeros(before.shape, dtype=np.int64)
 
@@ -324,12 +273,14 @@ def local_train(
     return params, counts
 
 
-def evaluate_accuracy(model: ModelWeights, shard: DatasetShard, scratch: np.ndarray | None = None) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class.
+def evaluate_accuracy(
+    layout: Layout, row: np.ndarray, shard: DatasetShard, scratch: np.ndarray | None = None
+) -> float:
+    """Fraction of argmax-correct predictions of the model row; ties go to the lowest class.
 
     scratch, a flat float64 array, holds the activations that fit in it
     (see _forward); the result is the same to the bit.
     """
-    _check_shard(model, shard)
-    logits = _forward(model.weights, model.biases, shard.features, scratch)[-1]
+    _check_shard(layout, shard)
+    logits = _forward(*layout.views(row), shard.features, scratch)[-1]
     return float((logits.argmax(axis=1) == shard.labels).mean())

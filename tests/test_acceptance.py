@@ -14,14 +14,14 @@ from s2wef.detect import (
     detect_round,
     pairwise_distances,
     simulate_global_wef,
-    ward_merge_sequence,
 )
 from s2wef.fedsim import DatasetParams, SimConfig, run_simulation
-from s2wef.nn import TrainConfig, init_model
+from s2wef.nn import Layout, TrainConfig, init_model
 from s2wef.trace import write_trace
 from s2wef.wef import build_wef
 
 from conftest import ACCEPTANCE_LINES
+from test_detect_oracle import ward_merge_sequence
 
 ATTACKS = ("RWA", "SPA", "DWA", "ADWA", "AWCA")
 
@@ -147,13 +147,13 @@ def test_criterion_2_wef_oracle():
 def test_criterion_3_dwa_equality():
     rng = np.random.default_rng(99)
     for case in range(50):
-        model = init_model([4, int(rng.integers(3, 9)), int(rng.integers(2, 5))],
-                           seed=int(rng.integers(1_000_000)))
-        prev = model.from_flat(model.to_flat() + rng.normal(0, 0.05, model.num_params))
+        layout = Layout([4, int(rng.integers(3, 9)), int(rng.integers(2, 5))])
+        model = init_model(layout.sizes, seed=int(rng.integers(1_000_000)))
+        prev = model + rng.normal(0, 0.05, layout.num_params)
         e = int(rng.integers(1, 9))
-        sub = dwa(model, prev, e, use_abs=True)
-        simulated = simulate_global_wef(model.penultimate, prev.penultimate, e)
-        np.testing.assert_array_equal(sub.wef, simulated, err_msg=f"case {case}")
+        _, wef = dwa(layout, model, prev, e, use_abs=True)
+        simulated = simulate_global_wef(layout.penultimate(model), layout.penultimate(prev), e)
+        np.testing.assert_array_equal(wef, simulated, err_msg=f"case {case}")
     announce(3, "delta-replay equality", True, "50 random global pairs exact")
 
 

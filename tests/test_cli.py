@@ -135,6 +135,13 @@ def test_invalid_config_writes_nothing(tmp_path):
         {"accumulate_wef": "no"},
         {"seeds": [1, 1]},
         {"train": {"learning_rate": 0}},
+        # json.loads reads NaN and Infinity, which no float field may hold
+        {"attack": {"kind": "RWA", "rwa_range": float("nan")}},
+        {"attack": {"kind": "RWA", "rwa_range": float("inf")}},
+        {"attack": {"kind": "SPA", "spa_sigma": float("nan")}},
+        {"dataset": {"spread": float("nan")}},
+        {"train": {"learning_rate": float("inf")}},
+        {"attack": {"kind": "RWA", "rwa_range": 10**400}},
     ],
 )
 def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
@@ -577,6 +584,16 @@ def test_detect_trace_header_budget_beyond_int64_exits_2(tmp_path, capsys, trace
     trace = write_lines(tmp_path, lines)
     assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
     message = f"trace error: {trace}:1: header local_iterations must be in [1, {2**63 - 1}]"
+    assert message in capsys.readouterr().err
+
+
+def test_detect_trace_header_with_a_nan_float_exits_2(tmp_path, capsys, trace_lines):
+    """A header is read as a config, so a float field may not hold NaN there either."""
+    lines = json.loads(json.dumps(trace_lines))
+    lines[0]["header"]["config"]["dataset"]["spread"] = float("nan")
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    message = f"trace error: {trace}:1: header config.dataset.spread: expected a finite float, got nan"
     assert message in capsys.readouterr().err
 
 

@@ -22,18 +22,18 @@ from s2wef.detect import (
     majority_vote,
     pairwise_distances,
     robust_standardize,
-    run_detector,
     silhouette_two_clusters,
     simulate_global_wef,
     threshold_flags,
     ward_hac,
-    ward_merge_sequence,
     wef_defense_baseline,
 )
 from s2wef import detect as det
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
 from s2wef.trace import detection_fields
 from s2wef.wef import wef_dtype
+
+from test_detect_oracle import run_detector, ward_merge_sequence
 
 
 def wm(rows):

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from s2wef import detect as det
 from s2wef.detect import (
     GAMMA_COS_ONLY,
     GAMMA_COS_OVER_L1,
@@ -24,8 +25,27 @@ from s2wef.detect import (
     robust_standardize,
     silhouette_two_clusters,
     ward_hac,
-    ward_merge_sequence,
 )
+
+# --- the detector's merge sequence and one-round entry, as tests read them ----
+
+
+def ward_merge_sequence(distances):
+    """det._ward_merges as, per merge, the height and the member set of the
+    newly formed cluster."""
+    heights, pairs = det._ward_merges(distances)
+    members = {i: [i] for i in range(len(heights) + 1)}
+    merges = []
+    for height, (a, b) in zip(heights.tolist(), pairs):
+        members[a] += members.pop(b)
+        merges.append((height, frozenset(members[a])))
+    return merges
+
+
+def run_detector(name, wefs, global_now, global_prev, e):
+    """The named detector on one round: its record and flagged set."""
+    return det._detect_rounds(name, [wefs], [global_now], [global_prev], e)[0]
+
 
 # --- the scalar oracle -------------------------------------------------------
 

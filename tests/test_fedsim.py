@@ -22,7 +22,7 @@ from s2wef.fedsim import (
     schedule_scenario1,
     schedule_scenario2,
 )
-from s2wef.nn import DatasetShard, TrainConfig, init_model
+from s2wef.nn import DatasetShard, Layout, TrainConfig, init_model
 
 
 def small_cfg(**overrides):
@@ -141,7 +141,7 @@ def test_schedule_rejects_majority():
 # --- aggregation ----------------------------------------------------------------
 
 def _rows(n):
-    return np.stack([init_model([3, 4, 2], seed=s).to_flat() for s in range(n)])
+    return np.stack([init_model([3, 4, 2], seed=s) for s in range(n)])
 
 
 def test_aggregate_single_benign_verbatim():
@@ -284,7 +284,7 @@ def test_exclusion_correctness(monkeypatch):
     monkeypatch.setattr(fedsim, "aggregate_fedavg", spy)
     cfg = small_cfg(rounds=5)
     records = run_trial(cfg, 3)
-    params = init_model(cfg.architecture, seed=0).num_params
+    params = Layout(cfg.architecture).num_params
     assert len(aggregated) == len(records)
     for (shape, kept), rec in zip(aggregated, records):
         assert shape == (cfg.clients, params)  # every client's row, one array
@@ -373,8 +373,8 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
 def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monkeypatch):
     train = fedsim.local_train
 
-    def overflowed(w_start, shards, cfg, seeds):  # finite losses, then a last step that overflows
-        rows, wefs = train(w_start, shards, cfg, seeds)
+    def overflowed(*args):  # finite losses, then a last step that overflows
+        rows, wefs = train(*args)
         rows[-1, 0] = np.inf
         return rows, wefs
 
@@ -383,6 +383,30 @@ def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monke
         run_simulation(small_cfg())
     # round 0 trains all 5 clients in one lockstep group
     assert str(excinfo.value) == "trial seed 1: round 0: client 4: non-finite parameters"
+
+
+def test_a_fedavg_mean_that_overflows_is_refused(monkeypatch):
+    train = fedsim.local_train
+
+    def huge(*args):  # every trained row finite, but the sum of two overflows
+        rows, wefs = train(*args)
+        rows[:] = 1.6e308
+        return rows, wefs
+
+    monkeypatch.setattr(fedsim, "local_train", huge)
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
+        run_simulation(small_cfg())
+    assert str(excinfo.value) == "trial seed 1: round 0: non-finite parameters"
+
+
+def test_a_non_finite_fabricated_row_is_named_with_its_trial_round_and_client():
+    # SPA's noise takes a NaN sigma built past the config reader, and the
+    # one S1 free rider first fabricates at round 2
+    cfg = small_cfg(attack=AttackParams(kind="SPA", spa_sigma=float("nan")))
+    rider = int(np.flatnonzero(fedsim.build_schedule(cfg, 1)[2])[0])
+    with pytest.raises(NumericError) as excinfo:
+        run_simulation(cfg)
+    assert str(excinfo.value) == f"trial seed 1: round 2: client {rider}: non-finite parameters"
 
 
 def test_lockstep_groups_split_by_shard_length_in_client_order():

@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 from s2wef.errors import ConfigurationError, NumericError, ShapeError
 from s2wef.nn import (
     DatasetShard,
-    ModelWeights,
+    Layout,
     TrainConfig,
     _forward,
-    cross_entropy_loss,
+    _log_softmax,
     evaluate_accuracy,
     init_model,
     local_train,
 )
 from s2wef.wef import build_wef
+
+LAYOUT = Layout([4, 8, 2])
 
 
 def tiny_shard(n=8, dim=4, classes=2, seed=0):
@@ -22,17 +24,22 @@ def tiny_shard(n=8, dim=4, classes=2, seed=0):
     return DatasetShard(rng.normal(size=(n, dim)), rng.integers(0, classes, size=n), classes)
 
 
+def cross_entropy_loss(layout, row, x, y):
+    """Mean softmax cross-entropy of the model row on a batch."""
+    logp = _log_softmax(_forward(*layout.views(row), x)[-1])
+    return float(-logp[np.arange(len(y)), y].mean())
+
+
 def test_init_model_deterministic():
     a = init_model([4, 8, 2], seed=7)
     b = init_model([4, 8, 2], seed=7)
-    for wa, wb in zip(a.weights, b.weights):
-        assert wa.tobytes() == wb.tobytes()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_init_model_penultimate_shape():
     m = init_model([4, 8, 2], seed=3)
-    assert m.penultimate.shape == (8, 2)
-    assert m.input_dim == 4 and m.output_dim == 2
+    assert m.shape == (LAYOUT.num_params,) == (4 * 8 + 8 + 8 * 2 + 2,) and m.dtype == np.float64
+    assert LAYOUT.penultimate(m).shape == LAYOUT.penultimate_shape == (8, 2)
 
 
 def test_init_model_degenerate_architecture():
@@ -40,26 +47,37 @@ def test_init_model_degenerate_architecture():
         init_model([4], seed=1)
     with pytest.raises(ConfigurationError):
         init_model([], seed=1)
+    with pytest.raises(ConfigurationError, match="sizes must be >= 1"):
+        init_model([4, 0, 2], seed=1)
 
 
 def test_init_model_bounds():
-    m = init_model([9, 16, 3], seed=11)
-    assert np.abs(m.weights[0]).max() <= 1 / 3
-    assert np.abs(m.weights[1]).max() <= 1 / 4
-    assert all(not b.any() for b in m.biases)
+    layout = Layout([9, 16, 3])
+    weights, biases = layout.views(init_model(layout.sizes, seed=11))
+    assert np.abs(weights[0]).max() <= 1 / 3
+    assert np.abs(weights[1]).max() <= 1 / 4
+    assert all(not b.any() for b in biases)
 
 
 def test_flat_round_trip():
     m = init_model([4, 8, 2], seed=5)
-    again = m.from_flat(m.to_flat())
-    for wa, wb in zip(m.weights, again.weights):
-        np.testing.assert_array_equal(wa, wb)
-    # submission digests hash the buffer, so its layout is part of the trace
-    layout = np.concatenate([m.weights[0].ravel(), m.biases[0], m.weights[1].ravel(), m.biases[1]])
-    np.testing.assert_array_equal(m.to_flat(), layout)
-    again.penultimate[0, 0] += 1.0  # layers are views into the buffer
-    assert again.to_flat()[4 * 8 + 8] == m.to_flat()[4 * 8 + 8] + 1.0
-    assert not m.to_flat().flags.writeable
+    weights, biases = LAYOUT.views(m)
+    # submission digests hash the row, so its layout is part of the trace
+    np.testing.assert_array_equal(weights[0], m[:32].reshape(4, 8))
+    np.testing.assert_array_equal(biases[0], m[32:40])
+    np.testing.assert_array_equal(weights[1], m[40:56].reshape(8, 2))
+    np.testing.assert_array_equal(biases[1], m[56:58])
+    layout = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
+    np.testing.assert_array_equal(m, layout)
+    again = m.copy()
+    LAYOUT.penultimate(again)[0, 0] += 1.0  # layers are views into the row
+    assert again[4 * 8 + 8] == m[4 * 8 + 8] + 1.0
+    # a (k, P) stack gives each row's layers, with the stack's leading axis
+    stack = np.stack([m, 2 * m])
+    np.testing.assert_array_equal(LAYOUT.penultimate(stack)[1], 2 * weights[1])
+    assert [w.shape for w in LAYOUT.views(stack)[0]] == [(2, 4, 8), (2, 8, 2)]
+    with pytest.raises(ShapeError, match="do not hold 58 parameters"):
+        LAYOUT.views(m[:-1])
 
 
 @pytest.mark.parametrize("rate", [0.0, -0.1])
@@ -71,18 +89,17 @@ def test_train_config_rejects_a_rate_that_trains_nothing(rate):
 def test_local_train_snapshot_count_and_start():
     # one step: the WEF grid compares the start snapshot with the trained one
     m = init_model([4, 8, 2], seed=2)
-    rows, wefs = local_train(m, [tiny_shard()], TrainConfig(learning_rate=0.1, local_iterations=1), seeds=[3])
-    assert rows.shape == (1, m.num_params) and wefs.shape == (1, 8, 2)
-    w_end = m.from_flat(rows[0])
-    np.testing.assert_array_equal(wefs[0], build_wef([m.penultimate, w_end.penultimate]))
+    rows, wefs = local_train(LAYOUT, m, [tiny_shard()], TrainConfig(learning_rate=0.1, local_iterations=1), seeds=[3])
+    assert rows.shape == (1, LAYOUT.num_params) and wefs.shape == (1, 8, 2)
+    np.testing.assert_array_equal(wefs[0], build_wef([LAYOUT.penultimate(m), LAYOUT.penultimate(rows[0])]))
     assert wefs.dtype == np.int64 and 0 < wefs.sum() < 16
 
 
 def test_local_train_deterministic():
     m = init_model([4, 8, 2], seed=2)
     cfg = TrainConfig(learning_rate=0.1, batch_size=4, local_iterations=5)
-    w1, f1 = local_train(m, [tiny_shard()], cfg, seeds=[9])
-    w2, f2 = local_train(m, [tiny_shard()], cfg, seeds=[9])
+    w1, f1 = local_train(LAYOUT, m, [tiny_shard()], cfg, seeds=[9])
+    w2, f2 = local_train(LAYOUT, m, [tiny_shard()], cfg, seeds=[9])
     assert w1.tobytes() == w2.tobytes()
     assert f1.tobytes() == f2.tobytes()
 
@@ -92,9 +109,10 @@ def test_local_train_loss_decreases():
     # itself is the finite-difference check below
     shard = tiny_shard(n=8, dim=4, classes=2, seed=1)
     m = init_model([4, 8, 2], seed=4)
-    before = cross_entropy_loss(m, shard.features, shard.labels)
-    rows, _ = local_train(m, [shard], TrainConfig(learning_rate=0.5, batch_size=8, local_iterations=3), seeds=[11])
-    after = cross_entropy_loss(m.from_flat(rows[0]), shard.features, shard.labels)
+    before = cross_entropy_loss(LAYOUT, m, shard.features, shard.labels)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=8, local_iterations=3)
+    rows, _ = local_train(LAYOUT, m, [shard], cfg, seeds=[11])
+    after = cross_entropy_loss(LAYOUT, rows[0], shard.features, shard.labels)
     assert after < before
 
 
@@ -109,7 +127,7 @@ UNFIT_SHARDS = {
 @pytest.mark.parametrize(
     "use",
     [
-        lambda m, shard: local_train(m, [shard], TrainConfig(learning_rate=0.1), seeds=[0]),
+        lambda layout, m, shard: local_train(layout, m, [shard], TrainConfig(learning_rate=0.1), seeds=[0]),
         evaluate_accuracy,
     ],
     ids=["local_train", "evaluate_accuracy"],
@@ -118,25 +136,26 @@ UNFIT_SHARDS = {
 def test_training_and_evaluation_reject_the_same_unfit_shards(use, shard, error, message):
     # evaluation would otherwise score the labels the model cannot output as wrong
     with pytest.raises(error, match=message):
-        use(init_model([4, 8, 2], seed=2), shard)
+        use(LAYOUT, init_model(LAYOUT.sizes, seed=2), shard)
 
 
 def test_gradient_matches_finite_differences_logistic():
     # 1-input 2-logit softmax with zero biases is plain logistic regression
     # in the weight difference; the two weight entries are the parameters
-    m = ModelWeights([np.array([[0.3, -0.2]])], [np.zeros(2)])
+    layout = Layout([1, 2])
+    flat = np.array([0.3, -0.2, 0.0, 0.0])  # w0 = [[0.3, -0.2]], b0 = 0
     shard = DatasetShard(np.array([[1.0], [-2.0], [0.5], [3.0]]), np.array([0, 1, 1, 0]), 2)
     lr = 1e-4
-    rows, _ = local_train(m, [shard], TrainConfig(learning_rate=lr, batch_size=4, local_iterations=1), seeds=[0])
-    grad = (m.to_flat() - rows[0]) / lr
+    cfg = TrainConfig(learning_rate=lr, batch_size=4, local_iterations=1)
+    rows, _ = local_train(layout, flat, [shard], cfg, seeds=[0])
+    grad = (flat - rows[0]) / lr
 
     eps = 1e-6
-    flat = m.to_flat()
     for k in range(2):  # the two logistic weights
         bump = np.zeros_like(flat)
         bump[k] = eps
-        up = cross_entropy_loss(m.from_flat(flat + bump), shard.features, shard.labels)
-        down = cross_entropy_loss(m.from_flat(flat - bump), shard.features, shard.labels)
+        up = cross_entropy_loss(layout, flat + bump, shard.features, shard.labels)
+        down = cross_entropy_loss(layout, flat - bump, shard.features, shard.labels)
         assert grad[k] == pytest.approx((up - down) / (2 * eps), rel=1e-5, abs=1e-10)
 
 
@@ -144,67 +163,72 @@ def test_gradient_matches_finite_differences():
     # recover the gradient of one full-batch SGD step as (w_start - w_end)/lr
     # and compare against central finite differences of the loss
     shard = tiny_shard(n=6, dim=2, classes=2, seed=3)
-    m = init_model([2, 3, 2], seed=8)
+    layout = Layout([2, 3, 2])
+    flat = init_model(layout.sizes, seed=8)
     lr = 1e-4
-    rows, _ = local_train(m, [shard], TrainConfig(learning_rate=lr, batch_size=6, local_iterations=1), seeds=[0])
-    grad = (m.to_flat() - rows[0]) / lr
+    cfg = TrainConfig(learning_rate=lr, batch_size=6, local_iterations=1)
+    rows, _ = local_train(layout, flat, [shard], cfg, seeds=[0])
+    grad = (flat - rows[0]) / lr
 
     eps = 1e-6
-    flat = m.to_flat()
     for k in range(flat.size):
         bump = np.zeros_like(flat)
         bump[k] = eps
-        up = cross_entropy_loss(m.from_flat(flat + bump), shard.features, shard.labels)
-        down = cross_entropy_loss(m.from_flat(flat - bump), shard.features, shard.labels)
+        up = cross_entropy_loss(layout, flat + bump, shard.features, shard.labels)
+        down = cross_entropy_loss(layout, flat - bump, shard.features, shard.labels)
         numeric = (up - down) / (2 * eps)
         assert grad[k] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
 def test_evaluate_accuracy_constant_predictor():
     # output bias forces class 0 regardless of input
-    m = init_model([3, 4, 2], seed=1)
-    for w in m.weights:
+    layout = Layout([3, 4, 2])
+    m = init_model(layout.sizes, seed=1)
+    weights, biases = layout.views(m)
+    for w in weights:
         w[:] = 0.0
-    m.biases[-1][:] = [1.0, 0.0]
+    biases[-1][:] = [1.0, 0.0]
     all_zero = DatasetShard(np.random.default_rng(0).normal(size=(5, 3)), np.zeros(5, dtype=int), 2)
     all_one = DatasetShard(all_zero.features, np.ones(5, dtype=int), 2)
-    assert evaluate_accuracy(m, all_zero) == 1.0
-    assert evaluate_accuracy(m, all_one) == 0.0
+    assert evaluate_accuracy(layout, m, all_zero) == 1.0
+    assert evaluate_accuracy(layout, m, all_one) == 0.0
 
 
 def test_evaluate_accuracy_hand_built_half():
     # logits = x @ W with identity-ish penultimate: sample 0 correct, sample 1 wrong
-    m = ModelWeights(
-        weights=[np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]])],
-        biases=[np.zeros(2), np.zeros(2)],
-    )
+    layout = Layout([2, 2, 2])
+    m = np.zeros(layout.num_params)  # biases zero
+    weights, _ = layout.views(m)
+    weights[0][:] = np.eye(2)
+    weights[1][:] = [[1.0, 0.0], [0.0, 1.0]]
     shard = DatasetShard(np.array([[2.0, 1.0], [2.0, 1.0]]), np.array([0, 1]), 2)
-    assert evaluate_accuracy(m, shard) == 0.5
+    assert evaluate_accuracy(layout, m, shard) == 0.5
 
 
 def test_evaluate_accuracy_tie_goes_to_lowest_class():
-    m = ModelWeights([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)])
+    layout = Layout([2, 3, 2])
+    m = np.zeros(layout.num_params)
     shard0 = DatasetShard(np.ones((4, 2)), np.zeros(4, dtype=int), 2)
     shard1 = DatasetShard(np.ones((4, 2)), np.ones(4, dtype=int), 2)
-    assert evaluate_accuracy(m, shard0) == 1.0  # all-equal logits resolve to class 0
-    assert evaluate_accuracy(m, shard1) == 0.0
+    assert evaluate_accuracy(layout, m, shard0) == 1.0  # all-equal logits resolve to class 0
+    assert evaluate_accuracy(layout, m, shard1) == 0.0
 
 
 def test_snapshots_finite_and_shaped():
     # six steps: each entry of the grid counts at most six threshold crossings
     m = init_model([4, 8, 2], seed=2)
     shards = [tiny_shard(seed=s) for s in range(3)]
-    rows, wefs = local_train(m, shards, TrainConfig(learning_rate=0.2, local_iterations=6), seeds=[5, 6, 7])
-    assert rows.shape == (3, m.num_params) and np.isfinite(rows).all()
+    rows, wefs = local_train(LAYOUT, m, shards, TrainConfig(learning_rate=0.2, local_iterations=6), seeds=[5, 6, 7])
+    assert rows.shape == (3, LAYOUT.num_params) and np.isfinite(rows).all()
     assert wefs.shape == (3, 8, 2) and wefs.min() >= 0 and wefs.max() <= 6
 
 
-def chained_forward(model, x):
+def chained_forward(weights, biases, x):
     """The forward pass as one expression per layer: the reference for _forward."""
     acts = [x]
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+    for l, (w, b) in enumerate(zip(weights, biases)):
         z = acts[-1] @ w + b
-        acts.append(z if l == len(model.weights) - 1 else np.maximum(z, 0.0))
+        acts.append(z if l == len(weights) - 1 else np.maximum(z, 0.0))
     return acts
 
 
@@ -223,12 +247,13 @@ def chained_forward(model, x):
 def test_forward_is_bit_equal_to_the_chained_reference(hidden, dim, classes, batch, seed, room):
     """With or without scratch, whose room is a share of all activations' entries."""
     rng = np.random.default_rng(seed)
-    m = init_model([dim, *hidden, classes], seed=seed)
-    for b in m.biases:  # init_model's biases are zero
+    layout = Layout([dim, *hidden, classes])
+    weights, biases = layout.views(init_model(layout.sizes, seed=seed))
+    for b in biases:  # init_model's biases are zero
         b[:] = rng.normal(size=b.shape)
     x = rng.normal(size=(batch, dim))
     scratch = None if room is None else np.full(int(room * batch * (sum(hidden) + classes)), np.nan)
-    got, want = _forward(m.weights, m.biases, x, scratch), chained_forward(m, x)
+    got, want = _forward(weights, biases, x, scratch), chained_forward(weights, biases, x)
     assert len(got) == len(want)
     used = 0
     for a, b in zip(got[1:], want[1:]):
@@ -241,27 +266,29 @@ def test_forward_is_bit_equal_to_the_chained_reference(hidden, dim, classes, bat
 
 
 def test_training_and_evaluation_leave_their_inputs_unchanged():
-    m = init_model([4, 8, 3], seed=6)
-    m.biases[0][:] = np.linspace(-1.0, 1.0, 8)
+    layout = Layout([4, 8, 3])
+    m = init_model(layout.sizes, seed=6)
+    layout.views(m)[1][0][:] = np.linspace(-1.0, 1.0, 8)
     shard = tiny_shard(n=40, classes=3, seed=2)
-    model_bytes, feature_bytes = m.to_flat().tobytes(), shard.features.tobytes()
-    local_train(m, [shard], TrainConfig(learning_rate=0.3, batch_size=8, local_iterations=4), seeds=[1])
-    evaluate_accuracy(m, shard)
-    cross_entropy_loss(m, shard.features, shard.labels)
-    assert m.to_flat().tobytes() == model_bytes
+    model_bytes, feature_bytes = m.tobytes(), shard.features.tobytes()
+    local_train(layout, m, [shard], TrainConfig(learning_rate=0.3, batch_size=8, local_iterations=4), seeds=[1])
+    evaluate_accuracy(layout, m, shard)
+    cross_entropy_loss(layout, m, shard.features, shard.labels)
+    assert m.tobytes() == model_bytes
     assert shard.features.tobytes() == feature_bytes
 
 
-def reference_local_train(w_start, shard, cfg, seed):
+def reference_local_train(layout, w_start, shard, cfg, seed):
     """One client's SGD steps and WEF count as one client trained before the
     lockstep trainer: the reference for local_train.  Returns the parameter
-    buffer and the WEF grid."""
+    row and the WEF grid."""
     rng = np.random.default_rng(seed)
     model = w_start.copy()
-    layers = len(model.weights)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
-    snapshots = [model.penultimate.copy()]
+    weights, biases = layout.views(model)
+    layers = len(weights)
+    vel_w = [np.zeros_like(w) for w in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+    snapshots = [weights[-1].copy()]
     n = len(shard)
     batch = min(cfg.batch_size, n)
     order = rng.permutation(n)
@@ -273,7 +300,7 @@ def reference_local_train(w_start, shard, cfg, seed):
         idx = order[pos:pos + batch]
         pos += batch
         y = shard.labels[idx]
-        acts = chained_forward(model, shard.features[idx])
+        acts = chained_forward(weights, biases, shard.features[idx])
         shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         delta = np.exp(logp)
@@ -284,18 +311,18 @@ def reference_local_train(w_start, shard, cfg, seed):
             grads_w[l] = acts[l].T @ delta
             grads_b[l] = delta.sum(axis=0)
             if l > 0:
-                delta = (delta @ model.weights[l].T) * (acts[l] > 0)
+                delta = (delta @ weights[l].T) * (acts[l] > 0)
         for l in range(layers):
             vel_w[l] = cfg.momentum * vel_w[l] + grads_w[l]
             vel_b[l] = cfg.momentum * vel_b[l] + grads_b[l]
-            model.weights[l] -= cfg.learning_rate * vel_w[l]
-            model.biases[l] -= cfg.learning_rate * vel_b[l]
-        snapshots.append(model.penultimate.copy())
+            weights[l] -= cfg.learning_rate * vel_w[l]
+            biases[l] -= cfg.learning_rate * vel_b[l]
+        snapshots.append(weights[-1].copy())
     counts = np.zeros(snapshots[0].shape, dtype=np.int64)
     for prev, curr in zip(snapshots[:-1], snapshots[1:]):
         change = np.abs(curr - prev)
         counts += change > change.mean()
-    return model.to_flat(), counts
+    return model, counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -318,8 +345,9 @@ def test_lockstep_training_is_bit_equal_to_the_per_client_reference(
     hidden, dim, classes, rows, clients, batch, iterations, momentum, rate, seed
 ):
     rng = np.random.default_rng(seed)
-    m = init_model([dim, *hidden, classes], seed=seed)
-    for b in m.biases:  # init_model's biases are zero
+    layout = Layout([dim, *hidden, classes])
+    m = init_model(layout.sizes, seed=seed)
+    for b in layout.views(m)[1]:  # init_model's biases are zero
         b[:] = 0.1 * rng.normal(size=b.shape)
     shards = [
         DatasetShard(rng.normal(size=(rows, dim)), rng.integers(0, classes, size=rows), classes)
@@ -327,11 +355,11 @@ def test_lockstep_training_is_bit_equal_to_the_per_client_reference(
     ]
     seeds = rng.integers(0, 2**63, size=clients).tolist()
     cfg = TrainConfig(learning_rate=rate, momentum=momentum, batch_size=batch, local_iterations=iterations)
-    got_rows, got_wefs = local_train(m, shards, cfg, seeds)
-    assert got_rows.shape == (clients, m.num_params)
-    assert got_wefs.shape == (clients, *m.penultimate.shape) and got_wefs.dtype == np.int64
+    got_rows, got_wefs = local_train(layout, m, shards, cfg, seeds)
+    assert got_rows.shape == (clients, layout.num_params)
+    assert got_wefs.shape == (clients, *layout.penultimate_shape) and got_wefs.dtype == np.int64
     for j, (shard, client_seed) in enumerate(zip(shards, seeds)):
-        want_row, want_wef = reference_local_train(m, shard, cfg, client_seed)
+        want_row, want_wef = reference_local_train(layout, m, shard, cfg, client_seed)
         assert got_rows[j].tobytes() == want_row.tobytes(), f"client {j} parameters"
         assert got_wefs[j].tobytes() == want_wef.tobytes(), f"client {j} WEF grid"
 
@@ -345,10 +373,10 @@ def test_local_train_names_the_first_shard_to_diverge():
         shards[j].features *= scale
     cfg = TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=4)
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite loss at local iteration 2") as info:
-        local_train(m, shards, cfg, seeds=[0, 1, 2, 3])
+        local_train(LAYOUT, m, shards, cfg, seeds=[0, 1, 2, 3])
     assert info.value.shard == 2
     with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite loss at local iteration 3") as info:
-        local_train(m, shards[:2], cfg, seeds=[0, 1])
+        local_train(LAYOUT, m, shards[:2], cfg, seeds=[0, 1])
     assert info.value.shard == 1
 
 
@@ -356,11 +384,11 @@ def test_local_train_rejects_a_group_it_cannot_step_in_lockstep():
     m = init_model([4, 8, 2], seed=2)
     cfg = TrainConfig(learning_rate=0.1)
     with pytest.raises(ConfigurationError, match="one length"):
-        local_train(m, [tiny_shard(n=8), tiny_shard(n=9)], cfg, seeds=[0, 1])
+        local_train(LAYOUT, m, [tiny_shard(n=8), tiny_shard(n=9)], cfg, seeds=[0, 1])
     with pytest.raises(ConfigurationError, match="one seed per shard"):
-        local_train(m, [tiny_shard(), tiny_shard()], cfg, seeds=[0])
+        local_train(LAYOUT, m, [tiny_shard(), tiny_shard()], cfg, seeds=[0])
     with pytest.raises(ConfigurationError, match="one seed per shard"):
-        local_train(m, [], cfg, seeds=[])
+        local_train(LAYOUT, m, [], cfg, seeds=[])
     with pytest.raises(ShapeError, match="shard dimension 5") as info:
-        local_train(m, [tiny_shard(), tiny_shard(dim=5)], cfg, seeds=[0, 1])
+        local_train(LAYOUT, m, [tiny_shard(), tiny_shard(dim=5)], cfg, seeds=[0, 1])
     assert info.value.shard == 1
