@@ -9,6 +9,7 @@ rule so the fabricated matrix looks like a benign one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .nn import Layout
 from .wef import build_wef, counterfeit_one_step
 
 ATTACK_KINDS = ("RWA", "SPA", "DWA", "ADWA", "AWCA")
+# RWA draws from [-R, R], whose width 2R numpy needs finite
+_RWA_RANGE_MAX = sys.float_info.max / 2
 
 
 @dataclass(frozen=True)
@@ -29,15 +32,14 @@ class AttackParams:
     spa_sigma: float = 1e-3
     adwa_sigma: float = 1e-3
     awca_sigma: float = 1e-5
-    counterfeit_abs: bool = True
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ConfigurationError(f"unknown attack kind {self.kind!r}; choose from {ATTACK_KINDS}")
-        if self.rwa_range <= 0:
-            raise ConfigurationError("rwa_range must be > 0")
+        if not 0 < self.rwa_range <= _RWA_RANGE_MAX:
+            raise ConfigurationError(f"rwa_range must be in (0, {_RWA_RANGE_MAX!r}]")
         for name in ("spa_sigma", "adwa_sigma", "awca_sigma"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # written so that NaN fails it too
                 raise ConfigurationError(f"{name} must be >= 0")
 
 
@@ -48,9 +50,9 @@ def _require_history(global_prev: np.ndarray | None, kind: str) -> np.ndarray:
 
 
 def _one_step_submission(
-    layout: Layout, fake: np.ndarray, global_now: np.ndarray, e: int, use_abs: bool
+    layout: Layout, fake: np.ndarray, global_now: np.ndarray, e: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    wef = counterfeit_one_step(layout.penultimate(fake), layout.penultimate(global_now), e, use_abs=use_abs)
+    wef = counterfeit_one_step(layout.penultimate(fake), layout.penultimate(global_now), e)
     return fake, wef
 
 
@@ -60,14 +62,13 @@ def rwa(
     rwa_range: float,
     e: int,
     seed: int,
-    use_abs: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random weight attack: every parameter uniform in [-R, R]."""
-    if rwa_range <= 0:
-        raise ConfigurationError("rwa_range must be > 0")
+    if not 0 < rwa_range <= _RWA_RANGE_MAX:
+        raise ConfigurationError(f"rwa_range must be in (0, {_RWA_RANGE_MAX!r}]")
     rng = np.random.default_rng(seed)
     fake = rng.uniform(-rwa_range, rwa_range, size=layout.num_params)
-    return _one_step_submission(layout, fake, global_now, e, use_abs)
+    return _one_step_submission(layout, fake, global_now, e)
 
 
 def dwa(
@@ -75,12 +76,11 @@ def dwa(
     global_now: np.ndarray,
     global_prev: np.ndarray | None,
     e: int,
-    use_abs: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delta weight attack: replay the last global-model difference."""
     global_prev = _require_history(global_prev, "DWA")
     fake = global_now + (global_now - global_prev)
-    return _one_step_submission(layout, fake, global_now, e, use_abs)
+    return _one_step_submission(layout, fake, global_now, e)
 
 
 def adwa(
@@ -90,15 +90,14 @@ def adwa(
     sigma: float,
     e: int,
     seed: int,
-    use_abs: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """DWA plus i.i.d. Gaussian noise so colluders stop being identical."""
     global_prev = _require_history(global_prev, "ADWA")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
     delta = global_now - global_prev + rng.normal(0.0, sigma, size=global_now.shape)
-    return _one_step_submission(layout, global_now + delta, global_now, e, use_abs)
+    return _one_step_submission(layout, global_now + delta, global_now, e)
 
 
 def spa(
@@ -107,14 +106,13 @@ def spa(
     sigma: float,
     e: int,
     seed: int,
-    use_abs: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic perturbations attack: Gaussian noise on the global model."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
     fake = global_now + rng.normal(0.0, sigma, size=global_now.shape)
-    return _one_step_submission(layout, fake, global_now, e, use_abs)
+    return _one_step_submission(layout, fake, global_now, e)
 
 
 def awca(
@@ -135,7 +133,7 @@ def awca(
     global_prev = _require_history(global_prev, "AWCA")
     if e < 1:
         raise ConfigurationError("e must be >= 1")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
     fake = global_now
@@ -158,11 +156,11 @@ def make_submission(
     """Dispatch to the configured attack: the fabricated (P,) parameter row,
     laid out by layout like the global rows, and its (h, w) WEF grid."""
     if params.kind == "RWA":
-        return rwa(layout, global_now, params.rwa_range, e, seed, params.counterfeit_abs)
+        return rwa(layout, global_now, params.rwa_range, e, seed)
     if params.kind == "SPA":
-        return spa(layout, global_now, params.spa_sigma, e, seed, params.counterfeit_abs)
+        return spa(layout, global_now, params.spa_sigma, e, seed)
     if params.kind == "DWA":
-        return dwa(layout, global_now, global_prev, e, params.counterfeit_abs)
+        return dwa(layout, global_now, global_prev, e)
     if params.kind == "ADWA":
-        return adwa(layout, global_now, global_prev, params.adwa_sigma, e, seed, params.counterfeit_abs)
+        return adwa(layout, global_now, global_prev, params.adwa_sigma, e, seed)
     return awca(layout, global_now, global_prev, e, params.awca_sigma, seed)

@@ -677,22 +677,19 @@ def _detect_rounds(
 
 
 # Transient arrays a chunk of TrialDetector.steps may hold: 200-client
-# rounds of 256 x 10 grids are scored one at a time, 10-client rounds 10 at
-# a time, and replay peaks below 3.4 MB of detector arrays (tracemalloc),
-# apart from 200 clients' running sums, whose old and new int64 copies
-# alone take 8 MB.
+# rounds of 256 x 10 grids are scored one at a time, 10-client rounds 11 at
+# a time, and replay peaks below 2.8 MB of detector arrays (tracemalloc).
 _CHUNK_BYTES = 4_000_000
 
 
 def _chunk_rounds(n: int, h: int, w: int) -> int:
     """How many rounds of n clients' h x w grids steps scores in one pass."""
     # at most one float64 block of _BLOCK_ENTRIES, and per round: the stacked
-    # grids and their int64 running sums (9 bytes an entry), five float64
-    # h x w arrays that simulate the broadcast's WEF, nine float64 n x n
-    # arrays of Gram entries, distances and cosines, and the cluster stage's
-    # four: Ward's distances, and the silhouette's keys, sort order and
-    # sorted rows
-    per_round = 9 * n * h * w + 40 * h * w + 104 * n * n
+    # grids (8 bytes an entry, the widest wef_dtype), five float64 h x w
+    # arrays that simulate the broadcast's WEF, nine float64 n x n arrays of
+    # Gram entries, distances and cosines, and the cluster stage's four:
+    # Ward's distances, and the silhouette's keys, sort order and sorted rows
+    per_round = 8 * n * h * w + 40 * h * w + 104 * n * n
     return max(1, (_CHUNK_BYTES - 8 * _BLOCK_ENTRIES) // per_round)
 
 
@@ -701,35 +698,15 @@ class TrialDetector:
 
     Each round it scores the submitted grids against the last two
     broadcasts, so it remembers the previous broadcast's penultimate
-    matrix; with accumulate it scores each client's running WEF sum, kept
-    in int64, instead of the round's grid.  The simulator steps one per
-    trial round by round; trace replay hands it a trial's rounds at once,
-    and it scores and clusters a chunk of them in one pass.  Both go
-    through _detect_rounds and detect_round, so each round gets what the
-    run saw.
+    matrix.  The simulator steps one per trial round by round; trace replay
+    hands it a trial's rounds at once, and it scores and clusters a chunk
+    of them in one pass.  Both go through _detect_rounds and detect_round,
+    so each round gets what the run saw.
     """
 
-    def __init__(self, name: str, accumulate: bool = False):
+    def __init__(self, name: str):
         self.name = name
-        self.accumulate = accumulate
         self._prev_pen: np.ndarray | None = None
-        self._sums: np.ndarray | None = None
-
-    def _summed(self, wefs: Sequence[np.ndarray]) -> np.ndarray:
-        """Each client's running WEF sums in int64, as (R, n, h, w) sums
-        after each of the consecutive rounds whose (n, h, w) grids wefs holds."""
-        sums = np.empty((len(wefs), *np.shape(wefs[0])), dtype=np.int64)  # sums of uint8 grids pass 255
-        for k, grids in enumerate(wefs):
-            last = sums[k - 1] if k else self._sums
-            if last is None:
-                sums[k] = grids
-            elif last.shape != np.shape(grids):
-                raise ShapeError(f"WEF grids {np.shape(grids)} vs running sums {last.shape}")
-            else:
-                np.add(last, grids, out=sums[k])
-        # the last round's sums, not a view that keeps the whole chunk
-        self._sums = sums[0] if len(sums) == 1 else sums[-1].copy()
-        return sums
 
     def step(
         self, wefs: np.ndarray, pen_now: np.ndarray, e: int
@@ -747,8 +724,6 @@ class TrialDetector:
         size = _chunk_rounds(*np.shape(wefs[0])) if len(wefs) > 1 else 1
         for start in range(0, len(wefs), size):
             chunk = wefs[start:start + size]
-            if self.accumulate:
-                chunk = self._summed(chunk)
             pens = pens_now[start:start + size]
             results += _detect_rounds(self.name, chunk, pens, [self._prev_pen, *pens[:-1]], e)
             self._prev_pen = pens[-1]

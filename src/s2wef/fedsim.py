@@ -10,6 +10,7 @@ seed, so a config reproduces its trace byte for byte.
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
@@ -53,7 +54,7 @@ class DatasetParams:
     def __post_init__(self):
         if self.samples < self.classes or self.classes < 2 or self.features < 1:
             raise ConfigurationError("dataset needs >= 2 classes, >= 1 feature, samples >= classes")
-        if self.spread <= 0:
+        if not self.spread > 0:  # written so that NaN fails it too
             raise ConfigurationError("spread must be > 0")
 
 
@@ -93,12 +94,12 @@ def partition_dirichlet(
     dataset: DatasetShard, n_clients: int, beta: float, seed: int
 ) -> list[DatasetShard]:
     """Per-class Dirichlet(beta) proportions; empty shards are repaired."""
-    if beta <= 0:
+    if not beta > 0:
         raise ConfigurationError("beta must be > 0")
     if len(dataset) < n_clients:
         raise ConfigurationError(f"dataset of {len(dataset)} cannot feed {n_clients} clients")
     rng = np.random.default_rng(seed)
-    assigned: list[list[int]] = [[] for _ in range(n_clients)]
+    members: list[list[int]] = [[] for _ in range(n_clients)]
     for c in range(dataset.class_count):
         idx = np.flatnonzero(dataset.labels == c)
         rng.shuffle(idx)
@@ -107,16 +108,16 @@ def partition_dirichlet(
         start = 0
         for i in range(n_clients):
             stop = bounds[i] if i < n_clients - 1 else len(idx)
-            assigned[i].extend(int(v) for v in idx[start:stop])
+            members[i].extend(int(v) for v in idx[start:stop])
             start = stop
     # repair: an empty shard takes one sample from the current largest
-    while any(len(a) == 0 for a in assigned):
-        empty = min(range(n_clients), key=lambda i: (len(assigned[i]), i))
-        largest = max(range(n_clients), key=lambda i: (len(assigned[i]), -i))
-        assigned[empty].append(assigned[largest].pop())
+    while any(len(a) == 0 for a in members):
+        empty = min(range(n_clients), key=lambda i: (len(members[i]), i))
+        largest = max(range(n_clients), key=lambda i: (len(members[i]), -i))
+        members[empty].append(members[largest].pop())
     return [
         DatasetShard(dataset.features[a], dataset.labels[a], dataset.class_count)
-        for a in assigned
+        for a in members
     ]
 
 
@@ -216,7 +217,6 @@ class SimConfig:
     rounds: int = 20
     train: TrainConfig = field(default_factory=TrainConfig)
     detector: str = "S2WEF"
-    accumulate_wef: bool = False
     seeds: tuple[int, ...] = (1, 2, 3)
     dataset: DatasetParams = field(default_factory=DatasetParams)
     hidden_layers: tuple[int, ...] = (256,)
@@ -244,7 +244,7 @@ class SimConfig:
                 raise ConfigurationError("CLEAN scenario requires free_rider_ratio = 0")
         elif self.free_rider_ratio > 0 and self.attack is None:
             raise ConfigurationError("attack parameters required when free-riders exist")
-        if self.dirichlet_beta <= 0:
+        if not self.dirichlet_beta > 0:
             raise ConfigurationError("dirichlet_beta must be > 0")
         if self.dataset.samples < self.clients:
             raise ConfigurationError(
@@ -261,6 +261,11 @@ class SimConfig:
 # The versioned JSON form of SimConfig, read by `--config` and by trace headers.
 CONFIG_VERSION = 1
 
+# Removed options, each with the one value that every config.json and trace
+# header written while it existed holds for it: the key is read at that
+# value, where those files hold it, and ignored; any other value is refused.
+_RETIRED_KEYS = {SimConfig: {"accumulate_wef": False}, AttackParams: {"counterfeit_abs": True}}
+
 
 def _check_value(tp, value, where: str):
     """Type-check one JSON value against a field annotation; build nested configs."""
@@ -275,8 +280,8 @@ def _check_value(tp, value, where: str):
             raise ConfigurationError(f"{where}: expected a list of {item.__name__}, got {value!r}")
         return tuple(_check_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     # bool is a subclass of int, and a float field also takes an int
-    allowed = {int: int, float: (int, float), bool: bool, str: str}[tp]
-    if not isinstance(value, allowed) or (tp is not bool and isinstance(value, bool)):
+    allowed = {int: int, float: (int, float), str: str}[tp]
+    if not isinstance(value, allowed) or isinstance(value, bool):
         raise ConfigurationError(f"{where}: expected {tp.__name__}, got {value!r}")
     # json.loads reads NaN and Infinity, and NaN passes every `> 0` check;
     # the comparison is exact for ints past float64's range too
@@ -286,9 +291,15 @@ def _check_value(tp, value, where: str):
 
 
 def _from_dict(cls, raw, context: str):
-    """Build config dataclass cls from a JSON object, rejecting unknown keys."""
+    """Build config dataclass cls from a JSON object, rejecting unknown keys
+    and dropping _RETIRED_KEYS at their old values."""
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{context}: expected a JSON object, got {raw!r}")
+    retired = _RETIRED_KEYS.get(cls, {})
+    for key, old in retired.items():
+        if key in raw and raw[key] is not old:
+            raise ConfigurationError(f"{context}.{key} was removed; it is read only as {json.dumps(old)}")
+    raw = {k: v for k, v in raw.items() if k not in retired}
     known = {f.name: f for f in fields(cls)}
     unknown = raw.keys() - known.keys()
     if unknown:
@@ -475,7 +486,7 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         schedule=build_schedule(cfg, trial_seed),
         layout=layout,
         global_row=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
-        detector=det.TrialDetector(cfg.detector, cfg.accumulate_wef),
+        detector=det.TrialDetector(cfg.detector),
         rows=np.empty((cfg.clients, layout.num_params)),
     )
     return [run_round(state, t) for t in range(cfg.rounds)]

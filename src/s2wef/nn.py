@@ -83,7 +83,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:  # a zero rate trains nothing
             raise ConfigurationError("learning_rate must be > 0")
-        if self.momentum < 0:
+        if not self.momentum >= 0:
             raise ConfigurationError("momentum must be >= 0")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")

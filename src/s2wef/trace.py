@@ -560,19 +560,18 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     One TrialDetector per trial, set up as the header's config set up the
     run and handed the trial's consecutive rounds together, which it scores
     a chunk at a time; detector overrides the header's detector.  A
-    header-less trace replays with the default detector and no
-    accumulation.  The scores, cluster, flags, vote and free_rider_list of
-    a round must equal the replayed ones, and its metrics those of the
-    replayed flagged set against its roles, in value and in JSON type (1 is
-    not true, 2.0 is not 2); accuracy and submission_digests need the model
-    and go unchecked.  Each result holds the replayed flagged set and metrics,
-    the recorded accuracy, and the path of the first field that differs
-    (such as "cluster.heights[3]"), or None.  A round whose inputs the
+    header-less trace replays with the default detector.  The scores,
+    cluster, flags, vote and free_rider_list of a round must equal the
+    replayed ones, and its metrics those of the replayed flagged set against
+    its roles, in value and in JSON type (1 is not true, 2.0 is not 2);
+    accuracy and submission_digests need the model and go unchecked.  Each
+    result holds the replayed flagged set and metrics, the recorded
+    accuracy, and the path of the first field that differs (such as
+    "cluster.heights[3]"), or None.  A round whose inputs the
     detector refuses raises TraceError naming its line, trial and round.
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)
-    accumulate = cfg is not None and cfg.accumulate_wef
     detectors: dict[int, det.TrialDetector] = {}
     results = []
     # a trial's consecutive rounds with one e go to its detector together
@@ -580,7 +579,7 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     for (trial, e), group in groups:
         recs, where = zip(*group)
         if trial not in detectors:
-            detectors[trial] = det.TrialDetector(name, accumulate)
+            detectors[trial] = det.TrialDetector(name)
         outcomes = _steps(detectors[trial], recs, where, e)
         for rec, (detection, flagged) in zip(recs, outcomes):
             roles = rec["roles"]

@@ -23,24 +23,21 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 def wef_dtype(e: int) -> np.dtype:
     """The type a stack of WEF grids with budget e is held in: the narrowest
-    that holds every count in [0, e], uint8 when e <= 255 and int64 above.
-
-    Sums of grids (accumulated WEFs) can pass e, so they are taken in int64.
-    """
+    that holds every count in [0, e], uint8 when e <= 255 and int64 above."""
     return np.dtype(np.uint8 if e <= np.iinfo(np.uint8).max else np.int64)
 
 
-def _exceeds_mean_change(diff: np.ndarray, signed: bool = False) -> np.ndarray:
-    """Entries whose change strictly exceeds their grid's mean absolute change.
+def _exceeds_mean_change(diff: np.ndarray) -> np.ndarray:
+    """Entries whose absolute change strictly exceeds their grid's mean one.
 
     diff is one (h, w) grid or a (k, h, w) stack, each grid against its own
-    mean.  signed=True compares the signed change instead of its magnitude.
+    mean.
     """
     magnitude = np.abs(diff)
     # each grid's mean reduces its h*w entries as one contiguous run, as
     # magnitude.mean() does for a single grid
     mean = magnitude.reshape(*diff.shape[:-2], -1).mean(axis=-1)
-    return (diff if signed else magnitude) > mean[..., None, None]
+    return magnitude > mean[..., None, None]
 
 
 def build_wef(snapshots: Sequence[np.ndarray]) -> np.ndarray:
@@ -61,23 +58,17 @@ def build_wef(snapshots: Sequence[np.ndarray]) -> np.ndarray:
     return counts
 
 
-def counterfeit_one_step(
-    w_fake: np.ndarray,
-    w_global: np.ndarray,
-    e: int,
-    use_abs: bool = True,
-) -> np.ndarray:
+def counterfeit_one_step(w_fake: np.ndarray, w_global: np.ndarray, e: int) -> np.ndarray:
     """Fabricate a WEF grid from fake weights in a single comparison.
 
     The threshold is the mean absolute difference between the fake and the
-    broadcast global weights; entries that exceed it get the full budget e,
-    everything else stays 0.  use_abs=False switches the comparison to the
-    signed difference instead of its magnitude.
+    broadcast global weights; entries whose absolute difference exceeds it
+    get the full budget e, everything else stays 0.
     """
     if e < 1:
         raise ConfigurationError("counterfeit budget e must be >= 1")
     w_fake = np.asarray(w_fake, dtype=np.float64)
     w_global = np.asarray(w_global, dtype=np.float64)
     _check_same_shape(w_fake, w_global, "counterfeit_one_step")
-    exceeds = _exceeds_mean_change(w_fake - w_global, signed=not use_abs)
+    exceeds = _exceeds_mean_change(w_fake - w_global)
     return np.where(exceeds, e, 0)

@@ -151,7 +151,7 @@ def test_criterion_3_dwa_equality():
         model = init_model(layout.sizes, seed=int(rng.integers(1_000_000)))
         prev = model + rng.normal(0, 0.05, layout.num_params)
         e = int(rng.integers(1, 9))
-        _, wef = dwa(layout, model, prev, e, use_abs=True)
+        _, wef = dwa(layout, model, prev, e)
         simulated = simulate_global_wef(layout.penultimate(model), layout.penultimate(prev), e)
         np.testing.assert_array_equal(wef, simulated, err_msg=f"case {case}")
     announce(3, "delta-replay equality", True, "50 random global pairs exact")

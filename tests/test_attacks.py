@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,30 @@ def test_rwa_default_range():
 def test_rwa_rejects_bad_range(globals_pair):
     with pytest.raises(ConfigurationError):
         rwa(LAYOUT, globals_pair[0], 0.0, e=5, seed=1)
+
+
+def test_rwa_range_is_bounded_where_numpy_can_draw_it(globals_pair):
+    """rng.uniform needs the width 2R finite: R = max / 2 draws, and the
+    next float up is refused, as NaN is."""
+    top = sys.float_info.max / 2
+    with np.errstate(over="ignore"):  # the counterfeit's mean change overflows
+        row, _ = rwa(LAYOUT, globals_pair[0], top, e=5, seed=1)
+    assert np.isfinite(row).all()
+    assert AttackParams(kind="RWA", rwa_range=top).rwa_range == top
+    for bad in (np.nextafter(top, np.inf), float("nan")):
+        with pytest.raises(ConfigurationError, match="rwa_range"):
+            AttackParams(kind="RWA", rwa_range=bad)
+        with pytest.raises(ConfigurationError, match="rwa_range"):
+            rwa(LAYOUT, globals_pair[0], bad, e=5, seed=1)
+
+
+def test_noise_attacks_refuse_a_nan_sigma(globals_pair):
+    now, prev = globals_pair
+    nan = float("nan")
+    for attack in (lambda: spa(LAYOUT, now, nan, e=5, seed=1), lambda: adwa(LAYOUT, now, prev, nan, e=5, seed=1),
+                   lambda: awca(LAYOUT, now, prev, 5, nan, seed=1)):
+        with pytest.raises(ConfigurationError, match="sigma"):
+            attack()
 
 
 def test_dwa_degenerate_history(globals_pair):
@@ -156,8 +181,7 @@ def test_make_submission_dispatch(globals_pair):
 
 # sha256 of each attack's fabricated row and grid bytes from the fixture's
 # pair, recorded before parameters became rows.  At the defaults, DWA, ADWA
-# and AWCA fabricate one grid; noisier AWCA steps and DWA's signed
-# comparison give grids of their own.
+# and AWCA fabricate one grid; noisier AWCA steps give a grid of their own.
 PINNED = {
     "RWA": ({"kind": "RWA"}, "4540ef1863f52e7b8e896b0951901b2628ec513f1f799506d00ebba916176690",
             "331cc43dd4e684372fdc9f05de24230589cda1164c33499460c95cddb7fbf057"),
@@ -172,9 +196,6 @@ PINNED = {
     "AWCA-noisy": ({"kind": "AWCA", "awca_sigma": 1e-2},
                    "d484870625e7b273d37b4f09601c99dbcf2a9899db2c39dd7e6ecf39b344e7a4",
                    "93c1cd6b5ca20b242cf6d425572765a90c2c6e11fbc9e0bb497a2451c38874ff"),
-    "DWA-signed": ({"kind": "DWA", "counterfeit_abs": False},
-                   "cba3764667c8477ae1962bcca8659be22cf8d0dc9d0eb8460cae9cdf07fb97f4",
-                   "da6afcc8c2dcc29c5bd5d16fcbf6b9d9cda3f8d3db691c9f103fdf6fc722096b"),
 }
 
 

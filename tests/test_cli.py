@@ -132,7 +132,7 @@ def test_invalid_config_writes_nothing(tmp_path):
         {"dataset": {"spread": "x"}},
         {"train": {"local_iterations": 1.5}},
         {"seeds": [-1]},
-        {"accumulate_wef": "no"},
+        {"rounds": True},
         {"seeds": [1, 1]},
         {"train": {"learning_rate": 0}},
         # json.loads reads NaN and Infinity, which no float field may hold
@@ -142,6 +142,8 @@ def test_invalid_config_writes_nothing(tmp_path):
         {"dataset": {"spread": float("nan")}},
         {"train": {"learning_rate": float("inf")}},
         {"attack": {"kind": "RWA", "rwa_range": 10**400}},
+        # finite, but numpy draws from no range 2e308 wide
+        {"attack": {"kind": "RWA", "rwa_range": 1e308}},
     ],
 )
 def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides):
@@ -151,6 +153,72 @@ def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides)
     assert rc == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+def with_retired_keys(config: dict) -> dict:
+    """A config dict as config.json and trace headers held it while
+    accumulate_wef and counterfeit_abs were options: each key at the one
+    value ever written, in its place."""
+    old = {}
+    for key, value in config.items():
+        old[key] = {**value, "counterfeit_abs": True} if key == "attack" and value else value
+        if key == "detector":
+            old["accumulate_wef"] = False
+    return old
+
+
+def test_config_with_the_retired_keys_at_their_old_values_runs_alike(tmp_path):
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(new), "--quiet"]) == 0
+    written = json.loads((new / "config.json").read_text())
+    assert {"accumulate_wef", "counterfeit_abs"}.isdisjoint({*written, *written["attack"]})
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(with_retired_keys(written), indent=2))
+    assert main(["run", "--config", str(path), "--out", str(old), "--quiet"]) == 0
+    for name in ("trace.jsonl", "metrics.csv", "summary.txt", "config.json"):
+        assert (old / name).read_bytes() == (new / name).read_bytes()
+
+
+def test_trace_with_the_retired_keys_at_their_old_values_replays(tmp_path, capsys, dwa_s1_lines):
+    lines = json.loads(json.dumps(dwa_s1_lines))
+    lines[0]["header"]["config"] = with_retired_keys(lines[0]["header"]["config"])
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 0
+    assert capsys.readouterr().out == "replay consistent over 20 rounds\n"
+
+
+# a retired key at any value but the one ever written
+RETIRED_EDITS = {
+    "accumulate_wef-true": (lambda cfg: cfg.update(accumulate_wef=True), "config.accumulate_wef"),
+    "accumulate_wef-0": (lambda cfg: cfg.update(accumulate_wef=0), "config.accumulate_wef"),
+    "counterfeit_abs-false": (lambda cfg: cfg["attack"].update(counterfeit_abs=False),
+                              "config.attack.counterfeit_abs"),
+}
+
+
+@pytest.mark.parametrize("edit, key", RETIRED_EDITS.values(), ids=RETIRED_EDITS.keys())
+def test_config_with_a_retired_key_at_another_value_exits_2_and_writes_nothing(tmp_path, capsys, edit, key):
+    config = tiny_config()
+    edit(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert f"config error: {key} was removed; it is read only as " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, key", RETIRED_EDITS.values(), ids=RETIRED_EDITS.keys())
+def test_trace_header_with_a_retired_key_at_another_value_exits_2(tmp_path, capsys, trace_lines, edit, key):
+    lines = json.loads(json.dumps(trace_lines))
+    lines[0]["header"]["config"] = with_retired_keys(lines[0]["header"]["config"])
+    edit(lines[0]["header"]["config"])
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert f"trace error: {trace}:1: header {key} was removed; it is read only as " in printed.err
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
 # a key given twice in one object, at the root and in each nested config object
@@ -251,14 +319,10 @@ def test_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch,
     assert existing.read_text() == "keep me\n"
 
 
-@pytest.mark.parametrize(
-    "detector, accumulate",
-    [(name, False) for name in DETECTORS] + [("S2WEF", True), ("WEF_NA_BASELINE", True)],
-    ids=[*DETECTORS, "S2WEF-accumulate", "WEF_NA_BASELINE-accumulate"],
-)
-def test_detect_trace_idempotent(tmp_path, detector, accumulate):
-    # replay takes the detector and accumulation mode from the trace header
-    path = write_config(tmp_path, rounds=6, accumulate_wef=accumulate)
+@pytest.mark.parametrize("detector", list(DETECTORS))
+def test_detect_trace_idempotent(tmp_path, detector):
+    # replay takes the detector from the trace header
+    path = write_config(tmp_path, rounds=6)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out), "--detector", detector, "--quiet"]) == 0
     assert main(["detect-trace", "--trace", str(out / "trace.jsonl"), "--quiet"]) == 0
@@ -502,8 +566,7 @@ def test_detect_trace_roles_unlike_the_headers_schedule_exits_2(tmp_path, capsys
     assert message in capsys.readouterr().err
 
 
-def _drop_a_client_under_accumulation(lines):
-    lines[0]["header"]["config"]["accumulate_wef"] = True
+def _drop_a_client(lines):
     lines[3]["wefs"].pop()
     lines[3]["roles"].pop()
 
@@ -512,7 +575,7 @@ def _drop_a_client_under_accumulation(lines):
 # but change the trial's WEF stack, (5 clients, 32, 4) in its first round
 RESHAPED = {
     "transposed": (lambda lines: lines[3].update(wef_shape=[4, 32]), "(5, 4, 32)"),
-    "client-dropped-accumulating": (_drop_a_client_under_accumulation, "(4, 32, 4)"),
+    "client-dropped": (_drop_a_client, "(4, 32, 4)"),
 }
 
 

@@ -30,7 +30,6 @@ from s2wef.detect import (
 )
 from s2wef import detect as det
 from s2wef.errors import ConfigurationError, HistoryError, ShapeError
-from s2wef.trace import detection_fields
 from s2wef.wef import wef_dtype
 
 from test_detect_oracle import run_detector, ward_merge_sequence
@@ -149,7 +148,7 @@ def test_simulate_equals_dwa_counterfeit():
         e = int(rng.integers(1, 8))
         simulated = simulate_global_wef(now, prev, e)
         fake = now + (now - prev)
-        counterfeit = counterfeit_one_step(fake, now, e, use_abs=True)
+        counterfeit = counterfeit_one_step(fake, now, e)
         np.testing.assert_array_equal(simulated, counterfeit)
 
 
@@ -549,36 +548,6 @@ def test_baseline_accumulation_changes_input():
     assert not detection.decision.free_rider_list  # the baseline flags outside the vote
 
 
-def test_trial_detector_rejects_a_stack_unlike_its_running_sums():
-    now = np.zeros((2, 2))
-    detector = TrialDetector("S2WEF", accumulate=True)
-    detector.step(np.ones((3, 2, 2), dtype=np.int64), now, e=5)
-    with pytest.raises(ShapeError, match=r"\(3, 2, 1\) vs running sums \(3, 2, 2\)"):
-        detector.step(np.ones((3, 2, 1), dtype=np.int64), now, e=5)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    budget=st.sampled_from([(12, 25), (200, 3)]),  # (e, rounds): running sums up to 300 and 600
-    n=st.integers(3, 8),
-    h=st.integers(1, 4),
-    w=st.integers(1, 4),
-    name=st.sampled_from(sorted(name for name, spec in DETECTORS.items() if spec is not None)),
-)
-def test_accumulated_uint8_grids_score_as_int64_grids_past_255(seed, budget, n, h, w, name):
-    e, rounds = budget
-    assert wef_dtype(e) == np.uint8
-    rng = np.random.default_rng(seed)
-    grids = rng.integers(0, e + 1, size=(rounds, n, h, w))
-    grids[:, rng.integers(n)] = e  # one client at the full budget: its running sums pass 255
-    pens = rng.normal(size=(rounds, h, w))
-    narrow, wide = TrialDetector(name, accumulate=True), TrialDetector(name, accumulate=True)
-    for t in range(rounds):
-        held = narrow.step(grids[t].astype(np.uint8), pens[t], e)
-        assert detection_fields(*held) == detection_fields(*wide.step(grids[t], pens[t], e))
-
-
 # --- full round pipeline ----------------------------------------------------------
 
 def synthetic_round(seed=0, n=6, h=4, w=3, e=5, attackers=(0,)):
@@ -720,16 +689,16 @@ def test_three_clients_finite_and_repeatable(data, h, w, e):
 # --- rounds scored together ------------------------------------------------------
 
 def round_grids(rng, kind, n, h, w, e, simulated):
-    """One round's (n, h, w) uint8 grids of the given kind."""
+    """One round's (n, h, w) grids of the given kind, of wef_dtype(e) as a run holds them."""
     if kind == "zero":
-        return np.zeros((n, h, w), dtype=np.uint8)
+        return np.zeros((n, h, w), dtype=wef_dtype(e))
     if kind == "equal":
-        return np.repeat(rng.integers(0, e + 1, size=(1, h, w)), n, axis=0).astype(np.uint8)
+        return np.repeat(rng.integers(0, e + 1, size=(1, h, w)), n, axis=0).astype(wef_dtype(e))
     grids = rng.integers(0, e + 1, size=(n, h, w))
     if kind == "colluders":  # a block of identical grids, the simulated one or another
         block = rng.choice(n, size=rng.integers(2, n + 1), replace=False)
         grids[block] = simulated if rng.random() < 0.5 else rng.integers(0, e + 1, size=(h, w))
-    return grids.astype(np.uint8)
+    return grids.astype(wef_dtype(e))
 
 
 def trial(rng, rounds, n, h, w, e, kinds):
@@ -753,9 +722,9 @@ def trial_rounds(draw):
 
 
 def long_trial():
-    """25 rounds at e = 12 with one client at the full budget: its running sums reach 300."""
+    """25 rounds at e = 300, in int64 grids, with one client at the full budget."""
     rng = np.random.default_rng(16)
-    wefs, pens, e = trial(rng, 25, 6, 3, 4, 12, rng.choice(["random", "colluders", "equal"], size=25))
+    wefs, pens, e = trial(rng, 25, 6, 3, 4, 300, rng.choice(["random", "colluders", "equal"], size=25))
     for grids in wefs:
         grids[2] = e
     return wefs, pens, e
@@ -782,31 +751,30 @@ def median_standardize(x):
 def test_rounds_scored_together_score_as_each_round_alone(rounds, size):
     wefs, pens, e = rounds
     size = min(size, len(wefs))  # rounds a chunk
-    for accumulate in (False, True):
-        grids = np.cumsum(wefs, axis=0, dtype=np.int64) if accumulate else np.stack(wefs)
-        if len(wefs) > 1:
-            sims = simulate_global_wef(np.stack(pens[1:]), np.stack(pens[:-1]), e)
-            for mode in (det.GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
-                together = det._scores(grids[1:], sims, mode)
-                for k in range(len(wefs) - 1):
-                    alone = det._scores(grids[k + 1], sims[k], mode)
-                    for a, b in zip(together, alone):
-                        assert a[k].tobytes() == b.tobytes()
-                    gammas, devs = alone[:2]
-                    # the sort-based median rounds as np.median
-                    z = np.column_stack([median_standardize(gammas), median_standardize(devs)])
-                    assert alone[2].tobytes() == z.tobytes()
-                    assert alone[4].tobytes() == (gammas > 1.5 * np.median(gammas)).tobytes()
-        for name in DETECTORS:
-            one = TrialDetector(name, accumulate)
-            alone = [detection_bits(*one.step(g, p, e)) for g, p in zip(wefs, pens)]
-            with patch.object(det, "_chunk_rounds", lambda n, h, w: size):
-                together = TrialDetector(name, accumulate).steps(wefs, pens, e)
-            assert [detection_bits(*r) for r in together] == alone
-            if DETECTORS[name] not in (None, det.BASELINE):  # detect_round scoring its own round
-                for t in range(1, len(wefs)):
-                    direct = detect_round(grids[t], pens[t], pens[t - 1], e, *DETECTORS[name])
-                    assert detection_bits(direct, direct.decision.free_rider_list) == alone[t]
+    grids = np.stack(wefs)
+    if len(wefs) > 1:
+        sims = simulate_global_wef(np.stack(pens[1:]), np.stack(pens[:-1]), e)
+        for mode in (det.GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
+            together = det._scores(grids[1:], sims, mode)
+            for k in range(len(wefs) - 1):
+                alone = det._scores(grids[k + 1], sims[k], mode)
+                for a, b in zip(together, alone):
+                    assert a[k].tobytes() == b.tobytes()
+                gammas, devs = alone[:2]
+                # the sort-based median rounds as np.median
+                z = np.column_stack([median_standardize(gammas), median_standardize(devs)])
+                assert alone[2].tobytes() == z.tobytes()
+                assert alone[4].tobytes() == (gammas > 1.5 * np.median(gammas)).tobytes()
+    for name in DETECTORS:
+        one = TrialDetector(name)
+        alone = [detection_bits(*one.step(g, p, e)) for g, p in zip(wefs, pens)]
+        with patch.object(det, "_chunk_rounds", lambda n, h, w: size):
+            together = TrialDetector(name).steps(wefs, pens, e)
+        assert [detection_bits(*r) for r in together] == alone
+        if DETECTORS[name] not in (None, det.BASELINE):  # detect_round scoring its own round
+            for t in range(1, len(wefs)):
+                direct = detect_round(grids[t], pens[t], pens[t - 1], e, *DETECTORS[name])
+                assert detection_bits(direct, direct.decision.free_rider_list) == alone[t]
 
 
 @st.composite
@@ -980,21 +948,20 @@ def test_float32_blocks_up_to_the_largest_exact_peak(size):
     assert {block.dtype for _, block in det._float_blocks(stack, edge + 1)} == {np.dtype(np.float64)}
 
 
-def test_running_sums_crossing_the_float32_bound_score_as_float64():
-    """Client 2 submits e = 255 every round, so its running sums reach 1020
-    after 4 rounds and 1275 after 5, on either side of 1023, the largest
-    float32 peak of 4 x 4 grids: of replay's chunks of 4 rounds, the first
-    takes float32 blocks and the second float64."""
-    wefs, pens, e = trial(np.random.default_rng(18), 8, 6, 4, 4, 255, ["random", "colluders"] * 4)
-    for grids in wefs:
-        grids[2] = e
-    sums = np.cumsum(wefs, axis=0, dtype=np.int64)
-    assert sums[:4].max() <= largest_float32_peak(16) < sums[4].max()
+def test_grids_crossing_the_float32_bound_between_chunks_score_as_float64():
+    """4 x 4 grids at e = 2000 whose first 4 rounds peak at 1023 or below,
+    the largest float32 peak of 16 entries, and whose last 4 rounds do not:
+    of replay's chunks of 4 rounds, the first takes float32 blocks for Dev
+    and the second float64."""
+    wefs, pens, e = trial(np.random.default_rng(18), 8, 6, 4, 4, 2000, ["random", "colluders"] * 4)
+    for grids in wefs[:4]:
+        np.minimum(grids, 1023, out=grids)
+    assert max(g.max() for g in wefs[:4]) <= largest_float32_peak(16) < min(g.max() for g in wefs[4:])
     for name in DETECTORS:
         with patch.object(det, "_chunk_rounds", lambda n, h, w: 4):
-            mixed = TrialDetector(name, accumulate=True).steps(wefs, pens, e)
+            mixed = TrialDetector(name).steps(wefs, pens, e)
             with float64_only():
-                expected = TrialDetector(name, accumulate=True).steps(wefs, pens, e)
+                expected = TrialDetector(name).steps(wefs, pens, e)
         assert [detection_bits(*r) for r in mixed] == [detection_bits(*r) for r in expected]
 
 

@@ -128,13 +128,12 @@ ENCODED_RUNS = pytest.mark.parametrize(
     [
         {},
         {
-            "accumulate_wef": True,
             "rounds": 8,
             "seeds": (3,),
             "train": TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=12),
         },
     ],
-    ids=["dwa", "accumulate-two-digit"],
+    ids=["dwa", "two-digit"],
 )
 
 
@@ -190,7 +189,6 @@ def replayable_configs(draw):
         attack=None if clean else AttackParams(kind=draw(st.sampled_from(ATTACK_KINDS))),
         partition=draw(st.sampled_from(PARTITIONS)),
         detector=draw(st.sampled_from(sorted(DETECTORS))),
-        accumulate_wef=draw(st.booleans()),
         rounds=4,
         # counts reach 10 and more from 10 local iterations on: rows of 2-digit counts
         train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=draw(st.integers(1, 12))),
@@ -509,7 +507,7 @@ def reports():
     """Runs whose WEF counts have one digit and two."""
     one_digit = run_simulation(small_cfg(rounds=3, seeds=(1,)))
     two_digits = run_simulation(small_cfg(
-        rounds=3, seeds=(3,), accumulate_wef=True,
+        rounds=3, seeds=(3,),
         train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=12),
     ))
     return [one_digit, two_digits]

@@ -100,13 +100,10 @@ def test_counterfeit_values_only_zero_or_e():
         assert set(np.unique(f)) <= {0, 7}
 
 
-def test_counterfeit_signed_vs_abs():
+def test_counterfeit_compares_magnitudes():
     base = np.zeros((1, 3))
-    fake = np.array([[1.0, -1.0, 0.1]])  # alpha = 0.7
-    with_abs = counterfeit_one_step(fake, base, 5, use_abs=True)
-    signed = counterfeit_one_step(fake, base, 5, use_abs=False)
-    np.testing.assert_array_equal(with_abs, [[5, 5, 0]])
-    np.testing.assert_array_equal(signed, [[5, 0, 0]])
+    fake = np.array([[1.0, -1.0, 0.1]])  # alpha = 0.7: a fall by 1 counts as a rise by 1 does
+    np.testing.assert_array_equal(counterfeit_one_step(fake, base, 5), [[5, 5, 0]])
 
 
 @settings(max_examples=50, deadline=None)
