@@ -70,7 +70,9 @@ class ClusterOutcome:
 
 @dataclass(frozen=True)
 class DetectionDecision:
-    """Threshold flags, vote proportions, and the round's labels."""
+    """Threshold flags, vote proportions, and the round's labels:
+    free_rider_list is the flagged set under every detector, the baseline's
+    (whose flags and vote stay empty) included."""
 
     flags_gamma: np.ndarray
     flags_dev: np.ndarray
@@ -623,11 +625,12 @@ def _round_stack(wefs: Sequence[np.ndarray]) -> np.ndarray:
     return grids
 
 
-def _baseline(devs: np.ndarray) -> tuple[RoundDetection, frozenset[int]]:
-    # the baseline records its Dev scores and flags outside the vote, so its
-    # decision stays empty and the flagged set is returned separately
+def _baseline(devs: np.ndarray) -> RoundDetection:
+    # the baseline records its Dev scores and flags outside the vote: its
+    # flags and vote stay empty
     empty = empty_round_detection(len(devs))
-    return replace(empty, scores=replace(empty.scores, dev=devs)), wef_defense_baseline(devs)
+    decision = replace(empty.decision, free_rider_list=wef_defense_baseline(devs))
+    return replace(empty, scores=replace(empty.scores, dev=devs), decision=decision)
 
 
 def _detect_rounds(
@@ -636,12 +639,12 @@ def _detect_rounds(
     pens_now: Sequence[np.ndarray],
     pens_prev: Sequence[np.ndarray | None],
     e: int,
-) -> list[tuple[RoundDetection, frozenset[int]]]:
-    """The named detector on each of R consecutive rounds of a trial, each
-    round's record and flagged set.  The rounds' score stage is taken in one
-    pass, and so are Ward and the silhouette when R >= 2; a single round,
-    each round of a run, keeps the per-round ward_hac and
-    silhouette_two_clusters, which are faster on one round.
+) -> list[RoundDetection]:
+    """The named detector on each of R consecutive rounds of a trial.  The
+    rounds' score stage is taken in one pass, and so are Ward and the
+    silhouette when R >= 2; a single round, each round of a run, keeps the
+    per-round ward_hac and silhouette_two_clusters, which are faster on one
+    round.
 
     wefs holds the rounds' (n, h, w) grids, pens_now their broadcasts and
     pens_prev the broadcast before each, of which only the first can be
@@ -652,7 +655,7 @@ def _detect_rounds(
     spec = DETECTORS[name]
     n = len(wefs[0])
     skip = len(wefs) if spec is None else int(pens_prev[0] is None)
-    results = [(empty_round_detection(n), frozenset()) for _ in range(skip)]
+    results = [empty_round_detection(n) for _ in range(skip)]
     if skip == len(wefs):
         return results
     if spec != BASELINE and n < 3:
@@ -667,23 +670,23 @@ def _detect_rounds(
     if len(grids) > 1:
         heights, labels = _ward_rounds(scores[3])
         clusters = list(zip(heights, labels, _silhouette_rounds(scores[3], labels).tolist()))
-    for k, t in enumerate(range(skip, len(wefs))):
-        detection = detect_round(
+    return results + [
+        detect_round(
             grids[k], pens_now[t], pens_prev[t], e, gamma_mode=gamma_mode,
             require_vote=require_vote, scores=tuple(s[k] for s in scores), clusters=clusters[k],
         )
-        results.append((detection, detection.decision.free_rider_list))
-    return results
+        for k, t in enumerate(range(skip, len(wefs)))
+    ]
 
 
-# Transient arrays a chunk of TrialDetector.steps may hold: 200-client
-# rounds of 256 x 10 grids are scored one at a time, 10-client rounds 11 at
-# a time, and replay peaks below 2.8 MB of detector arrays (tracemalloc).
+# Transient arrays a chunk of detect_trial may hold: 200-client rounds of
+# 256 x 10 grids are scored one at a time, 10-client rounds 11 at a time,
+# and replay peaks below 2.8 MB of detector arrays (tracemalloc).
 _CHUNK_BYTES = 4_000_000
 
 
 def _chunk_rounds(n: int, h: int, w: int) -> int:
-    """How many rounds of n clients' h x w grids steps scores in one pass."""
+    """How many rounds of n clients' h x w grids detect_trial scores in one pass."""
     # at most one float64 block of _BLOCK_ENTRIES, and per round: the stacked
     # grids (8 bytes an entry, the widest wef_dtype), five float64 h x w
     # arrays that simulate the broadcast's WEF, nine float64 n x n arrays of
@@ -693,38 +696,25 @@ def _chunk_rounds(n: int, h: int, w: int) -> int:
     return max(1, (_CHUNK_BYTES - 8 * _BLOCK_ENTRIES) // per_round)
 
 
-class TrialDetector:
-    """What the server's detector sees over the rounds of one trial.
+def detect_trial(
+    name: str,
+    wefs: Sequence[np.ndarray],
+    pens_now: Sequence[np.ndarray],
+    pen_before: np.ndarray | None,
+    e: int,
+) -> list[RoundDetection]:
+    """The named detector over consecutive rounds of a trial with one budget
+    e, given each round's (n, h, w) WEF grids and broadcast, and pen_before,
+    the broadcast before the first (None at the trial's first round).
 
-    Each round it scores the submitted grids against the last two
-    broadcasts, so it remembers the previous broadcast's penultimate
-    matrix.  The simulator steps one per trial round by round; trace replay
-    hands it a trial's rounds at once, and it scores and clusters a chunk
-    of them in one pass.  Both go through _detect_rounds and detect_round,
-    so each round gets what the run saw.
+    The run detects a chunk of one round; replay hands in a trial's rounds,
+    scored a chunk at a time.  Each round's result is, to the bit, what a
+    chunk of one gives.
     """
-
-    def __init__(self, name: str):
-        self.name = name
-        self._prev_pen: np.ndarray | None = None
-
-    def step(
-        self, wefs: np.ndarray, pen_now: np.ndarray, e: int
-    ) -> tuple[RoundDetection, frozenset[int]]:
-        """Detect on this round's (n, h, w) WEF grids, broadcast pen_now, budget e."""
-        return self.steps([wefs], [pen_now], e)[0]
-
-    def steps(
-        self, wefs: Sequence[np.ndarray], pens_now: Sequence[np.ndarray], e: int
-    ) -> list[tuple[RoundDetection, frozenset[int]]]:
-        """step over consecutive rounds with one budget e, given each round's
-        (n, h, w) WEF grids and broadcast.  Each round's result is, to the
-        bit, what stepping it alone (a chunk of one round) gives."""
-        results = []
-        size = _chunk_rounds(*np.shape(wefs[0])) if len(wefs) > 1 else 1
-        for start in range(0, len(wefs), size):
-            chunk = wefs[start:start + size]
-            pens = pens_now[start:start + size]
-            results += _detect_rounds(self.name, chunk, pens, [self._prev_pen, *pens[:-1]], e)
-            self._prev_pen = pens[-1]
-        return results
+    size = _chunk_rounds(*np.shape(wefs[0])) if len(wefs) > 1 else 1
+    pens_prev = [pen_before, *pens_now[:-1]]
+    results = []
+    for start in range(0, len(wefs), size):
+        chunk = slice(start, start + size)
+        results += _detect_rounds(name, wefs[chunk], pens_now[chunk], pens_prev[chunk], e)
+    return results

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import detect as det
-from .attacks import AttackParams, make_submission
+from .attacks import _RWA_RANGE_MAX, AttackParams, make_submission
 from .errors import ConfigurationError, NumericError, S2wefError
 from .nn import DatasetShard, Layout, TrainConfig, evaluate_accuracy, init_model, local_train
 from .wef import wef_dtype
@@ -252,6 +252,13 @@ class SimConfig:
             )
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ConfigurationError("hidden_layers must be nonempty positive sizes")
+        # RWA's counterfeit takes the mean of its h * w absolute changes, each
+        # up to rwa_range, and their sum must stay finite
+        cells = self.hidden_layers[-1] * self.dataset.classes
+        if self.attack and self.attack.kind == "RWA" and not self.attack.rwa_range * cells <= _RWA_RANGE_MAX:
+            raise ConfigurationError(
+                f"attack.rwa_range times the {cells} penultimate weights must be <= {_RWA_RANGE_MAX!r}"
+            )
 
     @property
     def architecture(self) -> list[int]:
@@ -339,8 +346,7 @@ class RoundRecord:
     round_index: int
     roles: np.ndarray  # True where the client free-rode
     wefs: np.ndarray  # (n, h, w) counts, one WEF grid per client, of wef_dtype(e)
-    detection: det.RoundDetection
-    free_riders: frozenset[int]
+    detection: det.RoundDetection  # its decision's free_rider_list is the flagged set
     metrics: Metrics
     accuracy: float
     global_pen_before: np.ndarray
@@ -366,7 +372,6 @@ class _TrialState:
     schedule: np.ndarray
     layout: Layout
     global_row: np.ndarray  # the broadcast model's (P,) parameters
-    detector: det.TrialDetector
     # Every round's (n, P) float64 submissions, and once they are averaged,
     # the evaluation's activations that fit.  Fresh arrays each round left
     # an 11 MB heap hole at 200 clients that a later allocation could
@@ -432,13 +437,15 @@ def _submissions(state: _TrialState, t: int) -> tuple[np.ndarray, np.ndarray]:
 def run_round(state: _TrialState, t: int) -> RoundRecord:
     """One communication round: submit, detect, aggregate, evaluate."""
     cfg = state.cfg
-    n = cfg.clients
+    n, e = cfg.clients, cfg.train.local_iterations
     global_pen_before = state.layout.penultimate(state.global_row).copy()
+    pen_prev = None if state.previous_global is None else state.layout.penultimate(state.previous_global)
 
     try:
         submissions, wefs = _submissions(state, t)
-        detection, flagged = state.detector.step(wefs, global_pen_before, cfg.train.local_iterations)
-        kept = set(range(n)) - set(flagged)
+        (detection,) = det.detect_trial(cfg.detector, [wefs], [global_pen_before], pen_prev, e)
+        flagged = detection.decision.free_rider_list
+        kept = set(range(n)) - flagged
         new_global, digests = aggregate_fedavg(submissions, kept)
         if not np.isfinite(new_global).all():  # finite rows whose mean overflows
             raise NumericError("non-finite parameters")
@@ -456,11 +463,10 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         roles=state.schedule[t].copy(),
         wefs=wefs,
         detection=detection,
-        free_riders=flagged,
         metrics=metrics,
         accuracy=accuracy,
         global_pen_before=global_pen_before,
-        e=cfg.train.local_iterations,
+        e=e,
         submission_digests=digests,
     )
     state.previous_global = state.global_row
@@ -486,7 +492,6 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         schedule=build_schedule(cfg, trial_seed),
         layout=layout,
         global_row=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
-        detector=det.TrialDetector(cfg.detector),
         rows=np.empty((cfg.clients, layout.num_params)),
     )
     return [run_round(state, t) for t in range(cfg.rounds)]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import copy
 import csv
 import json
 import math
@@ -132,9 +131,9 @@ def decode_float_matrix(text: object, h: int, w: int) -> np.ndarray | None:
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def detection_fields(d: det.RoundDetection, flagged: frozenset[int]) -> dict:
-    """The record fields of a round's detection and flagged set, in record
-    order: what the trace writer writes and what replay recomputes."""
+def detection_fields(d: det.RoundDetection) -> dict:
+    """The record fields of a round's detection, in record order: what the
+    trace writer writes and what replay recomputes."""
     return {
         "scores": {
             "gamma": d.scores.gamma.tolist(),
@@ -157,7 +156,7 @@ def detection_fields(d: det.RoundDetection, flagged: frozenset[int]) -> dict:
             "p_dev": float(d.decision.p_dev),
             "detected": bool(d.decision.detected),
         },
-        "free_rider_list": sorted(int(i) for i in flagged),
+        "free_rider_list": sorted(int(i) for i in d.decision.free_rider_list),
     }
 
 
@@ -172,7 +171,7 @@ def encode_record(rec: RoundRecord) -> str:
         "wef_shape": [h, w],
     }
     middle = {
-        **detection_fields(rec.detection, rec.free_riders),
+        **detection_fields(rec.detection),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
     }
@@ -535,20 +534,22 @@ def _first_difference(recorded, replayed, path: str) -> str:
     return path
 
 
-def _steps(
-    detector: det.TrialDetector, recs: Sequence[dict], where: Sequence[str], e: int
-) -> list[tuple[det.RoundDetection, frozenset[int]]]:
-    """detector.steps over the consecutive round records recs, found at
-    where.  When the detector raises, the rounds are stepped one at a time
-    from the state before them, and the first that raises alone is named:
-    a chunk refuses its rounds' inputs together."""
-    before = copy.copy(detector)  # steps replaces its state, never edits it
+def _detect(
+    name: str, recs: Sequence[dict], where: Sequence[str], pen_before: np.ndarray | None, e: int
+) -> list[det.RoundDetection]:
+    """det.detect_trial over the consecutive round records recs of one
+    trial, found at where, after the trial's round whose global_pen is
+    pen_before (None before its first round).  When the detector raises,
+    the rounds are detected one at a time, each after the record before it,
+    and the first that raises alone is named: a chunk refuses its rounds'
+    inputs together."""
+    pens = [r["global_pen"] for r in recs]
     try:
-        return detector.steps([r["wefs"] for r in recs], [r["global_pen"] for r in recs], e)
+        return det.detect_trial(name, [r["wefs"] for r in recs], pens, pen_before, e)
     except S2wefError:
-        for rec, at in zip(recs, where):
+        for rec, at, before in zip(recs, where, [pen_before, *pens]):
             try:
-                before.step(rec["wefs"], rec["global_pen"], e)
+                det.detect_trial(name, [rec["wefs"]], [rec["global_pen"]], before, e)
             except S2wefError as exc:
                 raise TraceError(f"{at}: trial {rec['trial']} round {rec['round']}: {exc}") from exc
         raise
@@ -557,10 +558,10 @@ def _steps(
 def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """Replay every round and check each recorded field replay recomputes.
 
-    One TrialDetector per trial, set up as the header's config set up the
-    run and handed the trial's consecutive rounds together, which it scores
-    a chunk at a time; detector overrides the header's detector.  A
-    header-less trace replays with the default detector.  The scores,
+    The header's detector, unless detector overrides it, takes each run of
+    a trial's consecutive rounds with one e together (det.detect_trial),
+    after the global_pen of the trial's round before them.  A header-less
+    trace replays with the default detector.  The scores,
     cluster, flags, vote and free_rider_list of a round must equal the
     replayed ones, and its metrics those of the replayed flagged set against
     its roles, in value and in JSON type (1 is not true, 2.0 is not 2);
@@ -572,20 +573,18 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)
-    detectors: dict[int, det.TrialDetector] = {}
+    last_pen: dict[int, np.ndarray] = {}  # trial -> the global_pen of its last round so far
     results = []
-    # a trial's consecutive rounds with one e go to its detector together
     groups = groupby(zip(trace, trace.where), key=lambda item: (item[0]["trial"], item[0]["e"]))
     for (trial, e), group in groups:
         recs, where = zip(*group)
-        if trial not in detectors:
-            detectors[trial] = det.TrialDetector(name)
-        outcomes = _steps(detectors[trial], recs, where, e)
-        for rec, (detection, flagged) in zip(recs, outcomes):
+        detections = _detect(name, recs, where, last_pen.get(trial), e)
+        last_pen[trial] = recs[-1]["global_pen"]
+        for rec, detection in zip(recs, detections):
             roles = rec["roles"]
             truth = [i for i, role in enumerate(roles) if role == "free_rider"]
-            metrics = compute_metrics(truth, flagged, len(roles))
-            replayed = {**detection_fields(detection, flagged), "metrics": asdict(metrics)}
+            metrics = compute_metrics(truth, detection.decision.free_rider_list, len(roles))
+            replayed = {**detection_fields(detection), "metrics": asdict(metrics)}
             field = next(
                 (_first_difference(rec[key], value, key) for key, value in replayed.items()
                  if not _matches(rec[key], value)),
@@ -624,7 +623,7 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
                     "trial": seed,
                     "round": rec.round_index,
                     "true_free_riders": int(rec.roles.sum()),
-                    "flagged": len(rec.free_riders),
+                    "flagged": len(rec.detection.decision.free_rider_list),
                     **{m: f"{getattr(rec.metrics, m):.6f}" for m in _METRICS},
                     "accuracy": f"{rec.accuracy:.6f}",
                 })

@@ -144,6 +144,8 @@ def test_invalid_config_writes_nothing(tmp_path):
         {"attack": {"kind": "RWA", "rwa_range": 10**400}},
         # finite, but numpy draws from no range 2e308 wide
         {"attack": {"kind": "RWA", "rwa_range": 1e308}},
+        # drawable, but the counterfeit's mean of 32 x 4 changes that wide overflows
+        {"attack": {"kind": "RWA", "rwa_range": 8.98e307}},
     ],
 )
 def test_mistyped_config_exits_2_and_writes_nothing(tmp_path, capsys, overrides):

@@ -12,9 +12,9 @@ from s2wef.detect import (
     BASELINE,
     DETECTORS,
     GAMMA_COS_ONLY,
-    TrialDetector,
     decide_k,
     detect_round,
+    detect_trial,
     dev_scores,
     deviation_statistics,
     gamma_scores,
@@ -540,12 +540,10 @@ def test_baseline_accumulation_changes_input():
     now = np.zeros((2, 2))
     latest = history[-1]
     summed = history.sum(axis=0)
-    _, flagged = run_detector("WEF_NA_BASELINE", latest, now, now, e=5)
-    assert flagged == frozenset({0, 1, 2})
-    detection, flagged = run_detector("WEF_NA_BASELINE", summed, now, now, e=5)
-    assert flagged == frozenset({0})
+    assert run_detector("WEF_NA_BASELINE", latest, now, now, e=5).decision.free_rider_list == frozenset({0, 1, 2})
+    detection = run_detector("WEF_NA_BASELINE", summed, now, now, e=5)
+    assert detection.decision.free_rider_list == frozenset({0})
     np.testing.assert_array_equal(detection.scores.dev, dev_scores(grid_stack(summed)))
-    assert not detection.decision.free_rider_list  # the baseline flags outside the vote
 
 
 # --- full round pipeline ----------------------------------------------------------
@@ -643,11 +641,11 @@ def assert_finite_and_repeatable(wefs, now, prev, e):
         runs = [run_detector(name, wefs, now, prev, e) for _ in range(2)]
         numbers = [(d.scores.gamma, d.scores.dev, d.scores.z, d.cluster.heights, d.cluster.assignment,
                     [d.cluster.k, d.cluster.s2, d.cluster.delta, d.decision.p_gamma, d.decision.p_dev])
-                   for d, _ in runs]
+                   for d in runs]
         for x, y in zip(*numbers):
             assert np.isfinite(x).all()
             np.testing.assert_array_equal(x, y)
-        assert runs[0][1] == runs[1][1]
+        assert runs[0].decision.free_rider_list == runs[1].decision.free_rider_list
         results.append(runs[0])
     return results
 
@@ -670,9 +668,9 @@ def test_identical_submissions_flag_nobody(data, n, h, w, e, zero):
     grid = np.array(cells, dtype=np.int64).reshape(h, w)
     now, prev = data.draw(broadcasts(h, w))
     wefs = np.array([grid] * n)
-    for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
+    for detection in assert_finite_and_repeatable(wefs, now, prev, e):
         assert detection.cluster.k == 1
-        assert not flagged and not detection.decision.detected
+        assert not detection.decision.free_rider_list and not detection.decision.detected
 
 
 @settings(max_examples=60, deadline=None)
@@ -682,8 +680,8 @@ def test_three_clients_finite_and_repeatable(data, h, w, e):
                                min_size=3, max_size=3))
     wefs = np.array(grids, dtype=np.int64).reshape(3, h, w)
     now, prev = data.draw(broadcasts(h, w))
-    for detection, flagged in assert_finite_and_repeatable(wefs, now, prev, e):
-        assert flagged <= detection.cluster.suspicious
+    for detection in assert_finite_and_repeatable(wefs, now, prev, e):
+        assert detection.decision.free_rider_list <= detection.cluster.suspicious
 
 
 # --- rounds scored together ------------------------------------------------------
@@ -730,13 +728,13 @@ def long_trial():
     return wefs, pens, e
 
 
-def detection_bits(detection, flagged):
+def detection_bits(detection):
     """Every number a round's detection holds, as bytes."""
     arrays = (detection.scores.gamma, detection.scores.dev, detection.scores.z, detection.cluster.heights,
               detection.cluster.assignment, detection.decision.flags_gamma, detection.decision.flags_dev,
               [detection.cluster.s2, detection.cluster.delta, detection.decision.p_gamma, detection.decision.p_dev])
     return ([np.asarray(a).tobytes() for a in arrays], detection.cluster.k, detection.cluster.suspicious,
-            detection.decision.detected, detection.decision.free_rider_list, flagged)
+            detection.decision.detected, detection.decision.free_rider_list)
 
 
 def median_standardize(x):
@@ -766,15 +764,15 @@ def test_rounds_scored_together_score_as_each_round_alone(rounds, size):
                 assert alone[2].tobytes() == z.tobytes()
                 assert alone[4].tobytes() == (gammas > 1.5 * np.median(gammas)).tobytes()
     for name in DETECTORS:
-        one = TrialDetector(name)
-        alone = [detection_bits(*one.step(g, p, e)) for g, p in zip(wefs, pens)]
+        alone = [detection_bits(detect_trial(name, [g], [p], before, e)[0])
+                 for g, p, before in zip(wefs, pens, [None, *pens])]
         with patch.object(det, "_chunk_rounds", lambda n, h, w: size):
-            together = TrialDetector(name).steps(wefs, pens, e)
-        assert [detection_bits(*r) for r in together] == alone
+            together = detect_trial(name, wefs, pens, None, e)
+        assert [detection_bits(d) for d in together] == alone
         if DETECTORS[name] not in (None, det.BASELINE):  # detect_round scoring its own round
             for t in range(1, len(wefs)):
                 direct = detect_round(grids[t], pens[t], pens[t - 1], e, *DETECTORS[name])
-                assert detection_bits(direct, direct.decision.free_rider_list) == alone[t]
+                assert detection_bits(direct) == alone[t]
 
 
 @st.composite
@@ -827,13 +825,13 @@ def test_rounds_clustered_together_decide_as_each_round_alone(rounds):
         heights, labels = det._ward_rounds(dist)
         s2 = det._silhouette_rounds(dist, labels)
         together = det._detect_rounds(name, wefs[1:], pens[1:], pens[:-1], e)
-        for k, (detection, flagged) in enumerate(together):
+        for k, detection in enumerate(together):
             alone_heights, alone_labels = ward_hac(dist[k])
             assert heights[k].tobytes() == alone_heights.tobytes()
             assert labels[k].tobytes() == alone_labels.tobytes()
             assert s2[k].hex() == silhouette_two_clusters(dist[k], alone_labels).hex()
             alone = run_detector(name, wefs[k + 1], pens[k + 1], pens[k], e)
-            assert detection_bits(detection, flagged) == detection_bits(*alone)
+            assert detection_bits(detection) == detection_bits(alone)
 
 
 @settings(max_examples=30, deadline=None)
@@ -959,10 +957,10 @@ def test_grids_crossing_the_float32_bound_between_chunks_score_as_float64():
     assert max(g.max() for g in wefs[:4]) <= largest_float32_peak(16) < min(g.max() for g in wefs[4:])
     for name in DETECTORS:
         with patch.object(det, "_chunk_rounds", lambda n, h, w: 4):
-            mixed = TrialDetector(name).steps(wefs, pens, e)
+            mixed = detect_trial(name, wefs, pens, None, e)
             with float64_only():
-                expected = TrialDetector(name).steps(wefs, pens, e)
-        assert [detection_bits(*r) for r in mixed] == [detection_bits(*r) for r in expected]
+                expected = detect_trial(name, wefs, pens, None, e)
+        assert [detection_bits(d) for d in mixed] == [detection_bits(d) for d in expected]
 
 
 def permutable_round(n, h, w, e, colluders, seed):
@@ -983,8 +981,9 @@ def assert_permuted(wefs, now, prev, e, perm, flags=True):
     (to its rounding: each client sums the others in client order) and,
     with flags, its flagged set."""
     for name in DETECTORS:
-        detection, flagged = run_detector(name, wefs, now, prev, e)
-        moved, moved_flagged = run_detector(name, wefs[perm], now, prev, e)
+        detection = run_detector(name, wefs, now, prev, e)
+        moved = run_detector(name, wefs[perm], now, prev, e)
+        flagged, moved_flagged = detection.decision.free_rider_list, moved.decision.free_rider_list
         assert moved.scores.gamma.tobytes() == detection.scores.gamma[perm].tobytes()
         np.testing.assert_allclose(moved.scores.dev, detection.scores.dev[perm], rtol=1e-12, atol=1e-12)
         if flags:

@@ -43,8 +43,8 @@ def ward_merge_sequence(distances):
 
 
 def run_detector(name, wefs, global_now, global_prev, e):
-    """The named detector on one round: its record and flagged set."""
-    return det._detect_rounds(name, [wefs], [global_now], [global_prev], e)[0]
+    """The named detector on one round."""
+    return det.detect_trial(name, [wefs], [global_now], global_prev, e)[0]
 
 
 # --- the scalar oracle -------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from s2wef import fedsim
-from s2wef.attacks import AttackParams
+from s2wef import attacks, fedsim
+from s2wef.attacks import AttackParams, rwa
+from s2wef.detect import wef_defense_baseline
 from s2wef.errors import ConfigurationError, NumericError
 from s2wef.fedsim import (
     DatasetParams,
@@ -254,6 +255,26 @@ def test_config_detector_enum():
         small_cfg(detector="MAGIC")
 
 
+def test_config_refuses_an_rwa_range_whose_counterfeit_mean_overflows():
+    """RWA's counterfeit marks the penultimate weights whose change exceeds
+    the mean of its h * w absolute changes, each up to rwa_range.  At the
+    range AttackParams takes, their sum overflows: the mean is inf, numpy
+    warns and the grid is all 0.  The config refuses a range whose product
+    with h * w passes that bound; at the largest it takes, the grid is
+    fabricated without a warning and marks about half the weights."""
+    h, w = 32, 4  # small_cfg's hidden_layers[-1] and dataset.classes
+    layout, model = Layout([8, h, w]), init_model([8, h, w], 0)
+    with pytest.raises(ConfigurationError, match="rwa_range"):
+        small_cfg(attack=AttackParams(kind="RWA", rwa_range=attacks._RWA_RANGE_MAX))
+    top = attacks._RWA_RANGE_MAX / (h * w)
+    assert small_cfg(attack=AttackParams(kind="RWA", rwa_range=top)).attack.rwa_range == top
+    with pytest.raises(ConfigurationError, match="rwa_range"):
+        small_cfg(attack=AttackParams(kind="RWA", rwa_range=np.nextafter(top, np.inf)))
+    with np.errstate(all="raise"):
+        _, grid = rwa(layout, model, top, e=5, seed=1)
+    assert 0.25 < np.mean(grid == 5) < 0.75 and set(np.unique(grid).tolist()) == {0, 5}
+
+
 NAN = float("nan")
 
 # a SimConfig built in Python, past the JSON reader's finite-float check,
@@ -286,12 +307,12 @@ def test_run_trial_conservation_and_shapes():
         assert rec.roles.shape == (cfg.clients,)
         assert len(rec.wefs) == cfg.clients
         assert len(rec.submission_digests) == cfg.clients
-        assert rec.free_riders <= set(range(cfg.clients))
+        assert rec.detection.decision.free_rider_list <= set(range(cfg.clients))
 
 
 def test_round_zero_never_detects():
     records = run_trial(small_cfg(), 1)
-    assert records[0].free_riders == frozenset()
+    assert records[0].detection.decision.free_rider_list == frozenset()
     assert not records[0].roles.any()
 
 
@@ -309,8 +330,8 @@ def test_exclusion_correctness(monkeypatch):
     assert len(aggregated) == len(records)
     for (shape, kept), rec in zip(aggregated, records):
         assert shape == (cfg.clients, params)  # every client's row, one array
-        assert kept == set(range(cfg.clients)) - rec.free_riders
-    assert any(rec.free_riders for rec in records)
+        assert kept == set(range(cfg.clients)) - rec.detection.decision.free_rider_list
+    assert any(rec.detection.decision.free_rider_list for rec in records)
 
 
 def test_clean_with_detector_matches_fedavg_when_no_flags():
@@ -318,7 +339,7 @@ def test_clean_with_detector_matches_fedavg_when_no_flags():
     with_det = run_simulation(cfg)
     plain = run_simulation(small_cfg(scenario="CLEAN", free_rider_ratio=0.0, attack=None,
                                      rounds=4, detector="NONE"))
-    flags = sum(len(r.free_riders) for recs in with_det.trials.values() for r in recs)
+    flags = sum(len(r.detection.decision.free_rider_list) for recs in with_det.trials.values() for r in recs)
     if flags == 0:
         for seed in cfg.seeds:
             for a, b in zip(with_det.trials[seed], plain.trials[seed]):
@@ -330,9 +351,16 @@ def test_cluster_only_detector_flags_suspicious_on_k2():
     records = run_trial(cfg, 1)
     for rec in records[1:]:
         if rec.detection.cluster.k == 2:
-            assert rec.free_riders == rec.detection.cluster.suspicious
+            assert rec.detection.decision.free_rider_list == rec.detection.cluster.suspicious
         else:
-            assert rec.free_riders == frozenset()
+            assert rec.detection.decision.free_rider_list == frozenset()
+
+
+def test_baseline_rounds_flag_in_their_decision_outside_the_vote():
+    for rec in run_trial(small_cfg(detector="WEF_NA_BASELINE"), 1)[1:]:
+        decision = rec.detection.decision
+        assert decision.free_rider_list == wef_defense_baseline(rec.detection.scores.dev)
+        assert not (decision.flags_gamma.any() or decision.flags_dev.any() or decision.detected)
 
 
 def test_metrics_report_means():

@@ -14,11 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from s2wef import detect as det
 from s2wef import trace
 from s2wef.attacks import ATTACK_KINDS, AttackParams
 from s2wef.detect import DETECTORS
 from s2wef.errors import TraceError
-from s2wef.fedsim import PARTITIONS, SCENARIOS, DatasetParams, SimConfig, config_to_dict, run_simulation
+from s2wef.fedsim import (
+    PARTITIONS, SCENARIOS, DatasetParams, SimConfig, compute_metrics, config_to_dict, run_simulation,
+)
 from s2wef.nn import TrainConfig
 from s2wef.trace import decode_digit_rows, digit_rows, read_trace, replay_trace, write_trace
 from s2wef.wef import wef_dtype
@@ -83,7 +86,7 @@ def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
             "p_dev": float(d.decision.p_dev),
             "detected": bool(d.decision.detected),
         },
-        "free_rider_list": sorted(int(i) for i in rec.free_riders),
+        "free_rider_list": sorted(int(i) for i in d.decision.free_rider_list),
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
         "global_pen": (
@@ -145,7 +148,7 @@ def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     assert path.read_bytes() == oracle_trace_bytes(report)
     counts = max(int(r.wefs.max()) for recs in report.trials.values() for r in recs)
     assert counts >= (10 if overrides else 1)
-    assert any(r.free_riders for recs in report.trials.values() for r in recs)
+    assert any(r.detection.decision.free_rider_list for recs in report.trials.values() for r in recs)
 
 
 def assert_older_form_reads_alike(tmp_path, overrides, schema):
@@ -205,6 +208,29 @@ def test_replay_of_a_written_trace_matches_every_recomputed_field(tmp_path_facto
     results = replay_trace(read_trace(path))
     assert len(results) == cfg.rounds
     assert [r["field"] for r in results if r["diverged"]] == []
+
+
+def test_a_trial_split_by_its_budget_replays_each_round_after_the_one_before(tmp_path):
+    """A header-less trace whose e changes from round 2 on: replay takes the
+    trial's rounds in two groups, and round 2, the second group's first, is
+    detected after round 1's global_pen, not as a trial's first round."""
+    report = run_simulation(small_cfg(seeds=(1,)))
+    lines = [json.loads(older_line(trace.encode_record(rec), 1)) for rec in report.trials[1]]
+    for line in lines[2:]:
+        line["e"] = 4  # the run's counts lie in [0, 3]
+    path = tmp_path / "split.jsonl"
+    path.write_text("".join(_dumps(line) + "\n" for line in lines))
+    recs = read_trace(path)
+    wefs, pens = [r["wefs"] for r in recs], [r["global_pen"] for r in recs]
+    expected = (det.detect_trial("S2WEF", wefs[:2], pens[:2], None, 3)
+                + det.detect_trial("S2WEF", wefs[2:], pens[2:], pens[1], 4))
+    assert len(expected[2].cluster.heights) == len(wefs[2]) - 1
+    for line, detection in zip(lines, expected):
+        truth = [i for i, role in enumerate(line["roles"]) if role == "free_rider"]
+        metrics = compute_metrics(truth, detection.decision.free_rider_list, len(line["roles"]))
+        line.update(trace.detection_fields(detection), metrics=asdict(metrics))
+    path.write_text("".join(_dumps(line) + "\n" for line in lines))
+    assert [r["field"] for r in replay_trace(read_trace(path))] == [None] * len(lines)
 
 
 @pytest.mark.parametrize(
