@@ -9,7 +9,6 @@ seed, so a config reproduces its trace byte for byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -151,29 +150,21 @@ def schedule_scenario2(n_clients: int, ratio: float, rounds: int, seed: int) -> 
     return table
 
 
-def _digest(flat: np.ndarray) -> str:
-    return hashlib.sha256(flat).hexdigest()[:16]
-
-
-def aggregate_fedavg(
-    submissions: np.ndarray, benign_ids: Iterable[int]
-) -> tuple[np.ndarray, list[str]]:
+def aggregate_fedavg(submissions: np.ndarray, benign_ids: Iterable[int]) -> np.ndarray:
     """Unweighted mean over the kept clients' rows; over everyone if none remain.
 
     submissions is the round's (n, P) array of submitted parameter rows.
-    Returns the mean row and each row's digest as submitted.  The kept rows
-    move to the front in client order, in place, so their mean is taken over
-    the same contiguous (m, P) block np.stack of those rows would build, to
-    the bit, without the copy.
+    The kept rows move to the front in client order, in place, so their
+    mean is taken over the same contiguous (m, P) block np.stack of those
+    rows would build, to the bit, without the copy.
     """
     if submissions.ndim != 2 or not len(submissions):
         raise ConfigurationError("nothing to aggregate")
-    digests = [_digest(row) for row in submissions]
     kept = sorted(set(benign_ids)) or range(len(submissions))
     for j, i in enumerate(kept):  # i >= j: row i is never overwritten before it moves
         if i != j:
             submissions[j] = submissions[i]
-    return submissions[:len(kept)].mean(axis=0), digests
+    return submissions[:len(kept)].mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -351,7 +342,6 @@ class RoundRecord:
     accuracy: float
     global_pen_before: np.ndarray
     e: int
-    submission_digests: list[str]
 
 
 def build_schedule(cfg: SimConfig, trial_seed: int) -> np.ndarray:
@@ -446,7 +436,7 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         (detection,) = det.detect_trial(cfg.detector, [wefs], [global_pen_before], pen_prev, e)
         flagged = detection.decision.free_rider_list
         kept = set(range(n)) - flagged
-        new_global, digests = aggregate_fedavg(submissions, kept)
+        new_global = aggregate_fedavg(submissions, kept)
         if not np.isfinite(new_global).all():  # finite rows whose mean overflows
             raise NumericError("non-finite parameters")
         # the evaluation's activations overwrite the submissions
@@ -467,7 +457,6 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         accuracy=accuracy,
         global_pen_before=global_pen_before,
         e=e,
-        submission_digests=digests,
     )
     state.previous_global = state.global_row
     state.global_row = new_global

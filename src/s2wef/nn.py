@@ -29,7 +29,8 @@ class Layout:
     w0, b0, w1, b1, ..., each weight matrix (fan_in, fan_out) in C order.
     The forward pass is x @ w0 + b0 -> relu -> ... -> logits, and the
     penultimate matrix is the last one, which feeds the output layer.
-    Submission digests hash these rows, so the order is part of the trace.
+    The noise attacks draw one value per row position, so the order is
+    part of the trace.
     """
 
     sizes: tuple[int, ...]

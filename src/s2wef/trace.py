@@ -5,12 +5,14 @@ trace schema and the normalized config of the run; every later line is one
 round record carrying the submitted WEF grids, the score/cluster/vote
 outputs, the decision, the round metrics, and the penultimate matrix of
 the model broadcast at the start of the round (which is what replay needs
-to re-simulate the server side).  Schema 3 writes each client's WEF grid
+to re-simulate the server side).  Schema 4 writes each client's WEF grid
 as one string of fixed-width decimal counts and that matrix as the base64
-of its little-endian float64 bytes.  Schema 2 held the grids as lists of
-integers; schema 1, and a trace without a header, also held the matrix as
-a list of decimal numbers.  The reader takes all three.  Writing is
-deterministic: the same records produce the same bytes.
+of its little-endian float64 bytes, and ends the line there.  Schema 3
+also held a submission_digests list after global_pen, which the reader
+ignores; schema 2 held the grids as lists of integers; schema 1, and a
+trace without a header, also held the matrix as a list of decimal
+numbers.  The reader takes all four.  Writing is deterministic: the same
+records produce the same bytes.
 """
 
 from __future__ import annotations
@@ -38,22 +40,21 @@ from .fedsim import (
 )
 from .wef import wef_dtype
 
-TRACE_SCHEMA = 3
-_SCHEMAS = (1, 2, TRACE_SCHEMA)  # the ones the reader takes
+TRACE_SCHEMA = 4
+_SCHEMAS = (1, 2, 3, TRACE_SCHEMA)  # the ones the reader takes
 
 _E_MAX = np.iinfo(np.int64).max  # wef_dtype holds a budget above 255 in int64
 
 _REQUIRED_KEYS = {
     "trial", "round", "e", "roles", "wef_shape", "wefs", "scores", "cluster",
     "flags", "vote", "free_rider_list", "metrics", "accuracy", "global_pen",
-    "submission_digests",
 }
 
 
 def digit_rows(grid: np.ndarray, e: int) -> str:
-    """The schema-3 WEF block of an (n, m) matrix of counts in [0, e]: a
-    JSON list of one string per row, each count written in width =
-    len(str(e)) decimal digits with leading zeros, n·(m·width + 3) + 1
+    """The WEF block (schemas 3 and 4) of an (n, m) matrix of counts in
+    [0, e]: a JSON list of one string per row, each count written in width
+    = len(str(e)) decimal digits with leading zeros, n·(m·width + 3) + 1
     bytes in all.  Built from one uint8 array, not count by count."""
     g = np.asarray(grid)
     if g.ndim != 2 or not g.size or g.dtype.kind not in "iu" or g.min() < 0 or g.max() > e:
@@ -175,13 +176,12 @@ def encode_record(rec: RoundRecord) -> str:
         "metrics": asdict(rec.metrics),
         "accuracy": rec.accuracy,
     }
-    tail = {"submission_digests": list(rec.submission_digests)}
     wefs = digit_rows(rec.wefs.reshape(n, -1), rec.e)
     pen = float_matrix_base64(rec.global_pen_before)
     # digits and base64 need no JSON escapes, so both blocks join in as they
     # are, where the key order of the format has them
     return (f'{_dumps(head)[:-1]},"wefs":{wefs},{_dumps(middle)[1:-1]},'
-            f'"global_pen":"{pen}",{_dumps(tail)[1:]}')
+            f'"global_pen":"{pen}"}}')
 
 
 @contextmanager
@@ -276,7 +276,7 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
         bad("free_rider_list", "a list of integers")
     h, w = shape
     wefs, roles, e = rec["wefs"], rec["roles"], rec["e"]
-    if schema == 3 and not isinstance(wefs, np.ndarray):  # unless _split_record decoded it already
+    if schema >= 3 and not isinstance(wefs, np.ndarray):  # unless _split_record decoded it already
         # roles count the rows, as they do where _split_record cuts the block
         n = len(roles) if isinstance(roles, list) else len(wefs) if isinstance(wefs, list) else 0
         strings = isinstance(wefs, list) and len(wefs) == n and all(isinstance(row, str) for row in wefs)
@@ -358,11 +358,11 @@ _SIZING = frozenset(("e", "roles", "wef_shape"))  # the head keys that size the 
 
 
 def _split_record(line: str) -> dict | None:
-    """A schema-3 round line as encode_record writes it, read at its seams:
-    json.loads for the head, decode_digit_rows for the WEF block after it,
-    whose length the head's e, roles and wef_shape give, and for the tail
-    json.loads, except that a global_pen string that decode_float_matrix
-    takes is cut out and decoded.  None for any other line.
+    """A schema-3 or schema-4 round line, read at its seams: json.loads for
+    the head, decode_digit_rows for the WEF block after it, whose length
+    the head's e, roles and wef_shape give, and for the tail json.loads,
+    except that a global_pen string that decode_float_matrix takes is cut
+    out and decoded.  None for any other line.
 
     Each seam only chooses where to cut.  When the head and the tail parse
     as non-empty objects, the block is digit_rows' and the tail does not
@@ -458,7 +458,7 @@ def read_trace(path: str | Path) -> Trace:
             if not line.strip():
                 continue
             # older schemas go to json.loads whole
-            rec = _split_record(line) if schema == 3 else None
+            rec = _split_record(line) if schema >= 3 else None
             if rec is None:
                 try:
                     rec = json.loads(line)
@@ -565,11 +565,11 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     cluster, flags, vote and free_rider_list of a round must equal the
     replayed ones, and its metrics those of the replayed flagged set against
     its roles, in value and in JSON type (1 is not true, 2.0 is not 2);
-    accuracy and submission_digests need the model and go unchecked.  Each
-    result holds the replayed flagged set and metrics, the recorded
-    accuracy, and the path of the first field that differs (such as
-    "cluster.heights[3]"), or None.  A round whose inputs the
-    detector refuses raises TraceError naming its line, trial and round.
+    accuracy needs the model and goes unchecked, as a rerun of the header
+    config does not.  Each result holds the replayed flagged set and
+    metrics, the recorded accuracy, and the path of the first field that
+    differs (such as "cluster.heights[3]"), or None.  A round whose inputs
+    the detector refuses raises TraceError naming its line, trial and round.
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)

@@ -303,6 +303,31 @@ def test_run_deterministic_traces(tmp_path):
     assert (out1 / "trace.jsonl").read_bytes() == (out2 / "trace.jsonl").read_bytes()
 
 
+def test_a_rerun_of_the_header_config_checks_every_byte_of_a_trace(tmp_path, capsys):
+    """The header config, --seed and --detector applied, reruns to the same
+    files, so cmp against the rerun checks what replay cannot, such as a
+    round's accuracy."""
+    out, rerun = tmp_path / "out", tmp_path / "rerun"
+    config = write_config(tmp_path)
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--seed", "2", "--detector", "CLUSTER_ONLY", "--quiet"]) == 0
+    trace = out / "trace.jsonl"
+    lines = trace.read_text().splitlines()
+    header = tmp_path / "header_config.json"
+    header.write_text(json.dumps(json.loads(lines[0])["header"]["config"]))
+    assert main(["run", "--config", str(header), "--out", str(rerun), "--quiet"]) == 0
+    for name in ("trace.jsonl", "metrics.csv", "summary.txt"):
+        assert (rerun / name).read_bytes() == (out / name).read_bytes(), name
+    record = json.loads(lines[2])
+    assert record["accuracy"] != 0.5
+    record["accuracy"] = 0.5
+    lines[2] = json.dumps(record, separators=(",", ":"))
+    trace.write_text("".join(line + "\n" for line in lines))
+    assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 0
+    assert capsys.readouterr().out == "replay consistent over 4 rounds\n"
+    assert trace.read_bytes() != (rerun / "trace.jsonl").read_bytes()
+
+
 def _no_simulation(*args, **kwargs):
     raise AssertionError("the simulation ran before the invocation was checked")
 
@@ -374,7 +399,7 @@ def decimal_pen(text: str) -> list[float]:
 
 
 def int_rows(rows: list[str], e: int) -> list[list[int]]:
-    """Schema-3 WEF rows as schemas 1 and 2 write them: int lists."""
+    """Digit-string WEF rows as schemas 1 and 2 write them: int lists."""
     width = len(str(e))
     return [[int(row[i:i + width]) for i in range(0, len(row), width)] for row in rows]
 
@@ -412,18 +437,18 @@ def write_lines(tmp_path, lines) -> str:
     return str(trace)
 
 
-# the message for round 1's WEF rows in the schema-3 trace (5 clients, e = 3, 32 × 4 grids)
+# the message for round 1's WEF rows in the schema-4 trace (5 clients, e = 3, 32 × 4 grids)
 _ROWS = "trace.jsonl:3: wefs must be a list of 5 strings, each 128 counts in [0, 3] as 1-digit decimals, got"
 
 # (form of the trace, line index, path to the edited value, new value or a function
 # of the old one, expected message); line 0 is the header and an empty path
 # replaces the whole line.  Schema 2 holds WEF rows as int lists, whose entries
-# the int-list cases edit, and reads roles against the rows; schema 3 counts
+# the int-list cases edit, and reads roles against the rows; schema 4 counts
 # the rows by roles.  Only schema 1 has global_pen elements to edit.
 MALFORMED = {
-    "e-str": ("schema-3", 2, ("e",), "5", "e must be an integer"),
-    "trial-str": ("schema-3", 2, ("trial",), "1", "trial must be an integer"),
-    "round-float": ("schema-3", 2, ("round",), 2.0, "round must be an integer"),
+    "e-str": ("schema-4", 2, ("e",), "5", "e must be an integer"),
+    "trial-str": ("schema-4", 2, ("trial",), "1", "trial must be an integer"),
+    "round-float": ("schema-4", 2, ("round",), 2.0, "round must be an integer"),
     "wefs-int": ("schema-2", 2, ("wefs",), 5, "wefs must be"),
     "wefs-ragged": ("schema-2", 2, ("wefs", 0), [0], "wefs must be"),
     "wefs-float": ("schema-2", 2, ("wefs", 1, 0), 0.5, "wefs must be"),
@@ -435,29 +460,29 @@ MALFORMED = {
                                        "trace.jsonl:3: wefs must be a list of integer lists of length 128"),
     "wefs-digit-strings-in-schema-1": ("schema-1", 2, ("wefs",), lambda rows: ["".join(map(str, r)) for r in rows],
                                        "trace.jsonl:3: wefs must be a list of integer lists of length 128"),
-    "rows-non-digit": ("schema-3", 2, ("wefs", 1), lambda row: row[:7] + "x" + row[8:], _ROWS),
-    "rows-one-digit-short": ("schema-3", 2, ("wefs", 1), lambda row: row[:-1], _ROWS),
-    "rows-one-digit-long": ("schema-3", 2, ("wefs", 1), lambda row: row + "0", _ROWS),
-    "rows-one-fewer-than-roles": ("schema-3", 2, ("wefs",), lambda rows: rows[:-1], _ROWS),
-    "rows-above-e": ("schema-3", 2, ("wefs", 0), lambda row: "4" + row[1:], _ROWS),
-    "rows-as-int-lists": ("schema-3", 2, ("wefs",), lambda rows: int_rows(rows, 3), _ROWS),
-    "wef-shape-short": ("schema-3", 2, ("wef_shape",), [2], "wef_shape must be"),
+    "rows-non-digit": ("schema-4", 2, ("wefs", 1), lambda row: row[:7] + "x" + row[8:], _ROWS),
+    "rows-one-digit-short": ("schema-4", 2, ("wefs", 1), lambda row: row[:-1], _ROWS),
+    "rows-one-digit-long": ("schema-4", 2, ("wefs", 1), lambda row: row + "0", _ROWS),
+    "rows-one-fewer-than-roles": ("schema-4", 2, ("wefs",), lambda rows: rows[:-1], _ROWS),
+    "rows-above-e": ("schema-4", 2, ("wefs", 0), lambda row: "4" + row[1:], _ROWS),
+    "rows-as-int-lists": ("schema-4", 2, ("wefs",), lambda rows: int_rows(rows, 3), _ROWS),
+    "wef-shape-short": ("schema-4", 2, ("wef_shape",), [2], "wef_shape must be"),
     "global-pen-str": ("schema-1", 2, ("global_pen", 0), "x", "global_pen must be"),
     "global-pen-bool": ("schema-1", 2, ("global_pen", 0), False, "global_pen must be"),
-    "free-riders-null": ("schema-3", 2, ("free_rider_list",), None, "free_rider_list must be"),
-    "free-riders-str": ("schema-3", 2, ("free_rider_list",), ["1"], "free_rider_list must be"),
-    "roles-null": ("schema-3", 2, ("roles",), None, 'roles must be a list of 5 strings "benign" or "free_rider"'),
+    "free-riders-null": ("schema-4", 2, ("free_rider_list",), None, "free_rider_list must be"),
+    "free-riders-str": ("schema-4", 2, ("free_rider_list",), ["1"], "free_rider_list must be"),
+    "roles-null": ("schema-4", 2, ("roles",), None, 'roles must be a list of 5 strings "benign" or "free_rider"'),
     "roles-short": ("schema-2", 2, ("roles",), ["benign"] * 4, "roles must be a list of 5"),
-    "roles-unknown": ("schema-3", 2, ("roles", 1), "attacker", "roles must be a list of 5"),
-    "roles-bool": ("schema-3", 2, ("roles", 0), False, "roles must be a list of 5"),
-    "accuracy-str": ("schema-3", 2, ("accuracy",), "0.5", "accuracy must be a finite number"),
-    "accuracy-bool": ("schema-3", 2, ("accuracy",), True, "accuracy must be a finite number"),
-    "accuracy-long-int": ("schema-3", 2, ("accuracy",), 10**400, "accuracy must be a finite number"),
-    "not-an-object": ("schema-3", 2, (), [1, 2, 3], "expected a JSON object"),
-    "header-schema": ("schema-3", 0, ("header", "schema"), 4, "unknown trace schema 4"),
-    "header-config": ("schema-3", 0, ("header", "config", "clients"), "10", "header config.clients"),
-    "header-extra-key": ("schema-3", 0, ("header", "version"), "0.1.0", "a header line is"),
-    "header-samples-below-clients": ("schema-3", 0, ("header", "config", "dataset", "samples"), 4,
+    "roles-unknown": ("schema-4", 2, ("roles", 1), "attacker", "roles must be a list of 5"),
+    "roles-bool": ("schema-4", 2, ("roles", 0), False, "roles must be a list of 5"),
+    "accuracy-str": ("schema-4", 2, ("accuracy",), "0.5", "accuracy must be a finite number"),
+    "accuracy-bool": ("schema-4", 2, ("accuracy",), True, "accuracy must be a finite number"),
+    "accuracy-long-int": ("schema-4", 2, ("accuracy",), 10**400, "accuracy must be a finite number"),
+    "not-an-object": ("schema-4", 2, (), [1, 2, 3], "expected a JSON object"),
+    "header-schema": ("schema-4", 0, ("header", "schema"), 5, "unknown trace schema 5"),
+    "header-config": ("schema-4", 0, ("header", "config", "clients"), "10", "header config.clients"),
+    "header-extra-key": ("schema-4", 0, ("header", "version"), "0.1.0", "a header line is"),
+    "header-samples-below-clients": ("schema-4", 0, ("header", "config", "dataset", "samples"), 4,
                                      "header dataset.samples must be >= clients, got 4 for 5"),
 }
 
@@ -466,7 +491,7 @@ MALFORMED = {
 def test_detect_trace_malformed_exits_2(
     tmp_path, capsys, trace_lines, schema_2_lines, schema_1_lines, form, line, keys, value, message
 ):
-    forms = {"schema-3": trace_lines, "schema-2": schema_2_lines, "schema-1": schema_1_lines}
+    forms = {"schema-4": trace_lines, "schema-2": schema_2_lines, "schema-1": schema_1_lines}
     lines = json.loads(json.dumps(forms[form]))
     if keys:
         target = lines[line]
@@ -767,7 +792,7 @@ def test_detect_trace_reads_the_decimal_form(tmp_path, capsys, schema_1_lines, f
 
 def test_detect_trace_reads_the_int_list_form(tmp_path, capsys, trace_bytes, schema_2_lines):
     """A schema-2 trace, as written before schema 3, replays to the same output."""
-    trace = tmp_path / "schema_3.jsonl"
+    trace = tmp_path / "schema_4.jsonl"
     trace.write_bytes(trace_bytes)
     assert main(["detect-trace", "--trace", str(trace)]) == 0
     expected = capsys.readouterr().out

@@ -1008,3 +1008,22 @@ def test_four_clients_with_two_colluders_flag_by_client_order():
     # farther, and S2WEF flags client 3 in this order and nobody in the other
     wefs, now, prev = permutable_round(n=4, h=3, w=4, e=2, colluders=2, seed=0)
     assert_permuted(wefs, now, prev, 2, [1, 2, 0, 3])
+
+
+# inputs on which the permutation property above fails, each with the
+# permutation that shows it: values equal but for rounding, which follows
+# client order, are divided by a spread that rounding alone makes (the
+# summed deviations in dev_scores, a MAD of about 1e-17 in
+# robust_standardize), so Dev or z, and then the flags, follow client order
+@pytest.mark.xfail(strict=True, reason="rounding, which follows client order, is divided by a spread of rounding")
+@pytest.mark.parametrize("n, h, w, e, colluders, seed, perm", [
+    (6, 1, 1, 1, 1, 600638329, [1, 0, 4, 2, 5, 3]),
+    (4, 1, 5, 1, 2, 26243, [3, 0, 2, 1]),  # Dev off by 0.33
+    (8, 4, 4, 4, 4, 3648, [3, 1, 6, 7, 4, 5, 0, 2]),
+    (10, 1, 1, 1, 0, 41494, [0, 1, 8, 6, 5, 7, 9, 2, 3, 4]),
+    (6, 1, 1, 1, 0, 230484, [5, 2, 3, 0, 4, 1]),
+    (8, 1, 1, 3, 0, 11, [1, 6, 7, 2, 3, 4, 5, 0]),
+])
+def test_rounding_ties_flag_by_client_order(n, h, w, e, colluders, seed, perm):
+    wefs, now, prev = permutable_round(n, h, w, e, colluders, seed)
+    assert_permuted(wefs, now, prev, e, perm)

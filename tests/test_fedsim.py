@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -147,13 +145,13 @@ def _rows(n):
 def test_aggregate_single_benign_verbatim():
     rows = _rows(3)
     expected = rows[1].copy()
-    mean, _ = aggregate_fedavg(rows, [1])
+    mean = aggregate_fedavg(rows, [1])
     np.testing.assert_array_equal(mean, expected)
 
 
 def test_aggregate_opposite_weights_cancel():
     row = _rows(1)[0]
-    mean, _ = aggregate_fedavg(np.stack([row, -row]), [0, 1])
+    mean = aggregate_fedavg(np.stack([row, -row]), [0, 1])
     np.testing.assert_allclose(mean, 0.0, atol=1e-15)
 
 
@@ -174,21 +172,20 @@ def submission_rows(draw):
 @example((np.full((3, 4), -0.0), []))
 @example((np.full((3, 4), -0.0), [2]))
 def test_aggregate_matches_mean_oracle(case):
-    """The mean of np.stack of the kept rows, to the bit, and the digests of
-    the rows as submitted, though the kept rows move in place."""
+    """The mean of np.stack of the kept rows as submitted, to the bit,
+    though the kept rows move in place."""
     rows, kept = case
     submitted = rows.copy()
     order = sorted(set(kept)) or range(len(rows))
     expected = np.stack([submitted[i] for i in order]).mean(axis=0)
-    mean, digests = aggregate_fedavg(rows, kept)
+    mean = aggregate_fedavg(rows, kept)
     assert mean.tobytes() == expected.tobytes()
-    assert digests == [hashlib.sha256(row).hexdigest()[:16] for row in submitted]
 
 
 def test_aggregate_empty_benign_falls_back_to_all():
     rows = _rows(3)
     oracle = rows.sum(axis=0) / 3
-    mean, _ = aggregate_fedavg(rows, [])
+    mean = aggregate_fedavg(rows, [])
     np.testing.assert_allclose(mean, oracle, atol=1e-12)
 
 
@@ -306,7 +303,6 @@ def test_run_trial_conservation_and_shapes():
     for rec in records:
         assert rec.roles.shape == (cfg.clients,)
         assert len(rec.wefs) == cfg.clients
-        assert len(rec.submission_digests) == cfg.clients
         assert rec.detection.decision.free_rider_list <= set(range(cfg.clients))
 
 

@@ -62,7 +62,7 @@ def test_init_model_bounds():
 def test_flat_round_trip():
     m = init_model([4, 8, 2], seed=5)
     weights, biases = LAYOUT.views(m)
-    # submission digests hash the row, so its layout is part of the trace
+    # the noise attacks draw one value per row position, so its layout is part of the trace
     np.testing.assert_array_equal(weights[0], m[:32].reshape(4, 8))
     np.testing.assert_array_equal(biases[0], m[32:40])
     np.testing.assert_array_equal(weights[1], m[40:56].reshape(8, 2))

@@ -44,15 +44,22 @@ def small_cfg(**overrides):
 
 
 def oracle_digit_row(counts, e) -> str:
-    """One client's schema-3 WEF row, count by count: each in len(str(e)) digits."""
+    """One client's WEF row from schema 3 on, count by count: each in len(str(e)) digits."""
     return "".join(str(int(v)).zfill(len(str(e))) for v in counts)
+
+
+def placeholder_digests(n) -> list[str]:
+    """n 16-hex strings where a trace before schema 4 held the digest of
+    each submitted row, which no reader checks."""
+    return [f"{i:016x}" for i in range(n)]
 
 
 def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
     """The per-element record encoder the array encoders replaced: wefs as
-    digit strings in schema 3 and int lists before; global_pen as the
+    digit strings from schema 3 on and int lists before; global_pen as the
     base64 of each value's 8 little-endian bytes from schema 2 on, as
-    decimal numbers in schema 1."""
+    decimal numbers in schema 1; submission_digests after it before
+    schema 4."""
     d = rec.detection
     _, h, w = rec.wefs.shape
     return {
@@ -62,7 +69,7 @@ def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
         "roles": ["free_rider" if r else "benign" for r in rec.roles],
         "wef_shape": [h, w],
         "wefs": (
-            [oracle_digit_row(m.ravel(), rec.e) for m in rec.wefs] if schema == 3
+            [oracle_digit_row(m.ravel(), rec.e) for m in rec.wefs] if schema >= 3
             else [[int(v) for v in m.ravel()] for m in rec.wefs]
         ),
         "scores": {
@@ -93,7 +100,7 @@ def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
             base64.b64encode(b"".join(struct.pack("<d", v) for v in rec.global_pen_before.ravel())).decode()
             if schema >= 2 else [float(v) for v in rec.global_pen_before.ravel()]
         ),
-        "submission_digests": list(rec.submission_digests),
+        **({"submission_digests": placeholder_digests(len(rec.roles))} if schema < 4 else {}),
     }
 
 
@@ -107,22 +114,25 @@ def oracle_trace_bytes(report, schema=trace.TRACE_SCHEMA) -> bytes:
 
 
 def int_rows(rows, e) -> list[list[int]]:
-    """Schema-3 digit strings as the int lists of schemas 1 and 2."""
+    """The digit strings of schemas 3 and 4 as the int lists of schemas 1 and 2."""
     width = len(str(e))
     return [[int(row[i:i + width]) for i in range(0, len(row), width)] for row in rows]
 
 
 def older_line(line: str, schema: int) -> str:
-    """A schema-3 trace line in the form of an older schema: a header's
-    schema is set, a round's wefs are int lists and, in schema 1, its
-    global_pen its list of decimal numbers; no other byte changes."""
+    """A schema-4 trace line in the form of an older schema: a header's
+    schema is set; a round gains submission_digests after global_pen, its
+    wefs are int lists before schema 3 and, in schema 1, its global_pen
+    its list of decimal numbers; no other byte changes."""
     rec = json.loads(line)
     if "header" in rec:
         rec["header"]["schema"] = schema
-    else:
+        return json.dumps(rec, separators=(",", ":"))
+    if schema < 3:
         rec["wefs"] = int_rows(rec["wefs"], rec["e"])
-        if schema == 1:
-            rec["global_pen"] = np.frombuffer(base64.b64decode(rec["global_pen"]), "<f8").tolist()
+    if schema == 1:
+        rec["global_pen"] = np.frombuffer(base64.b64decode(rec["global_pen"]), "<f8").tolist()
+    rec["submission_digests"] = placeholder_digests(len(rec["roles"]))
     return json.dumps(rec, separators=(",", ":"))
 
 
@@ -151,34 +161,43 @@ def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
     assert any(r.detection.decision.free_rider_list for recs in report.trials.values() for r in recs)
 
 
-def assert_older_form_reads_alike(tmp_path, overrides, schema):
+def assert_older_forms_read_alike(tmp_path, overrides, *schemas):
+    """Each older form of a run's trace is what that schema's writer wrote,
+    reads as json.loads reads it, to the schema-4 arrays and fields once its
+    digests are dropped, and replays to the same results."""
     report = run_simulation(small_cfg(**overrides))
     path = tmp_path / "trace.jsonl"
     write_trace(report, path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0])["header"]["schema"] == 3
-    old = tmp_path / f"schema_{schema}.jsonl"
-    old.write_text("".join(older_line(line, schema) + "\n" for line in lines))
-    assert old.read_bytes() == oracle_trace_bytes(report, schema=schema)
-    new_records, old_records = read_trace(path), read_trace(old)
-    assert_same_reading(new_records, old_records)
-    assert replay_trace(new_records) == replay_trace(old_records)
+    assert json.loads(lines[0])["header"]["schema"] == 4
+    new_records = read_trace(path)
+    for schema in schemas:
+        old = tmp_path / f"schema_{schema}.jsonl"
+        old.write_text("".join(older_line(line, schema) + "\n" for line in lines))
+        assert old.read_bytes() == oracle_trace_bytes(report, schema=schema)
+        assert_same_reading(*read_both_ways(old))
+        old_records = read_trace(old)
+        for rec in old_records:
+            assert rec.pop("submission_digests") == placeholder_digests(len(rec["roles"]))
+        assert_same_reading(new_records, old_records)
+        assert replay_trace(new_records) == replay_trace(old_records)
 
 
 @ENCODED_RUNS
 def test_schema_1_form_of_a_trace_is_the_decimal_writers_and_replays_alike(tmp_path, overrides):
     """Mapped back to schema 1 (wefs as int lists, global_pen as decimals),
     a trace is what the schema-1 writer wrote, reads to the same arrays and
-    replays to the same results."""
-    assert_older_form_reads_alike(tmp_path, overrides, 1)
+    replays to the same results; so does its schema-3 form, which adds
+    only the digests to this one."""
+    assert_older_forms_read_alike(tmp_path, overrides, 1, 3)
 
 
 @ENCODED_RUNS
 def test_schema_2_form_of_a_trace_is_the_int_list_writers_and_replays_alike(tmp_path, overrides):
     """Only the encoding of wefs changed from schema 2 to 3: mapped back to
     int lists, a trace is what the schema-2 writer wrote, reads to the same
-    arrays and replays to the same results."""
-    assert_older_form_reads_alike(tmp_path, overrides, 2)
+    arrays and replays to the same results; so does its schema-3 form."""
+    assert_older_forms_read_alike(tmp_path, overrides, 2, 3)
 
 
 @st.composite
@@ -340,10 +359,10 @@ def with_wefs_block(line: str, block: str) -> str:
 )
 def test_decode_int_matrix_declines_other_text(tmp_path, template_records, block):
     """Int-matrix text, the WEF block of schemas 1 and 2, well formed or not,
-    is no schema-3 block: the seams decline it, and the line exits as malformed."""
+    is no digit-string block: the seams decline it, and the line exits as malformed."""
     line = with_wefs_block(trace.encode_record(template_records[0]), block)
     assert trace._split_record(line) is None
-    header = {"header": {"schema": 3, "config": config_to_dict(small_cfg(rounds=3, seeds=(1,)))}}
+    header = {"header": {"schema": trace.TRACE_SCHEMA, "config": config_to_dict(small_cfg(rounds=3, seeds=(1,)))}}
     path = tmp_path / "trace.jsonl"
     path.write_text(_dumps(header) + "\n" + line + "\n")
     with pytest.raises(TraceError, match=r"trace\.jsonl:2: (wefs must be|invalid JSON)"):
@@ -859,7 +878,7 @@ def test_reader_agrees_with_json_loads_on_perturbed_lines(tmp_path_factory, reco
 
 
 def _rows_span(line):
-    """Where a schema-3 line's WEF block starts and ends."""
+    """Where a digit-string line's WEF block starts and ends."""
     start = line.index(',"wefs":["') + len(',"wefs":')
     return start, line.index('"]', start) + 2
 
@@ -873,7 +892,7 @@ def _edit_digit(edit):
     return perturb
 
 
-# edits of a schema-3 line's WEF rows, or of the text around them
+# edits of a digit-string line's WEF rows, or of the text around them
 ROW_PERTURBATIONS = {
     "digit-escaped": _edit_digit(lambda d, draw: f"\\u{ord(d):04x}"),
     "non-digit": _edit_digit(lambda d, draw: draw(st.sampled_from(["x", " ", "-", "+", ".", "\u0661", "\uff11"]))),
@@ -905,7 +924,7 @@ SCHEMA_3_PERTURBATIONS = {
 
 @pytest.fixture(scope="module")
 def trace_texts(reports, tmp_path_factory):
-    """The schema-3 traces of those runs as write_trace writes them, line by line."""
+    """The traces of those runs as write_trace writes them, line by line."""
     texts = []
     for report in reports:
         path = tmp_path_factory.mktemp("written") / "trace.jsonl"
@@ -918,6 +937,12 @@ def trace_texts(reports, tmp_path_factory):
 def schema_2_texts(trace_texts):
     """Those traces in schema-2 form."""
     return [[older_line(line, 2) for line in lines] for lines in trace_texts]
+
+
+@pytest.fixture(scope="module")
+def digit_string_texts(trace_texts):
+    """Those traces as written, and in schema-3 form: submission_digests after global_pen."""
+    return trace_texts + [[older_line(line, 3) for line in lines] for lines in trace_texts]
 
 
 def assert_perturbed_trace_reads_alike(tmp_path_factory, texts, perturbations, data, name):
@@ -940,8 +965,10 @@ def test_reader_agrees_with_json_loads_on_perturbed_schema_2_traces(tmp_path_fac
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), name=st.sampled_from(sorted(SCHEMA_3_PERTURBATIONS)))
-def test_reader_agrees_with_json_loads_on_perturbed_schema_3_traces(tmp_path_factory, trace_texts, data, name):
-    """The same for a schema-3 trace, whose WEF block and global_pen the reader
-    cuts out at their seams: each edit reads to json.loads's values or fails
-    with its message."""
-    assert_perturbed_trace_reads_alike(tmp_path_factory, trace_texts, SCHEMA_3_PERTURBATIONS, data, name)
+def test_reader_agrees_with_json_loads_on_perturbed_schema_3_traces(
+    tmp_path_factory, digit_string_texts, data, name
+):
+    """The same for a trace of schema 3 or 4, whose WEF block and global_pen
+    the reader cuts out at their seams: each edit reads to json.loads's
+    values or fails with its message."""
+    assert_perturbed_trace_reads_alike(tmp_path_factory, digit_string_texts, SCHEMA_3_PERTURBATIONS, data, name)
