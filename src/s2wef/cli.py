@@ -5,12 +5,13 @@ recorded trace, checking every field it recomputes and printing each
 round's flagged set, f1, fpr and accuracy.  An ablation is the same config
 run twice with `--detector`.  Configs are versioned JSON validated
 fail-closed (unknown or repeated keys and mistyped values are rejected)
-before any output file is created.  A run is single-threaded: it trains a
-round's benign clients in lockstep groups of up to 8 with equal-length
-shards, one stacked numpy call per operation, bit for bit what training
-them one by one gives.  At 200 clients that is about 0.66 ms per client
-against 1.2 ms one at a time (2-core machine); the small numpy calls hold
-the interpreter lock, so a thread pool made runs slower, not faster.  Exit
+before any output file is created.  A run trains a round's benign clients
+in lockstep groups of up to 8 with equal-length shards, one stacked numpy
+call per operation, bit for bit what training them one by one gives.  A
+trial of 16 clients or more splits each round's groups between itself and
+one forked helper process per further usable core, and its output is the
+same on any number of cores.  Threads would not help: the small numpy
+calls hold the interpreter lock, and a thread pool made runs slower.  Exit
 codes: 0 success, 1 runtime failure or replay divergence, 2 invalid config
 or malformed trace.
 """

@@ -4,16 +4,23 @@ Runs the full round loop at desk scale: partition a synthetic dataset,
 train benign clients, let scheduled free-riders fabricate submissions,
 detect, aggregate with the flagged clients excluded, and record everything
 needed to replay or audit the run.  All randomness derives from the trial
-seed, so a config reproduces its trace byte for byte.
+seed, so a config reproduces its trace byte for byte, on any number of
+cores: a trial of 16 clients or more trains its lockstep groups in forked
+helper processes too, one per usable core beyond the first, each writing
+its clients' rows and WEF grids into memory it shares with the parent.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
+import os
+import pickle
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import BinaryIO, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -354,6 +361,15 @@ def build_schedule(cfg: SimConfig, trial_seed: int) -> np.ndarray:
 
 
 @dataclass
+class _Helper:
+    """A forked process that trains its share of every round's lockstep groups."""
+
+    pid: int
+    commands: int  # write end of its pipe: one 4-byte round index per round
+    replies: BinaryIO  # read end of its pipe: one pickled reply per round (see _serve)
+
+
+@dataclass
 class _TrialState:
     cfg: SimConfig
     trial_seed: int
@@ -362,14 +378,36 @@ class _TrialState:
     schedule: np.ndarray
     layout: Layout
     global_row: np.ndarray  # the broadcast model's (P,) parameters
-    # Every round's (n, P) float64 submissions, and once they are averaged,
-    # the evaluation's activations that fit.  Fresh arrays each round left
-    # an 11 MB heap hole at 200 clients that a later allocation could
-    # split, so whether the next round's array refilled it or grew the heap,
-    # and a 200-client benchmark process peaked at 58.3 or 65.7 MiB, came
-    # down to allocation order (glibc malloc).
+    # The arrays below live in one anonymous shared mapping made before the
+    # helpers fork, so what any process writes there every process sees.
+    # rows: every round's (n, P) float64 submissions, and once they are
+    # averaged, the evaluation's activations that fit.  One array for the
+    # whole trial, outside the heap: fresh ones each round left an 11 MB heap
+    # hole at 200 clients, and whether a 200-client benchmark process peaked
+    # at 58.3 or 65.7 MiB came down to allocation order (glibc malloc).
     rows: np.ndarray
+    wefs: np.ndarray  # (rounds, n, h, w) WEF grids of wef_dtype(e); round t's record holds wefs[t]
+    broadcast: np.ndarray  # the round's global row, copied where the helpers read it
     previous_global: np.ndarray | None = None
+    helpers: list[_Helper] = field(default_factory=list)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on; 1 where the platform cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _shared_arrays(cfg: SimConfig, layout: Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, wefs, broadcast) for _TrialState, in one anonymous shared mapping."""
+    n, p = cfg.clients, layout.num_params
+    grids = (cfg.rounds, n, *layout.penultimate_shape)
+    dtype = wef_dtype(cfg.train.local_iterations)
+    row_bytes = (n + 1) * p * 8
+    buffer = mmap.mmap(-1, row_bytes + math.prod(grids) * dtype.itemsize)
+    rows = np.frombuffer(buffer, np.float64, (n + 1) * p).reshape(n + 1, p)
+    wefs = np.frombuffer(buffer, dtype, math.prod(grids), offset=row_bytes).reshape(grids)
+    return rows[:n], wefs, rows[n]
 
 
 # Benign clients train in lockstep groups of at most this many clients with
@@ -395,33 +433,124 @@ def _lockstep_groups(shards: Sequence[DatasetShard], clients: Iterable[int]) -> 
     ]
 
 
-def _submissions(state: _TrialState, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every client's submitted parameter row and WEF grid for round t, in
-    client order: the trial's (n, P) float64 rows, overwritten, and one
-    (n, h, w) array of wef_dtype(e)."""
+def _naming(exc: S2wefError, client: int) -> S2wefError:
+    """exc retold with its client named, chained to it as `raise ... from exc` does."""
+    named = type(exc)(f"client {client}: {exc}")
+    named.__cause__ = exc
+    return named
+
+
+def _train_share(state: _TrialState, t: int, first: int, step: int) -> tuple[int, Exception] | None:
+    """Train groups first, first + step, ... of round t's _lockstep_groups from
+    state.broadcast into state.rows and state.wefs[t].  Stops at the first
+    group that fails and returns its index and error; None if none fails."""
+    benign = np.flatnonzero(~state.schedule[t]).tolist()
+    groups = _lockstep_groups(state.shards, benign)
+    for g in range(first, len(groups), step):
+        group = groups[g]
+        seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
+        shards = [state.shards[i] for i in group]
+        try:
+            state.rows[group], state.wefs[t, group] = local_train(
+                state.layout, state.broadcast, shards, state.cfg.train, seeds
+            )
+        except S2wefError as exc:
+            return g, _naming(exc, group[exc.shard])
+        except Exception as exc:
+            return g, exc
+    return None
+
+
+def _serve(state: _TrialState, first: int, step: int, commands: int, replies: int) -> None:
+    """A helper's loop: train its share of each round it is sent, until EOF.
+
+    A reply is None, or the failing group's index with the type and message
+    of its error, which the parent raises in its place.
+    """
+    with os.fdopen(replies, "wb") as out:
+        while message := os.read(commands, 4):
+            failure = _train_share(state, int.from_bytes(message, "little"), first, step)
+            out.write(pickle.dumps(failure and (failure[0], type(failure[1]), str(failure[1]))))
+            out.flush()
+
+
+def _fork_helpers(state: _TrialState, count: int) -> None:
+    """Fork count helpers into state.helpers; helper j trains every (count + 1)-th
+    group from group j, the parent those from group 0."""
+    for first in range(1, count + 1):
+        commands_in, commands_out = os.pipe()
+        replies_in, replies_out = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (commands_in, commands_out, replies_in, replies_out):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # os._exit, so the helper runs no exit handler and flushes none of
+            # the parent's buffered output
+            try:
+                os.close(commands_out)
+                os.close(replies_in)
+                for helper in state.helpers:  # an earlier helper's pipes are the parent's alone
+                    os.close(helper.commands)
+                    helper.replies.close()
+                _serve(state, first, count + 1, commands_in, replies_out)
+            finally:
+                os._exit(0)
+        os.close(commands_in)
+        os.close(replies_out)
+        state.helpers.append(_Helper(pid, commands_out, os.fdopen(replies_in, "rb")))
+
+
+def _stop_helpers(helpers: list[_Helper]) -> None:
+    """Close every helper's pipes, which it reads as EOF and exits on, and reap it."""
+    for helper in helpers:
+        os.close(helper.commands)
+        helper.replies.close()
+    for helper in helpers:
+        os.waitpid(helper.pid, 0)
+    helpers.clear()
+
+
+def _submissions(state: _TrialState, t: int) -> np.ndarray:
+    """Every client's submitted parameter row for round t, in client order:
+    the trial's (n, P) float64 rows, overwritten.  Their WEF grids go to
+    state.wefs[t].  An error is the one a one-process run raises: the first
+    free rider's, else that of the first failing group in _lockstep_groups
+    order."""
     cfg = state.cfg
     e = cfg.train.local_iterations
-    layout, model = state.layout, state.global_row
-    rows = state.rows
-    grids = np.empty((cfg.clients, *layout.penultimate_shape), dtype=wef_dtype(e))
+    state.broadcast[:] = state.global_row
+    for helper in state.helpers:
+        os.write(helper.commands, t.to_bytes(4, "little"))
+    failure = None
     for i in np.flatnonzero(state.schedule[t]).tolist():
         seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
         try:
-            rows[i], grids[i] = make_submission(cfg.attack, layout, model, state.previous_global, e, seed)
+            state.rows[i], state.wefs[t, i] = make_submission(
+                cfg.attack, state.layout, state.global_row, state.previous_global, e, seed
+            )
         except S2wefError as exc:
-            raise type(exc)(f"client {i}: {exc}") from exc
-    benign = np.flatnonzero(~state.schedule[t]).tolist()
-    for group in _lockstep_groups(state.shards, benign):
-        seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
+            failure = -1, _naming(exc, i)
+            break
+        except Exception as exc:
+            failure = -1, exc
+            break
+    failures = [failure or _train_share(state, t, 0, len(state.helpers) + 1)]
+    for helper in state.helpers:  # every helper answers before anything is raised
         try:
-            shards = [state.shards[i] for i in group]
-            rows[group], grids[group] = local_train(layout, model, shards, cfg.train, seeds)
-        except S2wefError as exc:
-            raise type(exc)(f"client {group[exc.shard]}: {exc}") from exc
-    finite = np.isfinite(rows).all(axis=1)
+            reply = pickle.load(helper.replies)
+        except EOFError:
+            raise RuntimeError(f"training helper {helper.pid} exited in round {t}") from None
+        failures.append(reply and (reply[0], reply[1](reply[2])))
+    failures = [f for f in failures if f]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    finite = np.isfinite(state.rows).all(axis=1)
     if not finite.all():
         raise NumericError(f"client {int(np.argmin(finite))}: non-finite parameters")
-    return rows, grids
+    return state.rows
 
 
 def run_round(state: _TrialState, t: int) -> RoundRecord:
@@ -430,9 +559,10 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
     n, e = cfg.clients, cfg.train.local_iterations
     global_pen_before = state.layout.penultimate(state.global_row).copy()
     pen_prev = None if state.previous_global is None else state.layout.penultimate(state.previous_global)
+    wefs = state.wefs[t]
 
     try:
-        submissions, wefs = _submissions(state, t)
+        submissions = _submissions(state, t)
         (detection,) = det.detect_trial(cfg.detector, [wefs], [global_pen_before], pen_prev, e)
         flagged = detection.decision.free_rider_list
         kept = set(range(n)) - flagged
@@ -464,7 +594,9 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
 
 
 def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
-    """All rounds for one trial seed."""
+    """All rounds for one trial seed.  A trial of 2 * _GROUP_CLIENTS clients or
+    more forks its helpers before round 0 and reaps them before it returns
+    or raises."""
     dataset = make_dataset(cfg.dataset, derive_seed(trial_seed, _TAG_DATA))
     part_seed = derive_seed(trial_seed, _TAG_PARTITION)
     if cfg.partition == "IID":
@@ -473,6 +605,7 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         shards = partition_dirichlet(dataset, cfg.clients, cfg.dirichlet_beta, part_seed)
 
     layout = Layout(cfg.architecture)
+    rows, wefs, broadcast = _shared_arrays(cfg, layout)
     state = _TrialState(
         cfg=cfg,
         trial_seed=trial_seed,
@@ -481,9 +614,16 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         schedule=build_schedule(cfg, trial_seed),
         layout=layout,
         global_row=init_model(cfg.architecture, derive_seed(trial_seed, _TAG_INIT)),
-        rows=np.empty((cfg.clients, layout.num_params)),
+        rows=rows,
+        wefs=wefs,
+        broadcast=broadcast,
     )
-    return [run_round(state, t) for t in range(cfg.rounds)]
+    try:
+        if cfg.clients >= 2 * _GROUP_CLIENTS:
+            _fork_helpers(state, _usable_cores() - 1)
+        return [run_round(state, t) for t in range(cfg.rounds)]
+    finally:
+        _stop_helpers(state.helpers)
 
 
 @dataclass

@@ -1,9 +1,17 @@
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from s2wef import attacks, fedsim
+from s2wef import attacks, cli, fedsim
 from s2wef.attacks import AttackParams, rwa
 from s2wef.detect import wef_defense_baseline
 from s2wef.errors import ConfigurationError, NumericError
@@ -21,6 +29,8 @@ from s2wef.fedsim import (
     schedule_scenario2,
 )
 from s2wef.nn import DatasetShard, Layout, TrainConfig, init_model
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def small_cfg(**overrides):
@@ -368,6 +378,14 @@ def test_metrics_report_means():
     assert 0.0 <= rep.mean_final_accuracy() <= 1.0
 
 
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 20 clients: round 0 trains lockstep groups [0-7], [8-15] and [16-19].  On 2
+# cores the parent trains the first and the last and a helper the middle one;
+# on 3 cores each group has its own process.
 @pytest.mark.parametrize(
     "scales, client, iteration",
     [
@@ -375,8 +393,13 @@ def test_metrics_report_means():
         # client 1 overflows at step 3 and clients 3 and 4 at step 2, all in
         # one lockstep group: the lowest of the earliest to diverge is named
         ({1: 1e100, 3: 1e200, 4: 1e200}, 3, 2),
+        ({10: 1e200}, 10, 2),
+        # client 17 overflows first, but its group comes after client 10's
+        ({10: 1e100, 17: 1e200}, 10, 3),
+        # and client 12 overflows first, but its group comes after client 5's
+        ({5: 1e100, 12: 1e200}, 5, 3),
     ],
-    ids=["one-client", "earliest-then-lowest"],
+    ids=["one-client", "earliest-then-lowest", "helper-group", "helper-group-first", "parent-group-first"],
 )
 def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scales, client, iteration):
     partition = fedsim.partition_iid
@@ -388,11 +411,149 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
         return shards
 
     monkeypatch.setattr(fedsim, "partition_iid", scaled)
-    with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
-        run_simulation(small_cfg())
-    assert str(excinfo.value) == (
-        f"trial seed 1: round 0: client {client}: non-finite loss at local iteration {iteration}"
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
+            run_simulation(small_cfg(clients=20))
+        assert str(excinfo.value) == (
+            f"trial seed 1: round 0: client {client}: non-finite loss at local iteration {iteration}"
+        )
+        assert_no_child_process()
+
+
+def test_an_error_outside_the_package_is_raised_as_a_one_process_run_raises_it(monkeypatch):
+    train = fedsim.local_train
+    group_seed = {fedsim.derive_seed(1, fedsim._TAG_TRAIN, 0, first): g for g, first in enumerate((0, 8, 16))}
+
+    def failing(layout, model, shards, cfg, seeds):  # round 0's groups 1 and 2 fail
+        g = group_seed.get(seeds[0])
+        if g == 1:
+            raise ValueError("group 1 failed")
+        if g == 2:
+            raise TypeError("group 2 failed")
+        return train(layout, model, shards, cfg, seeds)
+
+    monkeypatch.setattr(fedsim, "local_train", failing)
+    for cores in (1, 2, 3):  # group 1 is a helper's, group 2 the parent's on 2 cores
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(ValueError) as excinfo:
+            run_simulation(small_cfg(clients=20))
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == "group 1 failed"
+        assert_no_child_process()
+
+
+def test_an_interrupted_trial_leaves_no_helper(monkeypatch):
+    parent, train_share = os.getpid(), fedsim._train_share
+
+    def interrupted(state, t, first, step):  # in round 1, while the helpers train
+        if os.getpid() == parent and t == 1:
+            raise KeyboardInterrupt
+        return train_share(state, t, first, step)
+
+    monkeypatch.setattr(fedsim, "_train_share", interrupted)
+    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        run_trial(small_cfg(clients=20), 1)
+    assert_no_child_process()
+
+
+# Two configs whose rounds train in forked helpers: S1 with 40 clients (5 and
+# then 4 lockstep groups), and S2 with 24 clients whose free riders, and so
+# whose groups, change every round.
+FORKING_CONFIGS = {
+    "s1-dwa-40": {
+        "version": 1, "clients": 40, "free_rider_ratio": 0.2, "scenario": "S1", "attack": {"kind": "DWA"},
+        "rounds": 5, "seeds": [1, 2], "hidden_layers": [32], "dataset": {"samples": 800},
+    },
+    "s2-awca-24": {
+        "version": 1, "clients": 24, "free_rider_ratio": 0.25, "scenario": "S2", "attack": {"kind": "AWCA"},
+        "rounds": 5, "seeds": [3], "train": {"momentum": 0.5}, "hidden_layers": [32],
+        "dataset": {"samples": 480},
+    },
+}
+
+
+@pytest.mark.parametrize("name", FORKING_CONFIGS)
+def test_helpers_change_no_output_byte(tmp_path, monkeypatch, name):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FORKING_CONFIGS[name]))
+    pids = tmp_path / "pids"
+    train = fedsim.local_train
+
+    def logged(*args):  # each call appends its process id, from the parent or a helper
+        with pids.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return train(*args)
+
+    monkeypatch.setattr(fedsim, "local_train", logged)
+    outputs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        pids.write_text("")
+        out = tmp_path / f"cores{cores}"
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert_no_child_process()
+        calls = pids.read_text().split()
+        # every group trained once, by the parent or by one of each trial's helpers
+        assert len(set(calls)) == len(FORKING_CONFIGS[name]["seeds"]) * (cores - 1) + 1
+        outputs.append({f: (out / f).read_bytes() for f in ("trace.jsonl", "metrics.csv", "summary.txt")})
+        outputs[-1]["calls"] = len(calls)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# Runs a forking simulation in a fresh interpreter with 2 usable cores.
+FORKING_RUN = r"""
+import os, signal, sys
+from s2wef import cli, fedsim
+fedsim._usable_cores = lambda: 2
+if sys.argv[1] == "kill":  # name the helper after round 0, then die without a word
+    run_round = fedsim.run_round
+    def killed(state, t):
+        run_round(state, t)
+        print(*(helper.pid for helper in state.helpers), flush=True)
+        os.kill(os.getpid(), signal.SIGKILL)
+    fedsim.run_round = killed
+print("before the run")  # still buffered when the helper forks: stdout is a pipe
+sys.exit(cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def run_forking(mode: str, tmp_path) -> subprocess.CompletedProcess:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FORKING_CONFIGS["s2-awca-24"]))
+    return subprocess.run(
+        [sys.executable, "-c", FORKING_RUN, mode, str(config), str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
     )
+
+
+def test_a_helper_prints_nothing_of_the_stdout_it_inherited(tmp_path):
+    proc = run_forking("run", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before the run" and len(lines) == len(set(lines))
+    assert lines[1:] == (tmp_path / "out" / "summary.txt").read_text().splitlines()
+
+
+def test_a_helper_exits_when_its_parent_is_killed(tmp_path):
+    if not Path("/proc/self/stat").exists():
+        pytest.skip("needs /proc to see a process it did not start")
+    proc = run_forking("kill", tmp_path)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    (pid,) = (int(word) for word in proc.stdout.split() if word.isdigit())
+
+    def running() -> bool:  # an exited helper is gone, or a zombie until its new parent reaps it
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+    deadline = time.monotonic() + 30
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not running()
 
 
 def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monkeypatch):
