@@ -1,19 +1,19 @@
 """Command-line front end.
 
 Two subcommands: run a configured experiment, or replay a detector over a
-recorded trace, checking every field it recomputes and printing each
-round's flagged set, f1, fpr and accuracy.  An ablation is the same config
-run twice with `--detector`.  Configs are versioned JSON validated
-fail-closed (unknown or repeated keys and mistyped values are rejected)
-before any output file is created.  A run trains a round's benign clients
-in lockstep groups of up to 8 with equal-length shards, one stacked numpy
-call per operation, bit for bit what training them one by one gives.  A
-trial of 16 clients or more splits each round's groups between itself and
-one forked helper process per further usable core, and its output is the
-same on any number of cores.  Threads would not help: the small numpy
-calls hold the interpreter lock, and a thread pool made runs slower.  Exit
-codes: 0 success, 1 runtime failure or replay divergence, 2 invalid config
-or malformed trace.
+recorded trace, checking every field it recomputes and printing each round's
+flagged set, f1, fpr and accuracy.  An ablation is the same config run twice
+with `--detector`.  Configs are versioned JSON validated fail-closed
+(unknown or repeated keys and mistyped values are rejected) before any
+output file is created.  A run writes its trace trial by trial, holding one
+trial at a time.  It trains a round's benign clients in lockstep groups of
+up to 8 with equal-length shards, one stacked numpy call per operation, bit
+for bit what training them one by one gives.  A trial of 16 clients or more
+splits each round's groups between itself and one forked helper process per
+further usable core, and its output is the same on any number of cores.
+Threads would not help: the small numpy calls hold the interpreter lock, and
+a thread pool made runs slower.  Exit codes: 0 success, 1 runtime failure or
+replay divergence, 2 invalid config or malformed trace.
 """
 
 from __future__ import annotations
@@ -26,17 +26,20 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .detect import DETECTORS
 from .errors import ConfigurationError, S2wefError, TraceError
 from .fedsim import (  # the config codec lives next to SimConfig; re-exported here
-    MetricsReport,
     SimConfig,
     config_from_dict,
     config_to_dict,
     run_simulation,
 )
 from .trace import (
+    RoundRow,
     atomic_write,
+    mean_over_trials,
     read_trace,
     replay_trace,
     write_metrics_csv,
@@ -84,8 +87,7 @@ def _fmt(value: float) -> str:
     return "-" if value != value else f"{value:.2f}"  # NaN-safe
 
 
-def summary_lines(report: MetricsReport) -> list[str]:
-    cfg = report.cfg
+def summary_lines(cfg: SimConfig, trials: list[list[RoundRow]]) -> list[str]:
     attack = cfg.attack.kind if cfg.attack else "none"
     lines = [
         f"detector={cfg.detector} scenario={cfg.scenario} attack={attack} "
@@ -95,16 +97,17 @@ def summary_lines(report: MetricsReport) -> list[str]:
         f"{'recall':>6}  {'fpr':>5}  {'final_acc':>9}",
     ]
 
-    def row(label, mean, accuracy: float) -> str:
+    def row(label, over: list[list[RoundRow]]) -> str:
+        mean = partial(mean_over_trials, over)
+        accuracy = np.mean([rows[-1].accuracy for rows in over])
         return (
             f"{label:>6}  {_fmt(mean('f1')):>5}  {_fmt(mean('f1', True)):>9}  "
             f"{_fmt(mean('precision')):>9}  {_fmt(mean('recall')):>6}  "
             f"{_fmt(mean('fpr')):>5}  {accuracy:>9.4f}"
         )
 
-    for seed in cfg.seeds:
-        lines.append(row(seed, partial(report.trial_mean, seed), report.final_accuracy(seed)))
-    lines.append(row("mean", report.mean, report.mean_final_accuracy()))
+    lines.extend(row(seed, [rows]) for seed, rows in zip(cfg.seeds, trials))
+    lines.append(row("mean", trials))
     lines.append("(f1/precision/recall/fpr over rounds >= 1; f1_attack over rounds with true free-riders)")
     return lines
 
@@ -113,7 +116,7 @@ def _prepare_run(args) -> tuple[SimConfig, Path]:
     """Check a run's config and output path before any work.
 
     Returns the config with the --seed and --detector overrides applied and
-    the output directory; raises ConfigurationError otherwise.
+    the output directory, made; raises ConfigurationError otherwise.
     """
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -121,25 +124,24 @@ def _prepare_run(args) -> tuple[SimConfig, Path]:
     if args.detector:
         cfg = replace(cfg, detector=args.detector)
     out = Path(args.out)
-    nearest = next(p for p in (out, *out.parents) if p.exists())
-    if not nearest.is_dir():
-        raise ConfigurationError(f"--out {out}: {nearest} is not a directory")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its way, a name too long, no permission
+        raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
     return cfg, out
 
 
 def cmd_run(args) -> int:
     cfg, out = _prepare_run(args)
     try:
-        report = run_simulation(cfg)
+        trials = write_trace(cfg, run_simulation(cfg), out / "trace.jsonl")
     except S2wefError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace(report, out / "trace.jsonl")
-    write_metrics_csv(report, out / "metrics.csv")
+    write_metrics_csv(cfg, trials, out / "metrics.csv")
     with atomic_write(out / "config.json") as fh:
         fh.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")
-    lines = summary_lines(report)
+    lines = summary_lines(cfg, trials)
     with atomic_write(out / "summary.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     if not args.quiet:

@@ -22,6 +22,7 @@ from .errors import ConfigurationError, HistoryError, ShapeError
 from .wef import counterfeit_one_step
 
 EPS = 1e-12
+ROUNDING_TOL = 1e-12  # relative gap within which scores tie: Dev sums in client order
 GAMMA_EPS = 1e-12
 SILHOUETTE_MIN = 0.30
 MERGE_GAP_MIN = 0.9
@@ -181,12 +182,14 @@ def dev_scores(grids: np.ndarray) -> np.ndarray:
 
     For each of (mean distance, mean cosine, mean entry value) the client's
     absolute deviation from the population mean is divided by the summed
-    deviations; a statistic on which all clients agree contributes 0.
-    (..., n, h, w) grids give (..., n) scores, each round on its own.
+    deviations; a statistic on which all clients agree up to rounding
+    contributes 0.  (..., n, h, w) grids give (..., n) scores, each round on its own.
     """
     terms = []
     for stat in deviation_statistics(grids):
-        dev = np.abs(stat - stat.mean(axis=-1, keepdims=True))
+        mean = stat.mean(axis=-1, keepdims=True)
+        dev = np.abs(stat - mean)
+        dev = np.where(dev.max(axis=-1, keepdims=True) <= ROUNDING_TOL * np.abs(mean), 0.0, dev)
         denom = dev.sum(axis=-1, keepdims=True)
         terms.append(np.divide(dev, denom, out=np.zeros_like(dev), where=denom > 0))
     return terms[0] + terms[1] + terms[2]
@@ -253,13 +256,15 @@ def _median(x: np.ndarray) -> np.ndarray:
 
 def robust_standardize(values: Sequence[float]) -> np.ndarray:
     """Center on the median and scale by the median absolute deviation, over
-    the last axis."""
+    the last axis.  A MAD of rounding is not scaled up: then the values
+    equal to the median up to rounding standardize to 0."""
     x = np.asarray(values, dtype=np.float64)
     if x.size < 1:
         raise ConfigurationError("robust_standardize needs at least one value")
     med = _median(x)
-    mad = _median(np.abs(x - med))
-    return (x - med) / (mad + EPS)
+    dev, tol = np.abs(x - med), ROUNDING_TOL * np.abs(med)
+    centered = np.where((dev <= tol) & (_median(dev) <= tol), 0.0, x - med)
+    return centered / (_median(np.abs(centered)) + EPS)
 
 
 def pairwise_distances(points: np.ndarray) -> np.ndarray:
@@ -456,9 +461,9 @@ def decide_k(
     The split collapses to one cluster when the silhouette is below 0.30 or
     the final merge-gap ratio is below 0.9.  With two clusters, the one
     whose centroid lies farther from the origin is suspicious; a norm tie
-    goes to the cluster with larger mean standardized gamma.  s2 is the
-    split's silhouette when the caller took it together with other rounds';
-    otherwise it is taken here.
+    goes to the cluster with larger mean standardized gamma, then Dev.  s2
+    is the split's silhouette when the caller took it together with other
+    rounds'; otherwise it is taken here.
     """
     pts = np.asarray(points, dtype=np.float64)
     if s2 is None:
@@ -469,13 +474,8 @@ def decide_k(
     if not (s2 < SILHOUETTE_MIN or delta < MERGE_GAP_MIN):
         c0 = pts[labels == 0].mean(axis=0)
         c1 = pts[labels == 1].mean(axis=0)
-        n0, n1 = float(np.linalg.norm(c0)), float(np.linalg.norm(c1))
-        if n1 > n0:
-            sus_label = 1
-        elif n0 > n1:
-            sus_label = 0
-        else:
-            sus_label = 1 if c1[0] > c0[0] else 0
+        # farther centroid, then larger gamma, then larger Dev; a full tie is 0
+        sus_label = int((np.linalg.norm(c1), *c1) > (np.linalg.norm(c0), *c0))
         k, assignment = 2, labels.copy()
         suspicious = frozenset(int(i) for i in np.flatnonzero(labels == sus_label))
     return ClusterOutcome(

@@ -20,7 +20,7 @@ import pickle
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
-from typing import BinaryIO, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import BinaryIO, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -626,43 +626,11 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         _stop_helpers(state.helpers)
 
 
-@dataclass
-class MetricsReport:
-    """Per-round metric series and their aggregations across trials."""
-
-    cfg: SimConfig
-    trials: dict[int, list[RoundRecord]]
-
-    def _rounds(self, seed: int, attack_only: bool) -> list[RoundRecord]:
-        recs = [r for r in self.trials[seed] if r.round_index >= 1]
-        if attack_only:
-            recs = [r for r in recs if r.roles.any()]
-        return recs
-
-    def trial_mean(self, seed: int, metric: str, attack_only: bool = False) -> float:
-        recs = self._rounds(seed, attack_only)
-        if not recs:
-            return float("nan")
-        return float(np.mean([getattr(r.metrics, metric) for r in recs]))
-
-    def mean(self, metric: str, attack_only: bool = False) -> float:
-        values = [self.trial_mean(s, metric, attack_only) for s in self.trials]
-        values = [v for v in values if not np.isnan(v)]
-        return float(np.mean(values)) if values else float("nan")
-
-    def final_accuracy(self, seed: int) -> float:
-        return self.trials[seed][-1].accuracy
-
-    def mean_final_accuracy(self) -> float:
-        return float(np.mean([self.final_accuracy(s) for s in self.trials]))
-
-
-def run_simulation(cfg: SimConfig) -> MetricsReport:
-    """Run every trial seed and collect the full report."""
-    trials = {}
+def run_simulation(cfg: SimConfig) -> Iterator[list[RoundRecord]]:
+    """Each trial seed's round records, the trial run when it is asked for.  They
+    view its shared mapping: drop them before asking for the next trial."""
     for seed in cfg.seeds:
         try:
-            trials[seed] = run_trial(cfg, seed)
+            yield run_trial(cfg, seed)
         except S2wefError as exc:
             raise type(exc)(f"trial seed {seed}: {exc}") from exc
-    return MetricsReport(cfg=cfg, trials=trials)

@@ -23,19 +23,19 @@ import csv
 import json
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain, groupby
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from . import detect as det
 from .errors import ConfigurationError, S2wefError, TraceError
 from .fedsim import (
-    MetricsReport, RoundRecord, SimConfig, build_schedule, compute_metrics, config_from_dict,
+    Metrics, RoundRecord, SimConfig, build_schedule, compute_metrics, config_from_dict,
     config_to_dict,
 )
 from .wef import wef_dtype
@@ -198,14 +198,33 @@ def atomic_write(path: str | Path, newline: str | None = None) -> Iterator[TextI
         raise
 
 
-def write_trace(report: MetricsReport, path: str | Path) -> None:
-    """The header line, then one line per round record, trial by trial."""
-    header = {"header": {"schema": TRACE_SCHEMA, "config": config_to_dict(report.cfg)}}
+class RoundRow(NamedTuple):
+    """What metrics.csv and summary.txt read of one round."""
+
+    round_index: int
+    true_free_riders: int
+    flagged: int
+    metrics: Metrics
+    accuracy: float
+
+    @classmethod
+    def of(cls, rec: RoundRecord) -> RoundRow:
+        flagged = len(rec.detection.decision.free_rider_list)
+        return cls(rec.round_index, int(rec.roles.sum()), flagged, rec.metrics, rec.accuracy)
+
+
+def write_trace(cfg: SimConfig, trials: Iterable[list[RoundRecord]], path: str | Path) -> list[list[RoundRow]]:
+    """The header line, then each trial's round lines as the trial arrives;
+    returns its RoundRows.  Each trial is dropped before the next is asked for."""
+    header = {"header": {"schema": TRACE_SCHEMA, "config": config_to_dict(cfg)}}
+    rows = []
     with atomic_write(path) as fh:
         fh.write(_dumps(header) + "\n")
-        for seed in report.cfg.seeds:
-            for rec in report.trials[seed]:
-                fh.write(encode_record(rec) + "\n")
+        for records in trials:
+            fh.writelines(encode_record(rec) + "\n" for rec in records)
+            rows.append([RoundRow.of(rec) for rec in records])
+            del records
+    return rows
 
 
 class Trace(list):
@@ -608,7 +627,19 @@ _METRICS = ("precision", "recall", "f1", "fpr")
 _CSV_FIELDS = ["trial", "round", "true_free_riders", "flagged", *_METRICS, "accuracy"]
 
 
-def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
+def mean_over_trials(trials: Iterable[Sequence[RoundRow]], metric: str, attack_only: bool = False) -> float:
+    """The mean over trials of metric's mean over rounds >= 1 (those with true
+    free riders if attack_only); a trial without such rounds is left out."""
+    means = []
+    for rows in trials:
+        values = [getattr(r.metrics, metric) for r in rows
+                  if r.round_index >= 1 and (r.true_free_riders or not attack_only)]
+        if values:
+            means.append(float(np.mean(values)))
+    return float(np.mean(means)) if means else float("nan")
+
+
+def write_metrics_csv(cfg: SimConfig, trials: Sequence[Sequence[RoundRow]], path: str | Path) -> None:
     """One row per (trial, round) plus a per-trial summary row.
 
     Summary means cover detection-active rounds (round >= 1); accuracy in
@@ -617,21 +648,19 @@ def write_metrics_csv(report: MetricsReport, path: str | Path) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
         writer.writeheader()
-        for seed in report.cfg.seeds:
-            for rec in report.trials[seed]:
+        for seed, rows in zip(cfg.seeds, trials):
+            for row in rows:
                 writer.writerow({
                     "trial": seed,
-                    "round": rec.round_index,
-                    "true_free_riders": int(rec.roles.sum()),
-                    "flagged": len(rec.detection.decision.free_rider_list),
-                    **{m: f"{getattr(rec.metrics, m):.6f}" for m in _METRICS},
-                    "accuracy": f"{rec.accuracy:.6f}",
+                    "round": row.round_index,
+                    "true_free_riders": row.true_free_riders,
+                    "flagged": row.flagged,
+                    **{m: f"{getattr(row.metrics, m):.6f}" for m in _METRICS},
+                    "accuracy": f"{row.accuracy:.6f}",
                 })
             writer.writerow({
                 "trial": seed,
                 "round": "mean",
-                "true_free_riders": "",
-                "flagged": "",
-                **{m: f"{report.trial_mean(seed, m):.6f}" for m in _METRICS},
-                "accuracy": f"{report.final_accuracy(seed):.6f}",
+                **{m: f"{mean_over_trials([rows], m):.6f}" for m in _METRICS},
+                "accuracy": f"{rows[-1].accuracy:.6f}",
             })

@@ -17,7 +17,7 @@ from s2wef.detect import (
 )
 from s2wef.fedsim import DatasetParams, SimConfig, run_simulation
 from s2wef.nn import Layout, TrainConfig, init_model
-from s2wef.trace import write_trace
+from s2wef.trace import RoundRow, mean_over_trials, write_trace
 from s2wef.wef import build_wef
 
 from conftest import ACCEPTANCE_LINES
@@ -62,7 +62,7 @@ def report_for(kind: str, scenario: str, ratio: float, detector: str, **extra):
             detector=detector,
             **extra,
         )
-        _CACHE[key] = run_simulation(cfg)
+        _CACHE[key] = [[RoundRow.of(rec) for rec in records] for records in run_simulation(cfg)]
     return _CACHE[key]
 
 
@@ -73,7 +73,7 @@ def clean_report(detector: str):
             attack=None, scenario="CLEAN", free_rider_ratio=0.0,
             detector=detector, rounds=30, seeds=(1, 2, 3, 4, 5),
         )
-        _CACHE[key] = run_simulation(cfg)
+        _CACHE[key] = [[RoundRow.of(rec) for rec in records] for records in run_simulation(cfg)]
     return _CACHE[key]
 
 
@@ -161,8 +161,8 @@ def test_criterion_3_dwa_equality():
 
 def trend(kind: str):
     start = time.monotonic()
-    s2 = report_for(kind, "S1", 0.3, "S2WEF").mean("f1", attack_only=True)
-    baseline = report_for(kind, "S1", 0.3, "WEF_NA_BASELINE").mean("f1", attack_only=True)
+    s2 = mean_over_trials(report_for(kind, "S1", 0.3, "S2WEF"), "f1", attack_only=True)
+    baseline = mean_over_trials(report_for(kind, "S1", 0.3, "WEF_NA_BASELINE"), "f1", attack_only=True)
     return s2, baseline, time.monotonic() - start
 
 
@@ -189,7 +189,7 @@ def test_criterion_6_remaining_attacks():
     for kind in ("RWA", "SPA", "ADWA"):
         for scenario in ("S1", "S2"):
             for ratio in (0.1, 0.3):
-                f1 = report_for(kind, scenario, ratio, "S2WEF").mean("f1", attack_only=True)
+                f1 = mean_over_trials(report_for(kind, scenario, ratio, "S2WEF"), "f1", attack_only=True)
                 cells[(kind, scenario, ratio)] = f1
     worst = min(cells, key=cells.get)
     ok = cells[worst] >= 0.90
@@ -204,8 +204,8 @@ def test_criterion_7_scenario_robustness():
     gaps = {}
     for kind in ATTACKS:
         for ratio in (0.1, 0.3):
-            f1_s1 = report_for(kind, "S1", ratio, "S2WEF").mean("f1", attack_only=True)
-            f1_s2 = report_for(kind, "S2", ratio, "S2WEF").mean("f1", attack_only=True)
+            f1_s1 = mean_over_trials(report_for(kind, "S1", ratio, "S2WEF"), "f1", attack_only=True)
+            f1_s2 = mean_over_trials(report_for(kind, "S2", ratio, "S2WEF"), "f1", attack_only=True)
             gaps[(kind, ratio)] = abs(f1_s1 - f1_s2)
     worst = max(gaps, key=gaps.get)
     ok = gaps[worst] <= 0.10
@@ -217,8 +217,8 @@ def test_criterion_7_scenario_robustness():
 # --- criterion 8: majority-vote ablation ----------------------------------------------
 
 def test_criterion_8_vote_ablation():
-    fpr_full = clean_report("S2WEF").mean("fpr")
-    fpr_cluster = clean_report("CLUSTER_ONLY").mean("fpr")
+    fpr_full = mean_over_trials(clean_report("S2WEF"), "fpr")
+    fpr_cluster = mean_over_trials(clean_report("CLUSTER_ONLY"), "fpr")
     bound = 0.6 * fpr_cluster + 0.02
     ok = fpr_full <= bound
     announce(8, "vote ablation", ok,
@@ -229,8 +229,8 @@ def test_criterion_8_vote_ablation():
 # --- criterion 9: L1-term ablation ------------------------------------------------------
 
 def test_criterion_9_l1_ablation():
-    f1_ratio = report_for("DWA", "S1", 0.3, "CLUSTER_ONLY").mean("f1", attack_only=True)
-    f1_cos = report_for("DWA", "S1", 0.3, "COS_ONLY_CLUSTER").mean("f1", attack_only=True)
+    f1_ratio = mean_over_trials(report_for("DWA", "S1", 0.3, "CLUSTER_ONLY"), "f1", attack_only=True)
+    f1_cos = mean_over_trials(report_for("DWA", "S1", 0.3, "COS_ONLY_CLUSTER"), "f1", attack_only=True)
     ok = f1_ratio >= f1_cos
     announce(9, "L1-term ablation", ok,
              f"cos/L1 F1 {f1_ratio:.3f} >= cos-only F1 {f1_cos:.3f}")
@@ -240,9 +240,9 @@ def test_criterion_9_l1_ablation():
 # --- criterion 10: main-task accuracy ----------------------------------------------------
 
 def test_criterion_10_main_task_accuracy():
-    acc_fedavg = clean_report("NONE").mean_final_accuracy()
-    acc_clean = clean_report("S2WEF").mean_final_accuracy()
-    acc_awca = report_for("AWCA", "S1", 0.3, "S2WEF").mean_final_accuracy()
+    acc_fedavg = float(np.mean([rows[-1].accuracy for rows in clean_report("NONE")]))
+    acc_clean = float(np.mean([rows[-1].accuracy for rows in clean_report("S2WEF")]))
+    acc_awca = float(np.mean([rows[-1].accuracy for rows in report_for("AWCA", "S1", 0.3, "S2WEF")]))
     clean_gap = abs(acc_clean - acc_fedavg)
     awca_gap = abs(acc_awca - acc_fedavg)
     ok = clean_gap <= 0.01 and awca_gap <= 0.02
@@ -259,7 +259,7 @@ def test_criterion_11_determinism(tmp_path):
     blobs = []
     for run in (1, 2):
         path = tmp_path / f"trace_{run}.jsonl"
-        write_trace(run_simulation(cfg), path)
+        write_trace(cfg, run_simulation(cfg), path)
         blobs.append(path.read_bytes())
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 0
     announce(11, "determinism", ok,

@@ -11,12 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from s2wef import fedsim
 from s2wef.attacks import AttackParams
 from s2wef.cli import config_from_dict, config_to_dict, load_config, main
 from s2wef.detect import DETECTORS
-from s2wef.errors import ConfigurationError
+from s2wef.errors import ConfigurationError, NumericError
 from s2wef.fedsim import DatasetParams, SimConfig, build_schedule, run_simulation
 from s2wef.nn import TrainConfig
+from s2wef.trace import RoundRow, mean_over_trials
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -344,6 +346,30 @@ def test_out_naming_a_file_exits_2_before_running(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "--out" in err and "Traceback" not in err
     assert existing.read_text() == "keep me\n"
+
+
+def test_out_with_a_name_too_long_exits_2_before_running(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("s2wef.cli.run_simulation", _no_simulation)
+    out = tmp_path / ("x" * 300)  # past the 255 bytes a name may have
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: --out {out}: ")
+
+
+def test_a_run_whose_last_trial_fails_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    run_trial = fedsim.run_trial
+
+    def fails_last(cfg, seed):
+        if seed == cfg.seeds[-1]:
+            raise NumericError("diverged")
+        return run_trial(cfg, seed)
+
+    monkeypatch.setattr(fedsim, "run_trial", fails_last)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, seeds=[1, 2, 3])), "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == "run failed: trial seed 3: diverged\n"
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("detector", list(DETECTORS))
@@ -926,7 +952,7 @@ def test_detect_trace_missing_file_exits_2(tmp_path):
 
 
 # the detector pairs an ablation compares, and the summary.txt column and
-# MetricsReport.mean arguments that hold the number it compares them by
+# mean_over_trials arguments that hold the number it compares them by
 ABLATIONS = {
     "vote": ({"scenario": "CLEAN", "free_rider_ratio": 0.0, "attack": None},
              ("CLUSTER_ONLY", "S2WEF"), "fpr", ("fpr",)),
@@ -944,7 +970,8 @@ def test_an_ablation_is_two_runs_with_detector(tmp_path, overrides, detectors, c
         title, columns, *rows = (out / "summary.txt").read_text().splitlines()
         assert title.startswith(f"detector={detector} ")
         mean_row = dict(zip(columns.split(), next(r for r in rows if r.split()[0] == "mean").split()))
-        expected = run_simulation(replace(cfg, detector=detector)).mean(*mean)
+        trials = run_simulation(replace(cfg, detector=detector))
+        expected = mean_over_trials([[RoundRow.of(rec) for rec in records] for records in trials], *mean)
         assert expected == expected and mean_row[column] == f"{expected:.2f}"  # a number, not NaN
 
 

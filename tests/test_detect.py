@@ -46,6 +46,12 @@ def test_dev_identical_clients_zero():
     np.testing.assert_array_equal(dev_scores(grid_stack(wefs)), np.zeros(4))
 
 
+def test_dev_identical_clients_zero_at_any_size():
+    # 41 identical grids: the mean distance and cosine agree up to rounding
+    wefs = np.array([wm([[1, 0, 5], [2, 2, 0]])] * 41)
+    np.testing.assert_array_equal(dev_scores(grid_stack(wefs)), np.zeros(41))
+
+
 def test_dev_two_clients_symmetric():
     devs = dev_scores(grid_stack(np.array([wm([[1, 0], [0, 0]]), wm([[4, 4], [4, 4]])])))
     assert devs[0] == pytest.approx(devs[1])
@@ -199,6 +205,15 @@ def test_gamma_shape_mismatch():
 
 def test_standardize_constant_is_zero():
     np.testing.assert_array_equal(robust_standardize([3.0, 3.0, 3.0]), np.zeros(3))
+
+
+def test_standardize_rounding_spread_is_zero():
+    # Dev's exact 1/3 in two roundings: a MAD of 3e-17 scales up nothing
+    third, next_up = 1 / 3, np.nextafter(1 / 3, 1)
+    np.testing.assert_array_equal(robust_standardize([third, next_up] * 3), np.zeros(6))
+    z = robust_standardize([third, next_up, third, next_up, 0.5])
+    np.testing.assert_array_equal(z[:4], np.zeros(4))
+    assert z[4] > 1e10  # a real outlier over a MAD of 0
 
 
 def test_standardize_hand_case():
@@ -448,6 +463,18 @@ def test_decide_k_suspicious_is_farther_centroid():
     outcome = decide_k(heights, labels, pts, dist)
     assert outcome.k == 2
     assert outcome.suspicious == frozenset({6, 7, 8})
+
+
+def test_decide_k_norm_and_gamma_tie_goes_to_larger_dev():
+    # mirror clusters at z = (0, -1) and (0, 1), whichever holds client 0
+    for low, high in ((0, 1), (1, 0)):
+        labels = np.array([low, high, low, high])
+        pts = np.column_stack([np.zeros(4), np.where(labels == high, 1.0, -1.0)])
+        dist = pairwise_distances(pts)
+        heights, _ = ward_hac(dist)
+        outcome = decide_k(heights, labels, pts, dist)
+        assert outcome.k == 2
+        assert outcome.suspicious == frozenset({1, 3})
 
 
 # --- threshold flags and vote ---------------------------------------------------
@@ -740,7 +767,10 @@ def detection_bits(detection):
 def median_standardize(x):
     """robust_standardize as np.median gives it."""
     med = np.median(x)
-    return (x - med) / (np.median(np.abs(x - med)) + det.EPS)
+    centered, tol = x - med, det.ROUNDING_TOL * abs(med)
+    if np.median(np.abs(centered)) <= tol:  # a MAD of rounding: near-ties are ties
+        centered[np.abs(centered) <= tol] = 0.0
+    return centered / (np.median(np.abs(centered)) + det.EPS)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1010,19 +1040,36 @@ def test_four_clients_with_two_colluders_flag_by_client_order():
     assert_permuted(wefs, now, prev, 2, [1, 2, 0, 3])
 
 
-# inputs on which the permutation property above fails, each with the
-# permutation that shows it: values equal but for rounding, which follows
-# client order, are divided by a spread that rounding alone makes (the
+# inputs on which the permutation property above once failed, each with the
+# permutation that showed it: values equal but for rounding, which follows
+# client order, were divided by a spread that rounding alone makes (the
 # summed deviations in dev_scores, a MAD of about 1e-17 in
-# robust_standardize), so Dev or z, and then the flags, follow client order
-@pytest.mark.xfail(strict=True, reason="rounding, which follows client order, is divided by a spread of rounding")
+# robust_standardize), or mirror clusters tied on centroid norm and gamma
+# went to client 0's
 @pytest.mark.parametrize("n, h, w, e, colluders, seed, perm", [
     (6, 1, 1, 1, 1, 600638329, [1, 0, 4, 2, 5, 3]),
     (4, 1, 5, 1, 2, 26243, [3, 0, 2, 1]),  # Dev off by 0.33
-    (8, 4, 4, 4, 4, 3648, [3, 1, 6, 7, 4, 5, 0, 2]),
     (10, 1, 1, 1, 0, 41494, [0, 1, 8, 6, 5, 7, 9, 2, 3, 4]),
     (6, 1, 1, 1, 0, 230484, [5, 2, 3, 0, 4, 1]),
-    (8, 1, 1, 3, 0, 11, [1, 6, 7, 2, 3, 4, 5, 0]),
+    (8, 1, 1, 3, 0, 11, [1, 6, 7, 2, 3, 4, 5, 0]),  # z exactly (0, +-1): the Dev tie-break
+    (6, 1, 1, 1, 2, 6, [2, 1, 3, 5, 4, 0]),  # Dev exactly 1/3 by symmetry
+    (6, 1, 1, 1, 0, 1, [0, 1, 3, 4, 2, 5]),  # Dev exactly 1/3 by symmetry
+])
+def test_rounding_ties_do_not_follow_client_order(n, h, w, e, colluders, seed, perm):
+    wefs, now, prev = permutable_round(n, h, w, e, colluders, seed)
+    assert_permuted(wefs, now, prev, e, perm)
+
+
+# inputs on which the permutation property still fails: an exact tie, which
+# Dev's client-order rounding breaks (a near-tie of Ward distances or of
+# centroid norms, Dev at exactly 0.05 below the max), or which Ward breaks
+# by client index (three clusters equally spaced)
+@pytest.mark.xfail(strict=True, reason="an exact tie is broken by rounding or by index, which follow client order")
+@pytest.mark.parametrize("n, h, w, e, colluders, seed, perm", [
+    (8, 4, 4, 4, 4, 3648, [3, 1, 6, 7, 4, 5, 0, 2]),
+    (8, 6, 5, 2, 5, 2225104841, [3, 2, 5, 1, 6, 0, 4, 7]),
+    (11, 1, 2, 1, 1, 2783782263, [9, 10, 7, 4, 2, 0, 5, 3, 6, 1, 8]),  # the baseline's margin
+    (9, 1, 1, 2, 2, 3366551180, [2, 3, 0, 8, 5, 1, 4, 7, 6]),  # z_dev at -1, 0 and 1
 ])
 def test_rounding_ties_flag_by_client_order(n, h, w, e, colluders, seed, perm):
     wefs, now, prev = permutable_round(n, h, w, e, colluders, seed)

@@ -17,6 +17,7 @@ from s2wef.detect import (
     GAMMA_COS_ONLY,
     GAMMA_COS_OVER_L1,
     GAMMA_EPS,
+    ROUNDING_TOL,
     dev_scores,
     deviation_statistics,
     gamma_scores,
@@ -87,6 +88,8 @@ def oracle_dev_scores(wefs):
     terms = []
     for stat in oracle_deviation_statistics(wefs):
         dev = np.abs(stat - stat.mean())
+        if dev.max() <= ROUNDING_TOL * abs(stat.mean()):  # agreement up to rounding
+            dev = np.zeros_like(dev)
         denom = dev.sum()
         terms.append(dev / denom if denom > 0 else np.zeros_like(dev))
     return terms[0] + terms[1] + terms[2]

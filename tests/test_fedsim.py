@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from s2wef.fedsim import (
     schedule_scenario2,
 )
 from s2wef.nn import DatasetShard, Layout, TrainConfig, init_model
+from s2wef.trace import RoundRow, mean_over_trials
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -342,13 +344,13 @@ def test_exclusion_correctness(monkeypatch):
 
 def test_clean_with_detector_matches_fedavg_when_no_flags():
     cfg = small_cfg(scenario="CLEAN", free_rider_ratio=0.0, attack=None, rounds=4)
-    with_det = run_simulation(cfg)
-    plain = run_simulation(small_cfg(scenario="CLEAN", free_rider_ratio=0.0, attack=None,
-                                     rounds=4, detector="NONE"))
-    flags = sum(len(r.detection.decision.free_rider_list) for recs in with_det.trials.values() for r in recs)
+    with_det = list(run_simulation(cfg))
+    plain = list(run_simulation(small_cfg(scenario="CLEAN", free_rider_ratio=0.0, attack=None,
+                                          rounds=4, detector="NONE")))
+    flags = sum(len(r.detection.decision.free_rider_list) for recs in with_det for r in recs)
     if flags == 0:
-        for seed in cfg.seeds:
-            for a, b in zip(with_det.trials[seed], plain.trials[seed]):
+        for with_recs, plain_recs in zip(with_det, plain):
+            for a, b in zip(with_recs, plain_recs):
                 assert a.accuracy == b.accuracy
 
 
@@ -371,11 +373,39 @@ def test_baseline_rounds_flag_in_their_decision_outside_the_vote():
 
 def test_metrics_report_means():
     cfg = small_cfg(rounds=5)
-    rep = run_simulation(cfg)
-    f1 = rep.mean("f1", attack_only=True)
+    trials = [[RoundRow.of(r) for r in recs] for recs in run_simulation(cfg)]
+    f1 = mean_over_trials(trials, "f1", attack_only=True)
     assert 0.0 <= f1 <= 1.0
-    assert 0.0 <= rep.mean("fpr") <= 1.0
-    assert 0.0 <= rep.mean_final_accuracy() <= 1.0
+    assert 0.0 <= mean_over_trials(trials, "fpr") <= 1.0
+    assert 0.0 <= np.mean([rows[-1].accuracy for rows in trials]) <= 1.0
+    # a mean of the trials' own means, leaving out a trial with no round to average
+    assert f1 == np.mean([mean_over_trials([rows], "f1", attack_only=True) for rows in trials])
+    assert mean_over_trials([trials[0][:1]], "f1") != mean_over_trials([trials[0][:1]], "f1")  # NaN
+    assert mean_over_trials([trials[0][:1], *trials], "f1", attack_only=True) == f1
+
+
+def test_a_run_holds_one_trial_at_a_time(tmp_path, monkeypatch):
+    """Each trial's records are views into its own shared mapping: a run writes
+    a trial and drops it before the next trial makes its mapping."""
+    shared, buffers, alive = fedsim._shared_arrays, [], []
+
+    def tracked(cfg, layout):
+        alive.append([ref() is not None for ref in buffers])
+        arrays = shared(cfg, layout)
+        base = arrays[0]
+        while isinstance(base, np.ndarray):
+            base = base.base
+        buffers.append(weakref.ref(base.obj))  # the memoryview's mmap
+        return arrays
+
+    monkeypatch.setattr(fedsim, "_shared_arrays", tracked)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "version": 1, "clients": 5, "free_rider_ratio": 0.2, "scenario": "S1", "attack": {"kind": "DWA"},
+        "rounds": 3, "seeds": [1, 2, 3], "hidden_layers": [16], "dataset": {"samples": 200},
+    }))
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert alive == [[], [False], [False, False]]
 
 
 def assert_no_child_process():
@@ -414,7 +444,7 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
     for cores in (1, 2, 3):
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
         with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
-            run_simulation(small_cfg(clients=20))
+            list(run_simulation(small_cfg(clients=20)))
         assert str(excinfo.value) == (
             f"trial seed 1: round 0: client {client}: non-finite loss at local iteration {iteration}"
         )
@@ -437,7 +467,7 @@ def test_an_error_outside_the_package_is_raised_as_a_one_process_run_raises_it(m
     for cores in (1, 2, 3):  # group 1 is a helper's, group 2 the parent's on 2 cores
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
         with pytest.raises(ValueError) as excinfo:
-            run_simulation(small_cfg(clients=20))
+            list(run_simulation(small_cfg(clients=20)))
         assert type(excinfo.value) is ValueError and str(excinfo.value) == "group 1 failed"
         assert_no_child_process()
 
@@ -566,7 +596,7 @@ def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monke
 
     monkeypatch.setattr(fedsim, "local_train", overflowed)
     with pytest.raises(NumericError) as excinfo:
-        run_simulation(small_cfg())
+        list(run_simulation(small_cfg()))
     # round 0 trains all 5 clients in one lockstep group
     assert str(excinfo.value) == "trial seed 1: round 0: client 4: non-finite parameters"
 
@@ -581,7 +611,7 @@ def test_a_fedavg_mean_that_overflows_is_refused(monkeypatch):
 
     monkeypatch.setattr(fedsim, "local_train", huge)
     with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
-        run_simulation(small_cfg())
+        list(run_simulation(small_cfg()))
     assert str(excinfo.value) == "trial seed 1: round 0: non-finite parameters"
 
 
@@ -591,7 +621,7 @@ def test_a_non_finite_fabricated_row_is_named_with_its_trial_round_and_client():
     cfg = small_cfg(attack=AttackParams(kind="SPA", spa_sigma=1e308))
     rider = int(np.flatnonzero(fedsim.build_schedule(cfg, 1)[2])[0])
     with np.errstate(over="ignore"), pytest.raises(NumericError) as excinfo:
-        run_simulation(cfg)
+        list(run_simulation(cfg))
     assert str(excinfo.value) == f"trial seed 1: round 2: client {rider}: non-finite parameters"
 
 
@@ -611,6 +641,6 @@ def test_lockstep_groups_split_by_shard_length_in_client_order():
 def test_runtime_error_carries_context():
     cfg = small_cfg(train=TrainConfig(learning_rate=1e30, batch_size=8, local_iterations=3))
     with np.errstate(all="ignore"), pytest.raises(Exception) as excinfo:
-        run_simulation(cfg)
+        list(run_simulation(cfg))
     msg = str(excinfo.value)
     assert "trial" in msg and "round" in msg

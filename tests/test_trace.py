@@ -23,7 +23,7 @@ from s2wef.fedsim import (
     PARTITIONS, SCENARIOS, DatasetParams, SimConfig, compute_metrics, config_to_dict, run_simulation,
 )
 from s2wef.nn import TrainConfig
-from s2wef.trace import decode_digit_rows, digit_rows, read_trace, replay_trace, write_trace
+from s2wef.trace import RoundRow, decode_digit_rows, digit_rows, read_trace, replay_trace, write_trace
 from s2wef.wef import wef_dtype
 
 
@@ -104,11 +104,11 @@ def oracle_record_to_dict(rec, schema=trace.TRACE_SCHEMA):
     }
 
 
-def oracle_trace_bytes(report, schema=trace.TRACE_SCHEMA) -> bytes:
-    header = {"header": {"schema": schema, "config": config_to_dict(report.cfg)}}
+def oracle_trace_bytes(cfg, trials, schema=trace.TRACE_SCHEMA) -> bytes:
+    header = {"header": {"schema": schema, "config": config_to_dict(cfg)}}
     lines = [json.dumps(header, separators=(",", ":"))]
-    for seed in report.cfg.seeds:
-        for rec in report.trials[seed]:
+    for records in trials:
+        for rec in records:
             lines.append(json.dumps(oracle_record_to_dict(rec, schema), separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -152,29 +152,31 @@ ENCODED_RUNS = pytest.mark.parametrize(
 
 @ENCODED_RUNS
 def test_write_trace_matches_per_element_encoder(tmp_path, overrides):
-    report = run_simulation(small_cfg(**overrides))
+    cfg = small_cfg(**overrides)
+    trials = list(run_simulation(cfg))
     path = tmp_path / "trace.jsonl"
-    write_trace(report, path)
-    assert path.read_bytes() == oracle_trace_bytes(report)
-    counts = max(int(r.wefs.max()) for recs in report.trials.values() for r in recs)
+    write_trace(cfg, trials, path)
+    assert path.read_bytes() == oracle_trace_bytes(cfg, trials)
+    counts = max(int(r.wefs.max()) for recs in trials for r in recs)
     assert counts >= (10 if overrides else 1)
-    assert any(r.detection.decision.free_rider_list for recs in report.trials.values() for r in recs)
+    assert any(r.detection.decision.free_rider_list for recs in trials for r in recs)
 
 
 def assert_older_forms_read_alike(tmp_path, overrides, *schemas):
     """Each older form of a run's trace is what that schema's writer wrote,
     reads as json.loads reads it, to the schema-4 arrays and fields once its
     digests are dropped, and replays to the same results."""
-    report = run_simulation(small_cfg(**overrides))
+    cfg = small_cfg(**overrides)
+    trials = list(run_simulation(cfg))
     path = tmp_path / "trace.jsonl"
-    write_trace(report, path)
+    write_trace(cfg, trials, path)
     lines = path.read_text().splitlines()
     assert json.loads(lines[0])["header"]["schema"] == 4
     new_records = read_trace(path)
     for schema in schemas:
         old = tmp_path / f"schema_{schema}.jsonl"
         old.write_text("".join(older_line(line, schema) + "\n" for line in lines))
-        assert old.read_bytes() == oracle_trace_bytes(report, schema=schema)
+        assert old.read_bytes() == oracle_trace_bytes(cfg, trials, schema=schema)
         assert_same_reading(*read_both_ways(old))
         old_records = read_trace(old)
         for rec in old_records:
@@ -223,7 +225,7 @@ def replayable_configs(draw):
 @given(cfg=replayable_configs())
 def test_replay_of_a_written_trace_matches_every_recomputed_field(tmp_path_factory, cfg):
     path = tmp_path_factory.mktemp("replay") / "trace.jsonl"
-    write_trace(run_simulation(cfg), path)
+    write_trace(cfg, run_simulation(cfg), path)
     results = replay_trace(read_trace(path))
     assert len(results) == cfg.rounds
     assert [r["field"] for r in results if r["diverged"]] == []
@@ -233,8 +235,8 @@ def test_a_trial_split_by_its_budget_replays_each_round_after_the_one_before(tmp
     """A header-less trace whose e changes from round 2 on: replay takes the
     trial's rounds in two groups, and round 2, the second group's first, is
     detected after round 1's global_pen, not as a trial's first round."""
-    report = run_simulation(small_cfg(seeds=(1,)))
-    lines = [json.loads(older_line(trace.encode_record(rec), 1)) for rec in report.trials[1]]
+    (records,) = run_simulation(small_cfg(seeds=(1,)))
+    lines = [json.loads(older_line(trace.encode_record(rec), 1)) for rec in records]
     for line in lines[2:]:
         line["e"] = 4  # the run's counts lie in [0, 3]
     path = tmp_path / "split.jsonl"
@@ -259,11 +261,11 @@ def test_a_trial_split_by_its_budget_replays_each_round_after_the_one_before(tmp
 )
 def test_wefs_are_held_in_the_narrowest_type_of_their_budget(tmp_path, e, dtype):
     cfg = small_cfg(rounds=3, seeds=(1,), train=TrainConfig(batch_size=8, local_iterations=e))
-    report = run_simulation(cfg)
-    records = report.trials[1]
+    trials = list(run_simulation(cfg))
+    (records,) = trials
     assert all(rec.wefs.dtype == dtype for rec in records)
     path = tmp_path / "trace.jsonl"
-    write_trace(report, path)
+    write_trace(cfg, trials, path)
     lines = path.read_text().splitlines()
     # every row holds h·w counts of len(str(e)) digits, and the seams read every round line
     _, h, w = records[0].wefs.shape
@@ -498,7 +500,8 @@ def test_int_matrix_json_rejects_what_it_cannot_encode(grid):
 
 @pytest.mark.parametrize("fault", ["encoder", "file-size-limit"])
 def test_failed_write_leaves_no_trace_and_no_temp_file(tmp_path, monkeypatch, fault):
-    report = run_simulation(small_cfg(rounds=3, seeds=(1,)))
+    cfg = small_cfg(rounds=3, seeds=(1,))
+    trials = list(run_simulation(cfg))
     path = tmp_path / "trace.jsonl"
     if fault == "encoder":
         real, calls = trace.encode_record, []
@@ -511,7 +514,7 @@ def test_failed_write_leaves_no_trace_and_no_temp_file(tmp_path, monkeypatch, fa
 
         monkeypatch.setattr(trace, "encode_record", fails_on_second_record)
         with pytest.raises(RuntimeError):
-            write_trace(report, path)
+            write_trace(cfg, trials, path)
     else:
         # the write itself fails part way, as on a full disk: the kernel
         # refuses to grow any file of this process past 4 KiB (EFBIG)
@@ -521,7 +524,7 @@ def test_failed_write_leaves_no_trace_and_no_temp_file(tmp_path, monkeypatch, fa
         try:
             resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
             with pytest.raises(OSError):
-                write_trace(report, path)
+                write_trace(cfg, trials, path)
         finally:
             resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
             signal.signal(signal.SIGXFSZ, previous)
@@ -529,18 +532,19 @@ def test_failed_write_leaves_no_trace_and_no_temp_file(tmp_path, monkeypatch, fa
 
 
 def test_failed_metrics_write_leaves_no_file_and_no_temp_file(tmp_path, monkeypatch):
-    report = run_simulation(small_cfg(rounds=3))
-    real = type(report).final_accuracy
+    cfg = small_cfg(rounds=3)
+    trials = [[RoundRow.of(rec) for rec in records] for records in run_simulation(cfg)]
+    real = trace.mean_over_trials
 
-    def fails_on_the_second_trial(self, seed):
-        if seed == report.cfg.seeds[1]:
+    def fails_on_the_second_trial(over, metric):
+        if over[0] is trials[1]:
             raise RuntimeError("metrics failed")
-        return real(self, seed)
+        return real(over, metric)
 
     # the first trial's rows and its mean row are written before the failure
-    monkeypatch.setattr(type(report), "final_accuracy", fails_on_the_second_trial)
+    monkeypatch.setattr(trace, "mean_over_trials", fails_on_the_second_trial)
     with pytest.raises(RuntimeError):
-        trace.write_metrics_csv(report, tmp_path / "metrics.csv")
+        trace.write_metrics_csv(cfg, trials, tmp_path / "metrics.csv")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -549,21 +553,21 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 @pytest.fixture(scope="module")
 def reports():
-    """Runs whose WEF counts have one digit and two."""
-    one_digit = run_simulation(small_cfg(rounds=3, seeds=(1,)))
-    two_digits = run_simulation(small_cfg(
+    """Runs whose WEF counts have one digit and two: each config with its trials."""
+    one_digit = small_cfg(rounds=3, seeds=(1,))
+    two_digits = small_cfg(
         rounds=3, seeds=(3,),
         train=TrainConfig(learning_rate=0.1, batch_size=8, local_iterations=12),
-    ))
-    return [one_digit, two_digits]
+    )
+    return [(cfg, list(run_simulation(cfg))) for cfg in (one_digit, two_digits)]
 
 
 @pytest.fixture(scope="module")
 def record_lines(reports):
     """The round lines of those runs as a trace without a header holds them:
     as the writer encodes them, in schema-1 form."""
-    return [older_line(trace.encode_record(rec), 1) for report in reports
-            for recs in report.trials.values() for rec in recs]
+    return [older_line(trace.encode_record(rec), 1) for _, trials in reports
+            for recs in trials for rec in recs]
 
 
 def read_both_ways(path):
@@ -595,7 +599,7 @@ def assert_same_reading(fast, slow):
 
 
 def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, reports, record_lines):
-    lines = [trace.encode_record(rec) for report in reports for recs in report.trials.values() for rec in recs]
+    lines = [trace.encode_record(rec) for _, trials in reports for recs in trials for rec in recs]
     decoded = [trace._split_record(line) for line in lines]
     assert all(rec is not None for rec in decoded)
     assert max(int(rec["wefs"].max()) for rec in decoded) >= 10  # two-digit counts are there
@@ -604,9 +608,9 @@ def test_reader_decodes_the_writers_lines_at_their_seams(tmp_path, reports, reco
     assert all(list(rec) == list(json.loads(line)) for rec, line in zip(decoded, lines))
     paths = [tmp_path / "header-less.jsonl"]
     paths[0].write_text("".join(line + "\n" for line in record_lines))
-    for i, report in enumerate(reports):
+    for i, (cfg, trials) in enumerate(reports):
         paths.append(tmp_path / f"trace_{i}.jsonl")
-        write_trace(report, paths[-1])
+        write_trace(cfg, trials, paths[-1])
         paths.append(tmp_path / f"trace_{i}_schema_2.jsonl")
         paths[-1].write_text("".join(older_line(line, 2) + "\n" for line in paths[-2].read_text().splitlines()))
     # lines of an older schema go to json.loads whole
@@ -700,7 +704,8 @@ def test_decode_float_matrix_takes_exactly_the_canonical_base64(matrix, data):
 @pytest.fixture(scope="module")
 def template_records():
     """The three round records of a small run, whose matrices the property below replaces."""
-    return run_simulation(small_cfg(rounds=3, seeds=(1,))).trials[1]
+    (records,) = run_simulation(small_cfg(rounds=3, seeds=(1,)))
+    return records
 
 
 # a config has at least 2 classes, so a trace's matrix is at least 1 × 2
@@ -926,9 +931,9 @@ SCHEMA_3_PERTURBATIONS = {
 def trace_texts(reports, tmp_path_factory):
     """The traces of those runs as write_trace writes them, line by line."""
     texts = []
-    for report in reports:
+    for cfg, trials in reports:
         path = tmp_path_factory.mktemp("written") / "trace.jsonl"
-        write_trace(report, path)
+        write_trace(cfg, trials, path)
         texts.append(path.read_text().splitlines())
     return texts
 
