@@ -19,6 +19,7 @@ replay divergence, 2 invalid config or malformed trace.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -124,9 +125,13 @@ def _prepare_run(args) -> tuple[SimConfig, Path]:
     if args.detector:
         cfg = replace(cfg, detector=args.detector)
     out = Path(args.out)
+    missing = [path for path in (out, *out.parents) if not os.path.lexists(path)]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file in its way, a name too long, no permission
+        for path in missing:  # deepest first: the parents made before a later name failed
+            with contextlib.suppress(OSError):
+                path.rmdir()
         raise ConfigurationError(f"--out {out}: {exc.strerror or exc}") from exc
     return cfg, out
 

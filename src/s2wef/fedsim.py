@@ -7,7 +7,8 @@ needed to replay or audit the run.  All randomness derives from the trial
 seed, so a config reproduces its trace byte for byte, on any number of
 cores: a trial of 16 clients or more trains its lockstep groups in forked
 helper processes too, one per usable core beyond the first, each writing
-its clients' rows and WEF grids into memory it shares with the parent.
+its clients' rows and WEF grids into memory it shares with the parent.  A
+round in which any of them fails reruns in the parent alone.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import json
 import math
 import mmap
 import os
-import pickle
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
-from typing import BinaryIO, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -366,7 +366,7 @@ class _Helper:
 
     pid: int
     commands: int  # write end of its pipe: one 4-byte round index per round
-    replies: BinaryIO  # read end of its pipe: one pickled reply per round (see _serve)
+    replies: int  # read end of its pipe: one byte per round, 1 if its share raised
 
 
 @dataclass
@@ -433,21 +433,26 @@ def _lockstep_groups(shards: Sequence[DatasetShard], clients: Iterable[int]) -> 
     ]
 
 
-def _naming(exc: S2wefError, client: int) -> S2wefError:
-    """exc retold with its client named, chained to it as `raise ... from exc` does."""
-    named = type(exc)(f"client {client}: {exc}")
-    named.__cause__ = exc
-    return named
+def _fabricate(state: _TrialState, t: int) -> None:
+    """Round t's free riders' submissions into state.rows and state.wefs[t]."""
+    e = state.cfg.train.local_iterations
+    for i in np.flatnonzero(state.schedule[t]).tolist():
+        seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
+        try:
+            state.rows[i], state.wefs[t, i] = make_submission(
+                state.cfg.attack, state.layout, state.global_row, state.previous_global, e, seed
+            )
+        except S2wefError as exc:
+            raise type(exc)(f"client {i}: {exc}") from exc
 
 
-def _train_share(state: _TrialState, t: int, first: int, step: int) -> tuple[int, Exception] | None:
+def _train_share(state: _TrialState, t: int, first: int, step: int) -> None:
     """Train groups first, first + step, ... of round t's _lockstep_groups from
-    state.broadcast into state.rows and state.wefs[t].  Stops at the first
-    group that fails and returns its index and error; None if none fails."""
+    state.broadcast into state.rows and state.wefs[t], raising the first
+    failing group's error."""
     benign = np.flatnonzero(~state.schedule[t]).tolist()
     groups = _lockstep_groups(state.shards, benign)
-    for g in range(first, len(groups), step):
-        group = groups[g]
+    for group in groups[first::step]:
         seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
         shards = [state.shards[i] for i in group]
         try:
@@ -455,23 +460,19 @@ def _train_share(state: _TrialState, t: int, first: int, step: int) -> tuple[int
                 state.layout, state.broadcast, shards, state.cfg.train, seeds
             )
         except S2wefError as exc:
-            return g, _naming(exc, group[exc.shard])
-        except Exception as exc:
-            return g, exc
-    return None
+            raise type(exc)(f"client {group[exc.shard]}: {exc}") from exc
 
 
 def _serve(state: _TrialState, first: int, step: int, commands: int, replies: int) -> None:
-    """A helper's loop: train its share of each round it is sent, until EOF.
-
-    A reply is None, or the failing group's index with the type and message
-    of its error, which the parent raises in its place.
-    """
-    with os.fdopen(replies, "wb") as out:
-        while message := os.read(commands, 4):
-            failure = _train_share(state, int.from_bytes(message, "little"), first, step)
-            out.write(pickle.dumps(failure and (failure[0], type(failure[1]), str(failure[1]))))
-            out.flush()
+    """A helper's loop: train its share of each round it is sent, until EOF,
+    and answer one byte, 1 if the share raised and 0 if not."""
+    while message := os.read(commands, 4):
+        try:
+            _train_share(state, int.from_bytes(message, "little"), first, step)
+            reply = b"\0"
+        except Exception:
+            reply = b"\1"
+        os.write(replies, reply)
 
 
 def _fork_helpers(state: _TrialState, count: int) -> None:
@@ -494,20 +495,20 @@ def _fork_helpers(state: _TrialState, count: int) -> None:
                 os.close(replies_in)
                 for helper in state.helpers:  # an earlier helper's pipes are the parent's alone
                     os.close(helper.commands)
-                    helper.replies.close()
+                    os.close(helper.replies)
                 _serve(state, first, count + 1, commands_in, replies_out)
             finally:
                 os._exit(0)
         os.close(commands_in)
         os.close(replies_out)
-        state.helpers.append(_Helper(pid, commands_out, os.fdopen(replies_in, "rb")))
+        state.helpers.append(_Helper(pid, commands_out, replies_in))
 
 
 def _stop_helpers(helpers: list[_Helper]) -> None:
     """Close every helper's pipes, which it reads as EOF and exits on, and reap it."""
     for helper in helpers:
         os.close(helper.commands)
-        helper.replies.close()
+        os.close(helper.replies)
     for helper in helpers:
         os.waitpid(helper.pid, 0)
     helpers.clear()
@@ -516,37 +517,29 @@ def _stop_helpers(helpers: list[_Helper]) -> None:
 def _submissions(state: _TrialState, t: int) -> np.ndarray:
     """Every client's submitted parameter row for round t, in client order:
     the trial's (n, P) float64 rows, overwritten.  Their WEF grids go to
-    state.wefs[t].  An error is the one a one-process run raises: the first
-    free rider's, else that of the first failing group in _lockstep_groups
-    order."""
-    cfg = state.cfg
-    e = cfg.train.local_iterations
+    state.wefs[t].  If any process fails, the parent reruns the round alone:
+    every step is seeded per client and round and reads only the broadcast
+    rows and the shards, so the rerun raises the one-process run's error, and
+    a failure that does not recur leaves that run's rows."""
     state.broadcast[:] = state.global_row
     for helper in state.helpers:
         os.write(helper.commands, t.to_bytes(4, "little"))
-    failure = None
-    for i in np.flatnonzero(state.schedule[t]).tolist():
-        seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
-        try:
-            state.rows[i], state.wefs[t, i] = make_submission(
-                cfg.attack, state.layout, state.global_row, state.previous_global, e, seed
-            )
-        except S2wefError as exc:
-            failure = -1, _naming(exc, i)
-            break
-        except Exception as exc:
-            failure = -1, exc
-            break
-    failures = [failure or _train_share(state, t, 0, len(state.helpers) + 1)]
-    for helper in state.helpers:  # every helper answers before anything is raised
-        try:
-            reply = pickle.load(helper.replies)
-        except EOFError:
-            raise RuntimeError(f"training helper {helper.pid} exited in round {t}") from None
-        failures.append(reply and (reply[0], reply[1](reply[2])))
-    failures = [f for f in failures if f]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    try:
+        _fabricate(state, t)
+        _train_share(state, t, 0, len(state.helpers) + 1)
+        failed = False
+    except Exception:
+        if not state.helpers:  # this was the one-process run
+            raise
+        failed = True
+    for helper in state.helpers:  # every helper answers before the rows are read or rewritten
+        reply = os.read(helper.replies, 1)
+        if not reply:
+            raise RuntimeError(f"training helper {helper.pid} exited in round {t}")
+        failed |= reply != b"\0"
+    if failed:
+        _fabricate(state, t)
+        _train_share(state, t, 0, 1)
     finite = np.isfinite(state.rows).all(axis=1)
     if not finite.all():
         raise NumericError(f"client {int(np.argmin(finite))}: non-finite parameters")

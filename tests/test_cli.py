@@ -356,6 +356,16 @@ def test_out_with_a_name_too_long_exits_2_before_running(tmp_path, capsys, monke
     assert len(err.splitlines()) == 1 and err.startswith(f"config error: --out {out}: ")
 
 
+def test_out_with_a_name_too_long_under_missing_directories_makes_none_of_them(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("s2wef.cli.run_simulation", _no_simulation)
+    config = write_config(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "a" / "b" / ("x" * 300)
+    assert main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --out {out}: ")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_a_run_whose_last_trial_fails_exits_1_and_leaves_no_file(tmp_path, capsys, monkeypatch):
     run_trial = fedsim.run_trial
 

@@ -413,6 +413,28 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+def cause_chain(exc: BaseException) -> list[tuple[type, str]]:
+    """The type and message of exc and of each __cause__ under it."""
+    chain = []
+    while exc is not None:
+        chain.append((type(exc), str(exc)))
+        exc = exc.__cause__
+    return chain
+
+
+def fail_group_1(monkeypatch, error):
+    """Make round 0's lockstep group 1 of a 20-client trial of seed 1 (clients
+    8-15) raise error(), a fresh exception on each call."""
+    train, seed = fedsim.local_train, fedsim.derive_seed(1, fedsim._TAG_TRAIN, 0, 8)
+
+    def failing(layout, model, shards, cfg, seeds):
+        if seeds[0] == seed:
+            raise error()
+        return train(layout, model, shards, cfg, seeds)
+
+    monkeypatch.setattr(fedsim, "local_train", failing)
+
+
 # 20 clients: round 0 trains lockstep groups [0-7], [8-15] and [16-19].  On 2
 # cores the parent trains the first and the last and a helper the middle one;
 # on 3 cores each group has its own process.
@@ -441,6 +463,7 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
         return shards
 
     monkeypatch.setattr(fedsim, "partition_iid", scaled)
+    chains = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
         with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
@@ -448,7 +471,11 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
         assert str(excinfo.value) == (
             f"trial seed 1: round 0: client {client}: non-finite loss at local iteration {iteration}"
         )
+        chains.append(cause_chain(excinfo.value))
         assert_no_child_process()
+    # trial, round, client, and the training's own error under them
+    assert chains[0][-1] == (NumericError, f"non-finite loss at local iteration {iteration}")
+    assert chains[1] == chains[0] and chains[2] == chains[0]
 
 
 def test_an_error_outside_the_package_is_raised_as_a_one_process_run_raises_it(monkeypatch):
@@ -470,6 +497,84 @@ def test_an_error_outside_the_package_is_raised_as_a_one_process_run_raises_it(m
             list(run_simulation(small_cfg(clients=20)))
         assert type(excinfo.value) is ValueError and str(excinfo.value) == "group 1 failed"
         assert_no_child_process()
+
+
+def undecodable() -> UnicodeDecodeError:  # its constructor takes five arguments
+    exc = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "group 1 failed")
+    exc.__cause__ = KeyError(8)
+    return exc
+
+
+def test_an_error_built_from_several_arguments_is_raised_as_a_one_process_run_raises_it(monkeypatch):
+    fail_group_1(monkeypatch, undecodable)
+    chains = []
+    for cores in (1, 2, 3):  # group 1 is a helper's on 2 and 3 cores
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(UnicodeDecodeError) as excinfo:
+            list(run_simulation(small_cfg(clients=20)))
+        chains.append(cause_chain(excinfo.value))
+        assert_no_child_process()
+    assert chains[0] == cause_chain(undecodable())
+    assert chains[1] == chains[0] and chains[2] == chains[0]
+
+
+def test_a_failure_only_in_helpers_leaves_the_rounds_a_one_process_run_computes(tmp_path, monkeypatch):
+    parent, train = os.getpid(), fedsim.local_train
+
+    def failing(*args):  # every helper's share fails, and the parent's rerun does not
+        if os.getpid() != parent:
+            raise MemoryError
+        return train(*args)
+
+    monkeypatch.setattr(fedsim, "local_train", failing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FORKING_CONFIGS["s2-awca-24"]))
+    outputs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert_no_child_process()
+        outputs.append({f: (out / f).read_bytes() for f in ("trace.jsonl", "metrics.csv", "summary.txt")})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_helper_that_exits_is_named_with_its_round(monkeypatch):
+    parent, train_share, fork_helpers = os.getpid(), fedsim._train_share, fedsim._fork_helpers
+    first_helper = []
+
+    def exiting(state, t, first, step):  # every helper dies in round 1 without a word
+        if os.getpid() != parent and t == 1:
+            os._exit(3)
+        train_share(state, t, first, step)
+
+    def forked(state, count):
+        fork_helpers(state, count)
+        first_helper.append(state.helpers[0].pid)
+
+    monkeypatch.setattr(fedsim, "_train_share", exiting)
+    monkeypatch.setattr(fedsim, "_fork_helpers", forked)
+    for cores in (2, 3):  # the parent reads its first helper's answer first
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_trial(small_cfg(clients=20), 1)
+        assert str(excinfo.value) == f"training helper {first_helper[-1]} exited in round 1"
+        assert_no_child_process()
+
+
+def test_a_forking_trial_leaves_the_descriptors_it_found(monkeypatch):
+    if not Path("/proc/self/fd").exists():
+        pytest.skip("needs /proc to list the descriptors of this process")
+    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)
+    before = sorted(os.listdir("/proc/self/fd"))
+    list(run_simulation(small_cfg(clients=20)))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert_no_child_process()
+    fail_group_1(monkeypatch, lambda: ValueError("group 1 failed"))
+    with pytest.raises(ValueError):
+        list(run_simulation(small_cfg(clients=20)))
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert_no_child_process()
 
 
 def test_an_interrupted_trial_leaves_no_helper(monkeypatch):
