@@ -5,14 +5,20 @@ train benign clients, let scheduled free-riders fabricate submissions,
 detect, aggregate with the flagged clients excluded, and record everything
 needed to replay or audit the run.  All randomness derives from the trial
 seed, so a config reproduces its trace byte for byte, on any number of
-cores: a trial of 16 clients or more trains its lockstep groups in forked
-helper processes too, one per usable core beyond the first, each writing
-its clients' rows and WEF grids into memory it shares with the parent.  A
-round in which any of them fails reruns in the parent alone.
+cores: a trial forks one helper process per usable core beyond the first,
+pins each process to a core of its own and runs numpy's OpenBLAS on one
+thread, whose product is the same to the bit.  Where OpenBLAS cannot be
+held so, nothing is pinned and only a trial of 16 clients or more forks.
+The helpers train their share of each round's lockstep groups, writing
+their clients' rows and WEF grids into memory they share with the parent,
+and the first of them evaluates the previous round's model meanwhile.  A
+round in which any process fails reruns in the parent alone.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import mmap
@@ -20,7 +26,7 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
-from typing import Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -380,34 +386,72 @@ class _TrialState:
     global_row: np.ndarray  # the broadcast model's (P,) parameters
     # The arrays below live in one anonymous shared mapping made before the
     # helpers fork, so what any process writes there every process sees.
-    # rows: every round's (n, P) float64 submissions, and once they are
-    # averaged, the evaluation's activations that fit.  One array for the
-    # whole trial, outside the heap: fresh ones each round left an 11 MB heap
-    # hole at 200 clients, and whether a 200-client benchmark process peaked
-    # at 58.3 or 65.7 MiB came down to allocation order (glibc malloc).
+    # rows: every round's (n, P) float64 submissions, and the activations
+    # that fit of the evaluations the parent runs alone (a helper's would
+    # overlap the other processes' training).  One array for the whole
+    # trial, outside the heap: fresh ones each round left an 11 MB heap hole
+    # at 200 clients, and whether a 200-client benchmark process peaked at
+    # 58.3 or 65.7 MiB came down to allocation order (glibc malloc).
     rows: np.ndarray
     wefs: np.ndarray  # (rounds, n, h, w) WEF grids of wef_dtype(e); round t's record holds wefs[t]
     broadcast: np.ndarray  # the round's global row, copied where the helpers read it
+    accuracies: np.ndarray  # (rounds,) float64: round t's model's accuracy, written in round t + 1
     previous_global: np.ndarray | None = None
     helpers: list[_Helper] = field(default_factory=list)
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on; 1 where the platform cannot tell."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
+    """Cores this process may run on; 1 where the platform cannot pin a process to one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
 
 
-def _shared_arrays(cfg: SimConfig, layout: Layout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, wefs, broadcast) for _TrialState, in one anonymous shared mapping."""
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count calls of the OpenBLAS under numpy's matrix
+    products, or None where numpy runs on another BLAS or they cannot be found."""
+    try:
+        # a name is looked up in the libraries the module links against too
+        numpy_core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        # as numpy's wheels (scipy-openblas, 64-bit integers) and a plain OpenBLAS name them
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            if hasattr(numpy_core, name % "set"):
+                get, set_ = getattr(numpy_core, name % "get"), getattr(numpy_core, name % "set")
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    except (AttributeError, OSError):
+        pass
+    return None
+
+
+def _pins() -> bool:
+    """Whether a trial pins its processes to cores.  Pinned, a process's BLAS
+    threads would take turns on its core, so only where numpy's OpenBLAS can
+    be held to one thread."""
+    return hasattr(os, "sched_setaffinity") and _openblas_threads() is not None
+
+
+def _set_blas_threads(count: int) -> int:
+    """Run numpy's OpenBLAS on count threads; return the count it ran on."""
+    get, set_ = _openblas_threads()
+    before = get()
+    set_(count)
+    return before
+
+
+def _shared_arrays(
+    cfg: SimConfig, layout: Layout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, wefs, broadcast, accuracies) for _TrialState, in one anonymous shared mapping."""
     n, p = cfg.clients, layout.num_params
     grids = (cfg.rounds, n, *layout.penultimate_shape)
     dtype = wef_dtype(cfg.train.local_iterations)
-    row_bytes = (n + 1) * p * 8
-    buffer = mmap.mmap(-1, row_bytes + math.prod(grids) * dtype.itemsize)
-    rows = np.frombuffer(buffer, np.float64, (n + 1) * p).reshape(n + 1, p)
-    wefs = np.frombuffer(buffer, dtype, math.prod(grids), offset=row_bytes).reshape(grids)
-    return rows[:n], wefs, rows[n]
+    floats = (n + 1) * p + cfg.rounds
+    buffer = mmap.mmap(-1, floats * 8 + math.prod(grids) * dtype.itemsize)
+    values = np.frombuffer(buffer, np.float64, floats)
+    rows = values[:(n + 1) * p].reshape(n + 1, p)
+    wefs = np.frombuffer(buffer, dtype, math.prod(grids), offset=floats * 8).reshape(grids)
+    return rows[:n], wefs, rows[n], values[(n + 1) * p:]
 
 
 # Benign clients train in lockstep groups of at most this many clients with
@@ -463,21 +507,47 @@ def _train_share(state: _TrialState, t: int, first: int, step: int) -> None:
             raise type(exc)(f"client {group[exc.shard]}: {exc}") from exc
 
 
+def _evaluate(state: _TrialState, t: int, row: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """The accuracy of round t's model, row, into state.accuracies[t]."""
+    try:
+        state.accuracies[t] = evaluate_accuracy(state.layout, row, state.eval_set, scratch)
+    except S2wefError as exc:
+        raise type(exc)(f"round {t}: {exc}") from exc
+
+
+def _share(state: _TrialState, t: int, first: int, step: int) -> None:
+    """Process first's part of round t, which step processes share: the first
+    helper, or the parent alone, evaluates round t - 1's model, the broadcast
+    row; the parent fabricates the free riders' submissions; and each trains
+    lockstep groups first, first + step, ... (see _train_share)."""
+    if t and (first == 1 or step == 1):
+        # the rows are scratch only to the parent alone: other processes write them meanwhile
+        _evaluate(state, t - 1, state.broadcast, state.rows.reshape(-1) if step == 1 else None)
+    try:
+        if first == 0:
+            _fabricate(state, t)
+        _train_share(state, t, first, step)
+    except S2wefError as exc:
+        raise type(exc)(f"round {t}: {exc}") from exc
+
+
 def _serve(state: _TrialState, first: int, step: int, commands: int, replies: int) -> None:
-    """A helper's loop: train its share of each round it is sent, until EOF,
-    and answer one byte, 1 if the share raised and 0 if not."""
+    """A helper's loop: do its share of each round it is sent, until EOF, and
+    answer one byte, 1 if the share raised and 0 if not."""
     while message := os.read(commands, 4):
         try:
-            _train_share(state, int.from_bytes(message, "little"), first, step)
+            _share(state, int.from_bytes(message, "little"), first, step)
             reply = b"\0"
         except Exception:
             reply = b"\1"
         os.write(replies, reply)
 
 
-def _fork_helpers(state: _TrialState, count: int) -> None:
+def _fork_helpers(state: _TrialState, count: int, cores: list[int]) -> None:
     """Fork count helpers into state.helpers; helper j trains every (count + 1)-th
-    group from group j, the parent those from group 0."""
+    group from group j, the parent those from group 0.  Unless cores is
+    empty, pin the parent to its first core and helper j to the j-th,
+    counting around when there are more processes than cores."""
     for first in range(1, count + 1):
         commands_in, commands_out = os.pipe()
         replies_in, replies_out = os.pipe()
@@ -502,6 +572,10 @@ def _fork_helpers(state: _TrialState, count: int) -> None:
         os.close(commands_in)
         os.close(replies_out)
         state.helpers.append(_Helper(pid, commands_out, replies_in))
+        if cores:
+            os.sched_setaffinity(pid, {cores[first % len(cores)]})
+    if cores:
+        os.sched_setaffinity(0, {cores[0]})
 
 
 def _stop_helpers(helpers: list[_Helper]) -> None:
@@ -517,16 +591,16 @@ def _stop_helpers(helpers: list[_Helper]) -> None:
 def _submissions(state: _TrialState, t: int) -> np.ndarray:
     """Every client's submitted parameter row for round t, in client order:
     the trial's (n, P) float64 rows, overwritten.  Their WEF grids go to
-    state.wefs[t].  If any process fails, the parent reruns the round alone:
-    every step is seeded per client and round and reads only the broadcast
-    rows and the shards, so the rerun raises the one-process run's error, and
-    a failure that does not recur leaves that run's rows."""
+    state.wefs[t], and round t - 1's accuracy to state.accuracies.  If any
+    process fails, the parent reruns the round alone: every step is seeded
+    per client and round and reads only the broadcast row, the shards and
+    the evaluation set, so the rerun raises the one-process run's error, and
+    a failure that does not recur leaves that run's results."""
     state.broadcast[:] = state.global_row
     for helper in state.helpers:
         os.write(helper.commands, t.to_bytes(4, "little"))
     try:
-        _fabricate(state, t)
-        _train_share(state, t, 0, len(state.helpers) + 1)
+        _share(state, t, 0, len(state.helpers) + 1)
         failed = False
     except Exception:
         if not state.helpers:  # this was the one-process run
@@ -538,32 +612,31 @@ def _submissions(state: _TrialState, t: int) -> np.ndarray:
             raise RuntimeError(f"training helper {helper.pid} exited in round {t}")
         failed |= reply != b"\0"
     if failed:
-        _fabricate(state, t)
-        _train_share(state, t, 0, 1)
-    finite = np.isfinite(state.rows).all(axis=1)
-    if not finite.all():
-        raise NumericError(f"client {int(np.argmin(finite))}: non-finite parameters")
+        _share(state, t, 0, 1)
     return state.rows
 
 
 def run_round(state: _TrialState, t: int) -> RoundRecord:
-    """One communication round: submit, detect, aggregate, evaluate."""
+    """One communication round: submit (evaluating the previous round's
+    model meanwhile), detect and aggregate.  The record's accuracy is NaN
+    until run_trial fills it in."""
     cfg = state.cfg
     n, e = cfg.clients, cfg.train.local_iterations
     global_pen_before = state.layout.penultimate(state.global_row).copy()
     pen_prev = None if state.previous_global is None else state.layout.penultimate(state.previous_global)
     wefs = state.wefs[t]
 
+    submissions = _submissions(state, t)  # its errors name their rounds
     try:
-        submissions = _submissions(state, t)
+        finite = np.isfinite(submissions).all(axis=1)
+        if not finite.all():
+            raise NumericError(f"client {int(np.argmin(finite))}: non-finite parameters")
         (detection,) = det.detect_trial(cfg.detector, [wefs], [global_pen_before], pen_prev, e)
         flagged = detection.decision.free_rider_list
         kept = set(range(n)) - flagged
         new_global = aggregate_fedavg(submissions, kept)
         if not np.isfinite(new_global).all():  # finite rows whose mean overflows
             raise NumericError("non-finite parameters")
-        # the evaluation's activations overwrite the submissions
-        accuracy = evaluate_accuracy(state.layout, new_global, state.eval_set, submissions.reshape(-1))
     except S2wefError as exc:
         raise type(exc)(f"round {t}: {exc}") from exc
 
@@ -577,7 +650,7 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         wefs=wefs,
         detection=detection,
         metrics=metrics,
-        accuracy=accuracy,
+        accuracy=math.nan,
         global_pen_before=global_pen_before,
         e=e,
     )
@@ -587,9 +660,14 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
 
 
 def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
-    """All rounds for one trial seed.  A trial of 2 * _GROUP_CLIENTS clients or
-    more forks its helpers before round 0 and reaps them before it returns
-    or raises."""
+    """All rounds for one trial seed.  Where it pins (_pins), the trial holds
+    OpenBLAS to one thread, forks its helpers and pins its processes before
+    round 0; elsewhere only a trial of 2 * _GROUP_CLIENTS clients or more
+    forks, unpinned.  Before it returns or raises, it reaps the helpers and
+    gives the parent back the cores it could run on and its BLAS threads.
+    Round t's model is evaluated in round t + 1, and the last one after the
+    loop, by the parent, so the records get their accuracies when the trial
+    ends."""
     dataset = make_dataset(cfg.dataset, derive_seed(trial_seed, _TAG_DATA))
     part_seed = derive_seed(trial_seed, _TAG_PARTITION)
     if cfg.partition == "IID":
@@ -598,7 +676,7 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         shards = partition_dirichlet(dataset, cfg.clients, cfg.dirichlet_beta, part_seed)
 
     layout = Layout(cfg.architecture)
-    rows, wefs, broadcast = _shared_arrays(cfg, layout)
+    rows, wefs, broadcast, accuracies = _shared_arrays(cfg, layout)
     state = _TrialState(
         cfg=cfg,
         trial_seed=trial_seed,
@@ -610,13 +688,24 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         rows=rows,
         wefs=wefs,
         broadcast=broadcast,
+        accuracies=accuracies,
     )
+    pins = _pins()
+    affinity = os.sched_getaffinity(0) if pins else set()
+    blas_threads = _set_blas_threads(1) if pins else 0
     try:
-        if cfg.clients >= 2 * _GROUP_CLIENTS:
-            _fork_helpers(state, _usable_cores() - 1)
-        return [run_round(state, t) for t in range(cfg.rounds)]
+        if pins or cfg.clients >= 2 * _GROUP_CLIENTS:
+            _fork_helpers(state, _usable_cores() - 1, sorted(affinity))
+        records = [run_round(state, t) for t in range(cfg.rounds)]
+        _evaluate(state, cfg.rounds - 1, state.global_row, state.rows.reshape(-1))
     finally:
         _stop_helpers(state.helpers)
+        if pins:  # so the threads BLAS starts again get the parent's cores
+            os.sched_setaffinity(0, affinity)
+            _set_blas_threads(blas_threads)
+    for record, accuracy in zip(records, accuracies.tolist()):
+        record.accuracy = accuracy
+    return records
 
 
 def run_simulation(cfg: SimConfig) -> Iterator[list[RoundRecord]]:

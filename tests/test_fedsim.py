@@ -548,8 +548,8 @@ def test_a_helper_that_exits_is_named_with_its_round(monkeypatch):
             os._exit(3)
         train_share(state, t, first, step)
 
-    def forked(state, count):
-        fork_helpers(state, count)
+    def forked(state, *args):
+        fork_helpers(state, *args)
         first_helper.append(state.helpers[0].pid)
 
     monkeypatch.setattr(fedsim, "_train_share", exiting)
@@ -592,9 +592,13 @@ def test_an_interrupted_trial_leaves_no_helper(monkeypatch):
     assert_no_child_process()
 
 
-# Two configs whose rounds train in forked helpers: S1 with 40 clients (5 and
-# then 4 lockstep groups), and S2 with 24 clients whose free riders, and so
-# whose groups, change every round.
+# Whether a trial pins its processes, and so forks at every client count.
+PINS = fedsim._pins()
+# Configs whose rounds train in forked helpers: S1 with 40 clients (5 and
+# then 4 lockstep groups), S2 with 24 clients whose free riders, and so
+# whose groups, change every round, and the dwa_s1 shape, whose 10 clients
+# train in 2 and then 1 lockstep group, so that from round 2 on a helper
+# only evaluates the previous round's model.
 FORKING_CONFIGS = {
     "s1-dwa-40": {
         "version": 1, "clients": 40, "free_rider_ratio": 0.2, "scenario": "S1", "attack": {"kind": "DWA"},
@@ -605,35 +609,204 @@ FORKING_CONFIGS = {
         "rounds": 5, "seeds": [3], "train": {"momentum": 0.5}, "hidden_layers": [32],
         "dataset": {"samples": 480},
     },
+    "dwa-s1-10": {
+        "version": 1, "clients": 10, "free_rider_ratio": 0.3, "scenario": "S1", "attack": {"kind": "DWA"},
+        "rounds": 20, "seeds": [1, 2], "hidden_layers": [32],
+    },
 }
+
+
+def logging_calls(monkeypatch, path: Path, *names: str) -> None:
+    """Make each of fedsim's functions names append its name and the id of
+    the process it runs in, the parent's or a helper's, to path."""
+    for name in names:
+        def logged(*args, _name=name, _call=getattr(fedsim, name)):
+            with path.open("a") as fh:
+                fh.write(f"{_name} {os.getpid()}\n")
+            return _call(*args)
+
+        monkeypatch.setattr(fedsim, name, logged)
+
+
+def read_calls(path: Path) -> dict[str, list[int]]:
+    calls: dict[str, list[int]] = {}
+    for line in path.read_text().splitlines():
+        name, pid = line.split()
+        calls.setdefault(name, []).append(int(pid))
+    return calls
 
 
 @pytest.mark.parametrize("name", FORKING_CONFIGS)
 def test_helpers_change_no_output_byte(tmp_path, monkeypatch, name):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(FORKING_CONFIGS[name]))
-    pids = tmp_path / "pids"
-    train = fedsim.local_train
-
-    def logged(*args):  # each call appends its process id, from the parent or a helper
-        with pids.open("a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return train(*args)
-
-    monkeypatch.setattr(fedsim, "local_train", logged)
+    trials, rounds = len(FORKING_CONFIGS[name]["seeds"]), FORKING_CONFIGS[name]["rounds"]
+    # a trial of 10 clients forks only where it pins its processes
+    forks = PINS or FORKING_CONFIGS[name]["clients"] >= 2 * fedsim._GROUP_CLIENTS
+    log = tmp_path / "calls"
+    logging_calls(monkeypatch, log, "_share", "local_train", "evaluate_accuracy")
     outputs = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
-        pids.write_text("")
+        helpers = cores - 1 if forks else 0
+        log.write_text("")
         out = tmp_path / f"cores{cores}"
         assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         assert_no_child_process()
-        calls = pids.read_text().split()
-        # every group trained once, by the parent or by one of each trial's helpers
-        assert len(set(calls)) == len(FORKING_CONFIGS[name]["seeds"]) * (cores - 1) + 1
+        calls = read_calls(log)
+        # the parent and each trial's helpers take their share of every round
+        assert len(set(calls["_share"])) == trials * helpers + 1
+        if name != "dwa-s1-10":  # and train groups; 10 clients leave a third process none
+            assert len(set(calls["local_train"])) == trials * helpers + 1
+        # every model is evaluated once; with helpers, all but each trial's
+        # last by the first helper, while the next round trains
+        assert len(calls["evaluate_accuracy"]) == trials * rounds
+        in_helpers = [pid for pid in calls["evaluate_accuracy"] if pid != os.getpid()]
+        assert len(in_helpers) == (trials * (rounds - 1) if helpers else 0)
         outputs.append({f: (out / f).read_bytes() for f in ("trace.jsonl", "metrics.csv", "summary.txt")})
-        outputs[-1]["calls"] = len(calls)
+        # and every group trained once, by the parent or by a helper
+        outputs[-1]["local_train"] = len(calls["local_train"])
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_failure_only_in_a_helpers_evaluation_leaves_the_rounds_a_one_process_run_computes(tmp_path, monkeypatch):
+    parent, evaluate = os.getpid(), fedsim.evaluate_accuracy
+
+    def failing(*args):  # every helper's evaluation fails, and the parent's rerun does not
+        if os.getpid() != parent:
+            raise MemoryError
+        return evaluate(*args)
+
+    monkeypatch.setattr(fedsim, "evaluate_accuracy", failing)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FORKING_CONFIGS["dwa-s1-10"]))
+    outputs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        out = tmp_path / f"cores{cores}"
+        assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert_no_child_process()
+        outputs.append({f: (out / f).read_bytes() for f in ("trace.jsonl", "metrics.csv", "summary.txt")})
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+# Round 2's model is evaluated in round 3, by the first helper when there is
+# one; the last round's after the loop, by the parent.
+@pytest.mark.parametrize("failing_round", [2, 5])
+def test_a_failing_evaluation_is_named_with_the_round_of_its_model(monkeypatch, failing_round):
+    cfg = small_cfg(clients=10, rounds=6)
+    evaluate, models = fedsim.evaluate_accuracy, []
+
+    def recorded(layout, row, *args):  # in one process, models are evaluated in round order
+        models.append(row.tobytes())
+        return evaluate(layout, row, *args)
+
+    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(fedsim, "evaluate_accuracy", recorded)
+    list(run_simulation(cfg))
+    model = models[failing_round]
+
+    def failing(layout, row, *args):  # in every process
+        if row.tobytes() == model:
+            raise ConfigurationError("evaluation failed")
+        return evaluate(layout, row, *args)
+
+    monkeypatch.setattr(fedsim, "evaluate_accuracy", failing)
+    chains = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(ConfigurationError) as excinfo:
+            list(run_simulation(cfg))
+        assert str(excinfo.value) == f"trial seed 1: round {failing_round}: evaluation failed"
+        chains.append(cause_chain(excinfo.value))
+        assert_no_child_process()
+    assert chains[1] == chains[0] and chains[2] == chains[0]
+
+
+needs_pinning = pytest.mark.skipif(
+    not PINS, reason="needs os.sched_setaffinity and numpy on OpenBLAS to pin a process to a core"
+)
+# the cores this process could run on when its tests were collected, before any trial ran
+START_AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+
+
+def blas_threads() -> int | None:
+    """The thread count of numpy's OpenBLAS; None where numpy runs on another BLAS."""
+    calls = fedsim._openblas_threads()
+    return calls and calls[0]()
+
+
+START_BLAS_THREADS = blas_threads()
+
+
+@needs_pinning
+@pytest.mark.parametrize("ending", ["returns", "raises", "interrupted"])
+def test_a_trial_pins_its_processes_and_gives_the_parent_back_its_cores(tmp_path, monkeypatch, ending):
+    before, threads, log = os.sched_getaffinity(0), blas_threads(), tmp_path / "affinity"
+    # no earlier trial left the process pinned, or BLAS on one thread
+    assert before == START_AFFINITY and threads == START_BLAS_THREADS
+    parent, train_share = os.getpid(), fedsim._train_share
+
+    def pinned(state, t, first, step):  # each process's cores and BLAS threads in each round
+        with log.open("a") as fh:
+            fh.write(f"{first} {sorted(os.sched_getaffinity(0))} {blas_threads()}\n")
+        if os.getpid() == parent and t == 1 and ending == "interrupted":
+            raise KeyboardInterrupt
+        if os.getpid() == parent and t == 1 and ending == "raises":
+            raise ValueError("group 0 failed")
+        return train_share(state, t, first, step)
+
+    monkeypatch.setattr(fedsim, "_train_share", pinned)
+    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)  # more processes than cores, on 2
+    if ending == "returns":
+        run_trial(small_cfg(clients=10), 1)
+    else:
+        with pytest.raises(KeyboardInterrupt if ending == "interrupted" else ValueError):
+            run_trial(small_cfg(clients=10), 1)
+    assert_no_child_process()
+    # the parent on the first core, helper j on the j-th, counting around,
+    # each on one BLAS thread
+    cores = sorted(before)
+    pins = {line for line in log.read_text().splitlines()}
+    assert pins == {f"{first} {[cores[first % len(cores)]]} 1" for first in range(3)}
+    assert os.sched_getaffinity(0) == before and blas_threads() == threads
+
+
+@needs_pinning
+def test_each_trial_of_a_run_forks_its_helpers(tmp_path, monkeypatch):
+    cores = len(START_AFFINITY)
+    if cores < 2:
+        pytest.skip("needs 2 usable cores to fork a helper")
+    log = tmp_path / "calls"
+    logging_calls(monkeypatch, log, "_share")
+    list(run_simulation(small_cfg(clients=10, seeds=(1, 2))))
+    assert_no_child_process()
+    # had the first trial left the parent on one core, the second would fork none
+    assert len(set(read_calls(log)["_share"])) == 2 * (cores - 1) + 1
+
+
+@pytest.mark.parametrize("clients, helpers", [(10, 0), (20, 2)])
+def test_where_blas_is_not_held_only_large_trials_fork_and_none_pins(tmp_path, monkeypatch, clients, helpers):
+    monkeypatch.setattr(fedsim, "_openblas_threads", lambda: None)  # numpy on MKL, say
+    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)
+    affinity = getattr(os, "sched_getaffinity", lambda pid: set())
+    before, log, train_share = affinity(0), tmp_path / "affinity", fedsim._train_share
+
+    def logged(state, t, first, step):  # each process's id and cores in each round
+        with log.open("a") as fh:
+            fh.write(f"{os.getpid()} {sorted(affinity(0))}\n")
+        return train_share(state, t, first, step)
+
+    monkeypatch.setattr(fedsim, "_train_share", logged)
+    run_trial(small_cfg(clients=clients), 1)
+    assert_no_child_process()
+    pids, cores = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
+    assert len(set(pids)) == helpers + 1 and set(cores) == {str(sorted(before))}
+
+
+def test_a_blas_whose_calls_cannot_be_looked_up_is_not_held(monkeypatch):
+    monkeypatch.setattr(np, "_core", object())  # where numpy's private module moved
+    assert fedsim._openblas_threads.__wrapped__() is None
 
 
 # Runs a forking simulation in a fresh interpreter with 2 usable cores.
