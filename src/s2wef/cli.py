@@ -9,9 +9,10 @@ output file is created.  A run writes its trace trial by trial, holding one
 trial at a time.  It trains a round's benign clients in lockstep groups of
 up to 8 with equal-length shards, one stacked numpy call per operation, bit
 for bit what training them one by one gives.  A trial splits each round's
-groups between itself and one forked helper process per further usable core,
-each pinned to a core of its own, and the first helper scores the previous
-round's model meanwhile; the output is the same on any number of cores.
+clients evenly between itself and one forked helper process per further
+usable core, each pinned to a core of its own, and the first helper then
+scores the previous round's model while the trial detects and aggregates;
+the output is the same on any number of cores.
 Where numpy's BLAS is not an OpenBLAS it can hold to one thread, nothing is
 pinned and only a trial of 16 clients or more forks.
 Threads would not help: the small numpy calls hold the interpreter lock, and

@@ -9,10 +9,11 @@ cores: a trial forks one helper process per usable core beyond the first,
 pins each process to a core of its own and runs numpy's OpenBLAS on one
 thread, whose product is the same to the bit.  Where OpenBLAS cannot be
 held so, nothing is pinned and only a trial of 16 clients or more forks.
-The helpers train their share of each round's lockstep groups, writing
-their clients' rows and WEF grids into memory they share with the parent,
-and the first of them evaluates the previous round's model meanwhile.  A
-round in which any process fails reruns in the parent alone.
+Each process trains an even share of each round's benign clients, the
+helpers writing their rows and WEF grids into memory they share with the
+parent, and then the first helper evaluates the previous round's model
+while the parent detects and aggregates.  A round in which any process
+fails reruns in the parent alone.
 """
 
 from __future__ import annotations
@@ -368,11 +369,11 @@ def build_schedule(cfg: SimConfig, trial_seed: int) -> np.ndarray:
 
 @dataclass
 class _Helper:
-    """A forked process that trains its share of every round's lockstep groups."""
+    """A forked process that trains its share of every round's benign clients."""
 
     pid: int
-    commands: int  # write end of its pipe: one 4-byte round index per round
-    replies: int  # read end of its pipe: one byte per round, 1 if its share raised
+    commands: int  # write end of its pipe: one 4-byte round index per round; -1 once closed
+    replies: int  # read end of its pipe: one byte per share and per evaluation, 1 if it raised
 
 
 @dataclass
@@ -387,8 +388,8 @@ class _TrialState:
     # The arrays below live in one anonymous shared mapping made before the
     # helpers fork, so what any process writes there every process sees.
     # rows: every round's (n, P) float64 submissions, and the activations
-    # that fit of the evaluations the parent runs alone (a helper's would
-    # overlap the other processes' training).  One array for the whole
+    # that fit of the evaluations the parent runs alone (a helper's overlaps
+    # FedAvg, which moves the rows in place).  One array for the whole
     # trial, outside the heap: fresh ones each round left an 11 MB heap hole
     # at 200 clients, and whether a 200-client benchmark process peaked at
     # 58.3 or 65.7 MiB came down to allocation order (glibc malloc).
@@ -398,6 +399,7 @@ class _TrialState:
     accuracies: np.ndarray  # (rounds,) float64: round t's model's accuracy, written in round t + 1
     previous_global: np.ndarray | None = None
     helpers: list[_Helper] = field(default_factory=list)
+    evaluating: int | None = None  # the model the first helper evaluates, its answer unread
 
 
 def _usable_cores() -> int:
@@ -465,16 +467,26 @@ def _shared_arrays(
 _GROUP_CLIENTS = 8
 
 
-def _lockstep_groups(shards: Sequence[DatasetShard], clients: Iterable[int]) -> list[list[int]]:
-    """clients grouped by shard length in client order, at most _GROUP_CLIENTS a group."""
+def _lockstep_groups(
+    shards: Sequence[DatasetShard], clients: Iterable[int], first: int = 0, step: int = 1
+) -> list[list[int]]:
+    """Process first's share of clients, which step processes share: of each
+    shard length's clients, in client order, a contiguous run at most one
+    client longer or shorter than another process's, cut into lockstep
+    groups of at most _GROUP_CLIENTS.  The lengths' odd clients go to the
+    processes in turn, so that lengths of one client each spread over all."""
     by_length: dict[int, list[int]] = {}
     for i in clients:
         by_length.setdefault(len(shards[i]), []).append(i)
-    return [
-        same[start:start + _GROUP_CLIENTS]
-        for same in by_length.values()
-        for start in range(0, len(same), _GROUP_CLIENTS)
-    ]
+    groups, turn = [], 0
+    for same in by_length.values():
+        size, extra = divmod(len(same), step)
+        sizes = [size + ((k - turn) % step < extra) for k in range(step)]
+        start = sum(sizes[:first])
+        share = same[start:start + sizes[first]]
+        groups += [share[k:k + _GROUP_CLIENTS] for k in range(0, len(share), _GROUP_CLIENTS)]
+        turn = (turn + extra) % step
+    return groups
 
 
 def _fabricate(state: _TrialState, t: int) -> None:
@@ -491,12 +503,11 @@ def _fabricate(state: _TrialState, t: int) -> None:
 
 
 def _train_share(state: _TrialState, t: int, first: int, step: int) -> None:
-    """Train groups first, first + step, ... of round t's _lockstep_groups from
+    """Train process first's _lockstep_groups of round t's benign clients from
     state.broadcast into state.rows and state.wefs[t], raising the first
     failing group's error."""
     benign = np.flatnonzero(~state.schedule[t]).tolist()
-    groups = _lockstep_groups(state.shards, benign)
-    for group in groups[first::step]:
+    for group in _lockstep_groups(state.shards, benign, first, step):
         seeds = [derive_seed(state.trial_seed, _TAG_TRAIN, t, i) for i in group]
         shards = [state.shards[i] for i in group]
         try:
@@ -516,13 +527,13 @@ def _evaluate(state: _TrialState, t: int, row: np.ndarray, scratch: np.ndarray |
 
 
 def _share(state: _TrialState, t: int, first: int, step: int) -> None:
-    """Process first's part of round t, which step processes share: the first
-    helper, or the parent alone, evaluates round t - 1's model, the broadcast
-    row; the parent fabricates the free riders' submissions; and each trains
-    lockstep groups first, first + step, ... (see _train_share)."""
-    if t and (first == 1 or step == 1):
-        # the rows are scratch only to the parent alone: other processes write them meanwhile
-        _evaluate(state, t - 1, state.broadcast, state.rows.reshape(-1) if step == 1 else None)
+    """Process first's part of round t, which step processes share: the
+    parent alone first evaluates round t - 1's model, the broadcast row;
+    the parent fabricates the free riders' submissions; and each trains its
+    share of the benign clients (see _train_share).  With helpers, the first
+    helper evaluates that model after its share (see _serve)."""
+    if t and step == 1:
+        _evaluate(state, t - 1, state.broadcast, state.rows.reshape(-1))
     try:
         if first == 0:
             _fabricate(state, t)
@@ -531,23 +542,32 @@ def _share(state: _TrialState, t: int, first: int, step: int) -> None:
         raise type(exc)(f"round {t}: {exc}") from exc
 
 
+def _outcome(work: Callable[..., None], *args) -> bytes:
+    """A helper's answer for work(*args): 1 if it raised and 0 if not."""
+    try:
+        work(*args)
+    except Exception:
+        return b"\1"
+    return b"\0"
+
+
 def _serve(state: _TrialState, first: int, step: int, commands: int, replies: int) -> None:
-    """A helper's loop: do its share of each round it is sent, until EOF, and
-    answer one byte, 1 if the share raised and 0 if not."""
+    """A helper's loop: for each round t it is sent, until EOF, do its share
+    and answer one byte (see _outcome).  The first helper then evaluates
+    round t - 1's model, the broadcast row, while the parent detects and
+    aggregates, and answers a second byte for it."""
     while message := os.read(commands, 4):
-        try:
-            _share(state, int.from_bytes(message, "little"), first, step)
-            reply = b"\0"
-        except Exception:
-            reply = b"\1"
-        os.write(replies, reply)
+        t = int.from_bytes(message, "little")
+        os.write(replies, _outcome(_share, state, t, first, step))
+        if first == 1 and t:
+            os.write(replies, _outcome(_evaluate, state, t - 1, state.broadcast))
 
 
 def _fork_helpers(state: _TrialState, count: int, cores: list[int]) -> None:
-    """Fork count helpers into state.helpers; helper j trains every (count + 1)-th
-    group from group j, the parent those from group 0.  Unless cores is
-    empty, pin the parent to its first core and helper j to the j-th,
-    counting around when there are more processes than cores."""
+    """Fork count helpers into state.helpers; helper j does share j of each
+    round's count + 1, the parent share 0.  Unless cores is empty, pin the
+    parent to its first core and helper j to the j-th, counting around when
+    there are more processes than cores."""
     for first in range(1, count + 1):
         commands_in, commands_out = os.pipe()
         replies_in, replies_out = os.pipe()
@@ -578,27 +598,50 @@ def _fork_helpers(state: _TrialState, count: int, cores: list[int]) -> None:
         os.sched_setaffinity(0, {cores[0]})
 
 
-def _stop_helpers(helpers: list[_Helper]) -> None:
-    """Close every helper's pipes, which it reads as EOF and exits on, and reap it."""
+def _close_pipes(helpers: list[_Helper]) -> None:
+    """Close every helper's pipes that are still open, which it reads as EOF and exits on."""
     for helper in helpers:
-        os.close(helper.commands)
-        os.close(helper.replies)
-    for helper in helpers:
-        os.waitpid(helper.pid, 0)
-    helpers.clear()
+        if helper.commands >= 0:
+            os.close(helper.commands)
+            os.close(helper.replies)
+            helper.commands = helper.replies = -1
+
+
+def _failed(helper: _Helper, t: int) -> bool:
+    """Read helper's next answer, for its work in round t: whether that raised."""
+    reply = os.read(helper.replies, 1)
+    if not reply:
+        raise RuntimeError(f"training helper {helper.pid} exited in round {t}")
+    return reply != b"\0"
+
+
+def _await_evaluation(state: _TrialState) -> None:
+    """Read the first helper's answer for the model it evaluates, if one is
+    owed.  If the evaluation failed, the parent runs it again from
+    state.broadcast, which still holds that model, and so raises the error
+    a one-process run raises before the next round's work."""
+    t, state.evaluating = state.evaluating, None
+    if t is not None and _failed(state.helpers[0], t + 1):
+        _evaluate(state, t, state.broadcast)
 
 
 def _submissions(state: _TrialState, t: int) -> np.ndarray:
     """Every client's submitted parameter row for round t, in client order:
     the trial's (n, P) float64 rows, overwritten.  Their WEF grids go to
-    state.wefs[t], and round t - 1's accuracy to state.accuracies.  If any
-    process fails, the parent reruns the round alone: every step is seeded
-    per client and round and reads only the broadcast row, the shards and
-    the evaluation set, so the rerun raises the one-process run's error, and
-    a failure that does not recur leaves that run's results."""
+    state.wefs[t]; round t - 1's accuracy goes to state.accuracies now
+    without helpers, and with them once _await_evaluation has read the
+    first helper's answer.  If any process fails, the parent reruns the
+    round alone: every step is seeded per client and round and reads only
+    the broadcast row, the shards and the evaluation set, so the rerun
+    raises the one-process run's error, and a failure that does not recur
+    leaves that run's results."""
+    _await_evaluation(state)  # before the broadcast row it reads is rewritten
     state.broadcast[:] = state.global_row
     for helper in state.helpers:
-        os.write(helper.commands, t.to_bytes(4, "little"))
+        try:
+            os.write(helper.commands, t.to_bytes(4, "little"))
+        except BrokenPipeError:
+            raise RuntimeError(f"training helper {helper.pid} exited in round {t}") from None
     try:
         _share(state, t, 0, len(state.helpers) + 1)
         failed = False
@@ -607,19 +650,21 @@ def _submissions(state: _TrialState, t: int) -> np.ndarray:
             raise
         failed = True
     for helper in state.helpers:  # every helper answers before the rows are read or rewritten
-        reply = os.read(helper.replies, 1)
-        if not reply:
-            raise RuntimeError(f"training helper {helper.pid} exited in round {t}")
-        failed |= reply != b"\0"
+        failed |= _failed(helper, t)
+    if t and state.helpers:
+        state.evaluating = t - 1
     if failed:
+        _await_evaluation(state)
         _share(state, t, 0, 1)
     return state.rows
 
 
 def run_round(state: _TrialState, t: int) -> RoundRecord:
-    """One communication round: submit (evaluating the previous round's
-    model meanwhile), detect and aggregate.  The record's accuracy is NaN
-    until run_trial fills it in."""
+    """One communication round: submit, detect and aggregate, while the
+    first helper, if any, evaluates the previous round's model (see
+    _submissions).  If the parent's own work fails, it waits for that
+    evaluation first, whose error a one-process run would raise first.  The
+    record's accuracy is NaN until run_trial fills it in."""
     cfg = state.cfg
     n, e = cfg.clients, cfg.train.local_iterations
     global_pen_before = state.layout.penultimate(state.global_row).copy()
@@ -637,8 +682,11 @@ def run_round(state: _TrialState, t: int) -> RoundRecord:
         new_global = aggregate_fedavg(submissions, kept)
         if not np.isfinite(new_global).all():  # finite rows whose mean overflows
             raise NumericError("non-finite parameters")
-    except S2wefError as exc:
-        raise type(exc)(f"round {t}: {exc}") from exc
+    except Exception as exc:
+        _await_evaluation(state)  # one process evaluates round t - 1's model before round t's work
+        if isinstance(exc, S2wefError):
+            raise type(exc)(f"round {t}: {exc}") from exc
+        raise
 
     truth = frozenset(int(i) for i in np.flatnonzero(state.schedule[t]))
     metrics = compute_metrics(truth, flagged, n)
@@ -665,9 +713,10 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
     round 0; elsewhere only a trial of 2 * _GROUP_CLIENTS clients or more
     forks, unpinned.  Before it returns or raises, it reaps the helpers and
     gives the parent back the cores it could run on and its BLAS threads.
-    Round t's model is evaluated in round t + 1, and the last one after the
-    loop, by the parent, so the records get their accuracies when the trial
-    ends."""
+    Round t's model is evaluated in round t + 1: by the first helper after
+    its share of that round, or by the parent alone before its own.  The
+    last model is evaluated after the loop, by the parent while the helpers
+    exit, so the records get their accuracies when the trial ends."""
     dataset = make_dataset(cfg.dataset, derive_seed(trial_seed, _TAG_DATA))
     part_seed = derive_seed(trial_seed, _TAG_PARTITION)
     if cfg.partition == "IID":
@@ -697,9 +746,13 @@ def run_trial(cfg: SimConfig, trial_seed: int) -> list[RoundRecord]:
         if pins or cfg.clients >= 2 * _GROUP_CLIENTS:
             _fork_helpers(state, _usable_cores() - 1, sorted(affinity))
         records = [run_round(state, t) for t in range(cfg.rounds)]
+        _await_evaluation(state)
+        _close_pipes(state.helpers)  # the helpers exit while the parent evaluates the last model
         _evaluate(state, cfg.rounds - 1, state.global_row, state.rows.reshape(-1))
     finally:
-        _stop_helpers(state.helpers)
+        _close_pipes(state.helpers)
+        for helper in state.helpers:
+            os.waitpid(helper.pid, 0)
         if pins:  # so the threads BLAS starts again get the parent's cores
             os.sched_setaffinity(0, affinity)
             _set_blas_threads(blas_threads)

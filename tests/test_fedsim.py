@@ -422,22 +422,23 @@ def cause_chain(exc: BaseException) -> list[tuple[type, str]]:
     return chain
 
 
-def fail_group_1(monkeypatch, error):
-    """Make round 0's lockstep group 1 of a 20-client trial of seed 1 (clients
-    8-15) raise error(), a fresh exception on each call."""
+def fail_client_8(monkeypatch, error):
+    """Make the lockstep group that trains client 8 in round 0 of a 20-client
+    trial of seed 1 raise error(), a fresh exception on each call: in one
+    process, group 1 (clients 8-15)."""
     train, seed = fedsim.local_train, fedsim.derive_seed(1, fedsim._TAG_TRAIN, 0, 8)
 
     def failing(layout, model, shards, cfg, seeds):
-        if seeds[0] == seed:
+        if seed in seeds:
             raise error()
         return train(layout, model, shards, cfg, seeds)
 
     monkeypatch.setattr(fedsim, "local_train", failing)
 
 
-# 20 clients: round 0 trains lockstep groups [0-7], [8-15] and [16-19].  On 2
-# cores the parent trains the first and the last and a helper the middle one;
-# on 3 cores each group has its own process.
+# 20 clients: one process trains round 0 in lockstep groups [0-7], [8-15]
+# and [16-19].  On 2 cores the parent trains [0-7] and [8, 9] and a helper
+# [10-17] and [18, 19]; on 3 cores the processes train 7, 7 and 6 clients.
 @pytest.mark.parametrize(
     "scales, client, iteration",
     [
@@ -480,18 +481,18 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
 
 def test_an_error_outside_the_package_is_raised_as_a_one_process_run_raises_it(monkeypatch):
     train = fedsim.local_train
-    group_seed = {fedsim.derive_seed(1, fedsim._TAG_TRAIN, 0, first): g for g, first in enumerate((0, 8, 16))}
+    seed_8, seed_16 = (fedsim.derive_seed(1, fedsim._TAG_TRAIN, 0, i) for i in (8, 16))
 
-    def failing(layout, model, shards, cfg, seeds):  # round 0's groups 1 and 2 fail
-        g = group_seed.get(seeds[0])
-        if g == 1:
+    def failing(layout, model, shards, cfg, seeds):  # the groups of round 0's clients 8 and 16 fail
+        if seed_8 in seeds:
             raise ValueError("group 1 failed")
-        if g == 2:
+        if seed_16 in seeds:
             raise TypeError("group 2 failed")
         return train(layout, model, shards, cfg, seeds)
 
     monkeypatch.setattr(fedsim, "local_train", failing)
-    for cores in (1, 2, 3):  # group 1 is a helper's, group 2 the parent's on 2 cores
+    # in one process, groups 1 and 2; client 8 is the parent's and client 16 a helper's on 2 cores
+    for cores in (1, 2, 3):
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
         with pytest.raises(ValueError) as excinfo:
             list(run_simulation(small_cfg(clients=20)))
@@ -506,9 +507,9 @@ def undecodable() -> UnicodeDecodeError:  # its constructor takes five arguments
 
 
 def test_an_error_built_from_several_arguments_is_raised_as_a_one_process_run_raises_it(monkeypatch):
-    fail_group_1(monkeypatch, undecodable)
+    fail_client_8(monkeypatch, undecodable)
     chains = []
-    for cores in (1, 2, 3):  # group 1 is a helper's on 2 and 3 cores
+    for cores in (1, 2, 3):  # client 8 is the parent's on 2 cores and a helper's on 3
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
         with pytest.raises(UnicodeDecodeError) as excinfo:
             list(run_simulation(small_cfg(clients=20)))
@@ -562,6 +563,53 @@ def test_a_helper_that_exits_is_named_with_its_round(monkeypatch):
         assert_no_child_process()
 
 
+def test_a_helper_that_dies_between_rounds_is_named_with_the_next_round(monkeypatch):
+    run_round, first_helper = fedsim.run_round, []
+
+    def killing(state, t):  # every helper is killed once round 0 ends
+        record = run_round(state, t)
+        if t == 0:
+            for helper in state.helpers:
+                os.kill(helper.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+            first_helper.append(state.helpers[0].pid)
+        return record
+
+    monkeypatch.setattr(fedsim, "run_round", killing)
+    for cores in (2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_trial(small_cfg(clients=20), 1)
+        assert str(excinfo.value) == f"training helper {first_helper[-1]} exited in round 1"
+        assert_no_child_process()
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_a_helper_that_exits_while_it_evaluates_is_named_with_its_round(monkeypatch, model):
+    parent, evaluate, fork_helpers = os.getpid(), fedsim.evaluate_accuracy, fedsim._fork_helpers
+    evaluated, first_helper = [], []
+
+    def exiting(*args):  # the first helper dies evaluating the model of round `model`
+        if os.getpid() != parent:
+            evaluated.append(None)  # this helper's copy: it evaluates models 0, 1, ... in turn
+            if len(evaluated) == model + 1:
+                os._exit(3)
+        return evaluate(*args)
+
+    def forked(state, *args):
+        fork_helpers(state, *args)
+        first_helper.append(state.helpers[0].pid)
+
+    monkeypatch.setattr(fedsim, "evaluate_accuracy", exiting)
+    monkeypatch.setattr(fedsim, "_fork_helpers", forked)
+    for cores in (2, 3):  # the model of round 2, the last but one, is evaluated in round 3
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(RuntimeError) as excinfo:
+            run_trial(small_cfg(clients=20), 1)
+        assert str(excinfo.value) == f"training helper {first_helper[-1]} exited in round {model + 1}"
+        assert_no_child_process()
+
+
 def test_a_forking_trial_leaves_the_descriptors_it_found(monkeypatch):
     if not Path("/proc/self/fd").exists():
         pytest.skip("needs /proc to list the descriptors of this process")
@@ -570,7 +618,7 @@ def test_a_forking_trial_leaves_the_descriptors_it_found(monkeypatch):
     list(run_simulation(small_cfg(clients=20)))
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_process()
-    fail_group_1(monkeypatch, lambda: ValueError("group 1 failed"))
+    fail_client_8(monkeypatch, lambda: ValueError("group 1 failed"))
     with pytest.raises(ValueError):
         list(run_simulation(small_cfg(clients=20)))
     assert sorted(os.listdir("/proc/self/fd")) == before
@@ -594,11 +642,11 @@ def test_an_interrupted_trial_leaves_no_helper(monkeypatch):
 
 # Whether a trial pins its processes, and so forks at every client count.
 PINS = fedsim._pins()
-# Configs whose rounds train in forked helpers: S1 with 40 clients (5 and
-# then 4 lockstep groups), S2 with 24 clients whose free riders, and so
-# whose groups, change every round, and the dwa_s1 shape, whose 10 clients
-# train in 2 and then 1 lockstep group, so that from round 2 on a helper
-# only evaluates the previous round's model.
+# Configs whose rounds train in forked helpers: S1 with 40 clients (32
+# benign from round 2), S2 with 24 clients whose free riders change every
+# round, the dwa_s1 shape, whose 10 clients train as 5 and 5 and then 4 and
+# 3 on 2 cores, and Dirichlet shards, whose lengths differ, so that each
+# process trains a share of several lengths of one client or two.
 FORKING_CONFIGS = {
     "s1-dwa-40": {
         "version": 1, "clients": 40, "free_rider_ratio": 0.2, "scenario": "S1", "attack": {"kind": "DWA"},
@@ -612,6 +660,10 @@ FORKING_CONFIGS = {
     "dwa-s1-10": {
         "version": 1, "clients": 10, "free_rider_ratio": 0.3, "scenario": "S1", "attack": {"kind": "DWA"},
         "rounds": 20, "seeds": [1, 2], "hidden_layers": [32],
+    },
+    "dirichlet-20": {
+        "version": 1, "clients": 20, "free_rider_ratio": 0.2, "scenario": "S1", "attack": {"kind": "DWA"},
+        "partition": "DIRICHLET", "rounds": 5, "seeds": [1], "hidden_layers": [32], "dataset": {"samples": 1000},
     },
 }
 
@@ -628,10 +680,23 @@ def logging_calls(monkeypatch, path: Path, *names: str) -> None:
         monkeypatch.setattr(fedsim, name, logged)
 
 
+def logging_training(monkeypatch, path: Path) -> None:
+    """Make local_train append a line "train <pid> <seed> <shard length>"
+    to path for each client it trains."""
+    train = fedsim.local_train
+
+    def logged(layout, model, shards, cfg, seeds):
+        with path.open("a") as fh:
+            fh.writelines(f"train {os.getpid()} {seed} {len(shard)}\n" for seed, shard in zip(seeds, shards))
+        return train(layout, model, shards, cfg, seeds)
+
+    monkeypatch.setattr(fedsim, "local_train", logged)
+
+
 def read_calls(path: Path) -> dict[str, list[int]]:
     calls: dict[str, list[int]] = {}
     for line in path.read_text().splitlines():
-        name, pid = line.split()
+        name, pid, *_ = line.split()
         calls.setdefault(name, []).append(int(pid))
     return calls
 
@@ -640,11 +705,19 @@ def read_calls(path: Path) -> dict[str, list[int]]:
 def test_helpers_change_no_output_byte(tmp_path, monkeypatch, name):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(FORKING_CONFIGS[name]))
-    trials, rounds = len(FORKING_CONFIGS[name]["seeds"]), FORKING_CONFIGS[name]["rounds"]
+    cfg = fedsim.config_from_dict(FORKING_CONFIGS[name])
+    trials, rounds = len(cfg.seeds), cfg.rounds
+    # the trial and round of each benign client-round, by its training seed
+    benign = {
+        fedsim.derive_seed(seed, fedsim._TAG_TRAIN, t, i): (seed, t)
+        for seed in cfg.seeds
+        for t, i in zip(*np.nonzero(~fedsim.build_schedule(cfg, seed)))
+    }
     # a trial of 10 clients forks only where it pins its processes
-    forks = PINS or FORKING_CONFIGS[name]["clients"] >= 2 * fedsim._GROUP_CLIENTS
+    forks = PINS or cfg.clients >= 2 * fedsim._GROUP_CLIENTS
     log = tmp_path / "calls"
-    logging_calls(monkeypatch, log, "_share", "local_train", "evaluate_accuracy")
+    logging_calls(monkeypatch, log, "_share", "evaluate_accuracy")
+    logging_training(monkeypatch, log)
     outputs = []
     for cores in (1, 2, 3):
         monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
@@ -653,19 +726,30 @@ def test_helpers_change_no_output_byte(tmp_path, monkeypatch, name):
         out = tmp_path / f"cores{cores}"
         assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         assert_no_child_process()
-        calls = read_calls(log)
+        calls, lines = read_calls(log), [line.split() for line in log.read_text().splitlines()]
         # the parent and each trial's helpers take their share of every round
         assert len(set(calls["_share"])) == trials * helpers + 1
-        if name != "dwa-s1-10":  # and train groups; 10 clients leave a third process none
-            assert len(set(calls["local_train"])) == trials * helpers + 1
+        # every benign client of every round is trained once, and every process trains
+        trained = [(line[1], int(line[2]), int(line[3])) for line in lines if line[0] == "train"]
+        assert sorted(seed for _, seed, _ in trained) == sorted(benign)
+        assert len(set(calls["train"])) == trials * helpers + 1
+        # of a round's clients of one shard length, no process trains two more than another
+        shares: dict[tuple, dict[str, int]] = {}
+        for pid, seed, length in trained:
+            share = shares.setdefault((*benign[seed], length), {})
+            share[pid] = share.get(pid, 0) + 1
+        for share in shares.values():
+            counts = [*share.values()] + [0] * (helpers + 1 - len(share))
+            assert max(counts) - min(counts) <= 1
         # every model is evaluated once; with helpers, all but each trial's
-        # last by the first helper, while the next round trains
+        # last by the first helper, after its share of the next round
         assert len(calls["evaluate_accuracy"]) == trials * rounds
-        in_helpers = [pid for pid in calls["evaluate_accuracy"] if pid != os.getpid()]
-        assert len(in_helpers) == (trials * (rounds - 1) if helpers else 0)
+        evaluating = {pid for pid in calls["evaluate_accuracy"] if pid != os.getpid()}
+        assert len(evaluating) == (trials if helpers else 0)
+        for pid in evaluating:
+            order = [name for name, other, *_ in lines if other == str(pid) and name != "train"]
+            assert order == ["_share"] + ["_share", "evaluate_accuracy"] * (rounds - 1)
         outputs.append({f: (out / f).read_bytes() for f in ("trace.jsonl", "metrics.csv", "summary.txt")})
-        # and every group trained once, by the parent or by a helper
-        outputs[-1]["local_train"] = len(calls["local_train"])
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
@@ -718,6 +802,52 @@ def test_a_failing_evaluation_is_named_with_the_round_of_its_model(monkeypatch, 
         with pytest.raises(ConfigurationError) as excinfo:
             list(run_simulation(cfg))
         assert str(excinfo.value) == f"trial seed 1: round {failing_round}: evaluation failed"
+        chains.append(cause_chain(excinfo.value))
+        assert_no_child_process()
+    assert chains[1] == chains[0] and chains[2] == chains[0]
+
+
+@pytest.mark.parametrize("fault", ["fedavg-overflow", "non-finite-row"])
+def test_an_evaluation_error_comes_before_the_next_rounds_own_error(monkeypatch, fault):
+    """Round 2's model fails its evaluation, which the first helper runs
+    while the parent detects and aggregates round 3, and round 3's work
+    after every process has trained fails too: one process evaluates round
+    2's model before it trains round 3, so the evaluation's error is raised."""
+    cfg = small_cfg(clients=20, rounds=6)
+    evaluate, train, models = fedsim.evaluate_accuracy, fedsim.local_train, []
+    round_3 = {fedsim.derive_seed(1, fedsim._TAG_TRAIN, 3, i) for i in range(cfg.clients)}
+
+    def recorded(layout, row, *args):  # in one process, models are evaluated in round order
+        models.append(row.tobytes())
+        return evaluate(layout, row, *args)
+
+    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(fedsim, "evaluate_accuracy", recorded)
+    list(run_simulation(cfg))
+    model = models[2]
+
+    def failing(layout, row, *args):  # in every process
+        if row.tobytes() == model:
+            raise ConfigurationError("evaluation failed")
+        return evaluate(layout, row, *args)
+
+    def faulty(layout, row, shards, train_cfg, seeds):  # round 3's rows, finite and huge, or one not finite
+        rows, wefs = train(layout, row, shards, train_cfg, seeds)
+        if seeds[0] in round_3:
+            if fault == "fedavg-overflow":
+                rows[:] = 1.6e308
+            else:
+                rows[0, 0] = np.nan
+        return rows, wefs
+
+    monkeypatch.setattr(fedsim, "evaluate_accuracy", failing)
+    monkeypatch.setattr(fedsim, "local_train", faulty)
+    chains = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with np.errstate(over="ignore"), pytest.raises(ConfigurationError) as excinfo:
+            list(run_simulation(cfg))
+        assert str(excinfo.value) == "trial seed 1: round 2: evaluation failed"
         chains.append(cause_chain(excinfo.value))
         assert_no_child_process()
     assert chains[1] == chains[0] and chains[2] == chains[0]
@@ -865,18 +995,21 @@ def test_a_helper_exits_when_its_parent_is_killed(tmp_path):
 
 
 def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monkeypatch):
-    train = fedsim.local_train
+    train, seed = fedsim.local_train, fedsim.derive_seed(1, fedsim._TAG_TRAIN, 0, 4)
 
-    def overflowed(*args):  # finite losses, then a last step that overflows
-        rows, wefs = train(*args)
-        rows[-1, 0] = np.inf
+    def overflowed(layout, model, shards, cfg, seeds):  # finite losses, then a last step that overflows
+        rows, wefs = train(layout, model, shards, cfg, seeds)
+        if seed in seeds:  # round 0's client 4
+            rows[seeds.index(seed), 0] = np.inf
         return rows, wefs
 
     monkeypatch.setattr(fedsim, "local_train", overflowed)
-    with pytest.raises(NumericError) as excinfo:
-        list(run_simulation(small_cfg()))
-    # round 0 trains all 5 clients in one lockstep group
-    assert str(excinfo.value) == "trial seed 1: round 0: client 4: non-finite parameters"
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        with pytest.raises(NumericError) as excinfo:
+            list(run_simulation(small_cfg()))
+        assert str(excinfo.value) == "trial seed 1: round 0: client 4: non-finite parameters"
+        assert_no_child_process()
 
 
 def test_a_fedavg_mean_that_overflows_is_refused(monkeypatch):
@@ -914,6 +1047,23 @@ def test_lockstep_groups_split_by_shard_length_in_client_order():
         list(range(13, 21)),
         list(range(21, 24)),
     ]
+
+
+def test_each_process_trains_a_near_equal_contiguous_share_of_each_shard_length():
+    lengths = [5, 3, 5, 5, 3, 4, 6, 6] + [7] * 20
+    shards = [DatasetShard(np.zeros((n, 2)), np.zeros(n, dtype=int), 2) for n in lengths]
+    clients = [i for i in range(len(lengths)) if i != 2]
+    shares = [fedsim._lockstep_groups(shards, clients, first, 3) for first in range(3)]
+    # the odd clients of each length go to the processes in turn: length 5's
+    # [0, 3] to processes 0 and 1, 3's [1, 4] to 2 and 0, 4's [5] to 1, 6's
+    # [6, 7] to 2 and 0, and 7's 20 clients 6, 7 and 7 to 0, 1 and 2
+    assert shares == [
+        [[0], [1], [6], list(range(8, 14))],
+        [[3], [5], list(range(14, 21))],
+        [[4], [7], list(range(21, 28))],
+    ]
+    assert fedsim._lockstep_groups(shards, clients, 0, 1) == fedsim._lockstep_groups(shards, clients)
+    assert fedsim._lockstep_groups(shards, range(8, 28), 1, 2) == [list(range(18, 26)), [26, 27]]
 
 
 def test_runtime_error_carries_context():
