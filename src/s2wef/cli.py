@@ -6,18 +6,9 @@ flagged set, f1, fpr and accuracy.  An ablation is the same config run twice
 with `--detector`.  Configs are versioned JSON validated fail-closed
 (unknown or repeated keys and mistyped values are rejected) before any
 output file is created.  A run writes its trace trial by trial, holding one
-trial at a time.  It trains a round's benign clients in lockstep groups of
-up to 8 with equal-length shards, one stacked numpy call per operation, bit
-for bit what training them one by one gives.  A trial splits each round's
-clients evenly between itself and one forked helper process per further
-usable core, each pinned to a core of its own, and the first helper then
-scores the previous round's model while the trial detects and aggregates;
-the output is the same on any number of cores.
-Where numpy's BLAS is not an OpenBLAS it can hold to one thread, nothing is
-pinned and only a trial of 16 clients or more forks.
-Threads would not help: the small numpy calls hold the interpreter lock, and
-a thread pool made runs slower.  Exit codes: 0 success, 1 runtime failure or
-replay divergence, 2 invalid config or malformed trace.
+trial at a time, and its output is the same on any number of cores (see
+processes).  Exit codes: 0 success, 1 runtime failure or replay divergence,
+2 invalid config or malformed trace.
 """
 
 from __future__ import annotations
@@ -33,14 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SimConfig, config_from_dict, config_to_dict
 from .detect import DETECTORS
 from .errors import ConfigurationError, S2wefError, TraceError
-from .fedsim import (  # the config codec lives next to SimConfig; re-exported here
-    SimConfig,
-    config_from_dict,
-    config_to_dict,
-    run_simulation,
-)
+from .fedsim import run_simulation
 from .trace import (
     RoundRow,
     atomic_write,

@@ -23,3 +23,7 @@ class NumericError(S2wefError):
 
 class TraceError(S2wefError):
     """Malformed or truncated trace file."""
+
+
+class HelperExited(S2wefError, RuntimeError):
+    """A forked helper process exited before it answered for its work."""

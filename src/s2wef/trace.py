@@ -33,11 +33,9 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from . import detect as det
+from .config import SimConfig, config_from_dict, config_to_dict
 from .errors import ConfigurationError, S2wefError, TraceError
-from .fedsim import (
-    Metrics, RoundRecord, SimConfig, build_schedule, compute_metrics, config_from_dict,
-    config_to_dict,
-)
+from .fedsim import Metrics, RoundRecord, build_schedule, compute_metrics
 from .wef import wef_dtype
 
 TRACE_SCHEMA = 4

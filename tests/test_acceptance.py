@@ -10,12 +10,13 @@ import time
 import numpy as np
 
 from s2wef.attacks import AttackParams, dwa
+from s2wef.config import DatasetParams, SimConfig
 from s2wef.detect import (
     detect_round,
     pairwise_distances,
     simulate_global_wef,
 )
-from s2wef.fedsim import DatasetParams, SimConfig, run_simulation
+from s2wef.fedsim import run_simulation
 from s2wef.nn import Layout, TrainConfig, init_model
 from s2wef.trace import RoundRow, mean_over_trials, write_trace
 from s2wef.wef import build_wef

@@ -1,6 +1,9 @@
 import base64
+import contextlib
+import io
 import json
 import os
+import signal
 import string
 import struct
 import subprocess
@@ -10,17 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from s2wef import fedsim
+from s2wef import fedsim, processes
 from s2wef.attacks import AttackParams
-from s2wef.cli import config_from_dict, config_to_dict, load_config, main
+from s2wef.cli import load_config, main
+from s2wef.config import DatasetParams, SimConfig, config_from_dict, config_to_dict
 from s2wef.detect import DETECTORS
 from s2wef.errors import ConfigurationError, NumericError
-from s2wef.fedsim import DatasetParams, SimConfig, build_schedule, run_simulation
+from s2wef.fedsim import build_schedule, run_simulation
 from s2wef.nn import TrainConfig
 from s2wef.trace import RoundRow, mean_over_trials
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_config(**overrides):
@@ -380,6 +387,34 @@ def test_a_run_whose_last_trial_fails_exits_1_and_leaves_no_file(tmp_path, capsy
     printed = capsys.readouterr()
     assert printed.out == "" and printed.err == "run failed: trial seed 3: diverged\n"
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or processes._openblas_threads() is None,
+    reason="needs os.sched_setaffinity and numpy on OpenBLAS to fork a helper",
+)
+def test_a_run_whose_helper_dies_prints_its_failure_and_exits_1(tmp_path, capsys, monkeypatch):
+    run_round, pids = fedsim.run_round, []
+
+    def killing(state, procs, t):  # the helper is killed once round 0 ends
+        record = run_round(state, procs, t)
+        if t == 0:
+            (helper,) = procs.helpers
+            os.kill(helper.pid, signal.SIGKILL)
+            os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
+            pids.append(helper.pid)
+        return record
+
+    monkeypatch.setattr(fedsim, "run_round", killing)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / "dwa_s1.json"), "--seed", "1", "--out", str(out), "--quiet"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"run failed: trial seed 1: training helper {pids[0]} exited in round 1\n"
+    assert not out.exists() or list(out.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # the helper is reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("detector", list(DETECTORS))
@@ -1020,3 +1055,110 @@ def test_shipped_dwa_config_detects_well(tmp_path):
                 if line.strip().startswith("mean")][0]
     f1_attack = float(mean_row.split()[2])
     assert f1_attack >= 0.9
+
+
+# --- exit codes as properties -------------------------------------------------
+
+# the float fields a drawn config may take from every finite float, extremes included
+EXTREME_FIELDS = [
+    ("free_rider_ratio",), ("dirichlet_beta",), ("train", "learning_rate"), ("train", "momentum"),
+    ("dataset", "spread"), *(("attack", key) for key in ("rwa_range", "spa_sigma", "adwa_sigma", "awca_sigma")),
+]
+
+
+# any finite float, weighted towards the largest and smallest magnitudes
+EXTREMES = st.one_of(
+    st.sampled_from([sys.float_info.max, 1e300, 1e100, 1e30, 1e-30, sys.float_info.min, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def drawn_configs(draw) -> dict:
+    """A small config of any scenario, attack, partition and detector, whose
+    every value has its field's JSON type: ordinary floats but for up to two
+    drawn from every finite float, so that some draws diverge and some fail
+    validation."""
+    clients = draw(st.integers(3, 12))
+    scenario = draw(st.sampled_from(["S1", "S2", "CLEAN"]))
+    riders = 0 if scenario == "CLEAN" else draw(st.integers(0, (clients - 1) // 2))
+    attack = {"kind": draw(st.sampled_from(["RWA", "SPA", "DWA", "ADWA", "AWCA"]))}
+    raw = {
+        "version": 1,
+        "clients": clients,
+        "free_rider_ratio": riders / clients,
+        "scenario": scenario,
+        "attack": None if scenario == "CLEAN" else attack,
+        "partition": draw(st.sampled_from(["IID", "DIRICHLET"])),
+        "rounds": 3,
+        "train": {
+            "momentum": draw(st.sampled_from([0.0, 0.9])),
+            "batch_size": draw(st.integers(1, 40)),
+            "local_iterations": draw(st.integers(1, 4)),
+        },
+        "detector": draw(st.sampled_from(sorted(DETECTORS))),
+        "seeds": [draw(st.integers(0, 2**32))],
+        "dataset": {
+            "samples": draw(st.integers(clients, 120)),
+            "features": draw(st.integers(1, 6)),
+            "classes": draw(st.integers(2, 5)),
+        },
+        "hidden_layers": draw(st.lists(st.integers(1, 8), min_size=1, max_size=2)),
+    }
+    for *parents, key in draw(st.sets(st.sampled_from(EXTREME_FIELDS), max_size=2)):
+        if parents == ["attack"]:
+            raw["attack"] = raw["attack"] or attack
+        (raw[parents[0]] if parents else raw)[key] = draw(EXTREMES)
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=drawn_configs())
+def test_a_run_of_any_typed_config_exits_0_1_or_2(tmp_path_factory, raw):
+    """A config that fails validation exits 2; one whose run fails, 1, after
+    the trial's processes exit; one that runs, 0.  None raises."""
+    tmp = tmp_path_factory.mktemp("drawn")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(raw))
+    unwound = []
+    close = processes.Processes.__exit__
+
+    def closed(self, *exc_info):
+        unwound.append(exc_info[0])
+        return close(self, *exc_info)
+
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        patch.setattr(processes.Processes, "__exit__", closed)
+        rc = main(["run", "--config", str(path), "--out", str(tmp / "out"), "--quiet"])
+    with pytest.raises(ChildProcessError):  # every helper is reaped
+        os.waitpid(-1, os.WNOHANG)
+    event(f"exit {rc}")
+    if rc == 2:
+        assert err.getvalue().startswith("config error: ") and not unwound
+    elif rc == 1:
+        assert err.getvalue().startswith("run failed: trial seed ")
+        assert unwound and unwound[-1] is not None  # the failing trial's Processes saw the error
+    else:
+        assert rc == 0 and err.getvalue() == "" and set(unwound) == {None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_replay_of_any_byte_edit_of_a_trace_exits_0_1_or_2(tmp_path_factory, trace_bytes, data):
+    edited = bytearray(trace_bytes)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(edited) - 1))
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+        if edit == "delete":
+            del edited[at]
+        else:
+            edited[at:at + (edit == "replace")] = bytes([data.draw(st.integers(0, 255))])
+    path = tmp_path_factory.mktemp("edited") / "trace.jsonl"
+    path.write_bytes(bytes(edited))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["detect-trace", "--trace", str(path), "--quiet"])
+    event(f"exit {rc}")
+    assert rc in (0, 1, 2)
+    assert rc != 2 or err.getvalue().startswith("trace error: ")

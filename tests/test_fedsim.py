@@ -12,13 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from s2wef import attacks, cli, fedsim
+from s2wef import attacks, cli, fedsim, processes
 from s2wef.attacks import AttackParams, rwa
 from s2wef.detect import wef_defense_baseline
+from s2wef.config import DatasetParams, SimConfig, config_from_dict
 from s2wef.errors import ConfigurationError, NumericError
 from s2wef.fedsim import (
-    DatasetParams,
-    SimConfig,
     aggregate_fedavg,
     compute_metrics,
     make_dataset,
@@ -466,7 +465,7 @@ def test_a_diverging_client_is_named_with_its_trial_and_round(monkeypatch, scale
     monkeypatch.setattr(fedsim, "partition_iid", scaled)
     chains = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with np.errstate(all="ignore"), pytest.raises(NumericError) as excinfo:
             list(run_simulation(small_cfg(clients=20)))
         assert str(excinfo.value) == (
@@ -493,7 +492,7 @@ def test_an_error_outside_the_package_is_raised_as_a_one_process_run_raises_it(m
     monkeypatch.setattr(fedsim, "local_train", failing)
     # in one process, groups 1 and 2; client 8 is the parent's and client 16 a helper's on 2 cores
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(ValueError) as excinfo:
             list(run_simulation(small_cfg(clients=20)))
         assert type(excinfo.value) is ValueError and str(excinfo.value) == "group 1 failed"
@@ -510,7 +509,7 @@ def test_an_error_built_from_several_arguments_is_raised_as_a_one_process_run_ra
     fail_client_8(monkeypatch, undecodable)
     chains = []
     for cores in (1, 2, 3):  # client 8 is the parent's on 2 cores and a helper's on 3
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(UnicodeDecodeError) as excinfo:
             list(run_simulation(small_cfg(clients=20)))
         chains.append(cause_chain(excinfo.value))
@@ -532,7 +531,7 @@ def test_a_failure_only_in_helpers_leaves_the_rounds_a_one_process_run_computes(
     config.write_text(json.dumps(FORKING_CONFIGS["s2-awca-24"]))
     outputs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         out = tmp_path / f"cores{cores}"
         assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         assert_no_child_process()
@@ -541,7 +540,7 @@ def test_a_failure_only_in_helpers_leaves_the_rounds_a_one_process_run_computes(
 
 
 def test_a_helper_that_exits_is_named_with_its_round(monkeypatch):
-    parent, train_share, fork_helpers = os.getpid(), fedsim._train_share, fedsim._fork_helpers
+    parent, train_share, fork_helpers = os.getpid(), fedsim._train_share, processes.Processes._fork_helpers
     first_helper = []
 
     def exiting(state, t, first, step):  # every helper dies in round 1 without a word
@@ -549,14 +548,14 @@ def test_a_helper_that_exits_is_named_with_its_round(monkeypatch):
             os._exit(3)
         train_share(state, t, first, step)
 
-    def forked(state, *args):
-        fork_helpers(state, *args)
-        first_helper.append(state.helpers[0].pid)
+    def forked(self, *args):
+        fork_helpers(self, *args)
+        first_helper.append(self.helpers[0].pid)
 
     monkeypatch.setattr(fedsim, "_train_share", exiting)
-    monkeypatch.setattr(fedsim, "_fork_helpers", forked)
+    monkeypatch.setattr(processes.Processes, "_fork_helpers", forked)
     for cores in (2, 3):  # the parent reads its first helper's answer first
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(RuntimeError) as excinfo:
             run_trial(small_cfg(clients=20), 1)
         assert str(excinfo.value) == f"training helper {first_helper[-1]} exited in round 1"
@@ -566,18 +565,18 @@ def test_a_helper_that_exits_is_named_with_its_round(monkeypatch):
 def test_a_helper_that_dies_between_rounds_is_named_with_the_next_round(monkeypatch):
     run_round, first_helper = fedsim.run_round, []
 
-    def killing(state, t):  # every helper is killed once round 0 ends
-        record = run_round(state, t)
+    def killing(state, procs, t):  # every helper is killed once round 0 ends
+        record = run_round(state, procs, t)
         if t == 0:
-            for helper in state.helpers:
+            for helper in procs.helpers:
                 os.kill(helper.pid, signal.SIGKILL)
                 os.waitid(os.P_PID, helper.pid, os.WEXITED | os.WNOWAIT)  # exited, not yet reaped
-            first_helper.append(state.helpers[0].pid)
+            first_helper.append(procs.helpers[0].pid)
         return record
 
     monkeypatch.setattr(fedsim, "run_round", killing)
     for cores in (2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(RuntimeError) as excinfo:
             run_trial(small_cfg(clients=20), 1)
         assert str(excinfo.value) == f"training helper {first_helper[-1]} exited in round 1"
@@ -586,7 +585,7 @@ def test_a_helper_that_dies_between_rounds_is_named_with_the_next_round(monkeypa
 
 @pytest.mark.parametrize("model", [1, 2])
 def test_a_helper_that_exits_while_it_evaluates_is_named_with_its_round(monkeypatch, model):
-    parent, evaluate, fork_helpers = os.getpid(), fedsim.evaluate_accuracy, fedsim._fork_helpers
+    parent, evaluate, fork_helpers = os.getpid(), fedsim.evaluate_accuracy, processes.Processes._fork_helpers
     evaluated, first_helper = [], []
 
     def exiting(*args):  # the first helper dies evaluating the model of round `model`
@@ -596,14 +595,14 @@ def test_a_helper_that_exits_while_it_evaluates_is_named_with_its_round(monkeypa
                 os._exit(3)
         return evaluate(*args)
 
-    def forked(state, *args):
-        fork_helpers(state, *args)
-        first_helper.append(state.helpers[0].pid)
+    def forked(self, *args):
+        fork_helpers(self, *args)
+        first_helper.append(self.helpers[0].pid)
 
     monkeypatch.setattr(fedsim, "evaluate_accuracy", exiting)
-    monkeypatch.setattr(fedsim, "_fork_helpers", forked)
+    monkeypatch.setattr(processes.Processes, "_fork_helpers", forked)
     for cores in (2, 3):  # the model of round 2, the last but one, is evaluated in round 3
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(RuntimeError) as excinfo:
             run_trial(small_cfg(clients=20), 1)
         assert str(excinfo.value) == f"training helper {first_helper[-1]} exited in round {model + 1}"
@@ -613,7 +612,7 @@ def test_a_helper_that_exits_while_it_evaluates_is_named_with_its_round(monkeypa
 def test_a_forking_trial_leaves_the_descriptors_it_found(monkeypatch):
     if not Path("/proc/self/fd").exists():
         pytest.skip("needs /proc to list the descriptors of this process")
-    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 3)
     before = sorted(os.listdir("/proc/self/fd"))
     list(run_simulation(small_cfg(clients=20)))
     assert sorted(os.listdir("/proc/self/fd")) == before
@@ -634,14 +633,15 @@ def test_an_interrupted_trial_leaves_no_helper(monkeypatch):
         return train_share(state, t, first, step)
 
     monkeypatch.setattr(fedsim, "_train_share", interrupted)
-    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
         run_trial(small_cfg(clients=20), 1)
     assert_no_child_process()
 
 
-# Whether a trial pins its processes, and so forks at every client count.
-PINS = fedsim._pins()
+# Whether a trial can hold numpy's OpenBLAS to one thread and pin its
+# processes, and so forks helpers at all.
+PINS = hasattr(os, "sched_setaffinity") and processes._openblas_threads() is not None
 # Configs whose rounds train in forked helpers: S1 with 40 clients (32
 # benign from round 2), S2 with 24 clients whose free riders change every
 # round, the dwa_s1 shape, whose 10 clients train as 5 and 5 and then 4 and
@@ -705,7 +705,7 @@ def read_calls(path: Path) -> dict[str, list[int]]:
 def test_helpers_change_no_output_byte(tmp_path, monkeypatch, name):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(FORKING_CONFIGS[name]))
-    cfg = fedsim.config_from_dict(FORKING_CONFIGS[name])
+    cfg = config_from_dict(FORKING_CONFIGS[name])
     trials, rounds = len(cfg.seeds), cfg.rounds
     # the trial and round of each benign client-round, by its training seed
     benign = {
@@ -713,15 +713,13 @@ def test_helpers_change_no_output_byte(tmp_path, monkeypatch, name):
         for seed in cfg.seeds
         for t, i in zip(*np.nonzero(~fedsim.build_schedule(cfg, seed)))
     }
-    # a trial of 10 clients forks only where it pins its processes
-    forks = PINS or cfg.clients >= 2 * fedsim._GROUP_CLIENTS
     log = tmp_path / "calls"
     logging_calls(monkeypatch, log, "_share", "evaluate_accuracy")
     logging_training(monkeypatch, log)
     outputs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
-        helpers = cores - 1 if forks else 0
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
+        helpers = cores - 1 if PINS else 0
         log.write_text("")
         out = tmp_path / f"cores{cores}"
         assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
@@ -766,7 +764,7 @@ def test_a_failure_only_in_a_helpers_evaluation_leaves_the_rounds_a_one_process_
     config.write_text(json.dumps(FORKING_CONFIGS["dwa-s1-10"]))
     outputs = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         out = tmp_path / f"cores{cores}"
         assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         assert_no_child_process()
@@ -785,7 +783,7 @@ def test_a_failing_evaluation_is_named_with_the_round_of_its_model(monkeypatch, 
         models.append(row.tobytes())
         return evaluate(layout, row, *args)
 
-    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 1)
     monkeypatch.setattr(fedsim, "evaluate_accuracy", recorded)
     list(run_simulation(cfg))
     model = models[failing_round]
@@ -798,7 +796,7 @@ def test_a_failing_evaluation_is_named_with_the_round_of_its_model(monkeypatch, 
     monkeypatch.setattr(fedsim, "evaluate_accuracy", failing)
     chains = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(ConfigurationError) as excinfo:
             list(run_simulation(cfg))
         assert str(excinfo.value) == f"trial seed 1: round {failing_round}: evaluation failed"
@@ -821,7 +819,7 @@ def test_an_evaluation_error_comes_before_the_next_rounds_own_error(monkeypatch,
         models.append(row.tobytes())
         return evaluate(layout, row, *args)
 
-    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 1)
     monkeypatch.setattr(fedsim, "evaluate_accuracy", recorded)
     list(run_simulation(cfg))
     model = models[2]
@@ -844,7 +842,7 @@ def test_an_evaluation_error_comes_before_the_next_rounds_own_error(monkeypatch,
     monkeypatch.setattr(fedsim, "local_train", faulty)
     chains = []
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with np.errstate(over="ignore"), pytest.raises(ConfigurationError) as excinfo:
             list(run_simulation(cfg))
         assert str(excinfo.value) == "trial seed 1: round 2: evaluation failed"
@@ -862,7 +860,7 @@ START_AFFINITY = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") els
 
 def blas_threads() -> int | None:
     """The thread count of numpy's OpenBLAS; None where numpy runs on another BLAS."""
-    calls = fedsim._openblas_threads()
+    calls = processes._openblas_threads()
     return calls and calls[0]()
 
 
@@ -887,7 +885,7 @@ def test_a_trial_pins_its_processes_and_gives_the_parent_back_its_cores(tmp_path
         return train_share(state, t, first, step)
 
     monkeypatch.setattr(fedsim, "_train_share", pinned)
-    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)  # more processes than cores, on 2
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 3)  # more processes than cores, on 2
     if ending == "returns":
         run_trial(small_cfg(clients=10), 1)
     else:
@@ -915,10 +913,10 @@ def test_each_trial_of_a_run_forks_its_helpers(tmp_path, monkeypatch):
     assert len(set(read_calls(log)["_share"])) == 2 * (cores - 1) + 1
 
 
-@pytest.mark.parametrize("clients, helpers", [(10, 0), (20, 2)])
-def test_where_blas_is_not_held_only_large_trials_fork_and_none_pins(tmp_path, monkeypatch, clients, helpers):
-    monkeypatch.setattr(fedsim, "_openblas_threads", lambda: None)  # numpy on MKL, say
-    monkeypatch.setattr(fedsim, "_usable_cores", lambda: 3)
+@pytest.mark.parametrize("clients", [10, 20])
+def test_where_blas_is_not_held_no_trial_forks_or_pins(tmp_path, monkeypatch, clients):
+    monkeypatch.setattr(processes, "_openblas_threads", lambda: None)  # numpy on MKL, say
+    monkeypatch.setattr(processes, "_usable_cores", lambda: 3)
     affinity = getattr(os, "sched_getaffinity", lambda pid: set())
     before, log, train_share = affinity(0), tmp_path / "affinity", fedsim._train_share
 
@@ -931,24 +929,24 @@ def test_where_blas_is_not_held_only_large_trials_fork_and_none_pins(tmp_path, m
     run_trial(small_cfg(clients=clients), 1)
     assert_no_child_process()
     pids, cores = zip(*(line.split(" ", 1) for line in log.read_text().splitlines()))
-    assert len(set(pids)) == helpers + 1 and set(cores) == {str(sorted(before))}
+    assert len(set(pids)) == 1 and set(cores) == {str(sorted(before))}
 
 
 def test_a_blas_whose_calls_cannot_be_looked_up_is_not_held(monkeypatch):
     monkeypatch.setattr(np, "_core", object())  # where numpy's private module moved
-    assert fedsim._openblas_threads.__wrapped__() is None
+    assert processes._openblas_threads.__wrapped__() is None
 
 
 # Runs a forking simulation in a fresh interpreter with 2 usable cores.
 FORKING_RUN = r"""
 import os, signal, sys
-from s2wef import cli, fedsim
-fedsim._usable_cores = lambda: 2
+from s2wef import cli, fedsim, processes
+processes._usable_cores = lambda: 2
 if sys.argv[1] == "kill":  # name the helper after round 0, then die without a word
     run_round = fedsim.run_round
-    def killed(state, t):
-        run_round(state, t)
-        print(*(helper.pid for helper in state.helpers), flush=True)
+    def killed(state, procs, t):
+        run_round(state, procs, t)
+        print(*(helper.pid for helper in procs.helpers), flush=True)
         os.kill(os.getpid(), signal.SIGKILL)
     fedsim.run_round = killed
 print("before the run")  # still buffered when the helper forks: stdout is a pipe
@@ -1005,7 +1003,7 @@ def test_a_non_finite_trained_row_is_named_with_its_trial_round_and_client(monke
 
     monkeypatch.setattr(fedsim, "local_train", overflowed)
     for cores in (1, 2, 3):
-        monkeypatch.setattr(fedsim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(processes, "_usable_cores", lambda: cores)
         with pytest.raises(NumericError) as excinfo:
             list(run_simulation(small_cfg()))
         assert str(excinfo.value) == "trial seed 1: round 0: client 4: non-finite parameters"

@@ -19,9 +19,8 @@ from s2wef import trace
 from s2wef.attacks import ATTACK_KINDS, AttackParams
 from s2wef.detect import DETECTORS
 from s2wef.errors import TraceError
-from s2wef.fedsim import (
-    PARTITIONS, SCENARIOS, DatasetParams, SimConfig, compute_metrics, config_to_dict, run_simulation,
-)
+from s2wef.config import PARTITIONS, SCENARIOS, DatasetParams, SimConfig, config_to_dict
+from s2wef.fedsim import compute_metrics, run_simulation
 from s2wef.nn import TrainConfig
 from s2wef.trace import RoundRow, decode_digit_rows, digit_rows, read_trace, replay_trace, write_trace
 from s2wef.wef import wef_dtype
