@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, HistoryError
+from .errors import ConfigurationError
 from .nn import Layout
 from .wef import build_wef, counterfeit_one_step
 
@@ -43,12 +43,6 @@ class AttackParams:
                 raise ConfigurationError(f"{name} must be >= 0")
 
 
-def _require_history(global_prev: np.ndarray | None, kind: str) -> np.ndarray:
-    if global_prev is None:
-        raise HistoryError(f"{kind} needs two prior global models; only one broadcast so far")
-    return global_prev
-
-
 def _one_step_submission(
     layout: Layout, fake: np.ndarray, global_now: np.ndarray, e: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -64,8 +58,6 @@ def rwa(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random weight attack: every parameter uniform in [-R, R]."""
-    if not 0 < rwa_range <= _RWA_RANGE_MAX:
-        raise ConfigurationError(f"rwa_range must be in (0, {_RWA_RANGE_MAX!r}]")
     rng = np.random.default_rng(seed)
     fake = rng.uniform(-rwa_range, rwa_range, size=layout.num_params)
     return _one_step_submission(layout, fake, global_now, e)
@@ -74,11 +66,10 @@ def rwa(
 def dwa(
     layout: Layout,
     global_now: np.ndarray,
-    global_prev: np.ndarray | None,
+    global_prev: np.ndarray,
     e: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Delta weight attack: replay the last global-model difference."""
-    global_prev = _require_history(global_prev, "DWA")
     fake = global_now + (global_now - global_prev)
     return _one_step_submission(layout, fake, global_now, e)
 
@@ -86,15 +77,12 @@ def dwa(
 def adwa(
     layout: Layout,
     global_now: np.ndarray,
-    global_prev: np.ndarray | None,
+    global_prev: np.ndarray,
     sigma: float,
     e: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """DWA plus i.i.d. Gaussian noise so colluders stop being identical."""
-    global_prev = _require_history(global_prev, "ADWA")
-    if not sigma >= 0:
-        raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
     delta = global_now - global_prev + rng.normal(0.0, sigma, size=global_now.shape)
     return _one_step_submission(layout, global_now + delta, global_now, e)
@@ -108,8 +96,6 @@ def spa(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stochastic perturbations attack: Gaussian noise on the global model."""
-    if not sigma >= 0:
-        raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
     fake = global_now + rng.normal(0.0, sigma, size=global_now.shape)
     return _one_step_submission(layout, fake, global_now, e)
@@ -118,7 +104,7 @@ def spa(
 def awca(
     layout: Layout,
     global_now: np.ndarray,
-    global_prev: np.ndarray | None,
+    global_prev: np.ndarray,
     e: int,
     sigma: float,
     seed: int,
@@ -130,11 +116,6 @@ def awca(
     penultimate snapshots with the honest counting rule, so its texture
     mimics a trained client rather than a one-step counterfeit.
     """
-    global_prev = _require_history(global_prev, "AWCA")
-    if e < 1:
-        raise ConfigurationError("e must be >= 1")
-    if not sigma >= 0:
-        raise ConfigurationError("sigma must be >= 0")
     rng = np.random.default_rng(seed)
     fake = global_now
     step = (fake - global_prev) / e
@@ -154,7 +135,8 @@ def make_submission(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dispatch to the configured attack: the fabricated (P,) parameter row,
-    laid out by layout like the global rows, and its (h, w) WEF grid."""
+    laid out by layout like the global rows, and its (h, w) WEF grid.
+    global_prev is None only in round 0, where no schedule has a free rider."""
     if params.kind == "RWA":
         return rwa(layout, global_now, params.rwa_range, e, seed)
     if params.kind == "SPA":

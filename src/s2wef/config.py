@@ -98,9 +98,16 @@ class SimConfig:
             )
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ConfigurationError("hidden_layers must be nonempty positive sizes")
+        cells = self.hidden_layers[-1] * self.dataset.classes
+        # local_iterations is the WEF budget e, which bounds every count
+        budget = det.exact_budget(cells)
+        if self.train.local_iterations > budget:
+            raise ConfigurationError(
+                f"train.local_iterations must be at most {budget} for the {cells} penultimate weights, "
+                "where the detector's distances are exact"
+            )
         # RWA's counterfeit takes the mean of its h * w absolute changes, each
         # up to rwa_range, and their sum must stay finite
-        cells = self.hidden_layers[-1] * self.dataset.classes
         if self.attack and self.attack.kind == "RWA" and not self.attack.rwa_range * cells <= _RWA_RANGE_MAX:
             raise ConfigurationError(
                 f"attack.rwa_range times the {cells} penultimate weights must be <= {_RWA_RANGE_MAX!r}"

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, HistoryError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .wef import counterfeit_one_step
 
 EPS = 1e-12
@@ -94,9 +94,11 @@ class RoundDetection:
 
 # Grids are small non-negative integers, so Gram entries, squared norms,
 # dots and L1 distances between grids are integers that float64 holds
-# exactly (bound checked in grid_stack), in any summation order: distances
-# and cosines built from them equal np.linalg.norm of each pair to the bit,
-# wherever the blocks below split the columns.
+# exactly, in any summation order: distances and cosines built from them
+# equal np.linalg.norm of each pair to the bit, wherever the blocks below
+# split the columns.  That holds while every count, and so the budget e,
+# keeps 2 * h*w * e**2 below _EXACT_LIMIT (exact_budget); the config and the
+# trace reader refuse a larger e, so the detector takes any grids they pass.
 _EXACT_LIMIT = 2**53
 # Grid entries per float block (at most 410 KB): gamma and Dev take their
 # products block by block, never holding the stack as floats at once.  A block
@@ -109,28 +111,10 @@ _BLOCK_ENTRIES = 51_200
 _FLOAT32_EXACT = 2**24
 
 
-def grid_stack(wefs: np.ndarray) -> np.ndarray:
-    """What the detector accepts: WEF grids as one (n, h, w) array of
-    non-negative integer counts.  Returns that array itself, uncopied; the
-    scores cast it block by block.
-
-    Several rounds' (R, n, h, w) grids are checked as the one stack of
-    their R * n grids.
-    """
-    try:
-        grids = np.asarray(wefs)
-    except ValueError as exc:  # a list of grids of different shapes
-        raise ShapeError(f"WEF grids: {exc}") from exc
-    if grids.shape[:1] == (0,):
-        raise ConfigurationError("need at least one WEF grid")
-    if grids.ndim != 3 or grids.dtype.kind not in "iu":
-        raise ShapeError(f"WEF grids: need integer (n, h, w), got {grids.dtype} {grids.shape}")
-    low, peak = int(grids.min(initial=0)), int(grids.max(initial=0))
-    if low < 0:
-        raise ConfigurationError(f"WEF counts must be >= 0, got {low}")
-    if 2 * grids[0].size * peak**2 >= _EXACT_LIMIT:
-        raise ConfigurationError(f"WEF counts up to {peak} are too large for exact distances")
-    return grids
+def exact_budget(cells: int) -> int:
+    """The largest budget e for grids of cells entries whose distances stay
+    exact: the largest e with 2 * cells * e**2 < 2**53."""
+    return math.isqrt((_EXACT_LIMIT - 1) // (2 * cells))
 
 
 def _float_blocks(x: np.ndarray, peak: int):
@@ -153,7 +137,7 @@ def _cosines(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
 def deviation_statistics(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-client mean distance, mean cosine similarity, and mean entry value.
 
-    grids is the grid_stack of a round's submissions, or (..., n, h, w)
+    grids is a round's (n, h, w) integer submissions, or (..., n, h, w)
     grids of several rounds, each scored against its own round.
     """
     x = grids.reshape(*grids.shape[:-2], -1)
@@ -178,7 +162,7 @@ def deviation_statistics(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def dev_scores(grids: np.ndarray) -> np.ndarray:
-    """Deviation score of each grid in a grid_stack: normalized distance-from-mean.
+    """Deviation score of each of (n, h, w) grids: normalized distance-from-mean.
 
     For each of (mean distance, mean cosine, mean entry value) the client's
     absolute deviation from the population mean is divided by the summed
@@ -195,17 +179,13 @@ def dev_scores(grids: np.ndarray) -> np.ndarray:
     return terms[0] + terms[1] + terms[2]
 
 
-def simulate_global_wef(
-    global_now: np.ndarray, global_prev: np.ndarray | None, e: int
-) -> np.ndarray:
+def simulate_global_wef(global_now: np.ndarray, global_prev: np.ndarray, e: int) -> np.ndarray:
     """WEF pattern of the last broadcast delta, scaled to the full budget e.
 
     This is the counterfeit a delta-replay free-rider would upload, so
     matching against it exposes global-model-mimicking submissions.
     (..., h, w) broadcasts give one grid per round.
     """
-    if global_prev is None:
-        raise HistoryError("simulating the global WEF needs two prior broadcasts")
     return counterfeit_one_step(global_now, global_prev, e)
 
 
@@ -214,7 +194,7 @@ def gamma_scores(
     simulated: np.ndarray,
     mode: str = GAMMA_COS_OVER_L1,
 ) -> np.ndarray:
-    """Similarity of each submitted grid (a grid_stack) to the simulated
+    """Similarity of each of (n, h, w) submitted grids to the simulated
     one, an integer grid of 0 and e.
 
     Default is cosine over L1 distance (with a tiny guard so an exact match
@@ -576,7 +556,7 @@ def _scores(grids: np.ndarray, simulated: np.ndarray, gamma_mode: str) -> tuple[
 
 
 def detect_round(
-    wefs: np.ndarray,
+    wefs: Sequence[np.ndarray],
     global_now: np.ndarray,
     global_prev: np.ndarray | None,
     e: int,
@@ -595,14 +575,10 @@ def detect_round(
     Ward heights, two-cluster labels and silhouette, when the caller took
     them together with other rounds'; otherwise they are taken here.
     """
-    n = len(wefs)
-    if n < 3:
-        raise ConfigurationError("detection needs at least 3 clients")
     if global_prev is None:
-        return empty_round_detection(n)
+        return empty_round_detection(len(wefs))
     if scores is None:
-        simulated = simulate_global_wef(global_now, global_prev, e)
-        scores = _scores(grid_stack(wefs), simulated, gamma_mode)
+        scores = _scores(np.asarray(wefs), simulate_global_wef(global_now, global_prev, e), gamma_mode)
     gammas, devs, z, dist, flags_gamma, flags_dev = scores
     heights, labels, s2 = clusters if clusters is not None else (*ward_hac(dist), None)
     outcome = decide_k(heights, labels, z, dist, s2=s2)
@@ -612,17 +588,6 @@ def detect_round(
         cluster=outcome,
         decision=decision,
     )
-
-
-def _round_stack(wefs: Sequence[np.ndarray]) -> np.ndarray:
-    """R rounds' (n, h, w) grids as one (R, n, h, w) array, checked as the
-    grid_stack of their R * n grids; one round's grids are not copied."""
-    try:
-        grids = np.asarray(wefs[0])[None] if len(wefs) == 1 else np.asarray(wefs)
-    except ValueError as exc:  # rounds or grids of different shapes
-        raise ShapeError(f"WEF grids: {exc}") from exc
-    grid_stack(grids.reshape(-1, *grids.shape[2:]))
-    return grids
 
 
 def _baseline(devs: np.ndarray) -> RoundDetection:
@@ -658,9 +623,8 @@ def _detect_rounds(
     results = [empty_round_detection(n) for _ in range(skip)]
     if skip == len(wefs):
         return results
-    if spec != BASELINE and n < 3:
-        raise ConfigurationError("detection needs at least 3 clients")
-    grids = _round_stack(wefs[skip:])
+    rest = wefs[skip:]
+    grids = rest[0][None] if len(rest) == 1 else np.stack(rest)  # one round's grids stay uncopied
     if spec == BASELINE:
         return results + [_baseline(devs) for devs in dev_scores(grids)]
     gamma_mode, require_vote = spec
@@ -705,7 +669,9 @@ def detect_trial(
 ) -> list[RoundDetection]:
     """The named detector over consecutive rounds of a trial with one budget
     e, given each round's (n, h, w) WEF grids and broadcast, and pen_before,
-    the broadcast before the first (None at the trial's first round).
+    the broadcast before the first (None at the trial's first round).  The
+    grids hold counts in [0, e] of 3 clients or more, and e is at most
+    exact_budget(h * w), as the config and the trace reader require.
 
     The run detects a chunk of one round; replay hands in a trial's rounds,
     scored a chunk at a time.  Each round's result is, to the bit, what a

@@ -13,8 +13,8 @@ class ShapeError(S2wefError):
     """Array shapes incompatible with the requested operation."""
 
 
-class HistoryError(S2wefError):
-    """An operation needs prior global models that do not exist yet."""
+class ResourceError(S2wefError):
+    """The system refused a trial the memory or a process it needs."""
 
 
 class NumericError(S2wefError):

@@ -20,7 +20,7 @@ import numpy as np
 from . import detect as det
 from .attacks import make_submission
 from .config import DatasetParams, SimConfig, _free_rider_count
-from .errors import ConfigurationError, NumericError, S2wefError
+from .errors import ConfigurationError, NumericError, ResourceError, S2wefError
 from .nn import DatasetShard, Layout, evaluate_accuracy, init_model, local_train
 from .processes import Processes, shared_buffer
 from .wef import wef_dtype
@@ -50,9 +50,8 @@ def make_dataset(params: DatasetParams, seed: int) -> DatasetShard:
 
 
 def partition_iid(dataset: DatasetShard, n_clients: int, seed: int) -> list[DatasetShard]:
-    """Random equal-size disjoint shards; the remainder is dropped."""
-    if len(dataset) < n_clients:
-        raise ConfigurationError(f"dataset of {len(dataset)} cannot feed {n_clients} clients")
+    """Random equal-size disjoint shards of a dataset of n_clients samples
+    or more, as SimConfig requires; the remainder is dropped."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(dataset))
     size = len(dataset) // n_clients
@@ -69,11 +68,8 @@ def partition_iid(dataset: DatasetShard, n_clients: int, seed: int) -> list[Data
 def partition_dirichlet(
     dataset: DatasetShard, n_clients: int, beta: float, seed: int
 ) -> list[DatasetShard]:
-    """Per-class Dirichlet(beta) proportions; empty shards are repaired."""
-    if not beta > 0:
-        raise ConfigurationError("beta must be > 0")
-    if len(dataset) < n_clients:
-        raise ConfigurationError(f"dataset of {len(dataset)} cannot feed {n_clients} clients")
+    """Per-class Dirichlet(beta) proportions, beta > 0, of a dataset of
+    n_clients samples or more, as SimConfig requires; empty shards are repaired."""
     rng = np.random.default_rng(seed)
     members: list[list[int]] = [[] for _ in range(n_clients)]
     for c in range(dataset.class_count):
@@ -405,3 +401,5 @@ def run_simulation(cfg: SimConfig) -> Iterator[list[RoundRecord]]:
             yield run_trial(cfg, seed)
         except S2wefError as exc:
             raise type(exc)(f"trial seed {seed}: {exc}") from exc
+        except (MemoryError, OSError) as exc:  # an array, a mapping or a fork the system refused
+            raise ResourceError(f"trial seed {seed}: {exc}") from exc

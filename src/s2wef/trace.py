@@ -34,7 +34,7 @@ import numpy as np
 
 from . import detect as det
 from .config import SimConfig, config_from_dict, config_to_dict
-from .errors import ConfigurationError, S2wefError, TraceError
+from .errors import ConfigurationError, TraceError
 from .fedsim import Metrics, RoundRecord, build_schedule, compute_metrics
 from .wef import wef_dtype
 
@@ -226,13 +226,11 @@ def write_trace(cfg: SimConfig, trials: Iterable[list[RoundRecord]], path: str |
 
 
 class Trace(list):
-    """A trace's round records in file order; config comes from its header,
-    if any, and where holds each record's "path:line"."""
+    """A trace's round records in file order; config comes from its header, if any."""
 
-    def __init__(self, records: list[dict], config: SimConfig | None, where: list[str]):
+    def __init__(self, records: list[dict], config: SimConfig | None):
         super().__init__(records)
         self.config = config
-        self.where = where
 
 
 def _is_int(value) -> bool:
@@ -271,10 +269,12 @@ _ROLES = ("benign", "free_rider")
 
 
 def _parse_round(rec: dict, where: str, schema: int) -> None:
-    """Type-check the fields replay reads or prints; wefs and global_pen
-    (unless _split_record decoded them already) become arrays, wefs of
-    wef_dtype(e) as the run held them, global_pen of float64, each read in
-    the form of the trace's schema."""
+    """Type-check the fields replay reads or prints, and refuse what no run
+    writes and the detector does not take: an e past det.exact_budget for
+    the grid shape, or fewer than 3 clients.  wefs and global_pen (unless
+    _split_record decoded them already) become arrays, wefs of wef_dtype(e)
+    as the run held them, global_pen of float64, each read in the form of
+    the trace's schema."""
 
     def bad(key: str, expected: str):
         value = rec[key].tolist() if isinstance(rec[key], np.ndarray) else rec[key]
@@ -293,6 +293,9 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
         bad("free_rider_list", "a list of integers")
     h, w = shape
     wefs, roles, e = rec["wefs"], rec["roles"], rec["e"]
+    budget = det.exact_budget(h * w)
+    if e > budget:
+        bad("e", f"at most {budget} for {h} x {w} grids, where the detector's distances are exact")
     if schema >= 3 and not isinstance(wefs, np.ndarray):  # unless _split_record decoded it already
         # roles count the rows, as they do where _split_record cuts the block
         n = len(roles) if isinstance(roles, list) else len(wefs) if isinstance(wefs, list) else 0
@@ -309,6 +312,8 @@ def _parse_round(rec: dict, where: str, schema: int) -> None:
             raise TraceError(f"{where}: WEF entries must lie in [0, {e}], got [{low}, {high}]")
     if not (isinstance(roles, list) and len(roles) == len(wefs) and all(r in _ROLES for r in roles)):
         bad("roles", f'a list of {len(wefs)} strings "benign" or "free_rider"')
+    if len(roles) < 3:
+        bad("roles", "a list of 3 clients or more, as every config has")
     if not _is_finite_number(rec["accuracy"]):
         bad("accuracy", "a finite number")
     if schema == 1:
@@ -461,7 +466,7 @@ def read_trace(path: str | Path) -> Trace:
     except OSError as exc:  # missing, a directory, or unreadable
         raise TraceError(f"{path}: {exc.strerror or exc}") from exc
     schema, config = 1, None
-    records, locations = [], []
+    records = []
     stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
     due = {}  # trial -> the round its next record must hold
     schedules = {}  # trial -> the header config's free-rider schedule
@@ -505,7 +510,6 @@ def read_trace(path: str | Path) -> Trace:
             if config is not None:
                 _check_against_header(rec, config, schedules, where)
             records.append(rec)
-            locations.append(where)
     if not records:
         raise TraceError(f"{path}: empty trace")
     if config is not None:
@@ -516,7 +520,7 @@ def read_trace(path: str | Path) -> Trace:
                 f"{path}: the {len(found)} round records are not the header config's "
                 f"{len(expected)} (seed, round) pairs in order"
             )
-    return Trace(records, config, locations)
+    return Trace(records, config)
 
 
 def _same_types(recorded, replayed) -> bool:
@@ -551,27 +555,6 @@ def _first_difference(recorded, replayed, path: str) -> str:
     return path
 
 
-def _detect(
-    name: str, recs: Sequence[dict], where: Sequence[str], pen_before: np.ndarray | None, e: int
-) -> list[det.RoundDetection]:
-    """det.detect_trial over the consecutive round records recs of one
-    trial, found at where, after the trial's round whose global_pen is
-    pen_before (None before its first round).  When the detector raises,
-    the rounds are detected one at a time, each after the record before it,
-    and the first that raises alone is named: a chunk refuses its rounds'
-    inputs together."""
-    pens = [r["global_pen"] for r in recs]
-    try:
-        return det.detect_trial(name, [r["wefs"] for r in recs], pens, pen_before, e)
-    except S2wefError:
-        for rec, at, before in zip(recs, where, [pen_before, *pens]):
-            try:
-                det.detect_trial(name, [rec["wefs"]], [rec["global_pen"]], before, e)
-            except S2wefError as exc:
-                raise TraceError(f"{at}: trial {rec['trial']} round {rec['round']}: {exc}") from exc
-        raise
-
-
 def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """Replay every round and check each recorded field replay recomputes.
 
@@ -585,18 +568,17 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     accuracy needs the model and goes unchecked, as a rerun of the header
     config does not.  Each result holds the replayed flagged set and
     metrics, the recorded accuracy, and the path of the first field that
-    differs (such as "cluster.heights[3]"), or None.  A round whose inputs
-    the detector refuses raises TraceError naming its line, trial and round.
+    differs (such as "cluster.heights[3]"), or None.
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)
     last_pen: dict[int, np.ndarray] = {}  # trial -> the global_pen of its last round so far
     results = []
-    groups = groupby(zip(trace, trace.where), key=lambda item: (item[0]["trial"], item[0]["e"]))
-    for (trial, e), group in groups:
-        recs, where = zip(*group)
-        detections = _detect(name, recs, where, last_pen.get(trial), e)
-        last_pen[trial] = recs[-1]["global_pen"]
+    for (trial, e), group in groupby(trace, key=lambda rec: (rec["trial"], rec["e"])):
+        recs = list(group)
+        pens = [rec["global_pen"] for rec in recs]
+        detections = det.detect_trial(name, [rec["wefs"] for rec in recs], pens, last_pen.get(trial), e)
+        last_pen[trial] = pens[-1]
         for rec, detection in zip(recs, detections):
             roles = rec["roles"]
             truth = [i for i, role in enumerate(roles) if role == "free_rider"]

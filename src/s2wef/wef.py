@@ -65,8 +65,6 @@ def counterfeit_one_step(w_fake: np.ndarray, w_global: np.ndarray, e: int) -> np
     broadcast global weights; entries whose absolute difference exceeds it
     get the full budget e, everything else stays 0.
     """
-    if e < 1:
-        raise ConfigurationError("counterfeit budget e must be >= 1")
     w_fake = np.asarray(w_fake, dtype=np.float64)
     w_global = np.asarray(w_global, dtype=np.float64)
     _check_same_shape(w_fake, w_global, "counterfeit_one_step")

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import errno
 import io
 import json
 import os
@@ -280,9 +281,24 @@ def test_local_iterations_past_int64_exit_2_and_write_nothing(tmp_path, capsys, 
     assert f"config error: {message}" in capsys.readouterr().err
 
 
-def test_local_iterations_at_int64_max_are_accepted():
-    train = {"learning_rate": 0.1, "batch_size": 8, "local_iterations": 2**63 - 1}
-    assert config_from_dict(tiny_config(train=train)).train.local_iterations == 2**63 - 1
+def test_local_iterations_past_the_exact_budget_exit_2_and_write_nothing(tmp_path, capsys):
+    """At dwa_s1's 256 x 10 penultimate grids the detector's distances are
+    exact up to e = 1,326,355 local iterations: a config at that budget is
+    accepted, and one past it is invalid, before any output."""
+    raw = json.loads((CONFIGS / "dwa_s1.json").read_text())
+    assert config_from_dict({**raw, "train": {"local_iterations": 1_326_355}}).train.local_iterations == 1_326_355
+    past = {**raw, "train": {"local_iterations": 1_326_356}}
+    message = ("train.local_iterations must be at most 1326355 for the 2560 penultimate weights, "
+               "where the detector's distances are exact")
+    with pytest.raises(ConfigurationError) as refused:  # before main, which would run a config it accepts
+        config_from_dict(past)
+    assert str(refused.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(past))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_run_writes_outputs(tmp_path):
@@ -415,6 +431,30 @@ def test_a_run_whose_helper_dies_prints_its_failure_and_exits_1(tmp_path, capsys
     assert not out.exists() or list(out.iterdir()) == []
     with pytest.raises(ChildProcessError):  # the helper is reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# what a system that does not overcommit memory refuses a trial past it
+REFUSED = {
+    # "rounds": 100000000 at 10 clients: mmap's ENOMEM for the trial's shared mapping
+    "shared-mapping": ("shared_buffer", OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))),
+    # "dataset": {"samples": 100000000000}: numpy's MemoryError for its features
+    "dataset": ("make_dataset", np._core._exceptions._ArrayMemoryError((10**11, 16), np.dtype(np.float64))),
+}
+
+
+@pytest.mark.parametrize("name, error", REFUSED.values(), ids=REFUSED.keys())
+def test_a_trial_refused_its_memory_prints_its_failure_and_exits_1(tmp_path, capsys, monkeypatch, name, error):
+    """The allocation raises as the system would refuse it; nothing that
+    large is asked for, since a system that overcommits would grant it."""
+    def refused(*args):
+        raise error
+
+    monkeypatch.setattr(fedsim, name, refused)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(CONFIGS / "dwa_s1.json"), "--seed", "1", "--out", str(out), "--quiet"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and printed.err == f"run failed: trial seed 1: {error}\n"
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("detector", list(DETECTORS))
@@ -708,18 +748,30 @@ def test_detect_trace_rounds_out_of_order_exit_2(tmp_path, capsys, edit, lineno,
     assert message in capsys.readouterr().err
 
 
-def test_detect_trace_detector_error_names_its_round(tmp_path, capsys):
-    """A round whose inputs the detector refuses exits 2 and names its line,
-    trial and round, also when replay takes it in a chunk of rounds."""
+def test_detect_trace_e_past_the_exact_budget_exits_2(tmp_path, capsys):
+    """The header-less golden trace (64 x 10 grids) with line 4's e past the
+    largest budget whose distances the detector computes exactly."""
     lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
-    for line in lines:
-        line["e"] = 10**8
-    lines[3]["wefs"][0][0] = 10**8
+    lines[3]["e"] = 10**8
     trace = write_lines(tmp_path, lines)
     assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
-    message = (f"trace error: {trace}:4: trial 1 round 3: "
-               "WEF counts up to 100000000 are too large for exact distances")
-    assert message in capsys.readouterr().err
+    message = (f"trace error: {trace}:4: e must be at most 2652710 for 64 x 10 grids, "
+               "where the detector's distances are exact, got 100000000\n")
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("detector", [None, "NONE", "WEF_NA_BASELINE"])
+def test_detect_trace_of_two_clients_exits_2(tmp_path, capsys, detector):
+    """Every config has 3 clients or more, so a header-less trace of 2 is
+    malformed under every detector, not only those that cluster."""
+    lines = [json.loads(line) for line in GOLDEN.read_text().splitlines()]
+    for line in lines:
+        line["roles"], line["wefs"] = line["roles"][:2], line["wefs"][:2]
+    trace = write_lines(tmp_path, lines)
+    argv = ["detect-trace", "--trace", trace, "--quiet", *(["--detector", detector] if detector else [])]
+    assert main(argv) == 2
+    message = f"trace error: {trace}:1: roles must be a list of 3 clients or more, as every config has, got"
+    assert capsys.readouterr().err.startswith(message)
 
 
 E_RANGE = "e must be an integer in [1, 9223372036854775807]"
@@ -1161,4 +1213,5 @@ def test_a_replay_of_any_byte_edit_of_a_trace_exits_0_1_or_2(tmp_path_factory, t
         rc = main(["detect-trace", "--trace", str(path), "--quiet"])
     event(f"exit {rc}")
     assert rc in (0, 1, 2)
-    assert rc != 2 or err.getvalue().startswith("trace error: ")
+    # the reader refuses what the detector would: every refusal names the trace
+    assert rc != 2 or err.getvalue().startswith(f"trace error: {path}")

@@ -21,7 +21,6 @@ from s2wef.detect import (
     dev_scores,
     deviation_statistics,
     gamma_scores,
-    grid_stack,
     pairwise_distances,
     robust_standardize,
     silhouette_two_clusters,
@@ -200,6 +199,14 @@ def _equal_round(n):
     return np.array([grid] * n), grid
 
 
+def _budget_round():
+    """1 x 2 grids of counts 0 and e at e = 47,453,132, the largest budget
+    det.exact_budget allows for them: squared norms add up to 4 * e**2,
+    just below 2**53, where float64 still holds every integer."""
+    e = 47_453_132
+    return np.array([[[0, e]], [[e, 0]], [[e, e]], [[e, e]], [[0, 0]]]), np.array([[e, 0]])
+
+
 def _mad_zero_round():
     """Six equal grids and one twice theirs against a zero simulated grid:
     every gamma is 0, Dev's MAD is 0, and the odd client's z reaches
@@ -247,12 +254,12 @@ def z_points(draw, max_points=60):
 @example(_zeros_round(60))
 @example(_equal_round(4))
 @example(_equal_round(41))
+@example(_budget_round())
 def test_deviation_statistics_match_oracle(round_):
     wefs, _ = round_
-    grids = grid_stack(wefs)
-    for mine, oracle in zip(deviation_statistics(grids), oracle_deviation_statistics(wefs)):
+    for mine, oracle in zip(deviation_statistics(wefs), oracle_deviation_statistics(wefs)):
         assert_same_bits(mine, oracle)
-    assert_same_bits(dev_scores(grids), oracle_dev_scores(wefs))
+    assert_same_bits(dev_scores(wefs), oracle_dev_scores(wefs))
 
 
 @settings(max_examples=120, deadline=None)
@@ -260,10 +267,12 @@ def test_deviation_statistics_match_oracle(round_):
 @example(_zeros_round(5), GAMMA_COS_OVER_L1)
 @example(_equal_round(5), GAMMA_COS_OVER_L1)
 @example(_equal_round(5), GAMMA_COS_ONLY)
+@example(_budget_round(), GAMMA_COS_OVER_L1)
+@example(_budget_round(), GAMMA_COS_ONLY)
 def test_gamma_scores_match_oracle(round_, mode):
     wefs, simulated = round_
     assert_same_bits(
-        gamma_scores(grid_stack(wefs), simulated, mode),
+        gamma_scores(wefs, simulated, mode),
         oracle_gamma_scores(wefs, simulated, mode),
     )
 

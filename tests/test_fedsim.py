@@ -86,12 +86,6 @@ def test_partition_iid_equal_disjoint():
     assert len(np.unique(seen)) == len(seen)  # continuous features: dupes would collide
 
 
-def test_partition_iid_too_small():
-    data = make_dataset(DatasetParams(samples=5, features=4, classes=2), seed=0)
-    with pytest.raises(ConfigurationError):
-        partition_iid(data, 6, seed=0)
-
-
 def test_partition_dirichlet_nonempty_and_disjoint():
     data = make_dataset(DatasetParams(samples=400, features=4, classes=4), seed=0)
     for seed in range(5):
@@ -111,9 +105,8 @@ def test_partition_dirichlet_large_beta_approaches_iid():
 
 
 def test_partition_dirichlet_bad_beta():
-    data = make_dataset(DatasetParams(samples=100, features=4, classes=2), seed=0)
-    with pytest.raises(ConfigurationError):
-        partition_dirichlet(data, 4, beta=0.0, seed=0)
+    with pytest.raises(ConfigurationError, match="dirichlet_beta must be > 0"):
+        small_cfg(partition="DIRICHLET", dirichlet_beta=0.0)
 
 
 # --- schedules ----------------------------------------------------------------
@@ -286,7 +279,7 @@ def test_config_refuses_an_rwa_range_whose_counterfeit_mean_overflows():
 NAN = float("nan")
 
 # a SimConfig built in Python, past the JSON reader's finite-float check,
-# with NaN in one of its numbers, and partition_dirichlet with a NaN beta
+# with NaN in one of its numbers
 WITH_NAN = {
     "rwa_range": lambda: small_cfg(attack=AttackParams(kind="RWA", rwa_range=NAN)),
     "spa_sigma": lambda: small_cfg(attack=AttackParams(kind="SPA", spa_sigma=NAN)),
@@ -295,7 +288,6 @@ WITH_NAN = {
     "spread": lambda: small_cfg(dataset=DatasetParams(spread=NAN)),
     "momentum": lambda: small_cfg(train=TrainConfig(momentum=NAN)),
     "dirichlet_beta": lambda: small_cfg(partition="DIRICHLET", dirichlet_beta=NAN),
-    "beta": lambda: partition_dirichlet(make_dataset(DatasetParams(samples=40), seed=1), 4, NAN, seed=1),
 }
 
 

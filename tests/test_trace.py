@@ -289,19 +289,10 @@ def int_matrix_json(grid, e=None) -> str:
     return _dumps(int_rows(json.loads(digit_rows(grid, e)), e))
 
 
-def decode_int_matrix(block: str, e: int) -> np.ndarray | None:
-    """A schema-2 WEF block as read_trace reads it: json.loads, then the
-    int-list and [0, e] checks of _parse_round; None where they refuse it."""
-    rows = json.loads(block)
-    m = len(rows[0])
-    rec = {"trial": 1, "round": 0, "e": e, "wef_shape": [1, m], "free_rider_list": [], "wefs": rows,
-           "roles": ["benign"] * len(rows), "accuracy": 0.5,
-           "global_pen": trace.float_matrix_base64(np.zeros((1, m)))}
-    try:
-        trace._parse_round(rec, "trace.jsonl:2", 2)
-    except TraceError:
-        return None
-    return rec["wefs"].reshape(len(rows), m)
+def decode_int_matrix(block: str, e: int) -> np.ndarray:
+    """A schema-2 WEF block as _parse_round decodes it: json.loads, then the
+    int-list reader _array, in wef_dtype(e)."""
+    return trace._array(json.loads(block), "i", 2).astype(wef_dtype(e), copy=False)
 
 
 @st.composite
@@ -339,7 +330,8 @@ def test_int_matrix_json_equals_json_dumps(grid):
 @example(np.array([[10**18 - 1, 0], [7, 10**17]]))
 def test_decode_int_matrix_inverts_int_matrix_json(grid):
     """A grid written as digit rows and mapped back to schema-2 int lists
-    reads back, through json.loads, as the grid in wef_dtype(e)."""
+    decodes, through json.loads, as the grid in wef_dtype(e): counts up to
+    10**18, past any budget the reader admits, included."""
     e = max(int(grid.max()), 1)
     decoded = decode_int_matrix(int_matrix_json(grid), e)
     assert decoded.dtype == wef_dtype(e) and np.array_equal(decoded, grid)
