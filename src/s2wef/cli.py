@@ -8,7 +8,8 @@ with `--detector`.  Configs are versioned JSON validated fail-closed
 output file is created.  A run writes its trace trial by trial, holding one
 trial at a time, and its output is the same on any number of cores (see
 processes).  Exit codes: 0 success, 1 runtime failure or replay divergence,
-2 invalid config or malformed trace.
+2 invalid config or malformed trace, 143 for a run stopped by SIGTERM,
+which leaves no partial file.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import json
 import os
+import signal
 import sys
 from dataclasses import replace
 from functools import partial
@@ -127,19 +129,28 @@ def _prepare_run(args) -> tuple[SimConfig, Path]:
     return cfg, out
 
 
+def _exit_on_signal(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
 def cmd_run(args) -> int:
     cfg, out = _prepare_run(args)
+    # SIGTERM ends the run as an exception, so a file being written loses
+    # its .tmp and the helpers are reaped, as on KeyboardInterrupt
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         trials = write_trace(cfg, run_simulation(cfg), out / "trace.jsonl")
+        write_metrics_csv(cfg, trials, out / "metrics.csv")
+        with atomic_write(out / "config.json") as fh:
+            fh.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")
+        lines = summary_lines(cfg, trials)
+        with atomic_write(out / "summary.txt") as fh:
+            fh.write("\n".join(lines) + "\n")
     except S2wefError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    write_metrics_csv(cfg, trials, out / "metrics.csv")
-    with atomic_write(out / "config.json") as fh:
-        fh.write(json.dumps(config_to_dict(cfg), indent=2) + "\n")
-    lines = summary_lines(cfg, trials)
-    with atomic_write(out / "summary.txt") as fh:
-        fh.write("\n".join(lines) + "\n")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if not args.quiet:
         _print_lines(lines)
     return 0

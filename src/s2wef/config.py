@@ -12,7 +12,8 @@ from typing import get_args, get_origin, get_type_hints
 from . import detect as det
 from .attacks import _RWA_RANGE_MAX, AttackParams
 from .errors import ConfigurationError
-from .nn import TrainConfig
+from .nn import Layout, TrainConfig
+from .wef import wef_dtype
 
 SCENARIOS = ("S1", "S2", "CLEAN")
 PARTITIONS = ("IID", "DIRICHLET")
@@ -105,6 +106,16 @@ class SimConfig:
             raise ConfigurationError(
                 f"train.local_iterations must be at most {budget} for the {cells} penultimate weights, "
                 "where the detector's distances are exact"
+            )
+        # numpy and mmap index at most sys.maxsize bytes: the dataset at its
+        # widest layer (its features, or the evaluation's activations), and a
+        # trial's shared mapping (fedsim._shared_arrays)
+        dataset = 8 * self.dataset.samples * max(self.architecture)
+        rows = (self.clients + 1) * Layout(self.architecture).num_params + self.rounds
+        trial = 8 * rows + self.rounds * self.clients * cells * wef_dtype(self.train.local_iterations).itemsize
+        if max(dataset, trial) > sys.maxsize:
+            raise ConfigurationError(
+                f"the dataset's {dataset} bytes and a trial's {trial} must each be at most {sys.maxsize}"
             )
         # RWA's counterfeit takes the mean of its h * w absolute changes, each
         # up to rwa_range, and their sum must stay finite

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError
 from .wef import counterfeit_one_step
 
 EPS = 1e-12
@@ -63,10 +63,6 @@ class ClusterOutcome:
     s2: float
     delta: float
     heights: np.ndarray
-
-    def __post_init__(self):
-        if self.k == 1 and self.suspicious:
-            raise ConfigurationError("single-cluster outcome cannot mark anyone suspicious")
 
 
 @dataclass(frozen=True)
@@ -137,13 +133,11 @@ def _cosines(dots: np.ndarray, denom: np.ndarray) -> np.ndarray:
 def deviation_statistics(grids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-client mean distance, mean cosine similarity, and mean entry value.
 
-    grids is a round's (n, h, w) integer submissions, or (..., n, h, w)
+    grids is a round's (n, h, w) integer submissions, n >= 2, or (..., n, h, w)
     grids of several rounds, each scored against its own round.
     """
     x = grids.reshape(*grids.shape[:-2], -1)
     n, size = x.shape[-2:]
-    if n < 2:
-        raise ConfigurationError("deviation statistics need at least 2 clients")
     gram = np.zeros((*x.shape[:-1], n))
     total = np.zeros(x.shape[:-1])
     for _, block in _float_blocks(x, int(x.max(initial=0))):
@@ -201,13 +195,6 @@ def gamma_scores(
     is finite); cos_only drops the L1 denominator.  (..., n, h, w) grids
     take (..., h, w) simulated grids, one per round.
     """
-    if mode not in (GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
-        raise ConfigurationError(f"unknown gamma mode {mode!r}")
-    if grids.shape[:-3] + grids.shape[-2:] != simulated.shape:
-        raise ShapeError(
-            f"simulated WEF {simulated.shape} differs from submissions "
-            f"{grids.shape[:-3] + grids.shape[-2:]}"
-        )
     x = grids.reshape(*grids.shape[:-2], -1)
     ref = simulated.reshape(*simulated.shape[:-2], 1, -1)
     sq, dots, l1 = np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1]), np.zeros(x.shape[:-1])
@@ -239,8 +226,6 @@ def robust_standardize(values: Sequence[float]) -> np.ndarray:
     the last axis.  A MAD of rounding is not scaled up: then the values
     equal to the median up to rounding standardize to 0."""
     x = np.asarray(values, dtype=np.float64)
-    if x.size < 1:
-        raise ConfigurationError("robust_standardize needs at least one value")
     med = _median(x)
     dev, tol = np.abs(x - med), ROUNDING_TOL * np.abs(med)
     centered = np.where((dev <= tol) & (_median(dev) <= tol), 0.0, x - med)
@@ -480,8 +465,6 @@ def threshold_flags(
     within 0.05 of the max."""
     g = np.asarray(gammas, dtype=np.float64)
     d = np.asarray(devs, dtype=np.float64)
-    if g.size < 1 or g.shape != d.shape:
-        raise ConfigurationError("need matching nonempty score vectors")
     return g > GAMMA_MEDIAN_FACTOR * _median(g), _dev_near_max(d)
 
 
@@ -615,8 +598,6 @@ def _detect_rounds(
     pens_prev the broadcast before each, of which only the first can be
     None (a trial's first round).
     """
-    if name not in DETECTORS:
-        raise ConfigurationError(f"unknown detector {name!r}; choose from {tuple(DETECTORS)}")
     spec = DETECTORS[name]
     n = len(wefs[0])
     skip = len(wefs) if spec is None else int(pens_prev[0] is None)

@@ -9,10 +9,6 @@ class ConfigurationError(S2wefError):
     """Invalid configuration, degenerate input sizes, or contract misuse."""
 
 
-class ShapeError(S2wefError):
-    """Array shapes incompatible with the requested operation."""
-
-
 class ResourceError(S2wefError):
     """The system refused a trial the memory or a process it needs."""
 

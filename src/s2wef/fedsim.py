@@ -20,7 +20,7 @@ import numpy as np
 from . import detect as det
 from .attacks import make_submission
 from .config import DatasetParams, SimConfig, _free_rider_count
-from .errors import ConfigurationError, NumericError, ResourceError, S2wefError
+from .errors import NumericError, ResourceError, S2wefError
 from .nn import DatasetShard, Layout, evaluate_accuracy, init_model, local_train
 from .processes import Processes, shared_buffer
 from .wef import wef_dtype
@@ -121,8 +121,6 @@ def aggregate_fedavg(submissions: np.ndarray, benign_ids: Iterable[int]) -> np.n
     mean is taken over the same contiguous (m, P) block np.stack of those
     rows would build, to the bit, without the copy.
     """
-    if submissions.ndim != 2 or not len(submissions):
-        raise ConfigurationError("nothing to aggregate")
     kept = sorted(set(benign_ids)) or range(len(submissions))
     for j, i in enumerate(kept):  # i >= j: row i is never overwritten before it moves
         if i != j:
@@ -259,12 +257,9 @@ def _fabricate(state: _TrialState, t: int) -> None:
     e = state.cfg.train.local_iterations
     for i in np.flatnonzero(state.schedule[t]).tolist():
         seed = derive_seed(state.trial_seed, _TAG_ATTACK, t, i)
-        try:
-            state.rows[i], state.wefs[t, i] = make_submission(
-                state.cfg.attack, state.layout, state.global_row, state.previous_global, e, seed
-            )
-        except S2wefError as exc:
-            raise type(exc)(f"client {i}: {exc}") from exc
+        state.rows[i], state.wefs[t, i] = make_submission(
+            state.cfg.attack, state.layout, state.global_row, state.previous_global, e, seed
+        )
 
 
 def _train_share(state: _TrialState, t: int, first: int, step: int) -> None:

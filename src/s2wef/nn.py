@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, S2wefError, ShapeError
+from .errors import ConfigurationError, NumericError
 from .wef import _exceeds_mean_change
 
 
@@ -37,10 +37,6 @@ class Layout:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(self.sizes))
-        if len(self.sizes) < 2:
-            raise ConfigurationError(f"architecture needs input and output sizes; got {list(self.sizes)}")
-        if any(s < 1 for s in self.sizes):
-            raise ConfigurationError("all layer sizes must be >= 1")
 
     @property
     def num_params(self) -> int:
@@ -56,8 +52,6 @@ class Layout:
         The views keep the leading axis, so weights[l] is (k, fan_in,
         fan_out) and biases[l] is (k, fan_out) for a stack.
         """
-        if flat.shape[-1:] != (self.num_params,):
-            raise ShapeError(f"parameter rows {flat.shape} do not hold {self.num_params} parameters")
         lead = flat.shape[:-1]
         weights, biases, pos = [], [], 0
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
@@ -100,14 +94,6 @@ class DatasetShard:
     features: np.ndarray
     labels: np.ndarray
     class_count: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0],):
-            raise ShapeError("features must be (n, d) with one label per row")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise ConfigurationError("labels must lie in [0, class_count)")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -189,23 +175,6 @@ def _backprop(weights, biases, grad_w, grad_b, x: np.ndarray, y: np.ndarray) -> 
     return loss
 
 
-def _check_shard(layout: Layout, shard: DatasetShard) -> None:
-    """Reject a shard that a model of layout cannot train on or be scored on."""
-    if len(shard) == 0:
-        raise ConfigurationError("shard is empty")
-    inputs, outputs = layout.sizes[0], layout.sizes[-1]
-    if shard.features.shape[1] != inputs:
-        raise ShapeError(f"shard dimension {shard.features.shape[1]} != model input {inputs}")
-    if shard.class_count > outputs:
-        raise ShapeError(f"shard has {shard.class_count} classes but the model only {outputs} outputs")
-
-
-def _about_shard(exc: S2wefError, j: int) -> S2wefError:
-    """Tag exc with the position of the shard it concerns, so a caller can name its client."""
-    exc.shard = j
-    return exc
-
-
 def local_train(
     layout: Layout,
     w_start: np.ndarray,
@@ -216,26 +185,17 @@ def local_train(
     """Train one client per shard from the (P,) row w_start with
     cfg.local_iterations SGD steps.
 
-    The clients step in lockstep, so their shards must have one length.
+    The clients step in lockstep, so their shards, non-empty and fit for
+    layout as the config's partitions make them, must have one length.
     Returns their (k, P) parameter rows, laid out like w_start, and
     their (k, h, w) WEF grids over the penultimate matrix (wef.build_wef of
     each client's per-step snapshots).  Client j draws its batch order from
     default_rng(seeds[j]), so its row and grid depend only on (w_start,
     shards[j], cfg, seeds[j]) and are bit-identical to training it alone.
-    An error about one shard carries its position as the attribute `shard`.
+    A diverged client's NumericError carries its shard's position as the
+    attribute `shard`.
     """
-    k = len(shards)
-    if k == 0 or len(seeds) != k:
-        raise ConfigurationError(f"need one seed per shard, got {len(seeds)} for {k}")
-    for j, shard in enumerate(shards):
-        try:
-            _check_shard(layout, shard)
-        except S2wefError as exc:
-            raise _about_shard(exc, j)
-    n = len(shards[0])
-    if any(len(shard) != n for shard in shards):
-        raise ConfigurationError("shards trained in lockstep must have one length")
-
+    k, n = len(shards), len(shards[0])
     params = np.tile(w_start, (k, 1))
     grads = np.empty_like(params)
     velocity = np.zeros_like(params) if cfg.momentum else None
@@ -260,7 +220,9 @@ def local_train(
         loss = _backprop(weights, biases, grad_w, grad_b, features[clients, idx], labels[clients, idx])
         diverged = np.flatnonzero(~np.isfinite(loss))
         if diverged.size:
-            raise _about_shard(NumericError(f"non-finite loss at local iteration {t}"), int(diverged[0]))
+            exc = NumericError(f"non-finite loss at local iteration {t}")
+            exc.shard = int(diverged[0])  # so the caller can name its client
+            raise exc
         # w -= lr * v with v = momentum * v + g, in place; at momentum 0, v is g
         if velocity is not None:
             velocity *= cfg.momentum
@@ -282,6 +244,5 @@ def evaluate_accuracy(
     scratch, a flat float64 array, holds the activations that fit in it
     (see _forward); the result is the same to the bit.
     """
-    _check_shard(layout, shard)
     logits = _forward(*layout.views(row), shard.features, scratch)[-1]
     return float((logits.argmax(axis=1) == shard.labels).mean())

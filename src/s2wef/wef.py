@@ -13,13 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{what}: shapes {a.shape} and {b.shape} differ")
-
 
 def wef_dtype(e: int) -> np.dtype:
     """The type a stack of WEF grids with budget e is held in: the narrowest
@@ -43,15 +36,11 @@ def _exceeds_mean_change(diff: np.ndarray) -> np.ndarray:
 def build_wef(snapshots: Sequence[np.ndarray]) -> np.ndarray:
     """Count threshold-exceeding changes across consecutive snapshots.
 
-    snapshots[0] is the pre-training penultimate matrix; every later entry
-    is the matrix after one local iteration.  The result is an int64 grid
-    of the snapshots' shape, bounded by len(snapshots) - 1.
+    snapshots[0] is the pre-training penultimate matrix; every later entry,
+    of its shape, is the matrix after one local iteration.  The result is an
+    int64 grid of the snapshots' shape, bounded by len(snapshots) - 1.
     """
-    if len(snapshots) < 1:
-        raise ConfigurationError("build_wef needs at least one snapshot")
     mats = [np.asarray(s, dtype=np.float64) for s in snapshots]
-    for s in mats[1:]:
-        _check_same_shape(mats[0], s, "build_wef")
     counts = np.zeros(mats[0].shape, dtype=np.int64)
     for prev, curr in zip(mats[:-1], mats[1:]):
         counts += _exceeds_mean_change(curr - prev)
@@ -62,11 +51,10 @@ def counterfeit_one_step(w_fake: np.ndarray, w_global: np.ndarray, e: int) -> np
     """Fabricate a WEF grid from fake weights in a single comparison.
 
     The threshold is the mean absolute difference between the fake and the
-    broadcast global weights; entries whose absolute difference exceeds it
-    get the full budget e, everything else stays 0.
+    broadcast global weights, of one shape; entries whose absolute
+    difference exceeds it get the full budget e, everything else stays 0.
     """
     w_fake = np.asarray(w_fake, dtype=np.float64)
     w_global = np.asarray(w_global, dtype=np.float64)
-    _check_same_shape(w_fake, w_global, "counterfeit_one_step")
     exceeds = _exceeds_mean_change(w_fake - w_global)
     return np.where(exceeds, e, 0)

@@ -9,6 +9,7 @@ import string
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -301,6 +302,38 @@ def test_local_iterations_past_the_exact_budget_exit_2_and_write_nothing(tmp_pat
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+# dwa_s1 edits whose arrays, the shared rows and grids or the dataset, no
+# numpy or mmap can index: the bytes each needs
+OVERSIZED = {
+    "rounds": ({"rounds": 10**15}, "the dataset's 4096000 bytes and a trial's 25608000000000609136"),
+    "samples": ({"dataset": {"samples": 10**20}}, "the dataset's 204800000000000000000000 bytes and a trial's "),
+}
+
+
+@pytest.mark.parametrize("edit, message", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_a_config_past_what_numpy_can_index_exits_2_and_writes_nothing(tmp_path, capsys, edit, message):
+    """Past sys.maxsize bytes an array cannot even be asked for, so such a
+    config is invalid, checked from its sizes before anything is allocated."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**json.loads((CONFIGS / "dwa_s1.json").read_text()), **edit}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.endswith(f" must each be at most {sys.maxsize}\n")
+
+
+@pytest.mark.parametrize("edit, message", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_detect_trace_header_past_what_numpy_can_index_exits_2(tmp_path, capsys, trace_lines, edit, message):
+    """A header is read as a config, so it may not hold such sizes either."""
+    lines = json.loads(json.dumps(trace_lines))
+    config = {**config_to_dict(config_from_dict(json.loads((CONFIGS / "dwa_s1.json").read_text()))), **edit}
+    lines[0]["header"]["config"] = config
+    trace = write_lines(tmp_path, lines)
+    assert main(["detect-trace", "--trace", trace, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"trace error: {trace}:1: header {message}")
+
+
 def test_run_writes_outputs(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -455,6 +488,47 @@ def test_a_trial_refused_its_memory_prints_its_failure_and_exits_1(tmp_path, cap
     printed = capsys.readouterr()
     assert printed.out == "" and printed.err == f"run failed: trial seed 1: {error}\n"
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:  # gone
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+    reason="reads the run's helpers from /proc",
+)
+def test_a_run_stopped_by_sigterm_exits_143_and_leaves_no_file(tmp_path):
+    """SIGTERM, as `timeout` sends it, ends a run as an exception does: the
+    trace being written loses its .tmp file and the helpers are reaped."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**json.loads((CONFIGS / "dwa_s1.json").read_text()), "rounds": 2000}))
+    out = tmp_path / "out"
+    run = subprocess.Popen(
+        [sys.executable, "-m", "s2wef.cli", "run", "--config", str(config), "--out", str(out), "--quiet"],
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))},
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "trace.jsonl.tmp").exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        time.sleep(1)  # into the first trial, whose helpers are forked by then
+        helpers = [int(pid) for pid in Path(f"/proc/{run.pid}/task/{run.pid}/children").read_text().split()]
+        run.send_signal(signal.SIGTERM)
+        _, err = run.communicate(timeout=60)
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait()
+    assert run.returncode == 128 + signal.SIGTERM and err == ""
+    assert list(out.iterdir()) == []
+    assert not any(_running(pid) for pid in helpers)
 
 
 @pytest.mark.parametrize("detector", list(DETECTORS))

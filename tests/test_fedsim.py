@@ -193,11 +193,6 @@ def test_aggregate_empty_benign_falls_back_to_all():
     np.testing.assert_allclose(mean, oracle, atol=1e-12)
 
 
-def test_aggregate_rejects_nothing():
-    with pytest.raises(ConfigurationError):
-        aggregate_fedavg(np.empty((0, 5)), [])
-
-
 # --- metrics ---------------------------------------------------------------------
 
 def test_metrics_perfect():
@@ -1054,6 +1049,48 @@ def test_each_process_trains_a_near_equal_contiguous_share_of_each_shard_length(
     ]
     assert fedsim._lockstep_groups(shards, clients, 0, 1) == fedsim._lockstep_groups(shards, clients)
     assert fedsim._lockstep_groups(shards, range(8, 28), 1, 2) == [list(range(18, 26)), [26, 27]]
+
+
+@st.composite
+def valid_partitions(draw):
+    """A valid config's clients, partition and dataset, as SimConfig checks them."""
+    clients = draw(st.integers(3, 40))
+    classes = draw(st.integers(2, 10))
+    dataset = DatasetParams(
+        samples=draw(st.integers(max(clients, classes), 20 * clients)),
+        features=draw(st.integers(1, 8)),
+        classes=classes,
+    )
+    beta = draw(st.one_of(st.floats(0.01, 0.2), st.floats(5.0, 1000.0)))
+    partition = draw(st.sampled_from(["IID", "DIRICHLET"]))
+    return SimConfig(clients=clients, free_rider_ratio=0.0, scenario="CLEAN", partition=partition,
+                     dirichlet_beta=beta, dataset=dataset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=valid_partitions(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_the_partitions_of_a_valid_config_fit_its_model_and_step_in_lockstep(cfg, seed, data):
+    """Training and evaluation trust these shards and their lockstep groups
+    unchecked: every shard is non-empty, as wide as the model's input and
+    labelled below its output size, and every group is a run of at most
+    _GROUP_CLIENTS clients of one shard length."""
+    dataset = make_dataset(cfg.dataset, seed)
+    if cfg.partition == "IID":
+        shards = partition_iid(dataset, cfg.clients, seed)
+    else:
+        shards = partition_dirichlet(dataset, cfg.clients, cfg.dirichlet_beta, seed)
+    assert len(shards) == cfg.clients
+    for shard in shards:
+        assert len(shard) > 0 and shard.features.shape == (len(shard), cfg.dataset.features)
+        assert 0 <= shard.labels.min() and shard.labels.max() < cfg.dataset.classes
+    clients = sorted(data.draw(st.sets(st.integers(0, cfg.clients - 1)), label="clients"))
+    step = data.draw(st.integers(1, 4), label="step")
+    shares = [fedsim._lockstep_groups(shards, clients, first, step) for first in range(step)]
+    for group in (group for share in shares for group in share):
+        assert 0 < len(group) <= fedsim._GROUP_CLIENTS
+        assert len({len(shards[i]) for i in group}) == 1
+    # the processes' shares train each client once
+    assert sorted(i for share in shares for group in share for i in group) == clients
 
 
 def test_runtime_error_carries_context():

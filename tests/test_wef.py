@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s2wef.errors import ConfigurationError, ShapeError
 from s2wef.wef import build_wef, counterfeit_one_step
 
 
@@ -72,18 +70,6 @@ def test_build_wef_matches_naive_oracle():
         e = int(rng.integers(0, 6))
         snaps = [rng.normal(size=(h, w)) for _ in range(e + 1)]
         np.testing.assert_array_equal(build_wef(snaps), naive_build(snaps))
-
-
-def test_build_wef_shape_mismatch():
-    with pytest.raises(ShapeError):
-        build_wef([np.zeros((2, 2)), np.zeros((3, 2))])
-    with pytest.raises(ShapeError):
-        build_wef([np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3))])
-
-
-def test_build_wef_empty():
-    with pytest.raises(ConfigurationError):
-        build_wef([])
 
 
 def test_counterfeit_identical_weights_zero():
