@@ -160,7 +160,7 @@ def cmd_detect_trace(args) -> int:
     try:
         records = read_trace(args.trace)
         results = replay_trace(records, args.detector)
-    except (TraceError, ConfigurationError) as exc:
+    except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     diverged = [r for r in results if r["diverged"]]

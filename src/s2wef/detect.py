@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .wef import counterfeit_one_step
 
 EPS = 1e-12
@@ -214,11 +213,10 @@ def gamma_scores(
 def _median(x: np.ndarray) -> np.ndarray:
     """np.median over the last axis, kept as an axis of length 1: the middle
     of the sorted values, or the mean of the middle two as np.median rounds
-    it; NaN if any value is NaN."""
+    it."""
     s = np.sort(x, axis=-1)
     m = s.shape[-1] // 2
-    med = s[..., m:m + 1] if s.shape[-1] % 2 else (s[..., m - 1:m] + s[..., m:m + 1]) / 2
-    return np.where(np.isnan(s[..., -1:]), np.nan, med)
+    return s[..., m:m + 1] if s.shape[-1] % 2 else (s[..., m - 1:m] + s[..., m:m + 1]) / 2
 
 
 def robust_standardize(values: Sequence[float]) -> np.ndarray:
@@ -250,61 +248,49 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.float_power(values, 2.0)
 
 
+# Ward checks none of its distances: the z plane is bounded.  gamma <=
+# 1/GAMMA_EPS = 1e12 and Dev <= 3, so |z| <= 1e12/EPS = 1e24, distances
+# stay below 3e24 and their squares below 1e49, and a Ward update scales
+# squares by cluster sizes (x200 at 200 clients), far below float64's
+# 1.8e308.  pairwise_distances is symmetric to the bit, as the recurrence
+# and the argmin tie-break, which read one triangle for both, need.
 def _ward_merges(distances: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Full Ward agglomeration via the Lance-Williams recurrence.
 
-    Starts from the pairwise_distances of the points (left unmodified).
+    Starts from the pairwise_distances of n >= 2 points (left unmodified).
     Each step merges the pair of clusters with minimal Ward distance; ties
     merge the lexicographically smallest pair, where a cluster is named by
     its smallest member.  Returns each merge's height, and the names
     (a, b), a < b, of the clusters it joins, of which a names the merged
-    cluster.  A matrix that is not symmetric to the bit, and distances
-    whose squares or Ward updates leave the float64 range, raise
-    ConfigurationError.
+    cluster.
     """
     dist = np.array(distances, dtype=np.float64)
     n = len(dist)
-    if n < 2:
-        raise ConfigurationError("clustering needs at least 2 points")
-    if not np.isfinite(dist).all():
-        # an all-inf row would make argmin merge a cluster with itself
-        raise ConfigurationError("clustering needs finite distances")
-    if dist.shape != (n, n) or (dist != dist.T).any():
-        # the recurrence and the argmin tie-break read one triangle for both
-        raise ConfigurationError("clustering needs a symmetric distance matrix")
-
     # dist[i, j] is the Ward distance of the clusters names[i] and names[j],
     # +inf on the diagonal and for merged-away rows, whose size is 0; names
     # ascend and dist is symmetric, so the first row-major argmin is the
     # lexicographically smallest minimal pair.  The recurrence keeps inf
     # entries inf, so each merge updates whole rows; once half the rows are
     # merged away, the live ones move to a smaller matrix.  Each merge squares
-    # the two rows it reads, so every finite entry is squared before it is
-    # replaced.
+    # the two rows it reads.
     np.fill_diagonal(dist, np.inf)
     names, size = list(range(n)), np.ones(n)
     heights, pairs = np.empty(n - 1), []
-    try:
-        # an overflow would turn a live pair into inf or NaN, which argmin
-        # reads as merged away or as the minimum
-        with np.errstate(over="raise", invalid="raise", under="ignore"):
-            for step, live in enumerate(range(n, 1, -1)):
-                if 2 * live <= len(dist):
-                    keep = size.nonzero()[0]
-                    dist, size = dist[keep[:, None], keep], size[keep]
-                    names = [names[k] for k in keep.tolist()]
-                i, j = divmod(int(np.argmin(dist)), len(dist))
-                sq_i, sq_j = _squares(dist[i]), _squares(dist[j])
-                ni, nj = size[i], size[j]
-                heights[step] = dist[i, j]
-                merged_sq = ((ni + size) * sq_i + (nj + size) * sq_j - size * sq_i[j]) / (ni + nj + size)
-                np.sqrt(np.maximum(merged_sq, 0.0, out=merged_sq), out=dist[i])
-                dist[:, i] = dist[i]
-                dist[j] = dist[:, j] = np.inf
-                size[i], size[j] = ni + nj, 0.0
-                pairs.append((names[i], names[j]))
-    except FloatingPointError as exc:
-        raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
+    for step, live in enumerate(range(n, 1, -1)):
+        if 2 * live <= len(dist):
+            keep = size.nonzero()[0]
+            dist, size = dist[keep[:, None], keep], size[keep]
+            names = [names[k] for k in keep.tolist()]
+        i, j = divmod(int(np.argmin(dist)), len(dist))
+        sq_i, sq_j = _squares(dist[i]), _squares(dist[j])
+        ni, nj = size[i], size[j]
+        heights[step] = dist[i, j]
+        merged_sq = ((ni + size) * sq_i + (nj + size) * sq_j - size * sq_i[j]) / (ni + nj + size)
+        np.sqrt(np.maximum(merged_sq, 0.0, out=merged_sq), out=dist[i])
+        dist[:, i] = dist[i]
+        dist[j] = dist[:, j] = np.inf
+        size[i], size[j] = ni + nj, 0.0
+        pairs.append((names[i], names[j]))
     return heights, pairs
 
 
@@ -327,63 +313,58 @@ def ward_hac(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ward_rounds(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """ward_hac over each of R rounds' (R, n, n) pairwise_distances at once:
     the (R, n - 1) heights and (R, n) two-cluster labels, each round's to
-    the bit, and the same refusals.
+    the bit.
 
     Each merge updates every round's matrix with _ward_merges' arithmetic,
     on the matrix's full size.  A round's cut is read from its recorded
     merge pairs as ward_hac reads it.
     """
     rounds, n = dist.shape[:2]
-    if not np.isfinite(dist).all():
-        raise ConfigurationError("clustering needs finite distances")
-    if (dist != dist.mT).any():
-        raise ConfigurationError("clustering needs a symmetric distance matrix")
     dist = dist.copy()
     diagonal, r = np.arange(n), np.arange(rounds)
     dist[:, diagonal, diagonal] = np.inf
     size = np.ones((rounds, n))
     heights = np.empty((rounds, n - 1))
     pairs = []
-    try:
-        with np.errstate(over="raise", invalid="raise", under="ignore"):
-            for step in range(n - 1):
-                a, b = np.divmod(dist.reshape(rounds, -1).argmin(axis=1), n)
-                heights[:, step] = dist[r, a, b]
-                sq_a, sq_b = _squares(dist[r, a]), _squares(dist[r, b])
-                na, nb, sq_ab = size[r, a, None], size[r, b, None], sq_a[r, b, None]
-                merged_sq = ((na + size) * sq_a + (nb + size) * sq_b - size * sq_ab) / (na + nb + size)
-                dist[r, a] = dist[r, :, a] = np.sqrt(np.maximum(merged_sq, 0.0))
-                dist[r, b] = dist[r, :, b] = np.inf
-                size[r, a] = (na + nb)[:, 0]
-                pairs.append((a, b))
-    except FloatingPointError as exc:
-        raise ConfigurationError(f"clustering distances too large for float64 Ward ({exc})") from exc
+    for step in range(n - 1):
+        a, b = np.divmod(dist.reshape(rounds, -1).argmin(axis=1), n)
+        heights[:, step] = dist[r, a, b]
+        sq_a, sq_b = _squares(dist[r, a]), _squares(dist[r, b])
+        na, nb, sq_ab = size[r, a, None], size[r, b, None], sq_a[r, b, None]
+        merged_sq = ((na + size) * sq_a + (nb + size) * sq_b - size * sq_ab) / (na + nb + size)
+        dist[r, a] = dist[r, :, a] = np.sqrt(np.maximum(merged_sq, 0.0))
+        dist[r, b] = dist[r, :, b] = np.inf
+        size[r, a] = (na + nb)[:, 0]
+        pairs.append((a, b))
     owner = np.tile(diagonal, (rounds, 1))
     for a, b in reversed(pairs[:-1]):
         owner[r, b] = owner[r, a]
     return heights, (owner != 0).astype(np.int64)
 
 
-def _silhouette_rounds(dist: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """silhouette_two_clusters of each of R rounds' (R, n, n)
-    pairwise_distances and (R, n) labels, each round's to the bit.
+def silhouette_two_clusters(dist: np.ndarray, labels: np.ndarray) -> float | np.ndarray:
+    """Mean silhouette of a two-cluster partition, from (..., n, n)
+    pairwise_distances and (..., n) labels: a float for one round, one per
+    round for several.  A singleton scores 0, as does a single cluster.
 
     A stable sort lays each row out as its own cluster but itself, the
     other cluster, then itself, each in client order, so each mean sums one
-    compact run as the per-round slices do; rows are taken in groups of one
-    own-cluster size, since numpy's pairwise summation groups terms by run
-    length and padding would move the last bit.
+    compact run, as np.mean over that client's list of distances would;
+    rows are taken in groups of one own-cluster size, since numpy's
+    pairwise summation groups terms by run length and padding would move
+    the last bit.
     """
-    rounds, n = labels.shape
-    same = labels[:, :, None] == labels[:, None, :]
+    labels = np.asarray(labels)
+    n = labels.shape[-1]
+    same = labels[..., :, None] == labels[..., None, :]
     own = same.sum(axis=-1).ravel()  # each row's cluster size, itself included
     key = (~same).view(np.int8)
     diagonal = np.arange(n)
-    key[:, diagonal, diagonal] = 2
+    key[..., diagonal, diagonal] = 2
     rows = np.take_along_axis(dist, np.argsort(key, axis=-1, kind="stable"), axis=-1).reshape(-1, n)
-    scores = np.zeros(rounds * n)
+    scores = np.zeros(len(rows))
     for m in np.unique(own).tolist():
-        if m == 1 or m == n:  # a singleton scores 0, as does a single cluster
+        if m == 1 or m == n:
             continue
         pick = np.flatnonzero(own == m)
         block = rows[pick]
@@ -391,48 +372,20 @@ def _silhouette_rounds(dist: np.ndarray, labels: np.ndarray) -> np.ndarray:
         b = block[:, m - 1:-1].sum(axis=1) / (n - m)
         top = np.maximum(a, b)
         scores[pick] = np.divide(b - a, top, out=np.zeros(len(pick)), where=top > 0)
-    return scores.reshape(rounds, n).mean(axis=-1)
+    means = scores.reshape(labels.shape).mean(axis=-1)
+    return float(means) if labels.ndim == 1 else means
 
 
-def silhouette_two_clusters(dist: np.ndarray, labels: np.ndarray) -> float:
-    """Mean silhouette of a two-cluster partition, from pairwise_distances; singletons score 0."""
-    labels = np.asarray(labels)
-    scores = np.zeros(len(dist))
-    for label in np.unique(labels):
-        own = np.flatnonzero(labels == label)
-        other = np.flatnonzero(labels != label)
-        m = len(own)
-        if m <= 1 or len(other) == 0:
-            continue
-        # each row sums its own contiguous run of distances, so every mean
-        # rounds as np.mean over that client's list of distances would
-        within = dist[np.ix_(own, own)][~np.eye(m, dtype=bool)].reshape(m, m - 1)
-        a = within.sum(axis=1) / (m - 1)
-        b = dist[np.ix_(own, other)].sum(axis=1) / len(other)
-        top = np.maximum(a, b)
-        scores[own] = np.divide(b - a, top, out=np.zeros(m), where=top > 0)
-    return float(scores.mean())
-
-
-def decide_k(
-    heights: np.ndarray,
-    labels: np.ndarray,
-    points: np.ndarray,
-    dist: np.ndarray,
-    s2: float | None = None,
-) -> ClusterOutcome:
-    """Keep the two-cluster split only if it passes both validity gates.
+def decide_k(heights: np.ndarray, labels: np.ndarray, points: np.ndarray, s2: float) -> ClusterOutcome:
+    """Keep the two-cluster split, whose silhouette is s2, only if it passes
+    both validity gates.
 
     The split collapses to one cluster when the silhouette is below 0.30 or
     the final merge-gap ratio is below 0.9.  With two clusters, the one
     whose centroid lies farther from the origin is suspicious; a norm tie
-    goes to the cluster with larger mean standardized gamma, then Dev.  s2
-    is the split's silhouette when the caller took it together with other
-    rounds'; otherwise it is taken here.
+    goes to the cluster with larger mean standardized gamma, then Dev.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if s2 is None:
-        s2 = silhouette_two_clusters(dist, labels)
     h_prev = float(heights[-2]) if len(heights) >= 2 else 0.0
     delta = float(heights[-1]) / (h_prev + EPS)
     k, assignment, suspicious = 1, np.zeros(len(pts), dtype=np.int64), frozenset()
@@ -555,16 +508,18 @@ def detect_round(
     recent broadcasts.  At the very first round (no previous broadcast) the
     pipeline cannot simulate the delta pattern, so everyone is treated as
     benign.  scores is the round's score stage (_scores), and clusters its
-    Ward heights, two-cluster labels and silhouette, when the caller took
-    them together with other rounds'; otherwise they are taken here.
+    Ward heights, two-cluster labels and silhouette, as detect_trial takes
+    them for a chunk of rounds; called alone, the round takes both here.
     """
     if global_prev is None:
         return empty_round_detection(len(wefs))
     if scores is None:
         scores = _scores(np.asarray(wefs), simulate_global_wef(global_now, global_prev, e), gamma_mode)
-    gammas, devs, z, dist, flags_gamma, flags_dev = scores
-    heights, labels, s2 = clusters if clusters is not None else (*ward_hac(dist), None)
-    outcome = decide_k(heights, labels, z, dist, s2=s2)
+        heights, labels = ward_hac(scores[3])
+        clusters = heights, labels, silhouette_two_clusters(scores[3], labels)
+    gammas, devs, z, _, flags_gamma, flags_dev = scores
+    heights, labels, s2 = clusters
+    outcome = decide_k(heights, labels, z, s2)
     decision = majority_vote(outcome, flags_gamma, flags_dev, require_vote=require_vote)
     return RoundDetection(
         scores=RoundScores(gamma=gammas, dev=devs, z=z),
@@ -589,10 +544,9 @@ def _detect_rounds(
     e: int,
 ) -> list[RoundDetection]:
     """The named detector on each of R consecutive rounds of a trial.  The
-    rounds' score stage is taken in one pass, and so are Ward and the
-    silhouette when R >= 2; a single round, each round of a run, keeps the
-    per-round ward_hac and silhouette_two_clusters, which are faster on one
-    round.
+    rounds' score stage, Ward and the silhouette are each taken in one pass;
+    Ward is ward_hac for a single round, each round of a run, which is
+    faster on one round, and _ward_rounds for more.
 
     wefs holds the rounds' (n, h, w) grids, pens_now their broadcasts and
     pens_prev the broadcast before each, of which only the first can be
@@ -611,16 +565,15 @@ def _detect_rounds(
     gamma_mode, require_vote = spec
     simulated = simulate_global_wef(np.stack(pens_now[skip:]), np.stack(pens_prev[skip:]), e)
     scores = _scores(grids, simulated, gamma_mode)
-    clusters = [None]
-    if len(grids) > 1:
-        heights, labels = _ward_rounds(scores[3])
-        clusters = list(zip(heights, labels, _silhouette_rounds(scores[3], labels).tolist()))
+    dist = scores[3]
+    heights, labels = _ward_rounds(dist) if len(grids) > 1 else (x[None] for x in ward_hac(dist[0]))
+    clusters = zip(heights, labels, silhouette_two_clusters(dist, labels).tolist())
     return results + [
         detect_round(
-            grids[k], pens_now[t], pens_prev[t], e, gamma_mode=gamma_mode,
-            require_vote=require_vote, scores=tuple(s[k] for s in scores), clusters=clusters[k],
+            grids[k], pens_now[skip + k], pens_prev[skip + k], e, gamma_mode=gamma_mode,
+            require_vote=require_vote, scores=tuple(s[k] for s in scores), clusters=cluster,
         )
-        for k, t in enumerate(range(skip, len(wefs)))
+        for k, cluster in enumerate(clusters)
     ]
 
 

@@ -6,7 +6,7 @@ class S2wefError(Exception):
 
 
 class ConfigurationError(S2wefError):
-    """Invalid configuration, degenerate input sizes, or contract misuse."""
+    """An invalid config, config file or --out directory."""
 
 
 class ResourceError(S2wefError):

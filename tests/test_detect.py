@@ -1,5 +1,4 @@
 import math
-import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -28,10 +27,9 @@ from s2wef.detect import (
     wef_defense_baseline,
 )
 from s2wef import detect as det
-from s2wef.errors import ConfigurationError
 from s2wef.wef import wef_dtype
 
-from test_detect_oracle import run_detector, ward_merge_sequence
+from test_detect_oracle import oracle_silhouette, run_detector, ward_merge_sequence
 
 
 def wm(rows):
@@ -243,106 +241,51 @@ def test_ward_heights_nondecreasing():
         assert (np.diff(heights) >= -1e-12).all()
 
 
-def test_ward_rejects_single_point():
-    with pytest.raises(ConfigurationError):
-        ward_hac(pairwise_distances(np.zeros((1, 2))))
-
-
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-@pytest.mark.parametrize("where", ["everywhere", "one-pair", "diagonal"])
-def test_ward_rejects_non_finite_distances(bad, where):
-    dist = pairwise_distances(np.arange(8.0).reshape(4, 2))
-    if where == "everywhere":
-        dist[:] = bad
-    elif where == "one-pair":
-        dist[1, 2] = dist[2, 1] = bad
-    else:
-        dist[3, 3] = bad
-    with pytest.raises(ConfigurationError, match="finite"):
-        ward_merge_sequence(dist)
-    with pytest.raises(ConfigurationError, match="finite"):
-        ward_hac(dist)
-
-
-@pytest.mark.parametrize(
-    "dist",
-    [
-        # row-major argmin would read dist[1, 0] = 1 and merge 0 and 1 at height 1.0
-        [[0.0, 5.0, 4.0], [1.0, 0.0, 6.0], [4.0, 6.0, 0.0]],
-        [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, np.nextafter(3.0, 4.0), 0.0]],
-        [[0.0, 1.0, 2.0]] * 2,
-    ],
-    ids=["lower-triangle-smaller", "one-ulp", "not-square"],
-)
-def test_ward_rejects_asymmetric_distances(dist):
-    with pytest.raises(ConfigurationError, match="symmetric"):
-        ward_merge_sequence(np.array(dist))
-    with pytest.raises(ConfigurationError, match="symmetric"):
-        ward_hac(np.array(dist))
-
-
-@pytest.mark.parametrize("far", [2e154, 1e154], ids=["squares-overflow", "recurrence-overflows"])
-def test_ward_refuses_distances_too_large_to_square(far):
-    """2e154 squares past the float64 range; 1e154 squares to 1e308, and the
-    first merge's update of the far point doubles that."""
-    dist = np.array([[0.0, far, 1.0], [far, 0.0, far], [1.0, far, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConfigurationError, match="too large"):
-            ward_merge_sequence(dist)
-
-
-def test_ward_refuses_a_distance_too_large_to_square_first_read_after_a_shrink():
-    """Points 0-3 merge first, at height 1, which leaves 3 of 6 clusters and
-    shrinks the matrix; only the next merge squares the row that holds the
-    2e154 between points 4 and 5."""
-    dist = np.full((6, 6), 10.0)
-    dist[:4, :4] = 1.0
-    dist[4, 5] = dist[5, 4] = 2e154
-    np.fill_diagonal(dist, 0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for ward in (ward_merge_sequence, ward_hac, lambda d: det._ward_rounds(d[None])):
-            with pytest.raises(ConfigurationError, match="too large for float64 Ward"):
-                ward(dist)
-
-
-def assert_merges_form_a_hierarchy(merges, n):
-    """Each merge joins two distinct current clusters at a finite height."""
-    clusters = {frozenset({i}) for i in range(n)}
-    for height, merged in merges:
-        assert np.isfinite(height)
-        parts = {c for c in clusters if c <= merged}
-        assert len(parts) == 2 and frozenset().union(*parts) == merged
-        clusters = (clusters - parts) | {merged}
-    assert clusters == {frozenset(range(n))}
-
-
-_MAGNITUDES = st.sampled_from([0.0, 1.0, 1e100, 1e150, 1e153, 5e153, 1e154, 2e154, 1e300])
-
-
 @st.composite
-def symmetric_distances(draw):
-    """Finite symmetric (n, n) matrices with a zero diagonal, many entries near sqrt(max float)."""
-    n = draw(st.integers(2, 8))
-    pairs = n * (n - 1) // 2
-    dist = np.zeros((n, n))
-    dist[np.triu_indices(n, 1)] = draw(st.lists(
-        _MAGNITUDES | st.floats(0.0, 1.7e308), min_size=pairs, max_size=pairs))
-    return dist + dist.T
+def bounded_round(draw):
+    """One round as the config and the trace reader pass it: 3-200 clients
+    and e up to exact_budget(h * w), the grids random, tied in colluder
+    blocks, or all equal but for clients that match the simulated grid
+    exactly, whose gamma is 1/GAMMA_EPS = 1e12 and whose z, with the MAD
+    at 0, is about 1e12/EPS = 1e24."""
+    n, h, w = draw(st.integers(3, 200)), draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    e = draw(st.just(det.exact_budget(h * w)) | st.integers(1, det.exact_budget(h * w)))
+    kind = draw(st.sampled_from(["random", "colluders", "matches"]))
+    return extreme_round(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), kind, n, h, w, e)
 
 
-@settings(max_examples=150, deadline=None)
-@given(symmetric_distances())
-def test_ward_merges_finite_distances_or_refuses_them(dist):
-    """A proper hierarchy at finite heights, or ConfigurationError, and never a numpy warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            merges = ward_merge_sequence(dist)
-        except ConfigurationError:
-            return
-    assert_merges_form_a_hierarchy(merges, len(dist))
+def extreme_round(rng, kind, n, h, w, e):
+    """A round's grids of the given kind, its broadcast and the one before it, and e."""
+    now, prev = rng.normal(size=(2, h, w))
+    simulated = simulate_global_wef(now, prev, e)
+    if kind != "matches":
+        return round_grids(rng, kind, n, h, w, e, simulated), now, prev, e
+    grids = np.repeat(rng.integers(0, e + 1, size=(1, h, w)), n, axis=0)
+    grids[rng.choice(n, size=rng.integers(1, (n + 1) // 2), replace=False)] = simulated
+    return grids.astype(wef_dtype(e)), now, prev, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_round())
+@example(extreme_round(np.random.default_rng(3), "matches", 200, 256, 10, det.exact_budget(2560)))
+def test_z_plane_distances_stay_far_inside_float64(round_):
+    """The bound Ward relies on, having no range checks of its own: the
+    z-plane distances are finite, symmetric to the bit and below 1e25, so
+    their squares and Ward updates stay far below 1.8e308, and every
+    detector runs a chunk of one round and of two without a floating-point
+    error."""
+    wefs, now, prev, e = round_
+    simulated = simulate_global_wef(now, prev, e)
+    for mode in (det.GAMMA_COS_OVER_L1, GAMMA_COS_ONLY):
+        dist = det._scores(wefs, simulated, mode)[3]
+        assert np.isfinite(dist).all()
+        assert dist.tobytes() == dist.T.tobytes()
+        assert dist.max() < 1e25
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for name in DETECTORS:
+            detect_trial(name, [wefs], [now], prev, e)
+            with patch.object(det, "_chunk_rounds", lambda n, h, w: 2):
+                detect_trial(name, [wefs, wefs], [now, now], prev, e)
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,7 +310,7 @@ def test_silhouette_clear_split_and_k2():
     heights, labels = ward_hac(dist)
     s2 = silhouette_two_clusters(dist, labels)
     assert s2 > 0.9
-    outcome = decide_k(heights, labels, pts, dist)
+    outcome = decide_k(heights, labels, pts, s2)
     assert outcome.k == 2
 
 
@@ -393,7 +336,7 @@ def test_decide_k_identical_points_collapse():
     pts = np.ones((5, 2))
     dist = pairwise_distances(pts)
     heights, labels = ward_hac(dist)
-    outcome = decide_k(heights, labels, pts, dist)
+    outcome = decide_k(heights, labels, pts, silhouette_two_clusters(dist, labels))
     assert outcome.k == 1
     assert outcome.suspicious == frozenset()
 
@@ -403,7 +346,7 @@ def test_decide_k_suspicious_is_farther_centroid():
                      np.full((3, 2), 8.0) + np.random.default_rng(0).normal(0, 0.01, (3, 2))])
     dist = pairwise_distances(pts)
     heights, labels = ward_hac(dist)
-    outcome = decide_k(heights, labels, pts, dist)
+    outcome = decide_k(heights, labels, pts, silhouette_two_clusters(dist, labels))
     assert outcome.k == 2
     assert outcome.suspicious == frozenset({6, 7, 8})
 
@@ -415,7 +358,7 @@ def test_decide_k_norm_and_gamma_tie_goes_to_larger_dev():
         pts = np.column_stack([np.zeros(4), np.where(labels == high, 1.0, -1.0)])
         dist = pairwise_distances(pts)
         heights, _ = ward_hac(dist)
-        outcome = decide_k(heights, labels, pts, dist)
+        outcome = decide_k(heights, labels, pts, silhouette_two_clusters(dist, labels))
         assert outcome.k == 2
         assert outcome.suspicious == frozenset({1, 3})
 
@@ -788,15 +731,15 @@ def test_rounds_clustered_together_decide_as_each_round_alone(rounds):
     for name, spec in DETECTORS.items():
         if spec in (None, BASELINE):
             continue
-        dist = det._scores(grids, sims, spec[0])[3]
+        z, dist = det._scores(grids, sims, spec[0])[2:4]
         heights, labels = det._ward_rounds(dist)
-        s2 = det._silhouette_rounds(dist, labels)
+        s2 = silhouette_two_clusters(dist, labels)
         together = det._detect_rounds(name, wefs[1:], pens[1:], pens[:-1], e)
         for k, detection in enumerate(together):
             alone_heights, alone_labels = ward_hac(dist[k])
             assert heights[k].tobytes() == alone_heights.tobytes()
             assert labels[k].tobytes() == alone_labels.tobytes()
-            assert s2[k].hex() == silhouette_two_clusters(dist[k], alone_labels).hex()
+            assert s2[k].hex() == oracle_silhouette(z[k], alone_labels).hex()
             alone = run_detector(name, wefs[k + 1], pens[k + 1], pens[k], e)
             assert detection_bits(detection) == detection_bits(alone)
 
@@ -824,30 +767,12 @@ def test_rounds_take_their_silhouettes_together_for_any_labels(rounds, n, data):
     """Any partition, singletons and a single cluster included."""
     coords = st.sampled_from([0.0, 1.0, -2.0, 0.5]) | st.floats(-50.0, 50.0)
     pts = np.array(data.draw(st.lists(st.tuples(coords, coords), min_size=rounds * n, max_size=rounds * n)))
-    dist = pairwise_distances(pts.reshape(rounds, n, 2))
+    pts = pts.reshape(rounds, n, 2)
     labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rounds * n, max_size=rounds * n)))
     labels = labels.reshape(rounds, n)
-    together = det._silhouette_rounds(dist, labels)
+    together = silhouette_two_clusters(pairwise_distances(pts), labels)
     for k in range(rounds):
-        assert together[k].hex() == silhouette_two_clusters(dist[k], labels[k]).hex()
-
-
-@pytest.mark.parametrize("far", [2e154, 1e154])
-def test_rounds_clustered_together_refuse_what_ward_alone_refuses(far):
-    """A chunk refuses distances that one of its rounds refuses alone."""
-    bad = np.array([[0.0, far, 1.0], [far, 0.0, far], [1.0, far, 0.0]])
-    dist = np.stack([pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])), bad])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConfigurationError, match="too large for float64 Ward"):
-            det._ward_rounds(dist)
-        for value in (np.inf, np.nan):
-            with pytest.raises(ConfigurationError, match="finite"):
-                det._ward_rounds(np.where(dist == far, value, dist))
-        asymmetric = dist.copy()
-        asymmetric[0, 0, 1] = 2.0
-        with pytest.raises(ConfigurationError, match="symmetric"):
-            det._ward_rounds(asymmetric)
+        assert together[k].hex() == oracle_silhouette(pts[k], labels[k]).hex()
 
 
 # --- float32 products -----------------------------------------------------------
