@@ -174,7 +174,8 @@ def cmd_detect_trace(args) -> int:
                 f"f1={m.f1:.2f} fpr={m.fpr:.2f} accuracy={r['accuracy']:.4f} {status}"
             )
     if not diverged:
-        lines.append(f"replay consistent over {len(results)} rounds")
+        lines.append(f"replay consistent over {len(results)} rounds: decisions recomputed from wefs, "
+                     "global_pen and roles; accuracy unchecked (rerun the header config to check it)")
     if lines:
         _print_lines(lines)
     if diverged:

@@ -494,7 +494,7 @@ def _scores(grids: np.ndarray, simulated: np.ndarray, gamma_mode: str) -> tuple[
 def detect_round(
     wefs: Sequence[np.ndarray],
     global_now: np.ndarray,
-    global_prev: np.ndarray | None,
+    global_prev: np.ndarray,
     e: int,
     gamma_mode: str = GAMMA_COS_OVER_L1,
     require_vote: bool = True,
@@ -504,15 +504,13 @@ def detect_round(
 ) -> RoundDetection:
     """Run the full per-round pipeline over the round's (n, h, w) WEF grids.
 
-    global_now / global_prev are the penultimate matrices of the two most
-    recent broadcasts.  At the very first round (no previous broadcast) the
-    pipeline cannot simulate the delta pattern, so everyone is treated as
-    benign.  scores is the round's score stage (_scores), and clusters its
-    Ward heights, two-cluster labels and silhouette, as detect_trial takes
-    them for a chunk of rounds; called alone, the round takes both here.
+    global_now / global_prev are the penultimate matrices of the round's
+    broadcast and the one before it (a trial's round 0 has none, and
+    detect_trial leaves it empty).  scores is the round's score stage
+    (_scores), and clusters its Ward heights, two-cluster labels and
+    silhouette, as _detect_rounds takes them for a chunk of rounds; called
+    alone, the round takes both here.
     """
-    if global_prev is None:
-        return empty_round_detection(len(wefs))
     if scores is None:
         scores = _scores(np.asarray(wefs), simulate_global_wef(global_now, global_prev, e), gamma_mode)
         heights, labels = ward_hac(scores[3])
@@ -537,41 +535,32 @@ def _baseline(devs: np.ndarray) -> RoundDetection:
 
 
 def _detect_rounds(
-    name: str,
-    wefs: Sequence[np.ndarray],
-    pens_now: Sequence[np.ndarray],
-    pens_prev: Sequence[np.ndarray | None],
-    e: int,
+    name: str, wefs: Sequence[np.ndarray], pens: Sequence[np.ndarray], e: int
 ) -> list[RoundDetection]:
-    """The named detector on each of R consecutive rounds of a trial.  The
-    rounds' score stage, Ward and the silhouette are each taken in one pass;
-    Ward is ward_hac for a single round, each round of a run, which is
-    faster on one round, and _ward_rounds for more.
+    """The named detector on each of R consecutive rounds of a trial, none
+    of them its round 0.  The rounds' score stage, Ward and the silhouette
+    are each taken in one pass; Ward is ward_hac for a single round, each
+    round of a run, which is faster on one round, and _ward_rounds for more.
 
-    wefs holds the rounds' (n, h, w) grids, pens_now their broadcasts and
-    pens_prev the broadcast before each, of which only the first can be
-    None (a trial's first round).
+    wefs holds the rounds' (n, h, w) grids and pens R + 1 broadcasts: the
+    one before the first round, then each round's.
     """
     spec = DETECTORS[name]
-    n = len(wefs[0])
-    skip = len(wefs) if spec is None else int(pens_prev[0] is None)
-    results = [empty_round_detection(n) for _ in range(skip)]
-    if skip == len(wefs):
-        return results
-    rest = wefs[skip:]
-    grids = rest[0][None] if len(rest) == 1 else np.stack(rest)  # one round's grids stay uncopied
+    if spec is None:
+        return [empty_round_detection(len(wefs[0])) for _ in wefs]
+    grids = wefs[0][None] if len(wefs) == 1 else np.stack(wefs)  # one round's grids stay uncopied
     if spec == BASELINE:
-        return results + [_baseline(devs) for devs in dev_scores(grids)]
+        return [_baseline(devs) for devs in dev_scores(grids)]
     gamma_mode, require_vote = spec
-    simulated = simulate_global_wef(np.stack(pens_now[skip:]), np.stack(pens_prev[skip:]), e)
-    scores = _scores(grids, simulated, gamma_mode)
+    pens = np.stack(pens)
+    scores = _scores(grids, simulate_global_wef(pens[1:], pens[:-1], e), gamma_mode)
     dist = scores[3]
     heights, labels = _ward_rounds(dist) if len(grids) > 1 else (x[None] for x in ward_hac(dist[0]))
     clusters = zip(heights, labels, silhouette_two_clusters(dist, labels).tolist())
-    return results + [
+    return [
         detect_round(
-            grids[k], pens_now[skip + k], pens_prev[skip + k], e, gamma_mode=gamma_mode,
-            require_vote=require_vote, scores=tuple(s[k] for s in scores), clusters=cluster,
+            grids[k], pens[k + 1], pens[k], e, gamma_mode=gamma_mode, require_vote=require_vote,
+            scores=tuple(s[k] for s in scores), clusters=cluster,
         )
         for k, cluster in enumerate(clusters)
     ]
@@ -595,26 +584,22 @@ def _chunk_rounds(n: int, h: int, w: int) -> int:
 
 
 def detect_trial(
-    name: str,
-    wefs: Sequence[np.ndarray],
-    pens_now: Sequence[np.ndarray],
-    pen_before: np.ndarray | None,
-    e: int,
+    name: str, wefs: Sequence[np.ndarray], pens: Sequence[np.ndarray], e: int, first: int = 0
 ) -> list[RoundDetection]:
-    """The named detector over consecutive rounds of a trial with one budget
-    e, given each round's (n, h, w) WEF grids and broadcast, and pen_before,
-    the broadcast before the first (None at the trial's first round).  The
-    grids hold counts in [0, e] of 3 clients or more, and e is at most
-    exact_budget(h * w), as the config and the trace reader require.
+    """The named detector's decisions on rounds first, first + 1, ... of a
+    trial with one budget e, given the (n, h, w) WEF grids and the broadcast
+    penultimate matrix of each of the trial's rounds so far, as lists or
+    array views.  The grids hold counts in [0, e] of 3 clients or more, and
+    e is at most exact_budget(h * w), as the config and the trace reader
+    require.  Round 0 has no broadcast before it and is empty under every
+    detector.
 
-    The run detects a chunk of one round; replay hands in a trial's rounds,
-    scored a chunk at a time.  Each round's result is, to the bit, what a
-    chunk of one gives.
+    The run detects its newest round (first = t); replay hands in a whole
+    trial, scored a chunk at a time.  Each round's result is, to the bit,
+    what a chunk of one gives.
     """
-    size = _chunk_rounds(*np.shape(wefs[0])) if len(wefs) > 1 else 1
-    pens_prev = [pen_before, *pens_now[:-1]]
-    results = []
-    for start in range(0, len(wefs), size):
-        chunk = slice(start, start + size)
-        results += _detect_rounds(name, wefs[chunk], pens_now[chunk], pens_prev[chunk], e)
+    size = _chunk_rounds(*np.shape(wefs[0])) if len(wefs) - first > 1 else 1
+    results = [empty_round_detection(len(wefs[0]))] if first == 0 else []
+    for start in range(max(first, 1), len(wefs), size):
+        results += _detect_rounds(name, wefs[start:start + size], pens[start - 1:start + size], e)
     return results

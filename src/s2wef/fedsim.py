@@ -12,7 +12,7 @@ round's benign clients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -202,6 +202,7 @@ class _TrialState:
     broadcast: np.ndarray  # the round's global row, copied where the helpers read it
     accuracies: np.ndarray  # (rounds,) float64: round t's model's accuracy, written in round t + 1
     previous_global: np.ndarray | None = None
+    pens: list[np.ndarray] = field(default_factory=list)  # each round's broadcast penultimate matrix
 
 
 def _shared_arrays(
@@ -308,18 +309,16 @@ def run_round(state: _TrialState, processes: Processes, t: int) -> RoundRecord:
     record's accuracy is NaN until run_trial fills it in."""
     cfg = state.cfg
     n, e = cfg.clients, cfg.train.local_iterations
-    global_pen_before = state.layout.penultimate(state.global_row).copy()
-    pen_prev = None if state.previous_global is None else state.layout.penultimate(state.previous_global)
-    wefs = state.wefs[t]
+    state.pens.append(state.layout.penultimate(state.global_row).copy())
 
     processes.await_evaluation()  # before the broadcast row it reads is rewritten
     state.broadcast[:] = state.global_row
-    processes.run(t)  # every client's row into state.rows and grid into wefs; its errors name their rounds
+    processes.run(t)  # every client's row and grid into state.rows and state.wefs; its errors name their rounds
     try:
         finite = np.isfinite(state.rows).all(axis=1)
         if not finite.all():
             raise NumericError(f"client {int(np.argmin(finite))}: non-finite parameters")
-        (detection,) = det.detect_trial(cfg.detector, [wefs], [global_pen_before], pen_prev, e)
+        (detection,) = det.detect_trial(cfg.detector, state.wefs[:t + 1], state.pens, e, t)
         flagged = detection.decision.free_rider_list
         kept = set(range(n)) - flagged
         new_global = aggregate_fedavg(state.rows, kept)
@@ -335,11 +334,11 @@ def run_round(state: _TrialState, processes: Processes, t: int) -> RoundRecord:
         trial_seed=state.trial_seed,
         round_index=t,
         roles=state.schedule[t].copy(),
-        wefs=wefs,
+        wefs=state.wefs[t],
         detection=detection,
         metrics=metrics,
         accuracy=math.nan,
-        global_pen_before=global_pen_before,
+        global_pen_before=state.pens[t],
         e=e,
     )
     state.previous_global = state.global_row

@@ -449,9 +449,10 @@ _READ_BUFFER = 256 * 1024
 def read_trace(path: str | Path) -> Trace:
     """Parse and validate a trace; wefs and global_pen come back as arrays.
 
-    Every round of a trial must have the (n, h, w) WEF stack of its first
-    round, and a trial's rounds must run 0, 1, 2, ... in file order, as
-    replay steps them.  With a header, every round must have the config's
+    A trial's rounds must run 0, 1, 2, ... on consecutive lines, each with
+    the e and the (n, h, w) WEF stack of the round before it, as replay
+    takes a trial: one block of rounds with one e.  With a header, every
+    round must have the config's
     clients, local iterations and penultimate shape and the free riders of
     the config's schedule (fedsim.build_schedule), and the round records must be
     exactly the config's (seed, round) pairs in order, so a truncated or
@@ -465,8 +466,7 @@ def read_trace(path: str | Path) -> Trace:
         raise TraceError(f"{path}: {exc.strerror or exc}") from exc
     schema, config = 1, None
     records = []
-    stacks = {}  # trial -> the (n, h, w) WEF stack of its first round
-    due = {}  # trial -> the round its next record must hold
+    started = set()  # the trials whose rounds have begun
     schedules = {}  # trial -> the header config's free-rider schedule
     with fh:  # one line in memory at a time
         for lineno, raw in enumerate(fh, start=1):
@@ -494,17 +494,20 @@ def read_trace(path: str | Path) -> Trace:
                 raise TraceError(f"{where}: missing keys {sorted(missing)}")
             _parse_round(rec, where, schema)
             trial, t = rec["trial"], rec["round"]
-            if t != due.setdefault(trial, 0):
+            prev = records[-1] if records and records[-1]["trial"] == trial else None
+            if prev is None and trial in started:
+                raise TraceError(f"{where}: trial {trial} resumes after trial {records[-1]['trial']}'s rounds")
+            started.add(trial)
+            due = prev["round"] + 1 if prev else 0
+            if t != due:
+                raise TraceError(f"{where}: trial {trial} round {t} is out of order, round {due} is due")
+            if prev and rec["wefs"].shape != prev["wefs"].shape:
                 raise TraceError(
-                    f"{where}: trial {trial} round {t} is out of order, round {due[trial]} is due"
-                )
-            due[trial] += 1
-            stack = stacks.setdefault(trial, rec["wefs"].shape)
-            if rec["wefs"].shape != stack:
-                raise TraceError(
-                    f"{where}: WEF stack {rec['wefs'].shape} is not {stack}, "
+                    f"{where}: WEF stack {rec['wefs'].shape} is not {prev['wefs'].shape}, "
                     f"the stack of trial {trial}'s first round"
                 )
+            if prev and rec["e"] != prev["e"]:
+                raise TraceError(f"{where}: trial {trial} round {t}: e is {rec['e']}, round {t - 1} had {prev['e']}")
             if config is not None:
                 _check_against_header(rec, config, schedules, where)
             records.append(rec)
@@ -556,10 +559,10 @@ def _first_difference(recorded, replayed, path: str) -> str:
 def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """Replay every round and check each recorded field replay recomputes.
 
-    The header's detector, unless detector overrides it, takes each run of
-    a trial's consecutive rounds with one e together (det.detect_trial),
-    after the global_pen of the trial's round before them.  A header-less
-    trace replays with the default detector.  The scores,
+    The header's detector, unless detector overrides it, takes each trial's
+    rounds together (det.detect_trial), which read_trace hands over as one
+    block with one e; nothing carries from one trial to the next.  A
+    header-less trace replays with the default detector.  The scores,
     cluster, flags, vote and free_rider_list of a round must equal the
     replayed ones, and its metrics those of the replayed flagged set against
     its roles, in value and in JSON type (1 is not true, 2.0 is not 2);
@@ -570,14 +573,11 @@ def replay_trace(trace: Trace, detector: str | None = None) -> list[dict]:
     """
     cfg = trace.config
     name = detector or (cfg.detector if cfg else SimConfig.detector)
-    last_pen: dict[int, np.ndarray] = {}  # trial -> the global_pen of its last round so far
     results = []
-    for (trial, e), group in groupby(trace, key=lambda rec: (rec["trial"], rec["e"])):
+    for trial, group in groupby(trace, key=lambda rec: rec["trial"]):
         recs = list(group)
-        pens = [rec["global_pen"] for rec in recs]
-        detections = det.detect_trial(name, [rec["wefs"] for rec in recs], pens, last_pen.get(trial), e)
-        last_pen[trial] = pens[-1]
-        for rec, detection in zip(recs, detections):
+        wefs, pens = [rec["wefs"] for rec in recs], [rec["global_pen"] for rec in recs]
+        for rec, detection in zip(recs, det.detect_trial(name, wefs, pens, recs[0]["e"])):
             roles = rec["roles"]
             truth = [i for i, role in enumerate(roles) if role == "free_rider"]
             metrics = compute_metrics(truth, detection.decision.free_rider_list, len(roles))

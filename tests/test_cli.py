@@ -49,6 +49,12 @@ def tiny_config(**overrides):
     return cfg
 
 
+def consistent(rounds: int) -> str:
+    """detect-trace's closing line for a consistent replay: what it vouched for."""
+    return (f"replay consistent over {rounds} rounds: decisions recomputed from wefs, global_pen "
+            "and roles; accuracy unchecked (rerun the header config to check it)")
+
+
 def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(tiny_config(**overrides)))
@@ -197,7 +203,7 @@ def test_trace_with_the_retired_keys_at_their_old_values_replays(tmp_path, capsy
     lines[0]["header"]["config"] = with_retired_keys(lines[0]["header"]["config"])
     trace = write_lines(tmp_path, lines)
     assert main(["detect-trace", "--trace", trace, "--quiet"]) == 0
-    assert capsys.readouterr().out == "replay consistent over 20 rounds\n"
+    assert capsys.readouterr().out == consistent(20) + "\n"
 
 
 # a retired key at any value but the one ever written
@@ -382,7 +388,7 @@ def test_a_rerun_of_the_header_config_checks_every_byte_of_a_trace(tmp_path, cap
     lines[2] = json.dumps(record, separators=(",", ":"))
     trace.write_text("".join(line + "\n" for line in lines))
     assert main(["detect-trace", "--trace", str(trace), "--quiet"]) == 0
-    assert capsys.readouterr().out == "replay consistent over 4 rounds\n"
+    assert capsys.readouterr().out == consistent(4) + "\n"
     assert trace.read_bytes() != (rerun / "trace.jsonl").read_bytes()
 
 
@@ -984,7 +990,7 @@ def test_detect_trace_reads_the_decimal_form(tmp_path, capsys, schema_1_lines, f
     """Schema 1 and header-less traces, as written before schema 2, still replay."""
     lines = schema_1_lines if form == "schema-1" else schema_1_lines[1:]
     assert main(["detect-trace", "--trace", write_lines(tmp_path, lines), "--quiet"]) == 0
-    assert capsys.readouterr().out == "replay consistent over 4 rounds\n"
+    assert capsys.readouterr().out == consistent(4) + "\n"
 
 
 def test_detect_trace_reads_the_int_list_form(tmp_path, capsys, trace_bytes, schema_2_lines):
@@ -1109,7 +1115,7 @@ def test_detect_trace_prints_each_rounds_metrics(tmp_path, capsys, trace_bytes, 
     trace.write_bytes(trace_bytes)
     assert main(["detect-trace", "--trace", str(trace)]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-1] == "replay consistent over 4 rounds"
+    assert out[-1] == consistent(4)
     for line, rec in zip(out, trace_lines[1:]):
         metrics = rec["metrics"]
         assert line == (

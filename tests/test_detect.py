@@ -283,9 +283,9 @@ def test_z_plane_distances_stay_far_inside_float64(round_):
         assert dist.max() < 1e25
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for name in DETECTORS:
-            detect_trial(name, [wefs], [now], prev, e)
+            detect_trial(name, [wefs, wefs], [prev, now], e, 1)
             with patch.object(det, "_chunk_rounds", lambda n, h, w: 2):
-                detect_trial(name, [wefs, wefs], [now, now], prev, e)
+                detect_trial(name, [wefs] * 3, [prev, now, now], e, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -496,11 +496,12 @@ def test_detect_round_delta_replay_attacker_max_gamma():
     assert result.scores.gamma[2] == pytest.approx(1e12, rel=1e-6)
 
 
-def test_detect_round_first_round_skips():
-    wefs, now, _ = synthetic_round()
-    result = detect_round(wefs, now, None, e=5)
-    assert result.cluster.k == 1
-    assert not result.decision.detected
+@pytest.mark.parametrize("name", DETECTORS)
+def test_detect_trial_round_0_is_empty(name):
+    """Round 0 has no broadcast before it: every detector leaves it benign."""
+    wefs, now, _ = synthetic_round(seed=5, attackers=(2,))
+    (result,) = detect_trial(name, [wefs], [now], 5)
+    assert detection_bits(result) == detection_bits(det.empty_round_detection(len(wefs)))
 
 
 def test_detect_round_permutation_equivariance():
@@ -654,11 +655,15 @@ def median_standardize(x):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trial_rounds(), st.integers(1, 8))
-@example(long_trial(), 7)
-def test_rounds_scored_together_score_as_each_round_alone(rounds, size):
+@given(trial_rounds(), st.integers(1, 8), st.integers(0, 7))
+@example(long_trial(), 7, 0)
+@example(long_trial(), 7, 5)
+def test_rounds_scored_together_score_as_each_round_alone(rounds, size, first):
+    """A trial's rounds from first on, scored in chunks of size rounds, each
+    equal to the bit what the round gives alone, as the run detects it."""
     wefs, pens, e = rounds
     size = min(size, len(wefs))  # rounds a chunk
+    first = min(first, len(wefs) - 1)
     grids = np.stack(wefs)
     if len(wefs) > 1:
         sims = simulate_global_wef(np.stack(pens[1:]), np.stack(pens[:-1]), e)
@@ -674,11 +679,11 @@ def test_rounds_scored_together_score_as_each_round_alone(rounds, size):
                 assert alone[2].tobytes() == z.tobytes()
                 assert alone[4].tobytes() == (gammas > 1.5 * np.median(gammas)).tobytes()
     for name in DETECTORS:
-        alone = [detection_bits(detect_trial(name, [g], [p], before, e)[0])
-                 for g, p, before in zip(wefs, pens, [None, *pens])]
+        alone = [detection_bits(detect_trial(name, wefs[:t + 1], pens[:t + 1], e, t)[0])
+                 for t in range(len(wefs))]
         with patch.object(det, "_chunk_rounds", lambda n, h, w: size):
-            together = detect_trial(name, wefs, pens, None, e)
-        assert [detection_bits(d) for d in together] == alone
+            together = detect_trial(name, wefs, pens, e, first)
+        assert [detection_bits(d) for d in together] == alone[first:]
         if DETECTORS[name] not in (None, det.BASELINE):  # detect_round scoring its own round
             for t in range(1, len(wefs)):
                 direct = detect_round(grids[t], pens[t], pens[t - 1], e, *DETECTORS[name])
@@ -734,7 +739,7 @@ def test_rounds_clustered_together_decide_as_each_round_alone(rounds):
         z, dist = det._scores(grids, sims, spec[0])[2:4]
         heights, labels = det._ward_rounds(dist)
         s2 = silhouette_two_clusters(dist, labels)
-        together = det._detect_rounds(name, wefs[1:], pens[1:], pens[:-1], e)
+        together = det._detect_rounds(name, wefs[1:], pens, e)
         for k, detection in enumerate(together):
             alone_heights, alone_labels = ward_hac(dist[k])
             assert heights[k].tobytes() == alone_heights.tobytes()
@@ -841,17 +846,17 @@ def test_float32_blocks_up_to_the_largest_exact_peak(size):
 def test_grids_crossing_the_float32_bound_between_chunks_score_as_float64():
     """4 x 4 grids at e = 2000 whose first 4 rounds peak at 1023 or below,
     the largest float32 peak of 16 entries, and whose last 4 rounds do not:
-    of replay's chunks of 4 rounds, the first takes float32 blocks for Dev
-    and the second float64."""
+    of replay's chunks of 3 rounds from round 1 on, the first (rounds 1-3)
+    takes float32 blocks for Dev and the next float64."""
     wefs, pens, e = trial(np.random.default_rng(18), 8, 6, 4, 4, 2000, ["random", "colluders"] * 4)
     for grids in wefs[:4]:
         np.minimum(grids, 1023, out=grids)
     assert max(g.max() for g in wefs[:4]) <= largest_float32_peak(16) < min(g.max() for g in wefs[4:])
     for name in DETECTORS:
-        with patch.object(det, "_chunk_rounds", lambda n, h, w: 4):
-            mixed = detect_trial(name, wefs, pens, None, e)
+        with patch.object(det, "_chunk_rounds", lambda n, h, w: 3):
+            mixed = detect_trial(name, wefs, pens, e)
             with float64_only():
-                expected = detect_trial(name, wefs, pens, None, e)
+                expected = detect_trial(name, wefs, pens, e)
         assert [detection_bits(d) for d in mixed] == [detection_bits(d) for d in expected]
 
 

@@ -43,8 +43,8 @@ def ward_merge_sequence(distances):
 
 
 def run_detector(name, wefs, global_now, global_prev, e):
-    """The named detector on one round."""
-    return det.detect_trial(name, [wefs], [global_now], global_prev, e)[0]
+    """The named detector on one round, the round after a round 0 of the same grids."""
+    return det.detect_trial(name, [wefs, wefs], [global_prev, global_now], e, 1)[0]
 
 
 # --- the scalar oracle -------------------------------------------------------

@@ -14,13 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from s2wef import detect as det
 from s2wef import trace
 from s2wef.attacks import ATTACK_KINDS, AttackParams
+from s2wef.cli import main
 from s2wef.detect import DETECTORS
 from s2wef.errors import TraceError
 from s2wef.config import PARTITIONS, SCENARIOS, DatasetParams, SimConfig, config_to_dict
-from s2wef.fedsim import compute_metrics, run_simulation
+from s2wef.fedsim import run_simulation
 from s2wef.nn import TrainConfig
 from s2wef.trace import RoundRow, decode_digit_rows, digit_rows, read_trace, replay_trace, write_trace
 from s2wef.wef import wef_dtype
@@ -230,27 +230,30 @@ def test_replay_of_a_written_trace_matches_every_recomputed_field(tmp_path_facto
     assert [r["field"] for r in results if r["diverged"]] == []
 
 
-def test_a_trial_split_by_its_budget_replays_each_round_after_the_one_before(tmp_path):
-    """A header-less trace whose e changes from round 2 on: replay takes the
-    trial's rounds in two groups, and round 2, the second group's first, is
-    detected after round 1's global_pen, not as a trial's first round."""
+def test_a_trial_whose_budget_changes_exits_2(tmp_path, capsys):
+    """A header-less trace whose e changes from round 2 on: replay takes a
+    trial as one block with one e, so the reader refuses round 2 at its
+    line, naming e."""
     (records,) = run_simulation(small_cfg(seeds=(1,)))
     lines = [json.loads(older_line(trace.encode_record(rec), 1)) for rec in records]
     for line in lines[2:]:
         line["e"] = 4  # the run's counts lie in [0, 3]
     path = tmp_path / "split.jsonl"
     path.write_text("".join(_dumps(line) + "\n" for line in lines))
-    recs = read_trace(path)
-    wefs, pens = [r["wefs"] for r in recs], [r["global_pen"] for r in recs]
-    expected = (det.detect_trial("S2WEF", wefs[:2], pens[:2], None, 3)
-                + det.detect_trial("S2WEF", wefs[2:], pens[2:], pens[1], 4))
-    assert len(expected[2].cluster.heights) == len(wefs[2]) - 1
-    for line, detection in zip(lines, expected):
-        truth = [i for i, role in enumerate(line["roles"]) if role == "free_rider"]
-        metrics = compute_metrics(truth, detection.decision.free_rider_list, len(line["roles"]))
-        line.update(trace.detection_fields(detection), metrics=asdict(metrics))
-    path.write_text("".join(_dumps(line) + "\n" for line in lines))
-    assert [r["field"] for r in replay_trace(read_trace(path))] == [None] * len(lines)
+    assert main(["detect-trace", "--trace", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"trace error: {path}:3: trial 1 round 2: e is 4, round 1 had 3\n"
+
+
+def test_a_trial_resumed_after_another_trials_rounds_exits_2(tmp_path, capsys):
+    """A header-less schema-1 trace of two 4-round trials whose lines
+    alternate: replay takes a trial as one block, so the reader refuses the
+    first line that resumes a trial, naming it."""
+    trials = list(run_simulation(small_cfg(rounds=4)))
+    lines = [older_line(trace.encode_record(rec), 1) for pair in zip(*trials) for rec in pair]
+    path = tmp_path / "alternating.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert main(["detect-trace", "--trace", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"trace error: {path}:3: trial 1 resumes after trial 2's rounds\n"
 
 
 @pytest.mark.parametrize(
